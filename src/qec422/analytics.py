@@ -132,13 +132,6 @@ def average_block_error(gates: tuple[LogicalGate, ...], scheme: str,
 # Scheme-level predictors
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PredictionParams:
-    eps1: float = 0.0
-    eps2: float = 0.0
-    p_meas: float = 0.0
-
-
 def predict_uncoded(length: int, eps1: float, eps2: float, p_meas: float) -> float:
     """First-order expected distance for the bare scheme on the reduced set.
 

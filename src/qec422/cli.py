@@ -17,6 +17,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 from datetime import datetime, timezone
 
 import numpy as np
@@ -36,6 +37,7 @@ from .code import (
     build_encoder,
     coded_gate_circuit,
     codeword_distribution,
+    post_select_distribution,
     uncoded_gate_circuit,
 )
 from .experiments import (
@@ -48,9 +50,10 @@ from .experiments import (
 )
 from .ftcheck import verify_single_faults
 from .noise import NoiseParams, totally_mixed
-from .simulator import ideal_distribution
 
 OUTPUT_DIR_ENV = "QEC422_OUTPUT_DIR"
+
+_BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 # key -> parser; every key a config file may set
 _CONFIG_PARSERS = {
@@ -67,7 +70,7 @@ _CONFIG_PARSERS = {
     "p_prep": float,
     "theta": float,
     "xi": float,
-    "analytic_xi": lambda s: s.lower() in ("1", "true", "yes"),
+    "analytic_xi": lambda s: _BOOLEANS[s.lower()],
     "jobs": int,
     "out": str,
 }
@@ -92,7 +95,7 @@ def load_config(path: str) -> dict:
                 )
             try:
                 cfg[key] = _CONFIG_PARSERS[key](value)
-            except ValueError:
+            except (KeyError, ValueError):
                 raise CircuitError(f"{path}:{line_no}: bad value {value!r} for {key}") from None
     return cfg
 
@@ -178,10 +181,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         "shots": shots,
         "analytic_xi": analytic_xi,
         "sequence_sampling": "independent_per_L_seed",
-        "params": {
-            "eps1": params.eps1, "eps2": params.eps2, "p_meas": params.p_meas,
-            "p_prep": params.p_prep, "theta": params.theta, "xi": params.xi,
-        },
+        "params": asdict(params),
     }
     with open(out + ".meta.json", "w") as fh:
         json.dump(meta, fh, indent=2)
@@ -202,12 +202,9 @@ def cmd_predict(args: argparse.Namespace) -> int:
     e1, e2, pm = params.eps1, params.eps2, params.p_meas
 
     lines = ["scheme,L,D_pred"]
-    for L in lengths:
-        lines.append(f"uncoded,{L},{predict_uncoded(L, e1, e2, pm)!r}")
-    for L in lengths:
-        lines.append(f"coded_raw,{L},{predict_coded_raw(L, e1, e2, pm)!r}")
-    for L in lengths:
-        lines.append(f"coded_ps,{L},{predict_coded_ps(L, e1, e2, pm)!r}")
+    for scheme, predict in (("uncoded", predict_uncoded), ("coded_raw", predict_coded_raw),
+                            ("coded_ps", predict_coded_ps)):
+        lines += [f"{scheme},{L},{predict(L, e1, e2, pm)!r}" for L in lengths]
     _write_text(args.out, "\n".join(lines) + "\n")
 
     crossover = None
@@ -283,8 +280,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
     # coded analog: codeword ideal vs uniform over the 8 retained strings
     ideal = codeword_distribution(LogicalStateLabel.L00)
-    even = {s: p for s, p in totally_mixed(16).probs.items() if s.count("1") % 2 == 0}
-    mixed_ps = {s: p / sum(even.values()) for s, p in even.items()}
+    mixed_ps, _ = post_select_distribution(totally_mixed(16))
     print("\ncoded, post-selected (16-outcome read-out, even-parity retained):")
     print(f"{'codeword vs mixed-retained':>26} {ideal.support_size:>8} "
           f"{trace_distance(ideal, mixed_ps):>7.4f}")
@@ -323,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="flat key = value config file")
     p.add_argument("--gate-set", dest="gate_set",
                    choices=[g.value for g in GateSetId])
-    p.add_argument("--lengths", type=_int_list, help="comma-separated L values")
+    p.add_argument("--lengths", type=_CONFIG_PARSERS["lengths"], help="comma-separated L values")
     p.add_argument("--seeds-per-length", dest="seeds_per_length", type=int)
     p.add_argument("--master-seed", dest="master_seed", type=int)
     p.add_argument("--shots", type=int)
@@ -335,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("predict", help="closed-form D predictions per scheme")
     p.add_argument("--config")
-    p.add_argument("--lengths", type=_int_list)
+    p.add_argument("--lengths", type=_CONFIG_PARSERS["lengths"])
     p.add_argument("--out", help="write CSV instead of stdout")
     add_noise_flags(p)
     p.set_defaults(func=cmd_predict)
@@ -353,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep-theta", help="coherent-rotation retention sweep")
     p.add_argument("--config")
-    p.add_argument("--thetas", type=_float_list, help="comma-separated angles")
+    p.add_argument("--thetas", type=_CONFIG_PARSERS["thetas"], help="comma-separated angles")
     p.add_argument("--gate-set", dest="gate_set", choices=[g.value for g in GateSetId])
     p.add_argument("--length", type=int)
     p.add_argument("--shots", type=int)
@@ -368,22 +364,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _int_list(s: str) -> list[int]:
-    return [int(x) for x in s.replace(",", " ").split()]
-
-
-def _float_list(s: str) -> list[float]:
-    return [float(x) for x in s.replace(",", " ").split()]
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CircuitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (CircuitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -7,21 +7,37 @@ discarding odd-parity outcomes.  Logical operators act transversally
 cheap enough to beat their uncoded versions under two-qubit-dominated
 noise.
 
-Decoding is a table lookup on the retained strings:
+Post-selection and decoding work on dense outcome vectors: entry j
+holds the counts or probability of the read-out string whose k-th bit
+is bit k of j, the layout of simulator.marginal_vector.  selection_split
+is the one implementation of the discard rule and DECODE_INDEX the one
+decode table, a 16-entry map from data index to logical index:
 
     0000, 1111 -> 00      1010, 0101 -> 10
     1100, 0011 -> 01      0110, 1001 -> 11
 
-equivalently Q0 = q0 xor q1, Q1 = q0 xor q2.
+equivalently Q0 = q0 xor q1, Q1 = q0 xor q2.  The string-keyed functions
+convert to a vector once on entry and back once on return.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
+
+import numpy as np
 
 from .circuits import Circuit, CircuitError, GateInstance, GateKind
-from .simulator import OutcomeDistribution, ShotCounts
+from .simulator import (
+    OutcomeDistribution,
+    ShotCounts,
+    bitstring_of,
+    counts_from_vector,
+    distribution_from_vector,
+    index_of,
+    outcome_vector,
+)
 
 DATA_QUBITS = 4
 
@@ -56,13 +72,6 @@ CODEWORD_STRINGS: dict[LogicalStateLabel, tuple[str, ...]] = {
     LogicalStateLabel.L11: ("0110", "1001"),
     LogicalStateLabel.L0PLUS: ("0000", "1111", "1100", "0011"),
     LogicalStateLabel.LPHIPLUS: ("0000", "1111", "0110", "1001"),
-}
-
-DECODE_TABLE: dict[str, str] = {
-    "0000": "00", "1111": "00",
-    "1100": "01", "0011": "01",
-    "1010": "10", "0101": "10",
-    "0110": "11", "1001": "11",
 }
 
 
@@ -181,6 +190,44 @@ def uncoded_gate_circuit(gate: LogicalGate) -> list[GateInstance]:
 # Decoding and post-selection
 # ---------------------------------------------------------------------------
 
+# Logical index (Q0 in bit 0, Q1 in bit 1) of every 4-bit data index;
+# ODD, one past the four logical outcomes, marks odd parity.
+ODD = 4
+DECODE_INDEX = np.array([0, ODD, ODD, 2, ODD, 1, 3, ODD, ODD, 3, 1, ODD, 2, ODD, ODD, 0])
+# data index with bits 0 and 1 exchanged, for relabel_swap01
+_SWAP01 = np.array([(j & ~3) | ((j & 1) << 1) | ((j >> 1) & 1) for j in range(16)])
+# Retention sums the data entries in bitstring order: the order moves the
+# last bit, and CSV values must not depend on the vector layout.
+_STRING_ORDER = sorted(range(16), key=lambda j: bitstring_of(j, DATA_QUBITS))
+_PARITY_BIN, _ANCILLA_BIN = 16, 17
+
+
+@lru_cache(maxsize=None)
+def _selection_bins(n_bits: int, ancilla_bit: int | None) -> np.ndarray:
+    """Bin of every read-out index: its data index, _PARITY_BIN or _ANCILLA_BIN."""
+    j = np.arange(1 << n_bits)
+    data = j & ((1 << DATA_QUBITS) - 1)
+    bins = np.where(DECODE_INDEX[data] == ODD, _PARITY_BIN, data)
+    if ancilla_bit is not None:
+        bins[((j >> ancilla_bit) & 1).astype(bool) & (bins != _PARITY_BIN)] = _ANCILLA_BIN
+    bins.setflags(write=False)  # cached and shared by every caller
+    return bins
+
+
+def selection_split(vec: np.ndarray,
+                    ancilla_bit: int | None = None) -> tuple[np.ndarray, float, float]:
+    """Split an outcome vector of counts or probabilities into (retained
+    16-entry data vector, parity-rejected mass, ancilla-rejected mass).
+
+    The data are the first DATA_QUBITS read-out bits.  Odd data parity
+    rejects; otherwise a set read-out bit ancilla_bit rejects, so an
+    outcome failing both counts as a parity rejection.
+    """
+    bins = _selection_bins(len(vec).bit_length() - 1, ancilla_bit)
+    split = np.bincount(bins, weights=vec, minlength=_ANCILLA_BIN + 1)
+    return split[:_PARITY_BIN], float(split[_PARITY_BIN]), float(split[_ANCILLA_BIN])
+
+
 def decode(bitstring: str, relabel_swap01: bool = False) -> str | None:
     """Map a 4-bit data string to its logical value, or None on odd parity.
 
@@ -190,13 +237,9 @@ def decode(bitstring: str, relabel_swap01: bool = False) -> str | None:
     """
     if len(bitstring) != DATA_QUBITS or set(bitstring) - {"0", "1"}:
         raise CircuitError(f"expected a 4-bit string, got {bitstring!r}")
-    if relabel_swap01:
-        bitstring = bitstring[1] + bitstring[0] + bitstring[2:]
-    return DECODE_TABLE.get(bitstring)
-
-
-def data_parity_even(bitstring: str) -> bool:
-    return bitstring[:DATA_QUBITS].count("1") % 2 == 0
+    j = index_of(bitstring)
+    logical = int(DECODE_INDEX[_SWAP01[j] if relabel_swap01 else j])
+    return None if logical == ODD else bitstring_of(logical, 2)
 
 
 @dataclass
@@ -219,66 +262,37 @@ class PostSelectionResult:
         return self.accepted / self.raw_total if self.raw_total else 0.0
 
 
+def _split_strings(entries: dict, ancilla_present: bool) -> tuple[np.ndarray, float, float]:
+    """selection_split on strings; an ancilla read-out is the fifth character."""
+    vec = outcome_vector(entries, DATA_QUBITS + (1 if ancilla_present else 0))
+    return selection_split(vec, DATA_QUBITS if ancilla_present else None)
+
+
 def post_select(raw: ShotCounts, ancilla_present: bool = False) -> PostSelectionResult:
-    """Discard odd-parity strings; optionally also strings whose ancilla bit is 1.
-
-    Strings carry the data qubits in the first four characters and, when
-    ancilla_present, the ancilla outcome as the fifth.  The ancilla
-    filter runs after the parity filter, so a string failing both counts
-    as a parity rejection.  Retained counts keep only the data bits.
-    """
-    width = DATA_QUBITS + (1 if ancilla_present else 0)
-    retained: dict[str, int] = {}
-    parity_rej = 0
-    ancilla_rej = 0
-    for s, c in raw.counts.items():
-        if len(s) != width:
-            raise CircuitError(f"expected {width}-bit strings, got {s!r}")
-        data = s[:DATA_QUBITS]
-        if not data_parity_even(data):
-            parity_rej += c
-        elif ancilla_present and s[DATA_QUBITS] == "1":
-            ancilla_rej += c
-        else:
-            retained[data] = retained.get(data, 0) + c
-    return PostSelectionResult(ShotCounts(retained), raw.total, parity_rej, ancilla_rej)
+    """Discard odd-parity strings and, with ancilla_present, strings whose
+    fifth (ancilla) bit is 1.  Retained counts keep only the data bits."""
+    retained, parity_rej, ancilla_rej = _split_strings(raw.counts, ancilla_present)
+    return PostSelectionResult(counts_from_vector(retained, DATA_QUBITS), raw.total,
+                               int(parity_rej), int(ancilla_rej))
 
 
-def post_select_distribution(dist: OutcomeDistribution,
-                             ancilla_present: bool = False) -> tuple[OutcomeDistribution, float]:
-    """Analytic post-selection: (renormalized retained distribution, retention r)."""
-    width = DATA_QUBITS + (1 if ancilla_present else 0)
-    if dist.n_bits != width:
-        raise CircuitError(f"expected {width}-bit distribution, got {dist.n_bits} bits")
-    kept: dict[str, float] = {}
-    for s, p in dist.probs.items():
-        data = s[:DATA_QUBITS]
-        if data_parity_even(data) and not (ancilla_present and s[DATA_QUBITS] == "1"):
-            kept[data] = kept.get(data, 0.0) + p
-    r = sum(kept.values())
+def post_select_distribution(dist: OutcomeDistribution, ancilla_present: bool = False
+                             ) -> tuple[OutcomeDistribution | None, float]:
+    """Analytic post-selection: (renormalized retained distribution, retention r);
+    the distribution is None when nothing is retained."""
+    retained, _, _ = _split_strings(dist.probs, ancilla_present)
+    r = sum(retained[_STRING_ORDER].tolist())
     if r <= 0.0:
-        raise CircuitError("post-selection retained no probability mass")
-    return OutcomeDistribution({s: p / r for s, p in kept.items()}), r
-
-
-def decode_counts(retained: ShotCounts, relabel_swap01: bool = False) -> ShotCounts:
-    """Aggregate retained 4-bit counts into logical 2-bit counts."""
-    out: dict[str, int] = {}
-    for s, c in retained.counts.items():
-        logical = decode(s, relabel_swap01)
-        if logical is None:
-            raise CircuitError(f"odd-parity string {s!r} survived post-selection")
-        out[logical] = out.get(logical, 0) + c
-    return ShotCounts(out)
+        return None, 0.0
+    return distribution_from_vector(retained / r, DATA_QUBITS), r
 
 
 def decode_distribution(dist: OutcomeDistribution,
                         relabel_swap01: bool = False) -> OutcomeDistribution:
     """Aggregate a 4-bit distribution with even-parity support into logical outcomes."""
-    out: dict[str, float] = {}
-    for s, p in dist.probs.items():
-        logical = decode(s, relabel_swap01)
-        if logical is None:
-            raise CircuitError(f"cannot decode odd-parity string {s!r}; post-select first")
-        out[logical] = out.get(logical, 0.0) + p
-    return OutcomeDistribution(out)
+    data = outcome_vector(dist.probs, DATA_QUBITS)
+    logical = np.bincount(DECODE_INDEX, weights=data[_SWAP01] if relabel_swap01 else data,
+                          minlength=ODD + 1)
+    if logical[ODD]:
+        raise CircuitError("cannot decode odd-parity strings; post-select first")
+    return distribution_from_vector(logical[:ODD], 2)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from datetime import datetime, timezone
 from enum import Enum
 
@@ -37,7 +37,7 @@ from .code import (
     uncoded_gate_circuit,
 )
 from .noise import NoiseParams, derive_seed, insert_coherent_rotation, noisy_counts, noisy_distribution
-from .simulator import OutcomeDistribution, ideal_distribution
+from .simulator import ideal_distribution
 
 DEFAULT_SHOTS = 8192
 MAX_SEQUENCE_LENGTH = 1000
@@ -106,11 +106,6 @@ def build_pair(sequence: list[LogicalGate]) -> tuple[Circuit, Circuit]:
         unc_gates += uncoded_gate_circuit(g)
         cod_gates += coded_gate_circuit(g)
     return (Circuit(2, unc_gates, [0, 1]), Circuit(4, cod_gates, [0, 1, 2, 3]))
-
-
-def output_dimension(dist: OutcomeDistribution) -> int:
-    """Support size of a distribution; stratifies runs for bound checks."""
-    return dist.support_size
 
 
 # ---------------------------------------------------------------------------
@@ -223,30 +218,22 @@ def run_pair(sequence: list[LogicalGate], params: NoiseParams, shots: int,
     if analytic_xi:
         dist_u = noisy_distribution(unc, params)
         dist_c = noisy_distribution(cod, params)
-        D_u = trace_distance(ideal_u, dist_u)
-        D_raw = trace_distance(ideal_c, dist_c)
-        even_mass = sum(p for s, p in dist_c.probs.items() if s.count("1") % 2 == 0)
-        if even_mass > 0.0:
-            retained, r = post_select_distribution(dist_c)
-            D_ps = trace_distance(ideal_c, retained)
-            D_dec = trace_distance(decoded_ideal, decode_distribution(retained))
-        else:
-            r, D_ps, D_dec = 0.0, 1.0, 1.0
+        retained, r = post_select_distribution(dist_c)
         gamma = round(r * shots)
     else:
         counts_u = noisy_counts(unc, params, shots, derive_seed(seed, "uncoded"))
         counts_c = noisy_counts(cod, params, shots, derive_seed(seed, "coded"))
-        D_u = trace_distance(ideal_u, counts_u.to_distribution())
-        D_raw = trace_distance(ideal_c, counts_c.to_distribution())
+        dist_u, dist_c = counts_u.to_distribution(), counts_c.to_distribution()
         ps = post_select(counts_c)
-        r = ps.retention
-        gamma = ps.accepted
-        if gamma > 0:
-            D_ps = trace_distance(ideal_c, ps.retained.to_distribution())
-            D_dec = trace_distance(decoded_ideal,
-                                   decode_distribution(ps.retained.to_distribution()))
-        else:
-            D_ps, D_dec = 1.0, 1.0
+        r, gamma = ps.retention, ps.accepted
+        retained = ps.retained.to_distribution() if gamma else None
+    D_u = trace_distance(ideal_u, dist_u)
+    D_raw = trace_distance(ideal_c, dist_c)
+    if retained is None:
+        D_ps, D_dec = 1.0, 1.0
+    else:
+        D_ps = trace_distance(ideal_c, retained)
+        D_dec = trace_distance(decoded_ideal, decode_distribution(retained))
 
     def rec(scheme: str, gam: int, rr: float, D: float, D_decoded: float,
             dim: int) -> ExperimentRecord:
@@ -302,9 +289,7 @@ def sweep_theta(thetas: list[float], params: NoiseParams,
     out: list[ExperimentRecord] = []
     for i, theta in enumerate(thetas):
         seed = derive_seed(master_seed, "theta", i)
-        run_params = NoiseParams(eps1=params.eps1, eps2=params.eps2,
-                                 p_meas=params.p_meas, p_prep=params.p_prep,
-                                 theta=float(theta), xi=params.xi)
+        run_params = replace(params, theta=float(theta))
         sequence = random_sequence(SequenceSpec(gate_set, length, seed))
         out += run_pair(sequence, run_params, shots, seed, gate_set.value)
     return out
@@ -326,44 +311,3 @@ def summarize_records(records: list[ExperimentRecord]) -> list[dict]:
             "mean_r": sum(r.r for r in rs) / len(rs),
         })
     return out
-
-
-# ---------------------------------------------------------------------------
-# Hardware coupling constraints
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CouplingMap:
-    """Undirected pairs of qubits allowed to share a two-qubit gate."""
-
-    n_qubits: int
-    pairs: frozenset[tuple[int, int]]
-
-    def __post_init__(self):
-        norm = set()
-        for a, b in self.pairs:
-            if a == b or not (0 <= a < self.n_qubits and 0 <= b < self.n_qubits):
-                raise CircuitError(f"bad coupling pair ({a}, {b})")
-            norm.add((min(a, b), max(a, b)))
-        object.__setattr__(self, "pairs", frozenset(norm))
-
-    def allows(self, a: int, b: int) -> bool:
-        return (min(a, b), max(a, b)) in self.pairs
-
-
-def linear_chain(n_qubits: int) -> CouplingMap:
-    """q0 - q1 - ... - q(n-1), the layout the encoder was drawn for."""
-    return CouplingMap(n_qubits, frozenset((i, i + 1) for i in range(n_qubits - 1)))
-
-
-def validate_coupling(circuit: Circuit, coupling: CouplingMap) -> list[tuple[int, tuple[int, int]]]:
-    """Two-qubit gates whose pair the map forbids, as (gate_index, pair)."""
-    if circuit.n_qubits > coupling.n_qubits:
-        raise CircuitError(
-            f"circuit uses {circuit.n_qubits} qubits but the map has {coupling.n_qubits}"
-        )
-    violations = []
-    for i, g in enumerate(circuit.gates):
-        if g.kind.arity == 2 and not coupling.allows(*g.targets):
-            violations.append((i, g.targets))
-    return violations

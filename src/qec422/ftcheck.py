@@ -5,7 +5,8 @@ gate fault can change the post-selected outcome distribution without
 being flagged.  The check enumerates every fault site (3 Paulis after
 each one-qubit gate, 15 after each two-qubit gate, optionally an X
 before the circuit on each qubit), simulates each faulted circuit
-exactly, and classifies the result:
+exactly, splits its outcome vector with code.selection_split (the rule
+post-selection applies to sampled counts), and classifies the result:
 
 Harmless                  retained distribution and retention both unchanged
 DetectedPostSelection     probability mass moved into odd-parity strings
@@ -24,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import Circuit, CircuitError, GateInstance, GateKind
-from .code import DATA_QUBITS
+from .circuits import Circuit, CircuitError
+from .code import DATA_QUBITS, selection_split
 from .noise import ONE_QUBIT_PAULIS, TWO_QUBIT_PAULIS, _config_marginal
 from .simulator import marginal_vector, final_state
 
@@ -87,26 +88,6 @@ def enumerate_single_faults(circuit: Circuit, include_preparation: bool = False,
 # Classification
 # ---------------------------------------------------------------------------
 
-def _selection_split(vec: np.ndarray, n_bits: int, ancilla_bit: int | None):
-    """Split a marginal vector into (retained data vector, parity-rejected
-    mass, ancilla-rejected mass).  Data bits are the first DATA_QUBITS
-    read-out bits; ancilla_bit indexes into the read-out string."""
-    retained = np.zeros(1 << DATA_QUBITS)
-    parity_rej = 0.0
-    ancilla_rej = 0.0
-    for j, p in enumerate(vec):
-        if p == 0.0:
-            continue
-        data = j & ((1 << DATA_QUBITS) - 1)
-        if bin(data).count("1") % 2:
-            parity_rej += p
-        elif ancilla_bit is not None and (j >> ancilla_bit) & 1:
-            ancilla_rej += p
-        else:
-            retained[data] += p
-    return retained, parity_rej, ancilla_rej
-
-
 def _faulted_marginal(circuit: Circuit, site: FaultSite | None) -> np.ndarray:
     if site is None:
         return marginal_vector(final_state(circuit).probabilities(),
@@ -136,8 +117,7 @@ def classify_fault(circuit: Circuit, site: FaultSite, detection: str,
     """
     if detection not in DETECTION_MODES:
         raise CircuitError(f"detection must be one of {DETECTION_MODES}, got {detection!r}")
-    n_bits = len(circuit.measured)
-    if n_bits < DATA_QUBITS:
+    if len(circuit.measured) < DATA_QUBITS:
         raise CircuitError("detection needs at least the four data qubits measured")
     ancilla_bit = None
     if detection == "postselect+ancilla":
@@ -148,10 +128,8 @@ def classify_fault(circuit: Circuit, site: FaultSite, detection: str,
         if ancilla_bit < DATA_QUBITS:
             raise CircuitError("ancilla bit cannot be one of the four data bits")
 
-    ideal = _faulted_marginal(circuit, None)
-    faulted = _faulted_marginal(circuit, site)
-    ideal_ret, ideal_par, ideal_anc = _selection_split(ideal, n_bits, ancilla_bit)
-    ret, par, anc = _selection_split(faulted, n_bits, ancilla_bit)
+    ideal_ret, ideal_par, _ = selection_split(_faulted_marginal(circuit, None), ancilla_bit)
+    ret, par, _ = selection_split(_faulted_marginal(circuit, site), ancilla_bit)
 
     ideal_mass = ideal_ret.sum()
     mass = ret.sum()

@@ -23,20 +23,21 @@ calls are scheduled around it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .circuits import Circuit, CircuitError, GateInstance, GateKind
 from .simulator import (
+    PRUNE_TOL,
     OutcomeDistribution,
+    PureState,
     ShotCounts,
     apply_gate,
-    bitstring_of,
+    counts_from_vector,
     distribution_from_vector,
     final_state,
     marginal_vector,
-    PureState,
 )
 
 ONE_QUBIT_PAULIS = ("X", "Y", "Z")
@@ -68,75 +69,12 @@ class NoiseParams:
     def pauli_free(self) -> bool:
         return self.eps1 == 0.0 and self.eps2 == 0.0 and self.p_prep == 0.0
 
-    def without_measurement(self) -> "NoiseParams":
-        return replace(self, p_meas=0.0)
-
-
-@dataclass(frozen=True)
-class DepolarizingSpec:
-    """Distribution-level mixing toward uniform over d outcomes."""
-
-    xi: float
-    d: int
-
-    def __post_init__(self):
-        if not 0.0 <= self.xi <= 1.0:
-            raise CircuitError(f"xi must be in [0, 1], got {self.xi}")
-        if self.d < 2 or self.d & (self.d - 1):
-            raise CircuitError(f"d must be a power of two >= 2, got {self.d}")
-
 
 def totally_mixed(d: int) -> OutcomeDistribution:
     """Uniform distribution over d = 2**n_bits outcome strings."""
     if d < 2 or d & (d - 1):
         raise CircuitError(f"d must be a power of two >= 2, got {d}")
-    n_bits = d.bit_length() - 1
-    return OutcomeDistribution({bitstring_of(i, n_bits): 1.0 / d for i in range(d)})
-
-
-def depolarize_distribution(dist: OutcomeDistribution, xi: float) -> OutcomeDistribution:
-    """(1 - xi) p + xi / d over the full alphabet of dist's width."""
-    spec = DepolarizingSpec(xi, 1 << dist.n_bits)
-    d = spec.d
-    n_bits = dist.n_bits
-    out = {}
-    for i in range(d):
-        s = bitstring_of(i, n_bits)
-        out[s] = (1.0 - xi) * dist.get(s) + xi / d
-    return OutcomeDistribution(out)
-
-
-# ---------------------------------------------------------------------------
-# Elementary samplers (the per-shot primitives; noisy_counts vectorizes
-# the same distributions)
-# ---------------------------------------------------------------------------
-
-def sample_gate_fault(kind: GateKind, params: NoiseParams,
-                      rng: np.random.Generator) -> str | None:
-    """One post-gate fault draw: a Pauli label, or None for no fault."""
-    if kind.arity == 1:
-        if params.eps1 > 0.0 and rng.random() < params.eps1:
-            return ONE_QUBIT_PAULIS[rng.integers(3)]
-    else:
-        if params.eps2 > 0.0 and rng.random() < params.eps2:
-            return TWO_QUBIT_PAULIS[rng.integers(15)]
-    return None
-
-
-def apply_preparation_flips(n_qubits: int, p_prep: float,
-                            rng: np.random.Generator) -> set[int]:
-    """Qubits whose initial |0> flips to |1>."""
-    return {q for q in range(n_qubits) if p_prep > 0.0 and rng.random() < p_prep}
-
-
-def apply_measurement_flips(bitstring: str, p_meas: float,
-                            rng: np.random.Generator) -> str:
-    """Independently flip each read-out bit with probability p_meas."""
-    if p_meas == 0.0:
-        return bitstring
-    return "".join(
-        ("1" if c == "0" else "0") if rng.random() < p_meas else c for c in bitstring
-    )
+    return distribution_from_vector(np.full(d, 1.0 / d), d.bit_length() - 1)
 
 
 def insert_coherent_rotation(circuit: Circuit, theta: float) -> Circuit:
@@ -393,11 +331,7 @@ def noisy_counts(circuit: Circuit, params: NoiseParams, shots: int, seed: int) -
         uniform = rng.integers(0, 1 << n_bits, size=shots)
         outcomes = np.where(scrambled, uniform, outcomes)
 
-    counts = np.bincount(outcomes, minlength=1 << n_bits)
-    return ShotCounts({
-        bitstring_of(int(j), n_bits): int(c)
-        for j, c in enumerate(counts) if c
-    })
+    return counts_from_vector(np.bincount(outcomes, minlength=1 << n_bits), n_bits)
 
 
 def noisy_distribution(circuit: Circuit, params: NoiseParams) -> OutcomeDistribution:
@@ -411,7 +345,7 @@ def noisy_distribution(circuit: Circuit, params: NoiseParams) -> OutcomeDistribu
         raise CircuitError("analytic distribution requires eps1 = eps2 = p_prep = p_meas = 0")
     vec = marginal_vector(final_state(circuit).probabilities(),
                           circuit.n_qubits, circuit.measured)
-    dist = distribution_from_vector(vec, len(circuit.measured))
     if params.xi > 0.0:
-        dist = depolarize_distribution(dist, params.xi)
-    return dist
+        # (1 - xi) p + xi / d over the full alphabet, p pruned as in the support
+        vec = (1.0 - params.xi) * np.where(vec >= PRUNE_TOL, vec, 0.0) + params.xi / len(vec)
+    return distribution_from_vector(vec, len(circuit.measured))

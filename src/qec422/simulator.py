@@ -14,6 +14,7 @@ Conventions, fixed across the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 
@@ -215,9 +216,24 @@ def index_of(bitstring: str) -> int:
     return sum((c == "1") << k for k, c in enumerate(bitstring))
 
 
+def outcome_vector(entries: Mapping[str, float], n_bits: int) -> np.ndarray:
+    """Dense form of string-keyed counts or probabilities; entry j is the
+    outcome bitstring_of(j, n_bits), so index bit k is read-out bit k."""
+    vec = np.zeros(1 << n_bits)
+    for s, v in entries.items():
+        if len(s) != n_bits:
+            raise CircuitError(f"expected {n_bits}-bit strings, got {s!r}")
+        vec[index_of(s)] = v
+    return vec
+
+
 def distribution_from_vector(vec: np.ndarray, n_bits: int) -> OutcomeDistribution:
     support = np.nonzero(vec >= PRUNE_TOL)[0]
     return OutcomeDistribution({bitstring_of(int(j), n_bits): float(vec[j]) for j in support})
+
+
+def counts_from_vector(vec: np.ndarray, n_bits: int) -> ShotCounts:
+    return ShotCounts({bitstring_of(int(j), n_bits): int(vec[j]) for j in np.flatnonzero(vec)})
 
 
 def ideal_distribution(circuit: Circuit) -> OutcomeDistribution:

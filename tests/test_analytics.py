@@ -20,9 +20,10 @@ from qec422.analytics import (
     trace_distance,
     worst_case_bound,
 )
+from qec422.circuits import Circuit
 from qec422.code import LogicalGate, coded_gate_circuit, uncoded_gate_circuit
 from qec422.experiments import GateSetId
-from qec422.noise import depolarize_distribution, totally_mixed
+from qec422.noise import NoiseParams, noisy_distribution, totally_mixed
 from qec422.simulator import OutcomeDistribution
 
 
@@ -194,7 +195,8 @@ class TestWorstCase:
         bound = worst_case_bound(ideal)
         prev = -1.0
         for xi in (0.0, 0.25, 0.5, 0.75, 1.0):
-            D = trace_distance(depolarize_distribution(ideal, xi), ideal)
+            mixed = noisy_distribution(Circuit(2, [], [0, 1]), NoiseParams(xi=xi))
+            D = trace_distance(mixed, ideal)
             assert abs(D - xi * bound) < 1e-12
             assert D > prev or xi == 0.0
             prev = D

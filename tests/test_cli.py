@@ -64,6 +64,20 @@ class TestConfig:
         with pytest.raises(Exception, match="bad value"):
             load_config(str(p))
 
+    def test_analytic_xi_accepts_only_boolean_words(self, tmp_path, capsys):
+        p = tmp_path / "c.cfg"
+        for word, want in (("1", True), ("TRUE", True), ("Yes", True),
+                           ("0", False), ("false", False), ("NO", False)):
+            p.write_text(f"analytic_xi = {word}\n")
+            assert load_config(str(p)) == {"analytic_xi": want}
+        p.write_text("shots = 16\nanalytic_xi = ture\n")
+        with pytest.raises(Exception, match=r"c.cfg:2: bad value 'ture'"):
+            load_config(str(p))
+        out = tmp_path / "never.csv"
+        assert main(["run", "--config", str(p), "--out", str(out)]) == 1
+        assert "bad value" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_key_exits_one(self, tmp_path, capsys):
         p = tmp_path / "c.cfg"
         p.write_text("bogus = 3\n")

@@ -17,9 +17,10 @@ from qec422.code import (
     decode_distribution,
     post_select,
     post_select_distribution,
+    selection_split,
     uncoded_gate_circuit,
 )
-from qec422.simulator import OutcomeDistribution, ShotCounts, ideal_distribution
+from qec422.simulator import OutcomeDistribution, ShotCounts, ideal_distribution, outcome_vector
 from qec422.analytics import trace_distance
 
 
@@ -140,6 +141,11 @@ class TestDecode:
         assert decode("1100") == "01"
         assert decode("0101") == "10"
         assert decode("1001") == "11"
+        for j in range(16):  # every string against Q0 = q0 ^ q1, Q1 = q0 ^ q2
+            s = format(j, "04b")
+            q = [int(c) for c in s]
+            assert decode(s) == (None if sum(q) % 2 else f"{q[0] ^ q[1]}{q[0] ^ q[2]}")
+            assert decode(s, relabel_swap01=True) == decode(s[1] + s[0] + s[2:])
 
     def test_odd_parity_rejected(self):
         assert decode("1000") is None
@@ -192,3 +198,61 @@ class TestPostSelect:
         np.testing.assert_allclose(r, 0.8)
         np.testing.assert_allclose(retained.get("0000"), 0.5)
         np.testing.assert_allclose(retained.get("1111"), 0.5)
+
+
+def _reference_split(entries: dict, ancilla: bool):
+    """The selection rule written out on strings."""
+    retained, parity, anc = {}, 0, 0
+    for s, v in entries.items():
+        if s[:4].count("1") % 2:
+            parity += v
+        elif ancilla and s[4] == "1":
+            anc += v
+        else:
+            retained[s[:4]] = retained.get(s[:4], 0) + v
+    return retained, parity, anc
+
+
+class TestSelectionSplit:
+    @pytest.mark.parametrize("width", [4, 5])
+    def test_every_string_alone(self, width):
+        ancilla = width == 5
+        for j in range(1 << width):
+            s = format(j, f"0{width}b")
+            ret, par, anc = _reference_split({s: 3}, ancilla)
+            if ancilla and s[:4].count("1") % 2 and s[4] == "1":
+                assert (par, anc) == (3, 0)  # failing both is a parity rejection
+            ps = post_select(ShotCounts({s: 3}), ancilla_present=ancilla)
+            assert ps.retained.counts == ret
+            assert (ps.parity_rejections, ps.ancilla_rejections) == (par, anc)
+
+            kept = {k: 1.0 for k in ret}
+            retained, r = post_select_distribution(OutcomeDistribution({s: 1.0}), ancilla)
+            assert r == (1.0 if kept else 0.0)
+            assert (retained.probs if retained else {}) == kept
+            vec_ret, vec_par, vec_anc = selection_split(
+                outcome_vector({s: 1.0}, width), 4 if ancilla else None)
+            np.testing.assert_array_equal(vec_ret, outcome_vector(kept, 4))
+            assert (vec_par, vec_anc) == (par / 3, anc / 3)
+
+    @pytest.mark.parametrize("width", [4, 5])
+    def test_all_strings_together(self, width):
+        ancilla = width == 5
+        counts = {format(j, f"0{width}b"): 1 + (7 * j) % 11 for j in range(1 << width)}
+        ret, par, anc = _reference_split(counts, ancilla)
+        ps = post_select(ShotCounts(counts), ancilla_present=ancilla)
+        assert ps.retained.counts == ret
+        assert (ps.parity_rejections, ps.ancilla_rejections) == (par, anc)
+        assert ps.raw_total == sum(counts.values())
+
+        total = sum(counts.values())
+        probs = {s: c / total for s, c in counts.items()}
+        ret_p, par_p, anc_p = _reference_split(probs, ancilla)
+        retained, r = post_select_distribution(OutcomeDistribution(probs), ancilla)
+        np.testing.assert_allclose(r, sum(ret_p.values()), rtol=1e-14)
+        assert set(retained.probs) == set(ret_p)
+        for s, p in ret_p.items():
+            np.testing.assert_allclose(retained.get(s), p / r, rtol=1e-14)
+        _, vec_par, vec_anc = selection_split(outcome_vector(probs, width),
+                                              4 if ancilla else None)
+        np.testing.assert_allclose([vec_par, vec_anc], [par_p, anc_p], rtol=1e-14)

@@ -1,4 +1,4 @@
-"""Sequence generation, paired runs, sweeps, CSV persistence, coupling."""
+"""Sequence generation, paired runs, sweeps, CSV persistence."""
 
 import dataclasses
 
@@ -14,16 +14,13 @@ from qec422.experiments import (
     SCHEME_UNCODED,
     SequenceSpec,
     build_pair,
-    linear_chain,
     random_sequence,
     read_records_csv,
     run_pair,
     summarize_records,
     sweep_L,
     sweep_theta,
-    validate_coupling,
     write_records_csv,
-    CouplingMap,
 )
 from qec422.noise import NoiseParams
 
@@ -180,34 +177,3 @@ class TestCsv:
         path.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(ValueError):
             read_records_csv(path)
-
-
-class TestCoupling:
-    def test_encoder_fits_a_linear_chain(self):
-        enc = build_encoder(LogicalStateLabel.L00, EncoderVariant.NON_FAULT_TOLERANT)
-        assert validate_coupling(enc, linear_chain(4)) == []
-
-    def test_checked_encoder_needs_a_long_hop(self):
-        enc = build_encoder(LogicalStateLabel.L00, EncoderVariant.ANCILLA_CHECKED)
-        bad = validate_coupling(enc, linear_chain(5))
-        assert bad == [(4, (0, 4))]
-
-    def test_circuit_too_wide(self):
-        enc = build_encoder(LogicalStateLabel.L00, EncoderVariant.ANCILLA_CHECKED)
-        with pytest.raises(CircuitError):
-            validate_coupling(enc, linear_chain(4))
-
-    def test_single_qubit_gates_unconstrained(self):
-        circ = Circuit(3, [GateInstance(GateKind.H, (2,))], [0])
-        assert validate_coupling(circ, CouplingMap(3, frozenset())) == []
-
-    def test_pair_normalization(self):
-        cmap = CouplingMap(3, frozenset([(2, 1)]))
-        assert cmap.allows(1, 2) and cmap.allows(2, 1)
-        assert not cmap.allows(0, 1)
-
-    def test_bad_pairs_rejected(self):
-        with pytest.raises(CircuitError):
-            CouplingMap(2, frozenset([(0, 0)]))
-        with pytest.raises(CircuitError):
-            CouplingMap(2, frozenset([(0, 5)]))

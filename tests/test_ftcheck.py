@@ -19,6 +19,7 @@ from qec422.ftcheck import (
     enumerate_single_faults,
     verify_single_faults,
 )
+from qec422.noise import insert_coherent_rotation
 
 HARMLESS = FaultClassification.HARMLESS
 DETECTED_POSTSELECTION = FaultClassification.DETECTED_POSTSELECTION
@@ -167,10 +168,18 @@ class TestInputValidation:
         with pytest.raises(ValueError):
             classify_fault(ENCODER, FaultSite(0, (0,), "X"), "postselect")  # H is on q1
 
-    def test_rotation_gates_rejected(self):
+    def test_too_few_data_bits_rejected(self):
         circ = Circuit(1, [GateInstance(GateKind.RZ, (0,), 0.3)], [0])
-        with pytest.raises(CircuitError):
+        with pytest.raises(CircuitError, match="four data qubits"):
             verify_single_faults(circ, "postselect")
+
+    def test_rotated_encoder_keeps_its_undetected_sites(self):
+        """RZ circuits are verified, not refused: the rotation adds three
+        sites and the bare encoder's eight undetected eps2 sites remain."""
+        report = verify_single_faults(insert_coherent_rotation(ENCODER, 0.3), "postselect")
+        assert len(report.classifications) == 51
+        assert len(report.undetected_sites()) == 8
+        assert report.undetected_fraction_text() == "8/15 * eps2"
 
 
 class TestReporting:

@@ -16,19 +16,14 @@ from qec422.code import (
 from qec422.noise import (
     ONE_QUBIT_PAULIS,
     TWO_QUBIT_PAULIS,
-    DepolarizingSpec,
     NoiseParams,
-    apply_measurement_flips,
-    apply_preparation_flips,
-    depolarize_distribution,
     derive_seed,
     insert_coherent_rotation,
     noisy_counts,
     noisy_distribution,
-    sample_gate_fault,
     totally_mixed,
 )
-from qec422.simulator import OutcomeDistribution, ideal_distribution, sample_counts
+from qec422.simulator import ideal_distribution, sample_counts
 from qec422.analytics import trace_distance
 
 
@@ -57,37 +52,50 @@ class TestNoiseParams:
         assert len(set(TWO_QUBIT_PAULIS)) == 15
 
 
+def _within_3_sigma(hits: int, n: int, p: float) -> bool:
+    return abs(hits / n - p) < 3 * np.sqrt(p * (1 - p) / n)
+
+
+def _bit_ones(counts, k: int) -> int:
+    return sum(c for s, c in counts.counts.items() if s[k] == "1")
+
+
 class TestElementarySamplers:
+    """Each elementary fault channel, sampled alone through noisy_counts."""
+
+    BARE4 = Circuit(4, [], [0, 1, 2, 3])
+
     def test_gate_fault_rates(self):
-        rng = np.random.default_rng(31)
-        params = NoiseParams(eps1=0.3, eps2=0.2)
-        n = 40_000
-        hits1 = sum(sample_gate_fault(GateKind.H, params, rng) is not None for _ in range(n))
-        hits2 = sum(sample_gate_fault(GateKind.CNOT, params, rng) is not None for _ in range(n))
-        assert abs(hits1 / n - 0.3) < 3 * np.sqrt(0.3 * 0.7 / n)
-        assert abs(hits2 / n - 0.2) < 3 * np.sqrt(0.2 * 0.8 / n)
+        """X and Y faults flip a one-qubit read-out (2/3 eps1); 12 of the 15
+        two-qubit Paulis move a CNOT's 00 read-out (12/15 eps2)."""
+        n = 100_000
+        one = noisy_counts(Circuit(1, [_g(GateKind.X, 0)], [0]), NoiseParams(eps1=0.3), n, 31)
+        assert _within_3_sigma(one.counts.get("0", 0), n, 2 / 3 * 0.3)
+        cnot = Circuit(2, [_g(GateKind.CNOT, 0, 1)], [0, 1])
+        two = noisy_counts(cnot, NoiseParams(eps2=0.2), n, 32)
+        assert _within_3_sigma(n - two.counts.get("00", 0), n, 12 / 15 * 0.2)
 
     def test_fault_labels_uniform(self):
-        """X, Y, Z drawn with equal frequency (3 sigma)."""
-        rng = np.random.default_rng(32)
-        params = NoiseParams(eps1=1.0)
-        n = 30_000
-        draws = [sample_gate_fault(GateKind.X, params, rng) for _ in range(n)]
-        for label in ONE_QUBIT_PAULIS:
-            frac = draws.count(label) / n
-            assert abs(frac - 1 / 3) < 3 * np.sqrt((1 / 3) * (2 / 3) / n)
+        """With eps2 = 1 every Pauli pair is equally likely: each flip
+        pattern covers four pairs, the no-flip pattern the other three."""
+        n = 60_000
+        cnot = Circuit(2, [_g(GateKind.CNOT, 0, 1)], [0, 1])
+        counts = noisy_counts(cnot, NoiseParams(eps2=1.0), n, 33)
+        for s, p in (("00", 3 / 15), ("10", 4 / 15), ("01", 4 / 15), ("11", 4 / 15)):
+            assert _within_3_sigma(counts.counts.get(s, 0), n, p)
 
     def test_preparation_flips(self):
-        rng = np.random.default_rng(33)
-        hits = sum(len(apply_preparation_flips(4, 0.25, rng)) for _ in range(10_000))
-        assert abs(hits / 40_000 - 0.25) < 3 * np.sqrt(0.25 * 0.75 / 40_000)
+        n = 20_000
+        counts = noisy_counts(self.BARE4, NoiseParams(p_prep=0.25), n, 34)
+        for k in range(4):
+            assert _within_3_sigma(_bit_ones(counts, k), n, 0.25)
 
     def test_measurement_flips(self):
-        rng = np.random.default_rng(34)
-        flipped = sum(apply_measurement_flips("0000", 0.1, rng).count("1")
-                      for _ in range(10_000))
-        assert abs(flipped / 40_000 - 0.1) < 3 * np.sqrt(0.1 * 0.9 / 40_000)
-        assert apply_measurement_flips("0101", 0.0, rng) == "0101"
+        n = 20_000
+        counts = noisy_counts(self.BARE4, NoiseParams(p_meas=0.1), n, 35)
+        for k in range(4):
+            assert _within_3_sigma(_bit_ones(counts, k), n, 0.1)
+        assert noisy_counts(self.BARE4, NoiseParams(), n, 35).counts == {"0000": n}
 
 
 class TestCoherentInsertion:
@@ -122,16 +130,16 @@ class TestMixing:
             totally_mixed(3)
 
     def test_depolarize_limits(self):
-        ideal = OutcomeDistribution({"00": 1.0})
-        assert depolarize_distribution(ideal, 0.0).probs == {"00": 1.0}
-        full = depolarize_distribution(ideal, 1.0)
-        np.testing.assert_allclose(list(full.probs.values()), [0.25] * 4)
+        bare = Circuit(2, [], [0, 1])
+        assert noisy_distribution(bare, NoiseParams(xi=0.0)).probs == {"00": 1.0}
+        full = noisy_distribution(bare, NoiseParams(xi=1.0))
+        assert full.probs == totally_mixed(4).probs
 
     def test_depolarizing_spec_validation(self):
         with pytest.raises(CircuitError):
-            DepolarizingSpec(0.5, 5)
+            totally_mixed(5)
         with pytest.raises(CircuitError):
-            DepolarizingSpec(1.5, 4)
+            NoiseParams(xi=1.5)
 
     def test_analytic_distribution_refuses_pauli_noise(self):
         with pytest.raises(CircuitError):
@@ -182,7 +190,7 @@ class TestNoisyCounts:
     def test_xi_sampling_matches_analytic(self):
         xi = 0.6
         counts = noisy_counts(ENCODER, NoiseParams(xi=xi), 200_000, 10)
-        want = depolarize_distribution(ideal_distribution(ENCODER), xi)
+        want = noisy_distribution(ENCODER, NoiseParams(xi=xi))
         assert trace_distance(counts.to_distribution(), want) < 0.01
 
     def test_depolarizing_limit_hits_worst_case(self):
