@@ -4,9 +4,14 @@ A circuit is fault tolerant in the error-detection sense if no single
 gate fault can change the post-selected outcome distribution without
 being flagged.  The check enumerates every fault site (3 Paulis after
 each one-qubit gate, 15 after each two-qubit gate, optionally an X
-before the circuit on each qubit), simulates each faulted circuit
-exactly, splits its outcome vector with code.selection_split (the rule
-post-selection applies to sampled counts), and classifies the result:
+before the circuit on each qubit) and works out each faulted outcome
+vector exactly.  One backward Pauli-frame sweep (noise._FlipMaskTable)
+gives every fault after the last RZ -- every fault, in a Clifford
+circuit -- as a read-out flip mask, so its outcome vector is the ideal
+one with indices XORed by the mask; only faults ahead of the last RZ
+are simulated, one statevector each.  Each vector is split with
+code.selection_split (the rule post-selection applies to sampled
+counts) and the result classified:
 
 Harmless                  retained distribution and retention both unchanged
 DetectedPostSelection     probability mass moved into odd-parity strings
@@ -27,8 +32,7 @@ import numpy as np
 
 from .circuits import Circuit, CircuitError
 from .code import DATA_QUBITS, selection_split
-from .noise import ONE_QUBIT_PAULIS, TWO_QUBIT_PAULIS, _config_marginal
-from .simulator import marginal_vector, final_state
+from .noise import ONE_QUBIT_PAULIS, TWO_QUBIT_PAULIS, _config_marginal, _FlipMaskTable
 
 DETECTION_MODES = ("postselect", "postselect+ancilla")
 _ATOL = 1e-9
@@ -88,32 +92,31 @@ def enumerate_single_faults(circuit: Circuit, include_preparation: bool = False,
 # Classification
 # ---------------------------------------------------------------------------
 
-def _faulted_marginal(circuit: Circuit, site: FaultSite | None) -> np.ndarray:
-    if site is None:
-        return marginal_vector(final_state(circuit).probabilities(),
-                               circuit.n_qubits, circuit.measured)
-    gate_faults = np.zeros(len(circuit.gates), dtype=np.int64)
-    prep_mask = 0
+def _fault_index(circuit: Circuit, site: FaultSite) -> int:
+    """k of the site's fault as _FlipMaskTable indexes it: qubit + 1 for
+    a preparation flip, else the 1-based index of its Pauli label."""
     if site.is_preparation:
-        prep_mask = 1 << site.targets[0]
-    else:
-        if not 0 <= site.gate_index < len(circuit.gates):
-            raise CircuitError(f"site gate_index {site.gate_index} out of range")
-        g = circuit.gates[site.gate_index]
-        labels = ONE_QUBIT_PAULIS if g.kind.arity == 1 else TWO_QUBIT_PAULIS
-        if site.pauli not in labels or site.targets != g.targets:
-            raise CircuitError(f"site {site} does not match gate {site.gate_index}")
-        gate_faults[site.gate_index] = labels.index(site.pauli) + 1
-    return _config_marginal(circuit, prep_mask, gate_faults)
+        q = site.targets[0] if len(site.targets) == 1 else -1
+        if site.pauli != "X" or not 0 <= q < circuit.n_qubits:
+            raise CircuitError(f"site {site} is not an X flip on a register qubit")
+        return q + 1
+    if not 0 <= site.gate_index < len(circuit.gates):
+        raise CircuitError(f"site gate_index {site.gate_index} out of range")
+    g = circuit.gates[site.gate_index]
+    labels = ONE_QUBIT_PAULIS if g.kind.arity == 1 else TWO_QUBIT_PAULIS
+    if site.pauli not in labels or site.targets != g.targets:
+        raise CircuitError(f"site {site} does not match gate {site.gate_index}")
+    return labels.index(site.pauli) + 1
 
 
-def classify_fault(circuit: Circuit, site: FaultSite, detection: str,
-                   ancilla_qubit: int | None = None) -> str:
-    """Classify one fault site under the given detection mode.
+def _verdicts(circuit: Circuit, sites: list[FaultSite], detection: str,
+              ancilla_qubit: int | None) -> list[str]:
+    """Classification of each site; see classify_fault for the arguments.
 
-    detection is "postselect" (data-parity discard only) or
-    "postselect+ancilla" (also require the ancilla read-out bit to be 0;
-    defaults to the last measured qubit when ancilla_qubit is None).
+    The ideal marginal and the flip-mask table are built once.  A fault
+    the Pauli frame folds (after the last RZ, or anywhere in a Clifford
+    circuit) permutes the ideal outcomes by its mask; only faults ahead
+    of the last RZ are simulated, one statevector each.
     """
     if detection not in DETECTION_MODES:
         raise CircuitError(f"detection must be one of {DETECTION_MODES}, got {detection!r}")
@@ -128,23 +131,48 @@ def classify_fault(circuit: Circuit, site: FaultSite, detection: str,
         if ancilla_bit < DATA_QUBITS:
             raise CircuitError("ancilla bit cannot be one of the four data bits")
 
-    ideal_ret, ideal_par, _ = selection_split(_faulted_marginal(circuit, None), ancilla_bit)
-    ret, par, _ = selection_split(_faulted_marginal(circuit, site), ancilla_bit)
-
+    table = _FlipMaskTable(circuit)
+    ideal = _config_marginal(circuit, 0, ())
+    idx = np.arange(len(ideal))
+    ideal_ret, ideal_par, _ = selection_split(ideal, ancilla_bit)
     ideal_mass = ideal_ret.sum()
-    mass = ret.sum()
     if ideal_mass <= _ATOL:
         raise CircuitError("ideal circuit retains no probability mass")
 
-    # a changed retained distribution that still reaches the decoder is
-    # exactly what detection is supposed to prevent
-    if mass > _ATOL and np.max(np.abs(ret / mass - ideal_ret / ideal_mass)) > _ATOL:
-        return FaultClassification.UNDETECTED_LOGICAL_ERROR
-    if abs(mass - ideal_mass) <= _ATOL:
-        return FaultClassification.HARMLESS
-    if par > ideal_par + _ATOL:
-        return FaultClassification.DETECTED_POSTSELECTION
-    return FaultClassification.DETECTED_ANCILLA
+    out = []
+    for site in sites:
+        i, k = site.gate_index, _fault_index(circuit, site)
+        if i >= table.split:
+            row = table.gate_masks[i] if i >= 0 else table.prep_masks
+            vec = ideal[idx ^ row[k]]
+        elif i < 0:
+            vec = _config_marginal(circuit, 1 << site.targets[0], ())
+        else:
+            vec = _config_marginal(circuit, 0, [0] * i + [k])
+        ret, par, _ = selection_split(vec, ancilla_bit)
+        mass = ret.sum()
+        # a changed retained distribution that still reaches the decoder is
+        # exactly what detection is supposed to prevent
+        if mass > _ATOL and np.max(np.abs(ret / mass - ideal_ret / ideal_mass)) > _ATOL:
+            out.append(FaultClassification.UNDETECTED_LOGICAL_ERROR)
+        elif abs(mass - ideal_mass) <= _ATOL:
+            out.append(FaultClassification.HARMLESS)
+        elif par > ideal_par + _ATOL:
+            out.append(FaultClassification.DETECTED_POSTSELECTION)
+        else:
+            out.append(FaultClassification.DETECTED_ANCILLA)
+    return out
+
+
+def classify_fault(circuit: Circuit, site: FaultSite, detection: str,
+                   ancilla_qubit: int | None = None) -> str:
+    """Classify one fault site under the given detection mode.
+
+    detection is "postselect" (data-parity discard only) or
+    "postselect+ancilla" (also require the ancilla read-out bit to be 0;
+    defaults to the last measured qubit when ancilla_qubit is None).
+    """
+    return _verdicts(circuit, [site], detection, ancilla_qubit)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +276,5 @@ def verify_single_faults(circuit: Circuit, detection: str, circuit_id: str = "ci
     """Classify every single-fault site of the circuit; the verdict is
     fault_tolerant iff no site is an undetected logical error."""
     sites = enumerate_single_faults(circuit, include_preparation, gate_range)
-    classifications = [
-        (s, classify_fault(circuit, s, detection, ancilla_qubit)) for s in sites
-    ]
-    return FTReport(circuit_id, detection, classifications)
+    verdicts = _verdicts(circuit, sites, detection, ancilla_qubit)
+    return FTReport(circuit_id, detection, list(zip(sites, verdicts)))

@@ -9,16 +9,19 @@ with probability p_meas.  A coherent miscalibration is modeled as an
 RZ(theta) inserted after the first Hadamard, and xi mixes the final
 distribution toward uniform.
 
-noisy_counts samples whole-shot fault configurations.  For circuits
-without RZ every gate is Clifford, so each configuration collapses to
-an X-type flip mask conjugated to the end of the circuit; a shot is
-then (draw from the ideal distribution) XOR (its mask), which is
-distribution-identical to simulating the configuration and keeps the
-hot path fully vectorized.  Circuits containing RZ are simulated per
-unique configuration with the statevector engine.  All randomness comes
-from one counter-based Philox stream per call, so a (circuit, params,
-shots, seed) tuple always yields identical counts, regardless of how
-calls are scheduled around it.
+noisy_counts samples whole-shot fault configurations through one Pauli
+frame (_FlipMaskTable).  A single backward sweep carries each measured Z
+observable from the end of the circuit back to its last RZ; a fault
+after any gate from there on is Clifford-propagated to an X-type flip of
+the read-out, found from its anticommutation with those observables.
+The shot is then (a draw from the marginal of its remaining faults) XOR
+(its flip masks), which is distribution-identical to simulating every
+fault and keeps the hot path vectorized.  Only faults ahead of the last
+RZ, and preparation flips when there is an RZ, need the statevector
+engine, once per unique configuration; a Clifford circuit has one, the
+ideal circuit.  All randomness comes from one counter-based Philox
+stream per call, so a (circuit, params, shots, seed) tuple always yields
+identical counts, regardless of how calls are scheduled around it.
 """
 
 from __future__ import annotations
@@ -107,111 +110,78 @@ def derive_seed(master_seed: int, *tags: object) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Pauli conjugation through Clifford gates
+# The Pauli frame: one backward sweep
 # ---------------------------------------------------------------------------
-# A Pauli (up to phase, which no distribution sees) is a pair of bit
-# masks (x, z) over the register.  Pushing it forward past a gate G maps
-# it to G P Gdagger.
+# A Pauli (up to phase, which no distribution sees) is a pair of X and Z
+# masks.  The frame carries the m measured observables together, stored
+# per qubit as bit columns over the observable index t: bit t of xcol[q]
+# (zcol[q]) says observable t has an X (Z) component on qubit q.
 
-def _push_masks(x: int, z: int, gate: GateInstance) -> tuple[int, int]:
-    kind = gate.kind
+def _conjugate_columns(xcol: list[int], zcol: list[int], gate: GateInstance) -> None:
+    """Carry every observable back through one Clifford gate, in place.
+
+    Each supported gate maps Pauli masks the same way as its inverse
+    (S and S-dagger differ only in phase), so the forward map serves.
+    """
+    kind, t = gate.kind, gate.targets
     if kind is GateKind.H:
-        q = 1 << gate.targets[0]
-        xq, zq = x & q, z & q
-        x = (x & ~q) | (q if zq else 0)
-        z = (z & ~q) | (q if xq else 0)
+        xcol[t[0]], zcol[t[0]] = zcol[t[0]], xcol[t[0]]
     elif kind is GateKind.S:
-        q = 1 << gate.targets[0]
-        if x & q:
-            z ^= q
+        zcol[t[0]] ^= xcol[t[0]]
     elif kind is GateKind.CNOT:
-        c, t = (1 << gate.targets[0]), (1 << gate.targets[1])
-        if x & c:
-            x ^= t
-        if z & t:
-            z ^= c
+        xcol[t[1]] ^= xcol[t[0]]
+        zcol[t[0]] ^= zcol[t[1]]
     elif kind is GateKind.CZ:
-        a, b = (1 << gate.targets[0]), (1 << gate.targets[1])
-        if x & a:
-            z ^= b
-        if x & b:
-            z ^= a
+        zcol[t[0]] ^= xcol[t[1]]
+        zcol[t[1]] ^= xcol[t[0]]
     elif kind is GateKind.SWAP:
-        a, b = gate.targets
-        x = _swap_bits(x, a, b)
-        z = _swap_bits(z, a, b)
+        a, b = t
+        xcol[a], xcol[b] = xcol[b], xcol[a]
+        zcol[a], zcol[b] = zcol[b], zcol[a]
     elif kind is GateKind.RZ:
-        if x & (1 << gate.targets[0]):
-            raise CircuitError("cannot push an X-type Pauli past RZ")
+        raise CircuitError("cannot carry a Pauli frame past RZ")
     # X/Y/Z gates commute with any Pauli up to phase
-    return x, z
-
-
-def _swap_bits(mask: int, a: int, b: int) -> int:
-    da, db = (mask >> a) & 1, (mask >> b) & 1
-    if da != db:
-        mask ^= (1 << a) | (1 << b)
-    return mask
-
-
-def _pauli_to_masks(pauli: str, targets: tuple[int, ...]) -> tuple[int, int]:
-    x = z = 0
-    for letter, q in zip(pauli, targets):
-        if letter in "XY":
-            x |= 1 << q
-        if letter in "YZ":
-            z |= 1 << q
-    return x, z
-
-
-def _measured_mask(x: int, measured: list[int]) -> int:
-    out = 0
-    for t, q in enumerate(measured):
-        out |= ((x >> q) & 1) << t
-    return out
 
 
 class _FlipMaskTable:
-    """Per-site fault -> final read-out flip mask, for Clifford circuits.
+    """Read-out flip mask of every fault the Pauli frame can fold.
 
-    Entry [site][k] is the flip mask (over measured bits) a fault of
-    index k after gate ``site`` produces at the end of the circuit.
-    k = 0 is no fault; one-qubit faults use k in 1..3 (X, Y, Z),
-    two-qubit faults k in 1..15 indexing TWO_QUBIT_PAULIS.  site = -1
-    rows give preparation X flips per qubit.
+    split is the index of the last RZ, or -1 when there is none.  Every
+    gate after it is Clifford, so a fault after gate i >= split reaches
+    the read-out as a fixed flip mask over the measured bits:
+    gate_masks[i][k] for fault k, where k = 0 is no fault, one-qubit
+    faults use k in 1..3 (X, Y, Z) and two-qubit faults k in 1..15
+    indexing TWO_QUBIT_PAULIS.  Rows before the split are None.
+    prep_masks[q + 1] is the mask of an X flip on qubit q before the
+    circuit, and exists only when split is -1.
+
+    One backward (Heisenberg) sweep builds every row: each measured Z is
+    carried back through the gates, and a fault flips bit t exactly when
+    it anticommutes with the t-th carried observable.  So an X on q
+    flips zcol[q], a Z flips xcol[q] and a Y flips both.  The cost is
+    linear in the gate count.
     """
 
     def __init__(self, circuit: Circuit):
-        self.circuit = circuit
         gates = circuit.gates
-        measured = circuit.measured
+        rz = [i for i, g in enumerate(gates) if g.kind is GateKind.RZ]
+        self.split = rz[-1] if rz else -1
+        xcol = [0] * circuit.n_qubits
+        zcol = [0] * circuit.n_qubits
+        for t, q in enumerate(circuit.measured):
+            zcol[q] |= 1 << t
 
-        def end_mask(x: int, z: int, start: int) -> int:
-            for g in gates[start:]:
-                x, z = _push_masks(x, z, g)
-            return _measured_mask(x, measured)
-
-        self.gate_masks: list[np.ndarray] = []
-        for i, g in enumerate(gates):
-            if g.kind.arity == 1:
-                labels = ONE_QUBIT_PAULIS
-            else:
-                labels = TWO_QUBIT_PAULIS
-            row = [0]
-            for label in labels:
-                x, z = _pauli_to_masks(label, g.targets)
-                row.append(end_mask(x, z, i + 1))
-            self.gate_masks.append(np.array(row, dtype=np.int64))
-
-        prep_row = [0]
-        for q in range(circuit.n_qubits):
-            prep_row.append(end_mask(1 << q, 0, 0))
+        self.gate_masks: list[np.ndarray | None] = [None] * len(gates)
+        for i in range(len(gates) - 1, max(self.split, 0) - 1, -1):
+            g = gates[i]
+            # flip masks of I, X, Y, Z on each target
+            flips = [(0, zcol[q], zcol[q] ^ xcol[q], xcol[q]) for q in g.targets]
+            row = flips[0] if len(flips) == 1 else [a ^ b for a in flips[0] for b in flips[1]]
+            self.gate_masks[i] = np.array(row, dtype=np.int64)
+            if i > self.split:
+                _conjugate_columns(xcol, zcol, g)
         # prep flips are indexed per qubit, not per Pauli
-        self.prep_masks = np.array(prep_row, dtype=np.int64)
-
-
-def _has_rz(circuit: Circuit) -> bool:
-    return any(g.kind is GateKind.RZ for g in circuit.gates)
+        self.prep_masks = np.array([0] + zcol, dtype=np.int64) if self.split < 0 else None
 
 
 # ---------------------------------------------------------------------------
@@ -241,60 +211,57 @@ def _sample_fault_indices(circuit: Circuit, params: NoiseParams, shots: int,
 
 
 def _clifford_outcomes(circuit: Circuit, fault_idx: np.ndarray, prep: np.ndarray,
-                       base_marginal: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Per-shot outcome indices via flip-mask propagation."""
+                       rng: np.random.Generator) -> np.ndarray:
+    """Per-shot outcome indices through the Pauli frame.
+
+    Faults the frame folds XOR their table masks into the shot.  The
+    rest -- faults after gates before the last RZ, and prep flips when
+    there is an RZ -- are the shot's prefix configuration; each unique
+    one is simulated once and its shots draw from that marginal.  A
+    Clifford circuit has one configuration, the ideal circuit.
+    """
     shots = fault_idx.shape[0]
     table = _FlipMaskTable(circuit)
+    b = table.split
+    if b < 0:
+        # one configuration; np.unique would sort every shot for nothing
+        uniq, inverse = np.zeros((1, 1), dtype=np.int64), np.zeros(shots, dtype=np.intp)
+    else:
+        prefix = np.column_stack([prep, fault_idx[:, :b]])
+        uniq, inverse = np.unique(prefix, axis=0, return_inverse=True)
+        inverse = inverse.reshape(-1)
 
-    shot_mask = np.zeros(shots, dtype=np.int64)
-    if prep.any():
-        # per-qubit prep flips: XOR each flipped qubit's end mask
-        for q in range(circuit.n_qubits):
-            hit = (prep >> q) & 1
-            mask = table.prep_masks[q + 1]
-            if mask:
-                shot_mask ^= hit * mask
-    for i in range(fault_idx.shape[1]):
-        col = fault_idx[:, i]
-        if col.any():
-            shot_mask ^= table.gate_masks[i][col]
-
-    n_out = len(base_marginal)
-    p = base_marginal / base_marginal.sum()
-    ideal_draw = rng.choice(n_out, size=shots, p=p)
-    return ideal_draw ^ shot_mask
-
-
-def _statevector_outcomes(circuit: Circuit, fault_idx: np.ndarray, prep: np.ndarray,
-                          rng: np.random.Generator) -> np.ndarray:
-    """Per-shot outcomes by simulating each unique fault configuration."""
-    shots = fault_idx.shape[0]
-    config = np.column_stack([prep.astype(np.int64), fault_idx.astype(np.int64)])
-    uniq, inverse = np.unique(config, axis=0, return_inverse=True)
-
-    n_bits = len(circuit.measured)
-    outcomes = np.zeros(shots, dtype=np.int64)
+    outcomes = np.empty(shots, dtype=np.int64)
     # iterate configurations in np.unique's sorted order for determinism
     for u, row in enumerate(uniq):
-        members = np.nonzero(inverse == u)[0]
+        members = inverse == u
         vec = _config_marginal(circuit, int(row[0]), row[1:])
-        draws = rng.multinomial(len(members), vec / vec.sum())
-        pos = 0
-        for j in np.nonzero(draws)[0]:
-            c = draws[j]
-            outcomes[members[pos:pos + c]] = j
-            pos += c
+        outcomes[members] = rng.choice(len(vec), size=int(members.sum()), p=vec / vec.sum())
+
+    if b < 0 and prep.any():
+        # per-qubit prep flips: XOR each flipped qubit's end mask
+        for q in range(circuit.n_qubits):
+            mask = table.prep_masks[q + 1]
+            if mask:
+                outcomes ^= ((prep >> q) & 1) * mask
+    for i in range(max(b, 0), fault_idx.shape[1]):
+        col = fault_idx[:, i]
+        if col.any():
+            outcomes ^= table.gate_masks[i][col]
     return outcomes
 
 
-def _config_marginal(circuit: Circuit, prep_mask: int, gate_faults: np.ndarray) -> np.ndarray:
+def _config_marginal(circuit: Circuit, prep_mask: int, gate_faults) -> np.ndarray:
+    """Read-out marginal of one fault configuration, by statevector: an X
+    on each qubit in prep_mask, then fault gate_faults[i] (k as in
+    _FlipMaskTable) after gate i; gates past its end are fault-free."""
     state = PureState.zero(circuit.n_qubits)
     for q in range(circuit.n_qubits):
         if (prep_mask >> q) & 1:
             state = apply_gate(state, GateInstance(GateKind.X, (q,)))
     for i, g in enumerate(circuit.gates):
         state = apply_gate(state, g)
-        k = int(gate_faults[i])
+        k = int(gate_faults[i]) if i < len(gate_faults) else 0
         if k:
             labels = ONE_QUBIT_PAULIS if g.kind.arity == 1 else TWO_QUBIT_PAULIS
             for letter, q in zip(labels[k - 1], g.targets):
@@ -314,12 +281,7 @@ def noisy_counts(circuit: Circuit, params: NoiseParams, shots: int, seed: int) -
     n_bits = len(circuit.measured)
 
     fault_idx, prep = _sample_fault_indices(circuit, params, shots, rng)
-    if _has_rz(circuit):
-        outcomes = _statevector_outcomes(circuit, fault_idx, prep, rng)
-    else:
-        base = marginal_vector(final_state(circuit).probabilities(),
-                               circuit.n_qubits, circuit.measured)
-        outcomes = _clifford_outcomes(circuit, fault_idx, prep, base, rng)
+    outcomes = _clifford_outcomes(circuit, fault_idx, prep, rng)
 
     if params.p_meas > 0.0:
         flips = rng.random((shots, n_bits)) < params.p_meas

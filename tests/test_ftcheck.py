@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from qec422.circuits import Circuit, CircuitError, GateInstance, GateKind, parse_circuit
@@ -13,13 +14,15 @@ from qec422.code import (
     coded_gate_circuit,
 )
 from qec422.ftcheck import (
+    DETECTION_MODES,
     FaultClassification,
     FaultSite,
     classify_fault,
     enumerate_single_faults,
     verify_single_faults,
 )
-from qec422.noise import insert_coherent_rotation
+from qec422.noise import ONE_QUBIT_PAULIS, TWO_QUBIT_PAULIS, insert_coherent_rotation
+from qec422.simulator import PureState, ideal_distribution
 
 HARMLESS = FaultClassification.HARMLESS
 DETECTED_POSTSELECTION = FaultClassification.DETECTED_POSTSELECTION
@@ -211,3 +214,101 @@ class TestReporting:
         assert report.fault_tolerant
         assert len(report.classifications) == 4
         assert all(c == DETECTED_POSTSELECTION for _, c in report.classifications)
+
+
+def _reference_split(dist: dict, ancilla: bool) -> tuple[dict, float, float]:
+    """(retained distribution over the data bits, its mass, odd-parity mass)
+    of a bitstring distribution: the first four characters are the data
+    bits, the last is the ancilla."""
+    odd = {s for s in dist if s[:4].count("1") % 2}
+    kept = {}
+    for s, p in dist.items():
+        if s not in odd and not (ancilla and s[-1] == "1"):
+            kept[s[:4]] = kept.get(s[:4], 0.0) + p
+    return kept, sum(kept.values()), sum(dist[s] for s in odd)
+
+
+def _reference_verdict(ideal: dict, faulted: dict, ancilla: bool) -> str:
+    ideal_kept, ideal_mass, ideal_odd = _reference_split(ideal, ancilla)
+    kept, mass, odd = _reference_split(faulted, ancilla)
+    if mass > 1e-9 and any(abs(kept.get(s, 0.0) / mass - ideal_kept.get(s, 0.0) / ideal_mass) > 1e-9
+                           for s in set(kept) | set(ideal_kept)):
+        return UNDETECTED_LOGICAL_ERROR
+    if abs(mass - ideal_mass) <= 1e-9:
+        return HARMLESS
+    return DETECTED_POSTSELECTION if odd > ideal_odd + 1e-9 else DETECTED_ANCILLA
+
+
+def _brute_force(circuit: Circuit, detection: str, include_preparation: bool) -> list[str] | None:
+    """One statevector per site: the fault written into the circuit as
+    gates.  None when the ideal circuit retains nothing."""
+    ideal = ideal_distribution(circuit).probs
+    ancilla = detection == "postselect+ancilla"
+    if _reference_split(ideal, ancilla)[1] <= 1e-9:
+        return None
+    out = []
+    for s in enumerate_single_faults(circuit, include_preparation):
+        paulis = [GateInstance(GateKind[ch], (q,)) for ch, q in zip(s.pauli, s.targets) if ch != "I"]
+        gates = list(circuit.gates)
+        gates[s.gate_index + 1:s.gate_index + 1] = paulis
+        faulted = ideal_distribution(circuit.with_gates(gates)).probs
+        out.append(_reference_verdict(ideal, faulted, ancilla))
+    return out
+
+
+def _rz(q, angle=0.6):
+    return GateInstance(GateKind.RZ, (q,), angle)
+
+
+_HHSWAP = coded_gate_circuit(LogicalGate.HHSWAP)
+_RZ_CIRCUITS = {
+    "rz_first": CHECKED.with_gates([_rz(1)] + CHECKED.gates + _HHSWAP),
+    "rz_last": CHECKED.with_gates(CHECKED.gates + _HHSWAP + [_rz(2)]),
+    "two_rz": insert_coherent_rotation(
+        CHECKED.with_gates(CHECKED.gates + [_rz(3, 1.3)] + _HHSWAP), 0.6),
+    "rotated_L00": insert_coherent_rotation(ENCODER, 0.3),
+}
+
+
+class TestAgainstBruteForce:
+    """verify_single_faults against one statevector per site."""
+
+    def _check(self, circuit, seen):
+        modes = DETECTION_MODES if len(circuit.measured) > 4 else ("postselect",)
+        for detection in modes:
+            for prep in (False, True):
+                want = _brute_force(circuit, detection, prep)
+                if want is None:
+                    with pytest.raises(CircuitError, match="retains no"):
+                        verify_single_faults(circuit, detection, include_preparation=prep)
+                    continue
+                report = verify_single_faults(circuit, detection, include_preparation=prep)
+                got = [c for _, c in report.classifications]
+                assert got == want, (detection, prep)
+                seen.update(got)
+
+    def test_random_clifford_circuits(self, random_clifford):
+        seen = set()
+        for seed in range(10):
+            circuit = random_clifford(seed, n_qubits=5, n_extra=seed % 6, measure_all=True)
+            self._check(circuit, seen)
+        assert seen == {HARMLESS, DETECTED_POSTSELECTION, DETECTED_ANCILLA,
+                        UNDETECTED_LOGICAL_ERROR}
+
+    def test_rz_circuits(self):
+        seen = set()
+        for name, circuit in _RZ_CIRCUITS.items():
+            self._check(circuit, seen)
+        assert seen == {HARMLESS, DETECTED_POSTSELECTION, DETECTED_ANCILLA,
+                        UNDETECTED_LOGICAL_ERROR}
+
+    def test_one_statevector_per_clifford_check(self, monkeypatch):
+        """Every fault in a Clifford circuit is read off the ideal outcome
+        vector, so the whole check runs the ideal circuit once."""
+        runs = []
+        original = PureState.zero
+        monkeypatch.setattr(PureState, "zero",
+                            classmethod(lambda cls, n: runs.append(n) or original(n)))
+        report = verify_single_faults(CHECKED, "postselect+ancilla", include_preparation=True)
+        assert len(report.classifications) == 5 + 3 + 5 * 15
+        assert len(runs) == 1

@@ -1,9 +1,13 @@
 """Fault model and trajectory sampler."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 
-from qec422.circuits import Circuit, CircuitError, GateInstance, GateKind
+from qec422 import noise
+from qec422.circuits import Circuit, CircuitError, GateInstance, GateKind, parse_circuit
 from qec422.code import (
     EncoderVariant,
     LogicalGate,
@@ -17,6 +21,7 @@ from qec422.noise import (
     ONE_QUBIT_PAULIS,
     TWO_QUBIT_PAULIS,
     NoiseParams,
+    _FlipMaskTable,
     derive_seed,
     insert_coherent_rotation,
     noisy_counts,
@@ -174,7 +179,8 @@ class TestNoisyCounts:
         assert abs(wrong / 200_000 - want) < 3 * np.sqrt(want * (1 - want) / 200_000)
 
     def test_clifford_and_statevector_paths_agree(self):
-        """Appending RZ(0) forces the statevector path; same fault physics."""
+        """Appending RZ(0) puts every fault ahead of the last RZ, so each
+        configuration is simulated by statevector; same fault physics."""
         params = NoiseParams(eps1=0.01, eps2=0.04, p_prep=0.01)
         rz = Circuit(4, ENCODER.gates + [_g(GateKind.RZ, 3, angle=0.0)], [0, 1, 2, 3])
         fast = noisy_counts(ENCODER, params, 150_000, 8).to_distribution()
@@ -252,3 +258,140 @@ class TestSeedDerivation:
         a = sample_counts(totally_mixed(4), 1000, derive_seed(5, "x"))
         b = sample_counts(totally_mixed(4), 1000, derive_seed(5, "y"))
         assert a.counts != b.counts
+
+
+def _forward_push(x: list[int], z: list[int], gate: GateInstance) -> None:
+    """Conjugate a Pauli, as per-qubit X and Z bits, forward past one gate."""
+    kind, t = gate.kind, gate.targets
+    if kind is GateKind.H:
+        x[t[0]], z[t[0]] = z[t[0]], x[t[0]]
+    elif kind is GateKind.S:
+        z[t[0]] ^= x[t[0]]
+    elif kind is GateKind.CNOT:
+        x[t[1]] ^= x[t[0]]
+        z[t[0]] ^= z[t[1]]
+    elif kind is GateKind.CZ:
+        z[t[0]] ^= x[t[1]]
+        z[t[1]] ^= x[t[0]]
+    elif kind is GateKind.SWAP:
+        for bits in (x, z):
+            bits[t[0]], bits[t[1]] = bits[t[1]], bits[t[0]]
+    elif kind is GateKind.RZ:
+        raise AssertionError("a folded fault was pushed past RZ")
+
+
+def _forward_mask(circuit: Circuit, paulis, start: int) -> int:
+    """Read-out flip mask of the (letter, qubit) Paulis inserted before gate start."""
+    x = [0] * circuit.n_qubits
+    z = [0] * circuit.n_qubits
+    for letter, q in paulis:
+        x[q] = int(letter in "XY")
+        z[q] = int(letter in "YZ")
+    for g in circuit.gates[start:]:
+        _forward_push(x, z, g)
+    return sum(x[q] << t for t, q in enumerate(circuit.measured))
+
+
+class TestFlipMaskTable:
+    def test_backward_masks_equal_forward_push(self, random_clifford):
+        """Every row of the backward sweep equals pushing the fault forward
+        to the end, prep row included; with an RZ inserted, rows after it
+        still do and the rest are left to the statevector."""
+        for seed in range(60):
+            rng = np.random.default_rng(seed)
+            c = random_clifford(seed, n_qubits=2 + seed % 4, n_extra=seed % 25)
+            split = -1
+            if seed % 2:
+                split = int(rng.integers(0, len(c.gates) + 1))
+                gates = list(c.gates)
+                gates.insert(split, GateInstance(GateKind.RZ, (int(rng.integers(c.n_qubits)),), 0.4))
+                c = c.with_gates(gates)
+            table = _FlipMaskTable(c)
+            assert table.split == split, seed
+            for i, g in enumerate(c.gates):
+                if i < split:
+                    assert table.gate_masks[i] is None, (seed, i)
+                    continue
+                labels = ONE_QUBIT_PAULIS if g.kind.arity == 1 else TWO_QUBIT_PAULIS
+                want = [0] + [_forward_mask(c, zip(label, g.targets), i + 1) for label in labels]
+                assert table.gate_masks[i].tolist() == want, (seed, i)
+            if split < 0:
+                want = [0] + [_forward_mask(c, [("X", q)], 0) for q in range(c.n_qubits)]
+                assert table.prep_masks.tolist() == want, seed
+            else:
+                assert table.prep_masks is None, seed
+
+
+def _exact_mixture(circuit: Circuit, params: NoiseParams) -> dict[str, float]:
+    """Every preparation-flip and gate-fault configuration simulated on its
+    own and mixed by its probability."""
+    choices = []
+    for g in circuit.gates:
+        eps = params.eps1 if g.kind.arity == 1 else params.eps2
+        labels = ONE_QUBIT_PAULIS if g.kind.arity == 1 else TWO_QUBIT_PAULIS
+        choices.append([(1.0 - eps, "")] + [(eps / len(labels), label) for label in labels])
+    out: dict[str, float] = {}
+    for flips in itertools.product((0, 1), repeat=circuit.n_qubits):
+        p_flips = math.prod(params.p_prep if f else 1.0 - params.p_prep for f in flips)
+        for combo in itertools.product(*choices):
+            gates = [_g(GateKind.X, q) for q, f in enumerate(flips) if f]
+            for g, (_, label) in zip(circuit.gates, combo):
+                gates.append(g)
+                gates += [_g(GateKind[ch], q) for ch, q in zip(label, g.targets) if ch != "I"]
+            prob = p_flips * math.prod(p for p, _ in combo)
+            for s, p in ideal_distribution(circuit.with_gates(gates)).probs.items():
+                out[s] = out.get(s, 0.0) + prob * p
+    return out
+
+
+class TestFrameSplit:
+    @pytest.mark.parametrize("text", [
+        "qubits 1\nRZ 0 0.7\nH 0\nMEASURE 0\n",
+        "qubits 2\nRZ 0 0.7\nH 0\nCNOT 0 1\nMEASURE 0 1\n",
+    ])
+    def test_rz_as_first_gate(self, text):
+        """The last RZ is gate 0: faults after it fold into the frame, which
+        must not be carried past the RZ, and preparation flips ahead of it
+        are simulated."""
+        c = parse_circuit(text)
+        params = NoiseParams(eps1=0.2, eps2=0.3, p_prep=0.25)
+        n = 50_000
+        counts = noisy_counts(c, params, n, 21).counts
+        exact = _exact_mixture(c, params)
+        assert set(counts) <= set(exact)
+        for s, p in exact.items():
+            assert abs(counts.get(s, 0) - n * p) <= 5 * math.sqrt(n * p * (1 - p)) + 1, s
+
+
+class TestEngineCost:
+    """Deterministic pins on how many statevector runs noisy_counts makes."""
+
+    @staticmethod
+    def _record_configs(monkeypatch) -> list:
+        calls = []
+        original = noise._config_marginal
+
+        def counted(circuit, prep_mask, gate_faults):
+            calls.append((prep_mask, tuple(int(k) for k in gate_faults)))
+            return original(circuit, prep_mask, gate_faults)
+
+        monkeypatch.setattr(noise, "_config_marginal", counted)
+        return calls
+
+    def test_clifford_circuit_simulates_once(self, monkeypatch):
+        calls = self._record_configs(monkeypatch)
+        noisy_counts(ENCODER, NoiseParams(eps1=0.05, eps2=0.1, p_meas=0.02, p_prep=0.05), 20_000, 3)
+        assert calls == [(0, ())]
+
+    def test_one_simulation_per_prefix_configuration(self, monkeypatch):
+        """RZ after the encoder's first gate: only preparation flips and
+        faults after that gate are simulated, each configuration once."""
+        base = Circuit(4, ENCODER.gates + coded_gate_circuit(LogicalGate.HHSWAP) * 6, [0, 1, 2, 3])
+        circ = insert_coherent_rotation(base, 1.1)
+        assert circ.gates[1].kind is GateKind.RZ
+        calls = self._record_configs(monkeypatch)
+        params = NoiseParams(eps1=4e-3, eps2=0.16, p_meas=0.02, p_prep=0.01, theta=1.1)
+        noisy_counts(circ, params, 8192, 4)
+        assert len(set(calls)) == len(calls)
+        assert all(len(faults) == 1 for _, faults in calls)
+        assert 1 < len(calls) <= 2 ** 4 * 4
