@@ -206,6 +206,8 @@ def run_pair(sequence: list[LogicalGate], params: NoiseParams, shots: int,
     retains nothing (theta = pi), the coded_ps row reports the worst
     case D = 1 with gamma = 0.
     """
+    if shots < 1:
+        raise CircuitError(f"shots must be positive, got {shots}")
     unc, cod = build_pair(sequence)
     ideal_u = ideal_distribution(unc)
     ideal_c = ideal_distribution(cod)
@@ -270,6 +272,8 @@ def sweep_L(gate_set: GateSetId, lengths: list[int], params: NoiseParams,
     are collected in task order, so the record list (and any CSV written
     from it) does not depend on scheduling.
     """
+    if seeds_per_length < 1:
+        raise CircuitError(f"seeds_per_length must be positive, got {seeds_per_length}")
     tasks = [
         (gate_set, L, k, master_seed, params, shots, analytic_xi)
         for L in lengths for k in range(seeds_per_length)

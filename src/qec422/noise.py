@@ -9,23 +9,25 @@ with probability p_meas.  A coherent miscalibration is modeled as an
 RZ(theta) inserted after the first Hadamard, and xi mixes the final
 distribution toward uniform.
 
-noisy_counts samples whole-shot fault configurations through one Pauli
-frame (_FlipMaskTable).  A single backward sweep carries each measured Z
-observable from the end of the circuit back to its last RZ; a fault
-after any gate from there on is Clifford-propagated to an X-type flip of
-the read-out, found from its anticommutation with those observables.
-The shot is then (a draw from the marginal of its remaining faults) XOR
-(its flip masks), which is distribution-identical to simulating every
-fault and keeps the hot path vectorized.  Only faults ahead of the last
-RZ, and preparation flips when there is an RZ, need the statevector
-engine, once per unique configuration; a Clifford circuit has one, the
-ideal circuit.  All randomness comes from one counter-based Philox
+noisy_counts goes through one Pauli frame (_FlipMaskTable).  A single
+backward sweep carries each measured Z observable from the end of the
+circuit back to its last RZ; a fault after any gate from there on is
+Clifford-propagated to an X-type read-out flip mask.  Faults ahead of
+the last RZ, and preparation flips when there is an RZ, form a shot's
+prefix configuration, sampled per shot and simulated by statevector
+once per unique value; a Clifford circuit has one, the ideal circuit.
+Every other flip is independent of the configuration and XORs onto it,
+and XOR-convolution is a pointwise product in the Walsh-Hadamard
+domain, so each configuration's exact outcome distribution is one
+O(m 2^m) product with an O(G m 2^m) spectrum, and its shots are one
+multinomial draw.  All randomness comes from one counter-based Philox
 stream per call, so a (circuit, params, shots, seed) tuple always yields
 identical counts, regardless of how calls are scheduled around it.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -185,15 +187,19 @@ class _FlipMaskTable:
 
 
 # ---------------------------------------------------------------------------
-# The trajectory sampler
+# The sampler: prefix configurations, then one exact draw per configuration
 # ---------------------------------------------------------------------------
 
-def _sample_fault_indices(circuit: Circuit, params: NoiseParams, shots: int,
+def _sample_fault_indices(circuit: Circuit, params: NoiseParams, split: int, shots: int,
                           rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Per-shot fault index per gate (0 = none) and per-shot prep flip masks."""
-    n_gates = len(circuit.gates)
-    fault_idx = np.zeros((shots, n_gates), dtype=np.int8)
-    for i, g in enumerate(circuit.gates):
+    """Per-shot prefix configurations, as (unique rows in sorted order,
+    shots per row); a row is the prep flip mask, then the fault index
+    (0 = none) after each gate before the last RZ, gate split."""
+    prefix = np.zeros((shots, 1 + split), dtype=np.int16)  # prep masks < 2^12
+    if params.p_prep > 0.0:
+        flips = rng.random((shots, circuit.n_qubits)) < params.p_prep
+        prefix[:, 0] = flips @ (1 << np.arange(circuit.n_qubits, dtype=np.int64))
+    for i, g in enumerate(circuit.gates[:split]):
         eps = params.eps1 if g.kind.arity == 1 else params.eps2
         if eps <= 0.0:
             continue
@@ -201,54 +207,54 @@ def _sample_fault_indices(circuit: Circuit, params: NoiseParams, shots: int,
         n_hit = int(hit.sum())
         if n_hit:
             n_paulis = 3 if g.kind.arity == 1 else 15
-            fault_idx[hit, i] = rng.integers(1, n_paulis + 1, size=n_hit)
-    if params.p_prep > 0.0:
-        flips = rng.random((shots, circuit.n_qubits)) < params.p_prep
-        prep = flips @ (1 << np.arange(circuit.n_qubits, dtype=np.int64))
-    else:
-        prep = np.zeros(shots, dtype=np.int64)
-    return fault_idx, prep
+            prefix[hit, 1 + i] = rng.integers(1, n_paulis + 1, size=n_hit)
+    return np.unique(prefix, axis=0, return_counts=True)
 
 
-def _clifford_outcomes(circuit: Circuit, fault_idx: np.ndarray, prep: np.ndarray,
+def _wht(vec: np.ndarray) -> np.ndarray:
+    """Walsh-Hadamard transform: out[s] = sum_j vec[j] (-1)^popcount(s & j)."""
+    h = 1
+    while h < len(vec):
+        a = vec.reshape(-1, 2, h)
+        vec = np.stack((a[:, 0] + a[:, 1], a[:, 0] - a[:, 1]), axis=1).reshape(-1)
+        h *= 2
+    return vec
+
+
+def _clifford_outcomes(circuit: Circuit, params: NoiseParams, table: _FlipMaskTable,
+                       configs: np.ndarray, sizes: np.ndarray,
                        rng: np.random.Generator) -> np.ndarray:
-    """Per-shot outcome indices through the Pauli frame.
+    """Outcome counts: sizes[u] shots from prefix configuration configs[u].
 
-    Faults the frame folds XOR their table masks into the shot.  The
-    rest -- faults after gates before the last RZ, and prep flips when
-    there is an RZ -- are the shot's prefix configuration; each unique
-    one is simulated once and its shots draw from that marginal.  A
-    Clifford circuit has one configuration, the ideal circuit.
+    Each site the frame folds (gate faults from the split on, prep flips
+    without an RZ, read-out flips) fires with probability p and XORs in
+    masks[k], k >= 1 uniform, independently of the configuration.  So a
+    configuration's exact distribution is a pointwise product of
+    Walsh-Hadamard spectra (equal sites transformed once), clipped of
+    rounding negatives, renormalized, mixed toward uniform by xi and
+    drawn from by one multinomial.
     """
-    shots = fault_idx.shape[0]
-    table = _FlipMaskTable(circuit)
-    b = table.split
-    if b < 0:
-        # one configuration; np.unique would sort every shot for nothing
-        uniq, inverse = np.zeros((1, 1), dtype=np.int64), np.zeros(shots, dtype=np.intp)
-    else:
-        prefix = np.column_stack([prep, fault_idx[:, :b]])
-        uniq, inverse = np.unique(prefix, axis=0, return_inverse=True)
-        inverse = inverse.reshape(-1)
+    n_bits = len(circuit.measured)
+    sites: Counter = Counter()
+    for row in table.gate_masks[max(table.split, 0):]:
+        sites[(params.eps1 if len(row) == 4 else params.eps2, tuple(row.tolist()))] += 1
+    if table.prep_masks is not None:
+        sites.update((params.p_prep, (0, int(mask))) for mask in table.prep_masks[1:])
+    sites.update((params.p_meas, (0, 1 << t)) for t in range(n_bits))
+    spec = np.ones(1 << n_bits)
+    for (p, masks), count in sites.items():
+        if p > 0.0:
+            w = [1.0 - p] + [p / (len(masks) - 1)] * (len(masks) - 1)
+            spec *= _wht(np.bincount(masks, w, minlength=len(spec))) ** count
 
-    outcomes = np.empty(shots, dtype=np.int64)
-    # iterate configurations in np.unique's sorted order for determinism
-    for u, row in enumerate(uniq):
-        members = inverse == u
+    counts = np.zeros(1 << n_bits, dtype=np.int64)
+    for row, n_u in zip(configs, sizes):
         vec = _config_marginal(circuit, int(row[0]), row[1:])
-        outcomes[members] = rng.choice(len(vec), size=int(members.sum()), p=vec / vec.sum())
-
-    if b < 0 and prep.any():
-        # per-qubit prep flips: XOR each flipped qubit's end mask
-        for q in range(circuit.n_qubits):
-            mask = table.prep_masks[q + 1]
-            if mask:
-                outcomes ^= ((prep >> q) & 1) * mask
-    for i in range(max(b, 0), fault_idx.shape[1]):
-        col = fault_idx[:, i]
-        if col.any():
-            outcomes ^= table.gate_masks[i][col]
-    return outcomes
+        # the inverse transform's 1/2^m factor cancels in the renormalization
+        p = np.maximum(_wht(_wht(vec) * spec), 0.0)
+        p = (1.0 - params.xi) * p / p.sum() + params.xi / len(p)
+        counts += rng.multinomial(int(n_u), p)
+    return counts
 
 
 def _config_marginal(circuit: Circuit, prep_mask: int, gate_faults) -> np.ndarray:
@@ -278,22 +284,12 @@ def noisy_counts(circuit: Circuit, params: NoiseParams, shots: int, seed: int) -
     if shots < 1:
         raise CircuitError(f"shots must be positive, got {shots}")
     rng = np.random.Generator(np.random.Philox(seed))
-    n_bits = len(circuit.measured)
-
-    fault_idx, prep = _sample_fault_indices(circuit, params, shots, rng)
-    outcomes = _clifford_outcomes(circuit, fault_idx, prep, rng)
-
-    if params.p_meas > 0.0:
-        flips = rng.random((shots, n_bits)) < params.p_meas
-        outcomes = outcomes ^ (flips @ (1 << np.arange(n_bits, dtype=np.int64)))
-
-    if params.xi > 0.0:
-        # sampled form of (1 - xi) p + xi / d: resample uniformly w.p. xi
-        scrambled = rng.random(shots) < params.xi
-        uniform = rng.integers(0, 1 << n_bits, size=shots)
-        outcomes = np.where(scrambled, uniform, outcomes)
-
-    return counts_from_vector(np.bincount(outcomes, minlength=1 << n_bits), n_bits)
+    table = _FlipMaskTable(circuit)
+    # a Clifford circuit has one configuration, the ideal circuit
+    configs, sizes = ((np.zeros((1, 1), dtype=np.int64), [shots]) if table.split < 0
+                      else _sample_fault_indices(circuit, params, table.split, shots, rng))
+    counts = _clifford_outcomes(circuit, params, table, configs, sizes, rng)
+    return counts_from_vector(counts, len(circuit.measured))
 
 
 def noisy_distribution(circuit: Circuit, params: NoiseParams) -> OutcomeDistribution:

@@ -158,6 +158,24 @@ class TestRun:
         assert (tmp_path / "rel.csv").exists()
         assert (tmp_path / "rel.csv.meta.json").exists()
 
+    @pytest.mark.parametrize("shots", ["-5", "0"])
+    @pytest.mark.parametrize("analytic", [(), ("--analytic-xi",)])
+    def test_non_positive_shots_refused(self, tmp_path, capsys, shots, analytic):
+        """The analytic path used to write rows with shots and gamma <= 0."""
+        out = tmp_path / "never.csv"
+        argv = ["run", "--lengths", "1", "--seeds-per-length", "1", "--shots", shots,
+                "--xi", "0.1", *analytic, "--out", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith(f"error: shots must be positive, got {shots}")
+        assert not out.exists()
+
+    def test_zero_seeds_per_length_refused(self, tmp_path, capsys):
+        """Zero seeds used to write a header-only CSV and exit 0."""
+        out = tmp_path / "never.csv"
+        assert main(["run", "--lengths", "1", "--seeds-per-length", "0", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: seeds_per_length must be positive, got 0")
+        assert not out.exists()
+
 
 class TestPredict:
     ARGS = ["--eps1", "0.004", "--eps2", "0.16", "--p-meas", "0.02"]

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from qec422.code import (
     decode,
     post_select,
 )
+from qec422.experiments import MAX_SEQUENCE_LENGTH, GateSetId, SequenceSpec, build_pair, random_sequence
 from qec422.noise import (
     ONE_QUBIT_PAULIS,
     TWO_QUBIT_PAULIS,
@@ -28,7 +30,15 @@ from qec422.noise import (
     noisy_distribution,
     totally_mixed,
 )
-from qec422.simulator import ideal_distribution, sample_counts
+from qec422.simulator import (
+    PureState,
+    apply_gate,
+    bitstring_of,
+    ideal_distribution,
+    marginal_vector,
+    outcome_vector,
+    sample_counts,
+)
 from qec422.analytics import trace_distance
 
 
@@ -322,26 +332,65 @@ class TestFlipMaskTable:
                 assert table.prep_masks is None, seed
 
 
+def _merge(branches: dict, state: PureState, weight: float) -> None:
+    """Add weight to the branch holding state up to a global phase."""
+    amp = state.amplitudes
+    lead = amp[np.argmax(np.abs(amp) > 1e-9)]
+    key = (np.round(amp * (abs(lead) / lead), 9) + 0.0).tobytes()  # + 0.0 folds -0.0 into 0.0
+    held = branches.get(key)
+    branches[key] = (state, weight + (held[1] if held else 0.0))
+
+
 def _exact_mixture(circuit: Circuit, params: NoiseParams) -> dict[str, float]:
     """Every preparation-flip and gate-fault configuration simulated on its
-    own and mixed by its probability."""
-    choices = []
+    own and mixed by its probability.  Configurations are enumerated gate
+    by gate and branches that reach the same state up to a global phase
+    are merged, so a Clifford circuit never holds more than 2**n."""
+    n = circuit.n_qubits
+    branches: dict = {}
+    for flips in itertools.product((0, 1), repeat=n):
+        state = PureState.zero(n)
+        for q, f in enumerate(flips):
+            if f:
+                state = apply_gate(state, _g(GateKind.X, q))
+        _merge(branches, state, math.prod(params.p_prep if f else 1.0 - params.p_prep for f in flips))
     for g in circuit.gates:
         eps = params.eps1 if g.kind.arity == 1 else params.eps2
         labels = ONE_QUBIT_PAULIS if g.kind.arity == 1 else TWO_QUBIT_PAULIS
-        choices.append([(1.0 - eps, "")] + [(eps / len(labels), label) for label in labels])
-    out: dict[str, float] = {}
-    for flips in itertools.product((0, 1), repeat=circuit.n_qubits):
-        p_flips = math.prod(params.p_prep if f else 1.0 - params.p_prep for f in flips)
-        for combo in itertools.product(*choices):
-            gates = [_g(GateKind.X, q) for q, f in enumerate(flips) if f]
-            for g, (_, label) in zip(circuit.gates, combo):
-                gates.append(g)
-                gates += [_g(GateKind[ch], q) for ch, q in zip(label, g.targets) if ch != "I"]
-            prob = p_flips * math.prod(p for p, _ in combo)
-            for s, p in ideal_distribution(circuit.with_gates(gates)).probs.items():
-                out[s] = out.get(s, 0.0) + prob * p
-    return out
+        after: dict = {}
+        for state, weight in branches.values():
+            state = apply_gate(state, g)
+            _merge(after, state, weight * (1.0 - eps))
+            for label in labels if eps else ():
+                faulted = state
+                for ch, q in zip(label, g.targets):
+                    if ch != "I":
+                        faulted = apply_gate(faulted, _g(GateKind[ch], q))
+                _merge(after, faulted, weight * eps / len(labels))
+        branches = after
+    vec = sum(w * marginal_vector(st.probabilities(), n, circuit.measured)
+              for st, w in branches.values())
+    return {bitstring_of(j, len(circuit.measured)): float(vec[j]) for j in np.flatnonzero(vec)}
+
+
+def _read_out_and_xi(vec: np.ndarray, params: NoiseParams) -> np.ndarray:
+    """Flip each read-out bit with p_meas, then mix toward uniform by xi."""
+    idx = np.arange(len(vec))
+    for t in range(len(vec).bit_length() - 1):
+        vec = (1.0 - params.p_meas) * vec + params.p_meas * vec[idx ^ (1 << t)]
+    return (1.0 - params.xi) * vec + params.xi / len(vec)
+
+
+class _RecordingRng:
+    """Stands in for the generator: keeps every vector a multinomial draws from."""
+
+    def __init__(self):
+        self.draws = []
+        self._rng = np.random.default_rng(0)
+
+    def multinomial(self, n, p):
+        self.draws.append((n, np.array(p)))
+        return self._rng.multinomial(n, p)
 
 
 class TestFrameSplit:
@@ -395,3 +444,77 @@ class TestEngineCost:
         assert len(set(calls)) == len(calls)
         assert all(len(faults) == 1 for _, faults in calls)
         assert 1 < len(calls) <= 2 ** 4 * 4
+
+
+class TestSpectrumDraw:
+    """The per-configuration multinomial against exact mixtures."""
+
+    @staticmethod
+    def _params(seed: int) -> NoiseParams:
+        eps1, eps2, p_prep, p_meas, xi = np.random.default_rng(seed).uniform(0.01, 0.3, 5)
+        return NoiseParams(eps1=eps1, eps2=eps2, p_prep=p_prep, p_meas=p_meas, xi=xi / 3)
+
+    def test_clifford_draw_vector_is_exact(self, random_clifford):
+        """A Clifford circuit's one multinomial draws from exactly the
+        noisy distribution, every channel on at once."""
+        for seed in range(30):
+            c = random_clifford(seed, n_qubits=2 + seed % 3, n_extra=seed % 7)
+            params = self._params(seed)
+            rng = _RecordingRng()
+            counts = noise._clifford_outcomes(c, params, _FlipMaskTable(c), np.zeros((1, 1), dtype=np.int64),
+                                              np.array([1000]), rng)
+            [(n, p)] = rng.draws
+            assert n == counts.sum() == 1000
+            exact = outcome_vector(_exact_mixture(c, params), len(c.measured))
+            assert np.max(np.abs(p - _read_out_and_xi(exact, params))) < 1e-12, seed
+
+    def test_rz_draw_vectors_mix_to_exact(self, random_clifford):
+        """RZ as the first gate: every preparation-flip configuration, drawn
+        from and weighted by its probability, mixes to the exact noisy
+        distribution."""
+        for seed in range(10):
+            base = random_clifford(seed, n_qubits=2 + seed % 2, n_extra=seed % 4)
+            c = base.with_gates([_g(GateKind.RZ, seed % base.n_qubits, angle=0.3 + seed)] + list(base.gates))
+            params = self._params(seed)
+            n = c.n_qubits
+            configs = np.arange(1 << n, dtype=np.int64).reshape(-1, 1)
+            rng = _RecordingRng()
+            noise._clifford_outcomes(c, params, _FlipMaskTable(c), configs, np.ones(1 << n, dtype=int), rng)
+            ones = [bin(m).count("1") for m in range(1 << n)]
+            mixed = sum(params.p_prep ** k * (1 - params.p_prep) ** (n - k) * p
+                        for k, (_, p) in zip(ones, rng.draws))
+            exact = outcome_vector(_exact_mixture(c, params), len(c.measured))
+            assert np.max(np.abs(mixed - _read_out_and_xi(exact, params))) < 1e-12, seed
+
+    def test_clifford_call_samples_no_faults(self, monkeypatch, random_clifford):
+        def refuse(*args):
+            raise AssertionError("a Clifford circuit sampled prefix configurations")
+
+        monkeypatch.setattr(noise, "_sample_fault_indices", refuse)
+        for seed in range(10):
+            c = random_clifford(seed, n_qubits=2 + seed % 4, n_extra=seed)
+            for shots in (1, 7, 10_000):
+                assert noisy_counts(c, self._params(seed), shots, seed).total == shots
+
+    def test_counts_sum_to_shots_on_the_rz_path(self):
+        circ = insert_coherent_rotation(ENCODER, 0.8)
+        params = NoiseParams(eps1=0.05, eps2=0.2, p_meas=0.1, p_prep=0.1, xi=0.1, theta=0.8)
+        for shots in (1, 2, 999, 50_000):
+            assert noisy_counts(circ, params, shots, shots).total == shots
+
+
+class TestBoundedMemory:
+    def test_longest_sequence_million_shots(self):
+        """No per-shot array on the Clifford path: 10^6 shots through the
+        2,656-gate coded circuit of a FULL-set L = 1000 sequence."""
+        coded = build_pair(random_sequence(SequenceSpec(GateSetId.FULL, MAX_SEQUENCE_LENGTH, 3)))[1]
+        assert len(coded.gates) == 2656
+        params = NoiseParams(eps1=4e-3, eps2=0.16, p_meas=0.02, p_prep=0.01)
+        tracemalloc.start()
+        try:
+            counts = noisy_counts(coded, params, 10 ** 6, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert counts.total == 10 ** 6
+        assert peak < 16 * 2 ** 20
