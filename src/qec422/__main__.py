@@ -1,0 +1,5 @@
+"""Entry point for ``python -m qec422``."""
+from .cli import main
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -38,7 +38,7 @@ from .simulator import (
     OutcomeDistribution,
     PureState,
     ShotCounts,
-    apply_gate,
+    _evolve,
     counts_from_vector,
     distribution_from_vector,
     final_state,
@@ -261,19 +261,17 @@ def _config_marginal(circuit: Circuit, prep_mask: int, gate_faults) -> np.ndarra
     """Read-out marginal of one fault configuration, by statevector: an X
     on each qubit in prep_mask, then fault gate_faults[i] (k as in
     _FlipMaskTable) after gate i; gates past its end are fault-free."""
-    state = PureState.zero(circuit.n_qubits)
-    for q in range(circuit.n_qubits):
-        if (prep_mask >> q) & 1:
-            state = apply_gate(state, GateInstance(GateKind.X, (q,)))
+    n = circuit.n_qubits
+    gates = [GateInstance(GateKind.X, (q,)) for q in range(n) if (prep_mask >> q) & 1]
     for i, g in enumerate(circuit.gates):
-        state = apply_gate(state, g)
+        gates.append(g)
         k = int(gate_faults[i]) if i < len(gate_faults) else 0
         if k:
             labels = ONE_QUBIT_PAULIS if g.kind.arity == 1 else TWO_QUBIT_PAULIS
-            for letter, q in zip(labels[k - 1], g.targets):
-                if letter != "I":
-                    state = apply_gate(state, GateInstance(GateKind[letter], (q,)))
-    return marginal_vector(state.probabilities(), circuit.n_qubits, circuit.measured)
+            gates += [GateInstance(GateKind[letter], (q,))
+                      for letter, q in zip(labels[k - 1], g.targets) if letter != "I"]
+    amp = _evolve(PureState.zero(n).amplitudes, gates, n)
+    return marginal_vector(np.abs(amp) ** 2, n, circuit.measured)
 
 
 def noisy_counts(circuit: Circuit, params: NoiseParams, shots: int, seed: int) -> ShotCounts:

@@ -9,11 +9,21 @@ Conventions, fixed across the package:
   (or more precisely ``measured[0]``) leftmost;
 * registers are capped at 12 qubits, far above anything the [4,2,2]
   constructions need but enough for small ad-hoc circuits.
+
+Every gate goes through one kernel, _evolve, which loops over raw
+amplitude arrays: a gate is a gather plus a scale from index tables.
+The tables are cached per (kind, targets, n), angle excluded, so the
+cache holds at most one entry per gate placement on a register of at
+most MAX_QUBITS qubits and needs no bound; RZ builds its phase vector
+per call.  The table build refuses a target outside the register, and
+PureState checks width, finiteness and norm once per final_state or
+apply_gate call, not once per gate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Mapping
 
 import numpy as np
@@ -25,15 +35,6 @@ NORM_TOL = 1e-10
 PRUNE_TOL = 1e-12
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
-
-# Single-qubit matrices; RZ is built per-angle as diag(e^{-it/2}, e^{it/2}).
-_SINGLE_QUBIT = {
-    GateKind.X: np.array([[0, 1], [1, 0]], dtype=complex),
-    GateKind.Y: np.array([[0, -1j], [1j, 0]], dtype=complex),
-    GateKind.Z: np.array([[1, 0], [0, -1]], dtype=complex),
-    GateKind.H: np.array([[_INV_SQRT2, _INV_SQRT2], [_INV_SQRT2, -_INV_SQRT2]], dtype=complex),
-    GateKind.S: np.array([[1, 0], [0, 1j]], dtype=complex),
-}
 
 
 @dataclass
@@ -143,49 +144,66 @@ class ShotCounts:
 # Gate application
 # ---------------------------------------------------------------------------
 
-def _axis(q: int, n: int) -> int:
-    # Reshaping a little-endian vector to [2]*n puts qubit q on axis n-1-q.
-    return n - 1 - q
+@lru_cache(maxsize=None)
+def _table(kind: GateKind, targets: tuple[int, ...], n: int) -> tuple:
+    """Read-only index tables of one gate placement on n qubits.
+
+    H gives (lo, hi, c1): out = amp[lo] / sqrt 2 + c1 * amp[hi].  RZ gives
+    (target bit,), its angle being applied per call.  Every other gate is
+    monomial and gives (perm, phase): out = amp[perm] * phase, either part
+    None when it is the identity.  A target outside the register raises,
+    and a raised build is not cached.
+    """
+    for q in targets:
+        if q >= n:
+            raise CircuitError(f"gate targets qubit {q} on a {n}-qubit state")
+    idx = np.arange(1 << n)
+    a = targets[0]
+    bit = (idx >> a) & 1
+    b = targets[-1]
+    bit_b = (idx >> b) & 1
+    if kind is GateKind.H:
+        out = (idx & ~(1 << a), idx | (1 << a), np.where(bit, -_INV_SQRT2, _INV_SQRT2))
+    elif kind is GateKind.RZ:
+        out = (bit.astype(bool),)
+    elif kind in (GateKind.X, GateKind.Y):
+        out = (idx ^ (1 << a), np.where(bit, 1j, -1j) if kind is GateKind.Y else None)
+    elif kind is GateKind.Z:
+        out = (None, np.where(bit, -1.0, 1.0))
+    elif kind is GateKind.S:
+        out = (None, np.where(bit, 1j, 1.0))
+    elif kind is GateKind.CNOT:  # targets = (control, target): flip b where a is set
+        out = (idx ^ (bit << b), None)
+    elif kind is GateKind.CZ:
+        out = (None, np.where(bit & bit_b, -1.0, 1.0))
+    else:  # SWAP
+        out = (idx ^ ((bit ^ bit_b) * ((1 << a) | (1 << b))), None)
+    for arr in out:
+        if arr is not None:
+            arr.flags.writeable = False
+    return out
 
 
-def _apply_single(amp: np.ndarray, mat: np.ndarray, q: int, n: int) -> np.ndarray:
-    ax = _axis(q, n)
-    t = np.moveaxis(amp.reshape([2] * n), ax, 0)
-    t = np.tensordot(mat, t, axes=([1], [0]))
-    return np.moveaxis(t, 0, ax).reshape(-1)
+def _evolve(amp: np.ndarray, gates, n: int) -> np.ndarray:
+    """Amplitudes after applying gates in order to amp on n qubits."""
+    for g in gates:
+        t = _table(g.kind, g.targets, n)
+        if g.kind is GateKind.H:
+            amp = _INV_SQRT2 * amp[t[0]] + t[2] * amp[t[1]]
+        elif g.kind is GateKind.RZ:
+            half = 0.5 * g.angle
+            amp = amp * np.where(t[0], np.exp(1j * half), np.exp(-1j * half))
+        else:
+            if t[0] is not None:
+                amp = amp[t[0]]
+            if t[1] is not None:
+                amp = amp * t[1]
+    return amp
 
 
 def apply_gate(state: PureState, gate: GateInstance) -> PureState:
     """Apply one gate, returning a new PureState."""
-    n = state.n_qubits
-    for q in gate.targets:
-        if q >= n:
-            raise CircuitError(f"gate targets qubit {q} on a {n}-qubit state")
-    amp = state.amplitudes
-    kind = gate.kind
-
-    if kind in _SINGLE_QUBIT:
-        amp = _apply_single(amp, _SINGLE_QUBIT[kind], gate.targets[0], n)
-    elif kind is GateKind.RZ:
-        half = 0.5 * gate.angle
-        mat = np.array([[np.exp(-1j * half), 0], [0, np.exp(1j * half)]])
-        amp = _apply_single(amp, mat, gate.targets[0], n)
-    else:
-        idx = np.arange(1 << n)
-        a, b = gate.targets
-        bit_a = (idx >> a) & 1
-        bit_b = (idx >> b) & 1
-        if kind is GateKind.CNOT:
-            # targets = (control, target): flip b where a is set
-            amp = amp[idx ^ (bit_a << b)]
-        elif kind is GateKind.CZ:
-            amp = np.where(bit_a & bit_b, -amp, amp)
-        elif kind is GateKind.SWAP:
-            diff = bit_a ^ bit_b
-            amp = amp[idx ^ ((diff << a) | (diff << b))]
-        else:  # pragma: no cover
-            raise CircuitError(f"unhandled gate kind {kind}")
-    return PureState(n, amp)
+    return PureState(state.n_qubits, _evolve(state.amplitudes, (gate,), state.n_qubits))
 
 
 def final_state(circuit: Circuit, initial: PureState | None = None) -> PureState:
@@ -193,9 +211,7 @@ def final_state(circuit: Circuit, initial: PureState | None = None) -> PureState
     state = PureState.zero(circuit.n_qubits) if initial is None else initial
     if state.n_qubits != circuit.n_qubits:
         raise CircuitError("initial state width does not match circuit")
-    for gate in circuit.gates:
-        state = apply_gate(state, gate)
-    return state
+    return PureState(state.n_qubits, _evolve(state.amplitudes, circuit.gates, state.n_qubits))
 
 
 def marginal_vector(probs: np.ndarray, n: int, measured: list[int]) -> np.ndarray:

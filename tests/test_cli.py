@@ -1,9 +1,14 @@
 """Command-line behavior, driven through main(argv)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import qec422
 from qec422.circuits import parse_circuit
 from qec422.cli import OUTPUT_DIR_ENV, load_config, main
 from qec422.code import EncoderVariant, LogicalStateLabel, build_encoder
@@ -127,10 +132,6 @@ class TestRun:
     def test_deterministic_across_processes(self, tmp_path):
         """Fresh interpreters get fresh hash salts; records must still
         match bit for bit (accumulation order cannot follow set order)."""
-        import os
-        import subprocess
-        import sys
-
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text("lengths = 1, 2\nseeds_per_length = 2\nshots = 256\n"
                        "eps1 = 0.004\neps2 = 0.16\np_meas = 0.02\n")
@@ -258,6 +259,16 @@ class TestBounds:
         assert "0.5000" in out
         assert "0.0000" in out
         assert "even-parity retained" in out
+
+    def test_runs_as_a_module(self):
+        """`python -m qec422` reaches the same CLI as the console script."""
+        src = str(Path(qec422.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "qec422", "bounds"], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "0.7500" in proc.stdout
 
 
 class TestUsageErrors:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from qec422 import noise, simulator
 from qec422.circuits import Circuit, CircuitError, GateInstance, GateKind
 from qec422.simulator import (
     OutcomeDistribution,
@@ -142,6 +143,164 @@ class TestAlgebraicProperties:
                 angle = float(rng.normal()) if kind.takes_angle else None
                 state = apply_gate(state, _g(kind, *targets, angle=angle))
             assert abs(np.sum(np.abs(state.amplitudes) ** 2) - 1.0) < 1e-10
+
+
+# Reference unitaries, built only from np.kron of 2x2 factors.
+_I2 = np.eye(2, dtype=complex)
+_X = np.array([[0, 1], [1, 0]], dtype=complex)
+_Y = np.array([[0, -1j], [1j, 0]])
+_Z = np.diag([1, -1]).astype(complex)
+_P1 = np.diag([0, 1]).astype(complex)
+_PAULI = dict(zip("IXYZ", (_I2, _X, _Y, _Z)))
+_ONE_QUBIT = {GateKind.X: _X, GateKind.Y: _Y, GateKind.Z: _Z,
+              GateKind.H: np.array([[1, 1], [1, -1]]) / np.sqrt(2), GateKind.S: np.diag([1, 1j])}
+
+
+def _embed(factors: dict, n: int) -> np.ndarray:
+    """kron over qubits n-1 .. 0 (qubit 0 rightmost, little-endian); identity elsewhere."""
+    out = np.eye(1, dtype=complex)
+    for q in reversed(range(n)):
+        out = np.kron(out, factors.get(q, _I2))
+    return out
+
+
+def _unitary(gate: GateInstance, n: int) -> np.ndarray:
+    kind, t = gate.kind, gate.targets
+    if kind is GateKind.RZ:
+        return _embed({t[0]: np.diag([np.exp(-0.5j * gate.angle), np.exp(0.5j * gate.angle)])}, n)
+    if kind.arity == 1:
+        return _embed({t[0]: _ONE_QUBIT[kind]}, n)
+    a, b = t
+    if kind is GateKind.CNOT:  # |0><0| x I + |1><1| x X
+        return _embed({a: _I2 - _P1}, n) + _embed({a: _P1, b: _X}, n)
+    if kind is GateKind.CZ:  # I - 2 |11><11|
+        return _embed({}, n) - 2 * _embed({a: _P1, b: _P1}, n)
+    # SWAP = (II + XX + YY + ZZ) / 2
+    return sum(_embed({a: p, b: p}, n) for p in _PAULI.values()) / 2
+
+
+def _random_gates(rng: np.random.Generator, n: int, n_extra: int) -> list:
+    """Every gate kind that fits on n qubits at least once, then n_extra
+    more, shuffled; RZ angles uniform in (-2 pi, 2 pi)."""
+    kinds = [k for k in GateKind if k.arity <= n]
+    kinds += [kinds[j] for j in rng.integers(0, len(kinds), n_extra)]
+    gates = [_g(k, *(int(q) for q in rng.choice(n, k.arity, replace=False)),
+                angle=float(rng.uniform(-2 * np.pi, 2 * np.pi)) if k.takes_angle else None)
+             for k in kinds]
+    rng.shuffle(gates)
+    return gates
+
+
+def _reference_marginal(amp: np.ndarray, n: int, measured: list) -> np.ndarray:
+    vec = np.zeros(1 << len(measured))
+    for i, a in enumerate(amp):
+        vec[sum(((i >> q) & 1) << t for t, q in enumerate(measured))] += abs(a) ** 2
+    return vec
+
+
+class TestKernelAgainstUnitaries:
+    def test_final_state_and_apply_gate(self):
+        """final_state from a random initial state, and apply_gate folded
+        over the same gates, equal the product of reference unitaries."""
+        rng = np.random.default_rng(21)
+        for n in range(1, 7):
+            for _ in range(6):
+                gates = _random_gates(rng, n, int(rng.integers(0, 30)))
+                initial = _rand_state(rng, n)
+                want = initial.amplitudes
+                for g in gates:
+                    want = _unitary(g, n) @ want
+                got = final_state(Circuit(n, gates, []), initial).amplitudes
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+                state = initial
+                for g in gates:
+                    state = apply_gate(state, g)
+                np.testing.assert_allclose(state.amplitudes, want, rtol=0, atol=1e-12)
+
+    def test_config_marginal_with_faults(self):
+        """_config_marginal with random preparation masks and fault indices
+        equals the reference with the X flips and fault Paulis inserted."""
+        rng = np.random.default_rng(22)
+        for n in range(1, 7):
+            for _ in range(6):
+                gates = _random_gates(rng, n, int(rng.integers(0, 20)))
+                measured = [int(q) for q in rng.permutation(n)[:int(rng.integers(1, n + 1))]]
+                prep = int(rng.integers(0, 1 << n))
+                faults = [int(rng.integers(0, 4 if g.kind.arity == 1 else 16)) * int(rng.random() < 0.5)
+                          for g in gates[:int(rng.integers(0, len(gates) + 1))]]
+                amp = np.zeros(1 << n, dtype=complex)
+                amp[0] = 1.0
+                for q in range(n):
+                    if (prep >> q) & 1:
+                        amp = _embed({q: _X}, n) @ amp
+                for i, g in enumerate(gates):
+                    amp = _unitary(g, n) @ amp
+                    k = faults[i] if i < len(faults) else 0
+                    if k:
+                        labels = noise.ONE_QUBIT_PAULIS if g.kind.arity == 1 else noise.TWO_QUBIT_PAULIS
+                        amp = _embed({q: _PAULI[c] for c, q in zip(labels[k - 1], g.targets)}, n) @ amp
+                got = noise._config_marginal(Circuit(n, gates, measured), prep, np.array(faults))
+                np.testing.assert_allclose(got, _reference_marginal(amp, n, measured),
+                                           rtol=0, atol=1e-12)
+
+
+class TestKernelValidation:
+    def test_out_of_range_target_raises_every_time(self):
+        """A failed table build is not cached, so a second call raises too."""
+        before = simulator._table.cache_info().currsize
+        circuit = Circuit(2, [_g(GateKind.H, 0)], [0])
+        circuit.gates.append(_g(GateKind.CNOT, 0, 3))  # bypasses Circuit's own check
+        for _ in range(2):
+            with pytest.raises(CircuitError, match="qubit 2"):
+                apply_gate(PureState.zero(2), _g(GateKind.X, 2))
+            with pytest.raises(CircuitError, match="qubit 3"):
+                final_state(circuit, PureState.zero(2))
+        assert simulator._table.cache_info().currsize <= before + 1  # only H 0
+
+    def test_bad_initial_state_refused(self):
+        for amp in ([1.0, 1.0], [np.nan, 0.0], [np.inf, 0.0], [1.0, 1j * np.inf]):
+            with pytest.raises(CircuitError):
+                PureState(1, np.array(amp))
+        # a state corrupted after construction is caught when the result is built
+        state = PureState.zero(2)
+        state.amplitudes = np.array([1.0, 1.0, 0.0, 0.0], dtype=complex)
+        with pytest.raises(CircuitError, match="norm"):
+            final_state(Circuit(2, [_g(GateKind.H, 0)], [0]), state)
+        state.amplitudes = np.array([np.nan, 0.0, 0.0, 0.0], dtype=complex)
+        with pytest.raises(CircuitError, match="non-finite"):
+            final_state(Circuit(2, [_g(GateKind.H, 0)], [0]), state)
+
+    def test_one_validation_per_circuit(self, monkeypatch):
+        """final_state builds the zero state and the result whatever the
+        gate count, and _config_marginal builds only the zero state."""
+        built = []
+        original = PureState.__post_init__
+        monkeypatch.setattr(PureState, "__post_init__",
+                            lambda self: built.append(self.n_qubits) or original(self))
+        rng = np.random.default_rng(23)
+        for n_extra in (0, 10, 300):
+            circuit = Circuit(4, _random_gates(rng, 4, n_extra), [0, 1, 2, 3])
+            built.clear()
+            final_state(circuit)
+            assert len(built) == 2
+            built.clear()
+            noise._config_marginal(circuit, 0b0101, [1] * len(circuit.gates))
+            assert len(built) == 1
+
+    def test_cached_tables_are_read_only(self):
+        """Every caller shares the cached arrays, so none may write them."""
+        for kind in GateKind:
+            for arr in simulator._table(kind, (1, 0)[:kind.arity], 2):
+                assert arr is None or not arr.flags.writeable, kind
+
+    def test_rz_angles_do_not_grow_the_cache(self):
+        rng = np.random.default_rng(24)
+        gates = _random_gates(rng, 3, 5)
+        final_state(Circuit(3, [_g(GateKind.RZ, 1, angle=0.0)] + gates, []))
+        size = simulator._table.cache_info().currsize
+        for theta in rng.uniform(-np.pi, np.pi, 1000):
+            final_state(Circuit(3, [_g(GateKind.RZ, 1, angle=float(theta))] + gates, []))
+        assert simulator._table.cache_info().currsize == size
 
 
 class TestDistributions:
