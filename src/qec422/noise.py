@@ -1,4 +1,4 @@
-"""Noise model and Monte-Carlo trajectory sampling.
+"""Noise model and the exact noisy-outcome sampler.
 
 The fault model is the standard circuit-level one: after every gate a
 Pauli error fires with probability eps1 (one-qubit gates, uniform over
@@ -9,20 +9,22 @@ with probability p_meas.  A coherent miscalibration is modeled as an
 RZ(theta) inserted after the first Hadamard, and xi mixes the final
 distribution toward uniform.
 
-noisy_counts goes through one Pauli frame (_FlipMaskTable).  A single
-backward sweep carries each measured Z observable from the end of the
-circuit back to its last RZ; a fault after any gate from there on is
-Clifford-propagated to an X-type read-out flip mask.  Faults ahead of
-the last RZ, and preparation flips when there is an RZ, form a shot's
-prefix configuration, sampled per shot and simulated by statevector
-once per unique value; a Clifford circuit has one, the ideal circuit.
-Every other flip is independent of the configuration and XORs onto it,
-and XOR-convolution is a pointwise product in the Walsh-Hadamard
-domain, so each configuration's exact outcome distribution is one
-O(m 2^m) product with an O(G m 2^m) spectrum, and its shots are one
-multinomial draw.  All randomness comes from one counter-based Philox
-stream per call, so a (circuit, params, shots, seed) tuple always yields
-identical counts, regardless of how calls are scheduled around it.
+noisy_counts computes each circuit's exact noisy outcome distribution
+and draws all its shots from it with one multinomial: a density-matrix
+prefix, then a Walsh-Hadamard suffix.  One backward sweep of the Pauli
+frame (_FlipMaskTable) carries each measured Z observable from the end
+of the circuit back to its last RZ; a fault after any gate from there on
+is Clifford-propagated to an X-type read-out flip mask.  Faults ahead of
+the last RZ, and preparation flips when there is an RZ, are mixed in
+exactly by evolving vec(rho) on 2n qubits through the statevector
+kernel, which limits such a circuit to 6 qubits; a Clifford circuit
+needs only its ideal statevector.  Every other flip is independent of
+that prefix and XORs onto it, and XOR-convolution is a pointwise product
+in the Walsh-Hadamard domain, so the suffix is one O(m 2^m) product with
+an O(G m 2^m) spectrum.  The randomness is one multinomial from a
+counter-based Philox stream per call, so a (circuit, params, shots,
+seed) tuple always yields identical counts, regardless of how calls are
+scheduled around it.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ import numpy as np
 
 from .circuits import Circuit, CircuitError, GateInstance, GateKind
 from .simulator import (
+    MAX_QUBITS,
     PRUNE_TOL,
     OutcomeDistribution,
     PureState,
@@ -187,29 +190,8 @@ class _FlipMaskTable:
 
 
 # ---------------------------------------------------------------------------
-# The sampler: prefix configurations, then one exact draw per configuration
+# The engine: an exact prefix marginal, then one exact draw
 # ---------------------------------------------------------------------------
-
-def _sample_fault_indices(circuit: Circuit, params: NoiseParams, split: int, shots: int,
-                          rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Per-shot prefix configurations, as (unique rows in sorted order,
-    shots per row); a row is the prep flip mask, then the fault index
-    (0 = none) after each gate before the last RZ, gate split."""
-    prefix = np.zeros((shots, 1 + split), dtype=np.int16)  # prep masks < 2^12
-    if params.p_prep > 0.0:
-        flips = rng.random((shots, circuit.n_qubits)) < params.p_prep
-        prefix[:, 0] = flips @ (1 << np.arange(circuit.n_qubits, dtype=np.int64))
-    for i, g in enumerate(circuit.gates[:split]):
-        eps = params.eps1 if g.kind.arity == 1 else params.eps2
-        if eps <= 0.0:
-            continue
-        hit = rng.random(shots) < eps
-        n_hit = int(hit.sum())
-        if n_hit:
-            n_paulis = 3 if g.kind.arity == 1 else 15
-            prefix[hit, 1 + i] = rng.integers(1, n_paulis + 1, size=n_hit)
-    return np.unique(prefix, axis=0, return_counts=True)
-
 
 def _wht(vec: np.ndarray) -> np.ndarray:
     """Walsh-Hadamard transform: out[s] = sum_j vec[j] (-1)^popcount(s & j)."""
@@ -222,14 +204,14 @@ def _wht(vec: np.ndarray) -> np.ndarray:
 
 
 def _clifford_outcomes(circuit: Circuit, params: NoiseParams, table: _FlipMaskTable,
-                       configs: np.ndarray, sizes: np.ndarray,
-                       rng: np.random.Generator) -> np.ndarray:
-    """Outcome counts: sizes[u] shots from prefix configuration configs[u].
+                       base: np.ndarray, shots: int, rng: np.random.Generator) -> np.ndarray:
+    """Outcome counts of shots drawn from base, the read-out marginal
+    before every flip the frame folds.
 
     Each site the frame folds (gate faults from the split on, prep flips
     without an RZ, read-out flips) fires with probability p and XORs in
-    masks[k], k >= 1 uniform, independently of the configuration.  So a
-    configuration's exact distribution is a pointwise product of
+    masks[k], k >= 1 uniform, independently of what came before.  So the
+    exact distribution is base times a pointwise product of
     Walsh-Hadamard spectra (equal sites transformed once), clipped of
     rounding negatives, renormalized, mixed toward uniform by xi and
     drawn from by one multinomial.
@@ -247,14 +229,10 @@ def _clifford_outcomes(circuit: Circuit, params: NoiseParams, table: _FlipMaskTa
             w = [1.0 - p] + [p / (len(masks) - 1)] * (len(masks) - 1)
             spec *= _wht(np.bincount(masks, w, minlength=len(spec))) ** count
 
-    counts = np.zeros(1 << n_bits, dtype=np.int64)
-    for row, n_u in zip(configs, sizes):
-        vec = _config_marginal(circuit, int(row[0]), row[1:])
-        # the inverse transform's 1/2^m factor cancels in the renormalization
-        p = np.maximum(_wht(_wht(vec) * spec), 0.0)
-        p = (1.0 - params.xi) * p / p.sum() + params.xi / len(p)
-        counts += rng.multinomial(int(n_u), p)
-    return counts
+    # the inverse transform's 1/2^m factor cancels in the renormalization
+    p = np.maximum(_wht(_wht(base) * spec), 0.0)
+    p = (1.0 - params.xi) * p / p.sum() + params.xi / len(p)
+    return rng.multinomial(shots, p)
 
 
 def _config_marginal(circuit: Circuit, prep_mask: int, gate_faults) -> np.ndarray:
@@ -274,19 +252,71 @@ def _config_marginal(circuit: Circuit, prep_mask: int, gate_faults) -> np.ndarra
     return marginal_vector(np.abs(amp) ** 2, n, circuit.measured)
 
 
+def _doubled(gate: GateInstance, n: int) -> list[GateInstance]:
+    """U rho U^dagger on vec(rho): U on the ket qubits 0..n-1, U* on the
+    bra qubits n..2n-1.  Y = i XZ runs as Z then X on both sides, so its
+    phases cancel; RZ* is RZ(-theta) and S* = S Z."""
+    if gate.kind is GateKind.Y:
+        q = gate.targets
+        return _doubled(GateInstance(GateKind.Z, q), n) + _doubled(GateInstance(GateKind.X, q), n)
+    bra = tuple(q + n for q in gate.targets)
+    angle = -gate.angle if gate.kind is GateKind.RZ else gate.angle
+    out = [gate, GateInstance(gate.kind, bra, angle)]
+    if gate.kind is GateKind.S:
+        out.append(GateInstance(GateKind.Z, bra))
+    return out
+
+
+def _pauli_channel(rho: np.ndarray, p: float, labels, targets, n: int) -> np.ndarray:
+    """(1 - p) rho + p / len(labels) sum_P P rho P^dagger, each label a
+    Pauli string over targets, on vec(rho) of n qubits."""
+    faulted = sum(_evolve(rho, [h for letter, q in zip(label, targets) if letter != "I"
+                                for h in _doubled(GateInstance(GateKind[letter], (q,)), n)], 2 * n)
+                  for label in labels)
+    return (1.0 - p) * rho + (p / len(labels)) * faulted
+
+
+def _prefix_marginal(circuit: Circuit, params: NoiseParams, split: int) -> np.ndarray:
+    """Exact read-out marginal with preparation flips and the faults
+    after every gate before gate split, from the density matrix.
+
+    vec(rho) is a state on 2n qubits (entry i | j << n holds rho_ij) that
+    _evolve runs through each gate doubled, and every Pauli channel is
+    mixed in as it fires.  Memory is 16 * 4^n bytes, so the register is
+    capped at MAX_QUBITS // 2 and the doubled gate tables stay within
+    MAX_QUBITS.
+    """
+    n = circuit.n_qubits
+    if n > MAX_QUBITS // 2:
+        raise CircuitError(f"a circuit with an RZ is limited to {MAX_QUBITS // 2} qubits "
+                           f"(its density matrix), got {n}")
+    diag = np.arange(1 << n) * ((1 << n) + 1)  # i | i << n
+    rho = np.zeros(1 << (2 * n), dtype=complex)
+    rho[0] = 1.0
+    if params.p_prep > 0.0:
+        for q in range(n):
+            rho = _pauli_channel(rho, params.p_prep, ("X",), (q,), n)
+    for i, g in enumerate(circuit.gates):
+        rho = _evolve(rho, _doubled(g, n), 2 * n)
+        eps = params.eps1 if g.kind.arity == 1 else params.eps2
+        if i < split and eps > 0.0:
+            labels = ONE_QUBIT_PAULIS if g.kind.arity == 1 else TWO_QUBIT_PAULIS
+            rho = _pauli_channel(rho, eps, labels, g.targets, n)
+    return marginal_vector(rho[diag].real, n, circuit.measured)
+
+
 def noisy_counts(circuit: Circuit, params: NoiseParams, shots: int, seed: int) -> ShotCounts:
-    """Sample the full noisy process: prep flips, per-gate Pauli faults,
-    read-out flips.  Deterministic in (circuit, params, shots, seed)."""
+    """Draw shots from the exact noisy process: prep flips, per-gate Pauli
+    faults, read-out flips.  Deterministic in (circuit, params, shots, seed)."""
     if not circuit.measured:
         raise CircuitError("circuit measures no qubits")
     if shots < 1:
         raise CircuitError(f"shots must be positive, got {shots}")
     rng = np.random.Generator(np.random.Philox(seed))
     table = _FlipMaskTable(circuit)
-    # a Clifford circuit has one configuration, the ideal circuit
-    configs, sizes = ((np.zeros((1, 1), dtype=np.int64), [shots]) if table.split < 0
-                      else _sample_fault_indices(circuit, params, table.split, shots, rng))
-    counts = _clifford_outcomes(circuit, params, table, configs, sizes, rng)
+    base = (_config_marginal(circuit, 0, ()) if table.split < 0
+            else _prefix_marginal(circuit, params, table.split))
+    counts = _clifford_outcomes(circuit, params, table, base, shots, rng)
     return counts_from_vector(counts, len(circuit.measured))
 
 

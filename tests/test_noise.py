@@ -189,8 +189,9 @@ class TestNoisyCounts:
         assert abs(wrong / 200_000 - want) < 3 * np.sqrt(want * (1 - want) / 200_000)
 
     def test_clifford_and_statevector_paths_agree(self):
-        """Appending RZ(0) puts every fault ahead of the last RZ, so each
-        configuration is simulated by statevector; same fault physics."""
+        """Appending RZ(0) puts every fault and preparation flip ahead of
+        the last RZ, so the density-matrix prefix mixes them all in where
+        the Clifford path folds them into the frame; same fault physics."""
         params = NoiseParams(eps1=0.01, eps2=0.04, p_prep=0.01)
         rz = Circuit(4, ENCODER.gates + [_g(GateKind.RZ, 3, angle=0.0)], [0, 1, 2, 3])
         fast = noisy_counts(ENCODER, params, 150_000, 8).to_distribution()
@@ -432,22 +433,36 @@ class TestEngineCost:
         noisy_counts(ENCODER, NoiseParams(eps1=0.05, eps2=0.1, p_meas=0.02, p_prep=0.05), 20_000, 3)
         assert calls == [(0, ())]
 
-    def test_one_simulation_per_prefix_configuration(self, monkeypatch):
-        """RZ after the encoder's first gate: only preparation flips and
-        faults after that gate are simulated, each configuration once."""
+    def test_rz_path_simulates_no_configuration(self, monkeypatch):
+        """RZ after the encoder's first gate: the density-matrix prefix
+        replaces every statevector run, and the only random call of the
+        whole noisy_counts call is one multinomial."""
         base = Circuit(4, ENCODER.gates + coded_gate_circuit(LogicalGate.HHSWAP) * 6, [0, 1, 2, 3])
         circ = insert_coherent_rotation(base, 1.1)
         assert circ.gates[1].kind is GateKind.RZ
         calls = self._record_configs(monkeypatch)
+        generators = []
+        real = np.random.Generator
+
+        class Counting:
+            def __init__(self, bit_generator):
+                self.names = []
+                self._gen = real(bit_generator)
+                generators.append(self)
+
+            def __getattr__(self, name):
+                self.names.append(name)
+                return getattr(self._gen, name)
+
+        monkeypatch.setattr(np.random, "Generator", Counting)
         params = NoiseParams(eps1=4e-3, eps2=0.16, p_meas=0.02, p_prep=0.01, theta=1.1)
-        noisy_counts(circ, params, 8192, 4)
-        assert len(set(calls)) == len(calls)
-        assert all(len(faults) == 1 for _, faults in calls)
-        assert 1 < len(calls) <= 2 ** 4 * 4
+        assert noisy_counts(circ, params, 8192, 4).total == 8192
+        assert calls == []
+        assert [g.names for g in generators] == [["multinomial"]]
 
 
 class TestSpectrumDraw:
-    """The per-configuration multinomial against exact mixtures."""
+    """The one multinomial per call against exact mixtures."""
 
     @staticmethod
     def _params(seed: int) -> NoiseParams:
@@ -461,36 +476,48 @@ class TestSpectrumDraw:
             c = random_clifford(seed, n_qubits=2 + seed % 3, n_extra=seed % 7)
             params = self._params(seed)
             rng = _RecordingRng()
-            counts = noise._clifford_outcomes(c, params, _FlipMaskTable(c), np.zeros((1, 1), dtype=np.int64),
-                                              np.array([1000]), rng)
+            counts = noise._clifford_outcomes(c, params, _FlipMaskTable(c), noise._config_marginal(c, 0, ()),
+                                              1000, rng)
             [(n, p)] = rng.draws
             assert n == counts.sum() == 1000
             exact = outcome_vector(_exact_mixture(c, params), len(c.measured))
             assert np.max(np.abs(p - _read_out_and_xi(exact, params))) < 1e-12, seed
 
-    def test_rz_draw_vectors_mix_to_exact(self, random_clifford):
-        """RZ as the first gate: every preparation-flip configuration, drawn
-        from and weighted by its probability, mixes to the exact noisy
-        distribution."""
-        for seed in range(10):
-            base = random_clifford(seed, n_qubits=2 + seed % 2, n_extra=seed % 4)
-            c = base.with_gates([_g(GateKind.RZ, seed % base.n_qubits, angle=0.3 + seed)] + list(base.gates))
+    def test_rz_draw_vector_is_exact(self, random_clifford):
+        """With one or two RZs anywhere, the one vector the multinomial
+        draws from is the exact noisy distribution, every channel on."""
+        for seed in range(40):
+            c = random_clifford(seed, n_qubits=2 + seed % 3, n_extra=seed % 6)
+            rng = np.random.default_rng(1000 + seed)
+            gates = list(c.gates)
+            for _ in range(1 + seed % 2):
+                rz = _g(GateKind.RZ, int(rng.integers(c.n_qubits)), angle=float(rng.uniform(-3, 3)))
+                gates.insert(int(rng.integers(0, len(gates) + 1)), rz)
+            c = c.with_gates(gates)
             params = self._params(seed)
-            n = c.n_qubits
-            configs = np.arange(1 << n, dtype=np.int64).reshape(-1, 1)
-            rng = _RecordingRng()
-            noise._clifford_outcomes(c, params, _FlipMaskTable(c), configs, np.ones(1 << n, dtype=int), rng)
-            ones = [bin(m).count("1") for m in range(1 << n)]
-            mixed = sum(params.p_prep ** k * (1 - params.p_prep) ** (n - k) * p
-                        for k, (_, p) in zip(ones, rng.draws))
+            table = _FlipMaskTable(c)
+            assert table.split >= 0
+            draws = _RecordingRng()
+            counts = noise._clifford_outcomes(c, params, table, noise._prefix_marginal(c, params, table.split),
+                                              1000, draws)
+            [(n, p)] = draws.draws
+            assert n == counts.sum() == 1000
             exact = outcome_vector(_exact_mixture(c, params), len(c.measured))
-            assert np.max(np.abs(mixed - _read_out_and_xi(exact, params))) < 1e-12, seed
+            assert np.max(np.abs(p - _read_out_and_xi(exact, params))) < 1e-12, seed
+
+    def test_rz_path_refuses_wide_registers(self):
+        """The density matrix of 7 qubits would need a 14-qubit vector."""
+        gates = [_g(GateKind.H, q) for q in range(7)]
+        clifford = Circuit(7, gates, list(range(7)))
+        assert noisy_counts(clifford, self._params(0), 500, 1).total == 500
+        with pytest.raises(CircuitError, match="limited to 6 qubits.*got 7"):
+            noisy_counts(insert_coherent_rotation(clifford, 0.4), self._params(0), 500, 1)
 
     def test_clifford_call_samples_no_faults(self, monkeypatch, random_clifford):
         def refuse(*args):
-            raise AssertionError("a Clifford circuit sampled prefix configurations")
+            raise AssertionError("a Clifford circuit built a density-matrix prefix")
 
-        monkeypatch.setattr(noise, "_sample_fault_indices", refuse)
+        monkeypatch.setattr(noise, "_prefix_marginal", refuse)
         for seed in range(10):
             c = random_clifford(seed, n_qubits=2 + seed % 4, n_extra=seed)
             for shots in (1, 7, 10_000):
@@ -505,16 +532,21 @@ class TestSpectrumDraw:
 
 class TestBoundedMemory:
     def test_longest_sequence_million_shots(self):
-        """No per-shot array on the Clifford path: 10^6 shots through the
-        2,656-gate coded circuit of a FULL-set L = 1000 sequence."""
+        """No per-shot array on either path: 10^6 shots through the
+        2,656-gate coded circuit of a FULL-set L = 1000 sequence, as it is
+        and with an RZ before its last gate, which puts 2,655 gates'
+        faults into the density-matrix prefix."""
         coded = build_pair(random_sequence(SequenceSpec(GateSetId.FULL, MAX_SEQUENCE_LENGTH, 3)))[1]
         assert len(coded.gates) == 2656
+        gates = list(coded.gates)
+        gates.insert(len(gates) - 1, _g(GateKind.RZ, 1, angle=0.7))
         params = NoiseParams(eps1=4e-3, eps2=0.16, p_meas=0.02, p_prep=0.01)
-        tracemalloc.start()
-        try:
-            counts = noisy_counts(coded, params, 10 ** 6, 1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert counts.total == 10 ** 6
-        assert peak < 16 * 2 ** 20
+        for circuit in (coded, coded.with_gates(gates)):
+            tracemalloc.start()
+            try:
+                counts = noisy_counts(circuit, params, 10 ** 6, 1)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert counts.total == 10 ** 6
+            assert peak < 16 * 2 ** 20
