@@ -44,9 +44,7 @@ from .simulator import (
     OutcomeDistribution,
     PureState,
     ShotCounts,
-    apply_gate,
     ideal_distribution,
-    sample_counts,
 )
 
 __version__ = "0.1.0"
@@ -55,7 +53,7 @@ __all__ = [
     "Circuit", "CircuitError", "CircuitParseError", "GateInstance", "GateKind",
     "parse_circuit", "serialize_circuit",
     "PureState", "OutcomeDistribution", "ShotCounts",
-    "apply_gate", "ideal_distribution", "sample_counts",
+    "ideal_distribution",
     "LogicalStateLabel", "EncoderVariant", "LogicalGate",
     "build_encoder", "codeword_distribution", "coded_gate_circuit",
     "uncoded_gate_circuit", "decode", "post_select",

@@ -163,21 +163,6 @@ def predict_coded_ps(length: int, eps1: float, eps2: float, p_meas: float) -> fl
     return _clamp(8.0 / 15.0 * eps2 + 2.0 * length * eps1 ** 2 + 6.0 * p_meas ** 2)
 
 
-def predict_full(length: int, gates: tuple[LogicalGate, ...], scheme: str,
-                 eps1: float, eps2: float, p_meas: float) -> float:
-    """Full-polynomial alternative: 1 - (1-P)^L from untruncated block errors.
-
-    Adds the exact read-out term for the scheme's register width.  Used
-    in tests as a consistency check against the truncated predictors at
-    small parameters; not a post-selection model.
-    """
-    p_block = average_block_error(gates, scheme, eps1, eps2, truncated=False)
-    n_bits = {"uncoded": 2, "coded": 4}[scheme]
-    p_read = 1.0 - (1.0 - p_meas) ** n_bits
-    seq = sequence_error(p_block, length)
-    return _clamp(seq + (1.0 - seq) * p_read)
-
-
 # ---------------------------------------------------------------------------
 # Worst-case bounds
 # ---------------------------------------------------------------------------

@@ -198,6 +198,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_predict(args: argparse.Namespace) -> int:
     cfg = load_config(args.config) if args.config else {}
     lengths = _resolve(args, cfg, "lengths", list(range(1, 101)))
+    if not lengths:
+        raise CircuitError("no sequence lengths to predict")
     params = _noise_from(args, cfg)
     e1, e2, pm = params.eps1, params.eps2, params.p_meas
 

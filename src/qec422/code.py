@@ -157,15 +157,6 @@ def coded_gate_circuit(gate: LogicalGate) -> list[GateInstance]:
     raise CircuitError(f"unknown logical gate {gate}")  # pragma: no cover
 
 
-def coded_cz_only_circuit() -> list[GateInstance]:
-    """Plain logical controlled-Z: S on all four qubits, then Z on q1 and q2.
-
-    Kept out of the experiment gate sets, which always pair the
-    controlled-Z with Z on both logical qubits (CZZZ).
-    """
-    return [_g(GateKind.S, q) for q in range(4)] + [_g(GateKind.Z, 1), _g(GateKind.Z, 2)]
-
-
 def uncoded_gate_circuit(gate: LogicalGate) -> list[GateInstance]:
     """Bare two-qubit realization; SWAP is expanded into three CNOTs."""
     if gate is LogicalGate.X0:

@@ -201,10 +201,10 @@ def run_pair(sequence: list[LogicalGate], params: NoiseParams, shots: int,
 
     params.theta != 0 inserts the coherent rotation after the coded
     encoder's Hadamard (the uncoded circuit has no encoder and runs
-    clean of it).  With analytic_xi the exact xi-mixed distributions
-    replace sampling and D carries no shot noise.  When post-selection
-    retains nothing (theta = pi), the coded_ps row reports the worst
-    case D = 1 with gamma = 0.
+    clean of it).  With analytic_xi the exact noisy distributions, under
+    every channel, replace sampling and D carries no shot noise.  When
+    post-selection retains nothing (theta = pi), the coded_ps row
+    reports the worst case D = 1 with gamma = 0.
     """
     if shots < 1:
         raise CircuitError(f"shots must be positive, got {shots}")
@@ -272,8 +272,12 @@ def sweep_L(gate_set: GateSetId, lengths: list[int], params: NoiseParams,
     are collected in task order, so the record list (and any CSV written
     from it) does not depend on scheduling.
     """
+    if not lengths:
+        raise CircuitError("no sequence lengths to run")
     if seeds_per_length < 1:
         raise CircuitError(f"seeds_per_length must be positive, got {seeds_per_length}")
+    if jobs < 1:
+        raise CircuitError(f"jobs must be positive, got {jobs}")
     tasks = [
         (gate_set, L, k, master_seed, params, shots, analytic_xi)
         for L in lengths for k in range(seeds_per_length)
@@ -290,6 +294,8 @@ def sweep_theta(thetas: list[float], params: NoiseParams,
                 gate_set: GateSetId = GateSetId.SINGLE_HHSWAP, length: int = 1,
                 shots: int = DEFAULT_SHOTS, master_seed: int = 0) -> list[ExperimentRecord]:
     """Coherent-rotation sweep: one pair per theta, retention in the r column."""
+    if not thetas:
+        raise CircuitError("no angles to sweep")
     out: list[ExperimentRecord] = []
     for i, theta in enumerate(thetas):
         seed = derive_seed(master_seed, "theta", i)

@@ -9,9 +9,9 @@ vector exactly.  One backward Pauli-frame sweep (noise._FlipMaskTable)
 gives every fault after the last RZ -- every fault, in a Clifford
 circuit -- as a read-out flip mask, so its outcome vector is the ideal
 one with indices XORed by the mask; only faults ahead of the last RZ
-are simulated, one statevector each.  Each vector is split with
-code.selection_split (the rule post-selection applies to sampled
-counts) and the result classified:
+are simulated, one simulator.ideal_marginal of the faulted circuit
+each.  Each vector is split with code.selection_split (the rule
+post-selection applies to sampled counts) and the result classified:
 
 Harmless                  retained distribution and retention both unchanged
 DetectedPostSelection     probability mass moved into odd-parity strings
@@ -32,7 +32,8 @@ import numpy as np
 
 from .circuits import Circuit, CircuitError
 from .code import DATA_QUBITS, selection_split
-from .noise import ONE_QUBIT_PAULIS, TWO_QUBIT_PAULIS, _config_marginal, _FlipMaskTable
+from .noise import ONE_QUBIT_PAULIS, TWO_QUBIT_PAULIS, _FlipMaskTable, _pauli_gates
+from .simulator import ideal_marginal
 
 DETECTION_MODES = ("postselect", "postselect+ancilla")
 _ATOL = 1e-9
@@ -116,7 +117,7 @@ def _verdicts(circuit: Circuit, sites: list[FaultSite], detection: str,
     The ideal marginal and the flip-mask table are built once.  A fault
     the Pauli frame folds (after the last RZ, or anywhere in a Clifford
     circuit) permutes the ideal outcomes by its mask; only faults ahead
-    of the last RZ are simulated, one statevector each.
+    of the last RZ are simulated, each inserted into the gate list.
     """
     if detection not in DETECTION_MODES:
         raise CircuitError(f"detection must be one of {DETECTION_MODES}, got {detection!r}")
@@ -132,7 +133,7 @@ def _verdicts(circuit: Circuit, sites: list[FaultSite], detection: str,
             raise CircuitError("ancilla bit cannot be one of the four data bits")
 
     table = _FlipMaskTable(circuit)
-    ideal = _config_marginal(circuit, 0, ())
+    ideal = ideal_marginal(circuit)
     idx = np.arange(len(ideal))
     ideal_ret, ideal_par, _ = selection_split(ideal, ancilla_bit)
     ideal_mass = ideal_ret.sum()
@@ -145,10 +146,10 @@ def _verdicts(circuit: Circuit, sites: list[FaultSite], detection: str,
         if i >= table.split:
             row = table.gate_masks[i] if i >= 0 else table.prep_masks
             vec = ideal[idx ^ row[k]]
-        elif i < 0:
-            vec = _config_marginal(circuit, 1 << site.targets[0], ())
-        else:
-            vec = _config_marginal(circuit, 0, [0] * i + [k])
+        else:  # after gate i, or before the first gate when i is -1
+            fault = _pauli_gates(site.pauli, site.targets)
+            vec = ideal_marginal(circuit.with_gates(
+                circuit.gates[:i + 1] + fault + circuit.gates[i + 1:]))
         ret, par, _ = selection_split(vec, ancilla_bit)
         mass = ret.sum()
         # a changed retained distribution that still reaches the decoder is

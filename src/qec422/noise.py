@@ -9,22 +9,24 @@ with probability p_meas.  A coherent miscalibration is modeled as an
 RZ(theta) inserted after the first Hadamard, and xi mixes the final
 distribution toward uniform.
 
-noisy_counts computes each circuit's exact noisy outcome distribution
-and draws all its shots from it with one multinomial: a density-matrix
-prefix, then a Walsh-Hadamard suffix.  One backward sweep of the Pauli
-frame (_FlipMaskTable) carries each measured Z observable from the end
-of the circuit back to its last RZ; a fault after any gate from there on
-is Clifford-propagated to an X-type read-out flip mask.  Faults ahead of
-the last RZ, and preparation flips when there is an RZ, are mixed in
-exactly by evolving vec(rho) on 2n qubits through the statevector
-kernel, which limits such a circuit to 6 qubits; a Clifford circuit
-needs only its ideal statevector.  Every other flip is independent of
-that prefix and XORs onto it, and XOR-convolution is a pointwise product
-in the Walsh-Hadamard domain, so the suffix is one O(m 2^m) product with
-an O(G m 2^m) spectrum.  The randomness is one multinomial from a
-counter-based Philox stream per call, so a (circuit, params, shots,
-seed) tuple always yields identical counts, regardless of how calls are
-scheduled around it.
+One engine, _noisy_vector, computes a circuit's exact noisy read-out
+distribution; noisy_counts draws all its shots from it with one
+multinomial and noisy_distribution returns it.  One backward sweep of
+the Pauli frame (_FlipMaskTable) carries each measured Z observable from
+the end of the circuit back to its last RZ; a fault after any gate from
+there on is Clifford-propagated to an X-type read-out flip mask.  The
+base vector is the read-out marginal before those flips.  When a channel
+fires ahead of the last RZ (a preparation flip, or a fault after an
+earlier gate), the base is the exact density matrix's diagonal, from
+evolving vec(rho) on 2n qubits through the statevector kernel, which
+limits such a circuit to 6 qubits; otherwise it is the ideal statevector
+marginal.  Every folded flip is independent of the base and XORs onto
+it, and XOR-convolution is a pointwise product in the Walsh-Hadamard
+domain, so the suffix is one O(m 2^m) product with an O(G m 2^m)
+spectrum, skipped when no folded site fires.  Last, xi mixes toward
+uniform.  The randomness is one multinomial from a counter-based Philox
+stream per call, so a (circuit, params, shots, seed) tuple always yields
+identical counts, regardless of how calls are scheduled around it.
 """
 
 from __future__ import annotations
@@ -37,14 +39,12 @@ import numpy as np
 from .circuits import Circuit, CircuitError, GateInstance, GateKind
 from .simulator import (
     MAX_QUBITS,
-    PRUNE_TOL,
     OutcomeDistribution,
-    PureState,
     ShotCounts,
     _evolve,
     counts_from_vector,
     distribution_from_vector,
-    final_state,
+    ideal_marginal,
     marginal_vector,
 )
 
@@ -73,9 +73,10 @@ class NoiseParams:
         if not np.isfinite(self.theta):
             raise CircuitError(f"theta must be finite, got {self.theta}")
 
-    @property
-    def pauli_free(self) -> bool:
-        return self.eps1 == 0.0 and self.eps2 == 0.0 and self.p_prep == 0.0
+
+def _pauli_gates(label: str, targets: tuple[int, ...]) -> list[GateInstance]:
+    """The one-qubit gates of a Pauli label over targets, identities dropped."""
+    return [GateInstance(GateKind[letter], (q,)) for letter, q in zip(label, targets) if letter != "I"]
 
 
 def totally_mixed(d: int) -> OutcomeDistribution:
@@ -190,7 +191,7 @@ class _FlipMaskTable:
 
 
 # ---------------------------------------------------------------------------
-# The engine: an exact prefix marginal, then one exact draw
+# The engine: a base vector, the folded suffix, the xi mix
 # ---------------------------------------------------------------------------
 
 def _wht(vec: np.ndarray) -> np.ndarray:
@@ -204,8 +205,8 @@ def _wht(vec: np.ndarray) -> np.ndarray:
 
 
 def _clifford_outcomes(circuit: Circuit, params: NoiseParams, table: _FlipMaskTable,
-                       base: np.ndarray, shots: int, rng: np.random.Generator) -> np.ndarray:
-    """Outcome counts of shots drawn from base, the read-out marginal
+                       base: np.ndarray) -> np.ndarray:
+    """Exact read-out distribution from base, the read-out marginal
     before every flip the frame folds.
 
     Each site the frame folds (gate faults from the split on, prep flips
@@ -213,8 +214,8 @@ def _clifford_outcomes(circuit: Circuit, params: NoiseParams, table: _FlipMaskTa
     masks[k], k >= 1 uniform, independently of what came before.  So the
     exact distribution is base times a pointwise product of
     Walsh-Hadamard spectra (equal sites transformed once), clipped of
-    rounding negatives, renormalized, mixed toward uniform by xi and
-    drawn from by one multinomial.
+    rounding negatives and renormalized; when no site fires it is base
+    itself.  Either way it is then mixed toward uniform by xi.
     """
     n_bits = len(circuit.measured)
     sites: Counter = Counter()
@@ -223,33 +224,17 @@ def _clifford_outcomes(circuit: Circuit, params: NoiseParams, table: _FlipMaskTa
     if table.prep_masks is not None:
         sites.update((params.p_prep, (0, int(mask))) for mask in table.prep_masks[1:])
     sites.update((params.p_meas, (0, 1 << t)) for t in range(n_bits))
-    spec = np.ones(1 << n_bits)
-    for (p, masks), count in sites.items():
-        if p > 0.0:
+    firing = [(p, masks, count) for (p, masks), count in sites.items() if p > 0.0]
+    vec, total = base, 1.0
+    if firing:
+        spec = np.ones(1 << n_bits)
+        for p, masks, count in firing:
             w = [1.0 - p] + [p / (len(masks) - 1)] * (len(masks) - 1)
             spec *= _wht(np.bincount(masks, w, minlength=len(spec))) ** count
-
-    # the inverse transform's 1/2^m factor cancels in the renormalization
-    p = np.maximum(_wht(_wht(base) * spec), 0.0)
-    p = (1.0 - params.xi) * p / p.sum() + params.xi / len(p)
-    return rng.multinomial(shots, p)
-
-
-def _config_marginal(circuit: Circuit, prep_mask: int, gate_faults) -> np.ndarray:
-    """Read-out marginal of one fault configuration, by statevector: an X
-    on each qubit in prep_mask, then fault gate_faults[i] (k as in
-    _FlipMaskTable) after gate i; gates past its end are fault-free."""
-    n = circuit.n_qubits
-    gates = [GateInstance(GateKind.X, (q,)) for q in range(n) if (prep_mask >> q) & 1]
-    for i, g in enumerate(circuit.gates):
-        gates.append(g)
-        k = int(gate_faults[i]) if i < len(gate_faults) else 0
-        if k:
-            labels = ONE_QUBIT_PAULIS if g.kind.arity == 1 else TWO_QUBIT_PAULIS
-            gates += [GateInstance(GateKind[letter], (q,))
-                      for letter, q in zip(labels[k - 1], g.targets) if letter != "I"]
-    amp = _evolve(PureState.zero(n).amplitudes, gates, n)
-    return marginal_vector(np.abs(amp) ** 2, n, circuit.measured)
+        # the inverse transform's 1/2^m factor cancels in the renormalization
+        vec = np.maximum(_wht(_wht(base) * spec), 0.0)
+        total = vec.sum()
+    return (1.0 - params.xi) * vec / total + params.xi / len(vec)
 
 
 def _doubled(gate: GateInstance, n: int) -> list[GateInstance]:
@@ -270,8 +255,7 @@ def _doubled(gate: GateInstance, n: int) -> list[GateInstance]:
 def _pauli_channel(rho: np.ndarray, p: float, labels, targets, n: int) -> np.ndarray:
     """(1 - p) rho + p / len(labels) sum_P P rho P^dagger, each label a
     Pauli string over targets, on vec(rho) of n qubits."""
-    faulted = sum(_evolve(rho, [h for letter, q in zip(label, targets) if letter != "I"
-                                for h in _doubled(GateInstance(GateKind[letter], (q,)), n)], 2 * n)
+    faulted = sum(_evolve(rho, [h for f in _pauli_gates(label, targets) for h in _doubled(f, n)], 2 * n)
                   for label in labels)
     return (1.0 - p) * rho + (p / len(labels)) * faulted
 
@@ -288,7 +272,7 @@ def _prefix_marginal(circuit: Circuit, params: NoiseParams, split: int) -> np.nd
     """
     n = circuit.n_qubits
     if n > MAX_QUBITS // 2:
-        raise CircuitError(f"a circuit with an RZ is limited to {MAX_QUBITS // 2} qubits "
+        raise CircuitError(f"noise ahead of an RZ is limited to {MAX_QUBITS // 2} qubits "
                            f"(its density matrix), got {n}")
     diag = np.arange(1 << n) * ((1 << n) + 1)  # i | i << n
     rho = np.zeros(1 << (2 * n), dtype=complex)
@@ -302,36 +286,43 @@ def _prefix_marginal(circuit: Circuit, params: NoiseParams, split: int) -> np.nd
         if i < split and eps > 0.0:
             labels = ONE_QUBIT_PAULIS if g.kind.arity == 1 else TWO_QUBIT_PAULIS
             rho = _pauli_channel(rho, eps, labels, g.targets, n)
-    return marginal_vector(rho[diag].real, n, circuit.measured)
+    # rounding can leave a true zero slightly negative, and no suffix may clip it
+    return np.maximum(marginal_vector(rho[diag].real, n, circuit.measured), 0.0)
+
+
+def _noisy_vector(circuit: Circuit, params: NoiseParams) -> np.ndarray:
+    """Exact noisy read-out distribution, indexed as marginal_vector.
+
+    The density-matrix prefix is built only when some channel fires
+    ahead of the last RZ; otherwise the base is the ideal marginal.
+    """
+    if not circuit.measured:
+        raise CircuitError("circuit measures no qubits")
+    table = _FlipMaskTable(circuit)
+    split = table.split
+    if split >= 0 and (params.p_prep > 0.0 or any(
+            (params.eps1 if g.kind.arity == 1 else params.eps2) > 0.0 for g in circuit.gates[:split])):
+        base = _prefix_marginal(circuit, params, split)
+    else:
+        base = ideal_marginal(circuit)
+    return _clifford_outcomes(circuit, params, table, base)
 
 
 def noisy_counts(circuit: Circuit, params: NoiseParams, shots: int, seed: int) -> ShotCounts:
-    """Draw shots from the exact noisy process: prep flips, per-gate Pauli
-    faults, read-out flips.  Deterministic in (circuit, params, shots, seed)."""
-    if not circuit.measured:
-        raise CircuitError("circuit measures no qubits")
+    """Draw shots from the exact noisy process (prep flips, per-gate Pauli
+    faults, read-out flips, xi) with one multinomial.  params.theta is
+    not applied here: run_pair inserts the rotation.  Deterministic in
+    (circuit, params, shots, seed)."""
     if shots < 1:
         raise CircuitError(f"shots must be positive, got {shots}")
+    vec = _noisy_vector(circuit, params)
     rng = np.random.Generator(np.random.Philox(seed))
-    table = _FlipMaskTable(circuit)
-    base = (_config_marginal(circuit, 0, ()) if table.split < 0
-            else _prefix_marginal(circuit, params, table.split))
-    counts = _clifford_outcomes(circuit, params, table, base, shots, rng)
-    return counts_from_vector(counts, len(circuit.measured))
+    return counts_from_vector(rng.multinomial(shots, vec), len(circuit.measured))
 
 
 def noisy_distribution(circuit: Circuit, params: NoiseParams) -> OutcomeDistribution:
-    """Exact noisy distribution, Pauli faults excluded: the ideal circuit
-    (plus any RZ already inserted) mixed toward uniform by xi.
-
-    This is the analytic path used when sampling noise would only add
-    variance, e.g. the depolarizing-bound experiments.
-    """
-    if not params.pauli_free or params.p_meas != 0.0:
-        raise CircuitError("analytic distribution requires eps1 = eps2 = p_prep = p_meas = 0")
-    vec = marginal_vector(final_state(circuit).probabilities(),
-                          circuit.n_qubits, circuit.measured)
-    if params.xi > 0.0:
-        # (1 - xi) p + xi / d over the full alphabet, p pruned as in the support
-        vec = (1.0 - params.xi) * np.where(vec >= PRUNE_TOL, vec, 0.0) + params.xi / len(vec)
-    return distribution_from_vector(vec, len(circuit.measured))
+    """Exact noisy distribution under every channel, the vector noisy_counts
+    draws from; the analytic path, used when sampling would only add
+    variance.  params.theta is not applied here: run_pair inserts the
+    rotation."""
+    return distribution_from_vector(_noisy_vector(circuit, params), len(circuit.measured))

@@ -16,8 +16,8 @@ The tables are cached per (kind, targets, n), angle excluded, so the
 cache holds at most one entry per gate placement on a register of at
 most MAX_QUBITS qubits and needs no bound; RZ builds its phase vector
 per call.  The table build refuses a target outside the register, and
-PureState checks width, finiteness and norm once per final_state or
-apply_gate call, not once per gate.
+PureState checks width, finiteness and norm once per final_state call,
+not once per gate.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .circuits import Circuit, CircuitError, GateInstance, GateKind
+from .circuits import Circuit, CircuitError, GateKind
 
 MAX_QUBITS = 12
 NORM_TOL = 1e-10
@@ -201,17 +201,10 @@ def _evolve(amp: np.ndarray, gates, n: int) -> np.ndarray:
     return amp
 
 
-def apply_gate(state: PureState, gate: GateInstance) -> PureState:
-    """Apply one gate, returning a new PureState."""
-    return PureState(state.n_qubits, _evolve(state.amplitudes, (gate,), state.n_qubits))
-
-
-def final_state(circuit: Circuit, initial: PureState | None = None) -> PureState:
-    """Run every gate of the circuit from |0...0> (or a caller-supplied state)."""
-    state = PureState.zero(circuit.n_qubits) if initial is None else initial
-    if state.n_qubits != circuit.n_qubits:
-        raise CircuitError("initial state width does not match circuit")
-    return PureState(state.n_qubits, _evolve(state.amplitudes, circuit.gates, state.n_qubits))
+def final_state(circuit: Circuit) -> PureState:
+    """Run every gate of the circuit from |0...0>."""
+    n = circuit.n_qubits
+    return PureState(n, _evolve(PureState.zero(n).amplitudes, circuit.gates, n))
 
 
 def marginal_vector(probs: np.ndarray, n: int, measured: list[int]) -> np.ndarray:
@@ -252,22 +245,14 @@ def counts_from_vector(vec: np.ndarray, n_bits: int) -> ShotCounts:
     return ShotCounts({bitstring_of(int(j), n_bits): int(vec[j]) for j in np.flatnonzero(vec)})
 
 
-def ideal_distribution(circuit: Circuit) -> OutcomeDistribution:
-    """Noiseless outcome distribution over the circuit's measured qubits."""
+def ideal_marginal(circuit: Circuit) -> np.ndarray:
+    """Noiseless read-out vector over the circuit's measured qubits,
+    indexed as marginal_vector."""
     if not circuit.measured:
         raise CircuitError("circuit measures no qubits")
-    state = final_state(circuit)
-    vec = marginal_vector(state.probabilities(), circuit.n_qubits, circuit.measured)
-    return distribution_from_vector(vec, len(circuit.measured))
+    return marginal_vector(final_state(circuit).probabilities(), circuit.n_qubits, circuit.measured)
 
 
-def sample_counts(dist: OutcomeDistribution, shots: int, seed: int) -> ShotCounts:
-    """Multinomial draw; deterministic for a fixed seed."""
-    if shots < 1:
-        raise CircuitError(f"shots must be positive, got {shots}")
-    keys = sorted(dist.probs)
-    p = np.array([dist.probs[k] for k in keys])
-    p = p / p.sum()  # pruning can leave mass short of 1 by < NORM_TOL
-    rng = np.random.Generator(np.random.Philox(seed))
-    draws = rng.multinomial(shots, p)
-    return ShotCounts({k: int(c) for k, c in zip(keys, draws)})
+def ideal_distribution(circuit: Circuit) -> OutcomeDistribution:
+    """Noiseless outcome distribution over the circuit's measured qubits."""
+    return distribution_from_vector(ideal_marginal(circuit), len(circuit.measured))

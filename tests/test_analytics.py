@@ -14,7 +14,6 @@ from qec422.analytics import (
     measurement_error_uncoded,
     predict_coded_ps,
     predict_coded_raw,
-    predict_full,
     predict_uncoded,
     sequence_error,
     trace_distance,
@@ -171,16 +170,6 @@ class TestPredictors:
             e2 = 40 * e1
             for L in range(10, 1001):
                 assert predict_coded_ps(L, e1, e2, 0.02) < predict_uncoded(L, e1, e2, 0.02)
-
-    def test_full_polynomial_agrees_at_small_rates(self):
-        e1, e2, pm = 1e-4, 4e-4, 1e-3
-        for L in (1, 5, 10, 20):
-            t = predict_uncoded(L, e1, e2, pm)
-            f = predict_full(L, GateSetId.REDUCED.gates, "uncoded", e1, e2, pm)
-            assert abs(t - f) < 5e-4
-
-    def test_full_polynomial_saturates(self):
-        assert predict_full(400, GateSetId.REDUCED.gates, "uncoded", 0.01, 0.4, 0.02) > 0.99
 
 
 class TestWorstCase:

@@ -177,6 +177,35 @@ class TestRun:
         assert capsys.readouterr().err.startswith("error: seeds_per_length must be positive, got 0")
         assert not out.exists()
 
+    def test_empty_lengths_refused(self, tmp_path, capsys):
+        """An empty --lengths used to write a header-only CSV and exit 0."""
+        out = tmp_path / "never.csv"
+        assert main(["run", "--lengths", "", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: no sequence lengths to run")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_non_positive_jobs_refused(self, tmp_path, capsys, jobs):
+        """A negative --jobs used to run serially without a word."""
+        out = tmp_path / "never.csv"
+        argv = ["run", "--lengths", "1", "--seeds-per-length", "1", "--jobs", jobs,
+                "--out", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith(f"error: jobs must be positive, got {jobs}")
+        assert not out.exists()
+
+    def test_analytic_xi_is_exact_under_every_channel(self, tmp_path, capsys):
+        """--analytic-xi used to refuse any Pauli, preparation or read-out noise."""
+        out = tmp_path / "exact.csv"
+        argv = ["run", "--analytic-xi", "--gate-set", "reduced", "--lengths", "1,5",
+                "--seeds-per-length", "1", "--eps1", "4e-3", "--eps2", "0.16",
+                "--p-meas", "0.02", "--p-prep", "0.01", "--out", str(out)]
+        assert main(argv) == 0
+        recs = read_records_csv(out)
+        assert len(recs) == 6
+        assert all(0.0 < r.D < 1.0 for r in recs)
+        assert all(0.0 < r.r < 1.0 for r in recs if r.scheme == "coded_ps")
+
 
 class TestPredict:
     ARGS = ["--eps1", "0.004", "--eps2", "0.16", "--p-meas", "0.02"]
@@ -201,6 +230,15 @@ class TestPredict:
         assert main(["predict", "--eps1", "0.004", "--eps2", "0.16",
                      "--lengths", "1,2,3"]) == 0
         assert "no crossover" not in capsys.readouterr().out
+
+    def test_empty_lengths_refused(self, tmp_path, capsys):
+        """An empty --lengths used to print "no crossover"."""
+        out = tmp_path / "never.csv"
+        assert main(["predict", *self.ARGS, "--lengths", "", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: no sequence lengths to predict")
+        assert "crossover" not in captured.out
+        assert not out.exists()
 
 
 class TestVerifyFt:
@@ -249,6 +287,13 @@ class TestSweepTheta:
         assert len(ps) == 2
         assert ps[0].r == 1.0
         assert abs(ps[1].r - 0.5) < 0.05
+
+    def test_empty_thetas_refused(self, tmp_path, capsys):
+        """An empty --thetas used to write a header-only CSV and exit 0."""
+        out = tmp_path / "never.csv"
+        assert main(["sweep-theta", "--thetas", "", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: no angles to sweep")
+        assert not out.exists()
 
 
 class TestBounds:

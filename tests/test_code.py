@@ -10,7 +10,6 @@ from qec422.code import (
     LogicalGate,
     LogicalStateLabel,
     build_encoder,
-    coded_cz_only_circuit,
     coded_gate_circuit,
     codeword_distribution,
     decode,
@@ -128,7 +127,9 @@ class TestLogicalGates:
             body = list(enc.gates)
             for g in prep:
                 body += coded_gate_circuit(g)
-            cod = Circuit(4, body + coded_cz_only_circuit(), [0, 1, 2, 3])
+            cz_only = [GateInstance(GateKind.S, (q,)) for q in range(4)] + [
+                GateInstance(GateKind.Z, (1,)), GateInstance(GateKind.Z, (2,))]
+            cod = Circuit(4, body + cz_only, [0, 1, 2, 3])
             got = decode_distribution(ideal_distribution(cod))
             want = ideal_distribution(unc)
             assert trace_distance(got, want) < 1e-12

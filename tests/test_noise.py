@@ -32,12 +32,11 @@ from qec422.noise import (
 )
 from qec422.simulator import (
     PureState,
-    apply_gate,
+    _evolve,
     bitstring_of,
     ideal_distribution,
     marginal_vector,
     outcome_vector,
-    sample_counts,
 )
 from qec422.analytics import trace_distance
 
@@ -52,7 +51,7 @@ ENCODER = build_encoder(LogicalStateLabel.L00, EncoderVariant.NON_FAULT_TOLERANT
 class TestNoiseParams:
     def test_defaults_noiseless(self):
         p = NoiseParams()
-        assert p.pauli_free and p.p_meas == 0.0
+        assert (p.eps1, p.eps2, p.p_meas, p.p_prep, p.theta, p.xi) == (0.0,) * 6
 
     def test_probability_range_checked(self):
         with pytest.raises(CircuitError):
@@ -155,10 +154,6 @@ class TestMixing:
             totally_mixed(5)
         with pytest.raises(CircuitError):
             NoiseParams(xi=1.5)
-
-    def test_analytic_distribution_refuses_pauli_noise(self):
-        with pytest.raises(CircuitError):
-            noisy_distribution(ENCODER, NoiseParams(eps1=0.1))
 
 
 class TestNoisyCounts:
@@ -266,8 +261,9 @@ class TestSeedDerivation:
         assert derive_seed(1, "uncoded") != derive_seed(1, "coded")
 
     def test_derived_streams_differ(self):
-        a = sample_counts(totally_mixed(4), 1000, derive_seed(5, "x"))
-        b = sample_counts(totally_mixed(4), 1000, derive_seed(5, "y"))
+        uniform = Circuit(2, [], [0, 1])
+        a = noisy_counts(uniform, NoiseParams(xi=1.0), 1000, derive_seed(5, "x"))
+        b = noisy_counts(uniform, NoiseParams(xi=1.0), 1000, derive_seed(5, "y"))
         assert a.counts != b.counts
 
 
@@ -333,13 +329,12 @@ class TestFlipMaskTable:
                 assert table.prep_masks is None, seed
 
 
-def _merge(branches: dict, state: PureState, weight: float) -> None:
-    """Add weight to the branch holding state up to a global phase."""
-    amp = state.amplitudes
+def _merge(branches: dict, amp: np.ndarray, weight: float) -> None:
+    """Add weight to the branch holding amp up to a global phase."""
     lead = amp[np.argmax(np.abs(amp) > 1e-9)]
     key = (np.round(amp * (abs(lead) / lead), 9) + 0.0).tobytes()  # + 0.0 folds -0.0 into 0.0
     held = branches.get(key)
-    branches[key] = (state, weight + (held[1] if held else 0.0))
+    branches[key] = (amp, weight + (held[1] if held else 0.0))
 
 
 def _exact_mixture(circuit: Circuit, params: NoiseParams) -> dict[str, float]:
@@ -350,27 +345,21 @@ def _exact_mixture(circuit: Circuit, params: NoiseParams) -> dict[str, float]:
     n = circuit.n_qubits
     branches: dict = {}
     for flips in itertools.product((0, 1), repeat=n):
-        state = PureState.zero(n)
-        for q, f in enumerate(flips):
-            if f:
-                state = apply_gate(state, _g(GateKind.X, q))
-        _merge(branches, state, math.prod(params.p_prep if f else 1.0 - params.p_prep for f in flips))
+        amp = _evolve(PureState.zero(n).amplitudes, [_g(GateKind.X, q) for q, f in enumerate(flips) if f], n)
+        _merge(branches, amp, math.prod(params.p_prep if f else 1.0 - params.p_prep for f in flips))
     for g in circuit.gates:
         eps = params.eps1 if g.kind.arity == 1 else params.eps2
         labels = ONE_QUBIT_PAULIS if g.kind.arity == 1 else TWO_QUBIT_PAULIS
         after: dict = {}
-        for state, weight in branches.values():
-            state = apply_gate(state, g)
-            _merge(after, state, weight * (1.0 - eps))
+        for amp, weight in branches.values():
+            amp = _evolve(amp, [g], n)
+            _merge(after, amp, weight * (1.0 - eps))
             for label in labels if eps else ():
-                faulted = state
-                for ch, q in zip(label, g.targets):
-                    if ch != "I":
-                        faulted = apply_gate(faulted, _g(GateKind[ch], q))
-                _merge(after, faulted, weight * eps / len(labels))
+                fault = [_g(GateKind[ch], q) for ch, q in zip(label, g.targets) if ch != "I"]
+                _merge(after, _evolve(amp, fault, n), weight * eps / len(labels))
         branches = after
-    vec = sum(w * marginal_vector(st.probabilities(), n, circuit.measured)
-              for st, w in branches.values())
+    vec = sum(w * marginal_vector(np.abs(amp) ** 2, n, circuit.measured)
+              for amp, w in branches.values())
     return {bitstring_of(j, len(circuit.measured)): float(vec[j]) for j in np.flatnonzero(vec)}
 
 
@@ -382,16 +371,37 @@ def _read_out_and_xi(vec: np.ndarray, params: NoiseParams) -> np.ndarray:
     return (1.0 - params.xi) * vec + params.xi / len(vec)
 
 
-class _RecordingRng:
-    """Stands in for the generator: keeps every vector a multinomial draws from."""
+_GENERATOR = np.random.Generator
 
-    def __init__(self):
-        self.draws = []
-        self._rng = np.random.default_rng(0)
 
-    def multinomial(self, n, p):
-        self.draws.append((n, np.array(p)))
-        return self._rng.multinomial(n, p)
+def _drawn_vector(monkeypatch, circuit: Circuit, params: NoiseParams, shots: int = 1000) -> np.ndarray:
+    """The one vector a noisy_counts call hands to its one multinomial."""
+    draws = []
+
+    class Recording:
+        def __init__(self, bit_generator):
+            self._rng = _GENERATOR(bit_generator)
+
+        def multinomial(self, n, p):
+            draws.append(np.array(p))
+            return self._rng.multinomial(n, p)
+
+    with monkeypatch.context() as m:
+        m.setattr(np.random, "Generator", Recording)
+        counts = noisy_counts(circuit, params, shots, 0)
+    [p] = draws
+    assert counts.total == shots
+    return p
+
+
+def _with_rzs(c: Circuit, count: int, seed: int) -> Circuit:
+    """c with count RZs of random angle inserted at random places."""
+    rng = np.random.default_rng(1000 + seed)
+    gates = list(c.gates)
+    for _ in range(count):
+        rz = _g(GateKind.RZ, int(rng.integers(c.n_qubits)), angle=float(rng.uniform(-3, 3)))
+        gates.insert(int(rng.integers(0, len(gates) + 1)), rz)
+    return c.with_gates(gates)
 
 
 class TestFrameSplit:
@@ -417,21 +427,16 @@ class TestEngineCost:
     """Deterministic pins on how many statevector runs noisy_counts makes."""
 
     @staticmethod
-    def _record_configs(monkeypatch) -> list:
+    def _record_sims(monkeypatch) -> list:
         calls = []
-        original = noise._config_marginal
-
-        def counted(circuit, prep_mask, gate_faults):
-            calls.append((prep_mask, tuple(int(k) for k in gate_faults)))
-            return original(circuit, prep_mask, gate_faults)
-
-        monkeypatch.setattr(noise, "_config_marginal", counted)
+        original = noise.ideal_marginal
+        monkeypatch.setattr(noise, "ideal_marginal", lambda c: calls.append(c) or original(c))
         return calls
 
     def test_clifford_circuit_simulates_once(self, monkeypatch):
-        calls = self._record_configs(monkeypatch)
+        calls = self._record_sims(monkeypatch)
         noisy_counts(ENCODER, NoiseParams(eps1=0.05, eps2=0.1, p_meas=0.02, p_prep=0.05), 20_000, 3)
-        assert calls == [(0, ())]
+        assert calls == [ENCODER]
 
     def test_rz_path_simulates_no_configuration(self, monkeypatch):
         """RZ after the encoder's first gate: the density-matrix prefix
@@ -440,7 +445,7 @@ class TestEngineCost:
         base = Circuit(4, ENCODER.gates + coded_gate_circuit(LogicalGate.HHSWAP) * 6, [0, 1, 2, 3])
         circ = insert_coherent_rotation(base, 1.1)
         assert circ.gates[1].kind is GateKind.RZ
-        calls = self._record_configs(monkeypatch)
+        calls = self._record_sims(monkeypatch)
         generators = []
         real = np.random.Generator
 
@@ -460,6 +465,30 @@ class TestEngineCost:
         assert calls == []
         assert [g.names for g in generators] == [["multinomial"]]
 
+    def test_prefix_only_when_a_channel_fires_ahead_of_the_rz(self, monkeypatch):
+        """With the RZ as gate 0 no gate fault sits ahead of it, so only
+        preparation flips need the density matrix; without them the base
+        is the one ideal statevector run."""
+        c = parse_circuit("qubits 2\nRZ 0 0.7\nH 0\nCNOT 0 1\nMEASURE 0 1\n")
+        prefixes = []
+        original = noise._prefix_marginal
+        monkeypatch.setattr(noise, "_prefix_marginal", lambda *a: prefixes.append(a) or original(*a))
+        calls = self._record_sims(monkeypatch)
+        noisy_counts(c, NoiseParams(eps1=0.2, eps2=0.3, p_meas=0.1, xi=0.1), 100, 1)
+        assert (len(prefixes), len(calls)) == (0, 1)
+        noisy_counts(c, NoiseParams(eps1=0.2, p_prep=0.1), 100, 1)
+        assert (len(prefixes), len(calls)) == (1, 1)
+
+    def test_no_firing_site_leaves_the_base_untouched(self, random_clifford):
+        """Without a folded flip the vector is the ideal marginal itself,
+        bit for bit, mixed by xi; no transform round trip."""
+        for seed in range(10):
+            c = _with_rzs(random_clifford(seed, n_qubits=2 + seed % 3, n_extra=seed), seed % 2, seed)
+            ideal = noise.ideal_marginal(c)
+            assert np.array_equal(noise._noisy_vector(c, NoiseParams(theta=0.3)), ideal)
+            mixed = noise._noisy_vector(c, NoiseParams(xi=0.25))
+            assert np.array_equal(mixed, 0.75 * ideal + 0.25 / len(ideal))
+
 
 class TestSpectrumDraw:
     """The one multinomial per call against exact mixtures."""
@@ -469,49 +498,50 @@ class TestSpectrumDraw:
         eps1, eps2, p_prep, p_meas, xi = np.random.default_rng(seed).uniform(0.01, 0.3, 5)
         return NoiseParams(eps1=eps1, eps2=eps2, p_prep=p_prep, p_meas=p_meas, xi=xi / 3)
 
-    def test_clifford_draw_vector_is_exact(self, random_clifford):
+    def test_clifford_draw_vector_is_exact(self, monkeypatch, random_clifford):
         """A Clifford circuit's one multinomial draws from exactly the
         noisy distribution, every channel on at once."""
         for seed in range(30):
             c = random_clifford(seed, n_qubits=2 + seed % 3, n_extra=seed % 7)
             params = self._params(seed)
-            rng = _RecordingRng()
-            counts = noise._clifford_outcomes(c, params, _FlipMaskTable(c), noise._config_marginal(c, 0, ()),
-                                              1000, rng)
-            [(n, p)] = rng.draws
-            assert n == counts.sum() == 1000
+            p = _drawn_vector(monkeypatch, c, params)
             exact = outcome_vector(_exact_mixture(c, params), len(c.measured))
             assert np.max(np.abs(p - _read_out_and_xi(exact, params))) < 1e-12, seed
 
-    def test_rz_draw_vector_is_exact(self, random_clifford):
+    def test_rz_draw_vector_is_exact(self, monkeypatch, random_clifford):
         """With one or two RZs anywhere, the one vector the multinomial
         draws from is the exact noisy distribution, every channel on."""
         for seed in range(40):
-            c = random_clifford(seed, n_qubits=2 + seed % 3, n_extra=seed % 6)
-            rng = np.random.default_rng(1000 + seed)
-            gates = list(c.gates)
-            for _ in range(1 + seed % 2):
-                rz = _g(GateKind.RZ, int(rng.integers(c.n_qubits)), angle=float(rng.uniform(-3, 3)))
-                gates.insert(int(rng.integers(0, len(gates) + 1)), rz)
-            c = c.with_gates(gates)
+            c = _with_rzs(random_clifford(seed, n_qubits=2 + seed % 3, n_extra=seed % 6), 1 + seed % 2, seed)
             params = self._params(seed)
-            table = _FlipMaskTable(c)
-            assert table.split >= 0
-            draws = _RecordingRng()
-            counts = noise._clifford_outcomes(c, params, table, noise._prefix_marginal(c, params, table.split),
-                                              1000, draws)
-            [(n, p)] = draws.draws
-            assert n == counts.sum() == 1000
+            assert _FlipMaskTable(c).split >= 0
+            p = _drawn_vector(monkeypatch, c, params)
             exact = outcome_vector(_exact_mixture(c, params), len(c.measured))
             assert np.max(np.abs(p - _read_out_and_xi(exact, params))) < 1e-12, seed
 
+    def test_analytic_distribution_is_the_drawn_vector(self, monkeypatch, random_clifford):
+        """noisy_distribution is exact under every channel at once, with
+        0, 1 or 2 RZs, and is the very vector noisy_counts draws from."""
+        for seed in range(30):
+            c = _with_rzs(random_clifford(seed, n_qubits=2 + seed % 3, n_extra=seed % 6), seed % 3, seed)
+            params = self._params(seed)
+            got = outcome_vector(noisy_distribution(c, params).probs, len(c.measured))
+            exact = outcome_vector(_exact_mixture(c, params), len(c.measured))
+            assert np.max(np.abs(got - _read_out_and_xi(exact, params))) < 1e-12, seed
+            assert np.array_equal(got, _drawn_vector(monkeypatch, c, params)), seed
+
     def test_rz_path_refuses_wide_registers(self):
-        """The density matrix of 7 qubits would need a 14-qubit vector."""
+        """The density matrix of 7 qubits would need a 14-qubit vector, so
+        a 7-qubit circuit with an RZ is refused once a channel fires ahead
+        of it; read-out flips and xi alone need no density matrix."""
         gates = [_g(GateKind.H, q) for q in range(7)]
         clifford = Circuit(7, gates, list(range(7)))
         assert noisy_counts(clifford, self._params(0), 500, 1).total == 500
-        with pytest.raises(CircuitError, match="limited to 6 qubits.*got 7"):
-            noisy_counts(insert_coherent_rotation(clifford, 0.4), self._params(0), 500, 1)
+        rz = insert_coherent_rotation(clifford, 0.4)
+        assert noisy_counts(rz, NoiseParams(p_meas=0.1, xi=0.2), 500, 1).total == 500
+        for params in (NoiseParams(eps1=0.01), NoiseParams(p_prep=0.01), self._params(0)):
+            with pytest.raises(CircuitError, match="limited to 6 qubits.*got 7"):
+                noisy_counts(rz, params, 500, 1)
 
     def test_clifford_call_samples_no_faults(self, monkeypatch, random_clifford):
         def refuse(*args):
@@ -522,6 +552,18 @@ class TestSpectrumDraw:
             c = random_clifford(seed, n_qubits=2 + seed % 4, n_extra=seed)
             for shots in (1, 7, 10_000):
                 assert noisy_counts(c, self._params(seed), shots, seed).total == shots
+
+    def test_prefix_without_a_suffix_stays_a_distribution(self):
+        """A fault ahead of the RZ and none after it: the prefix is the whole
+        vector, and its rounding on q0's true zero must not reach the
+        multinomial as a negative probability."""
+        gates = [_g(GateKind.CNOT, 1, 2), _g(GateKind.H, 0)]
+        for theta in np.linspace(0.1, 3.0, 60):
+            c = Circuit(3, gates + [_g(GateKind.RZ, 0, angle=float(theta)), _g(GateKind.S, 0),
+                                    _g(GateKind.RZ, 0, angle=-float(theta)), _g(GateKind.Z, 0),
+                                    _g(GateKind.S, 0), _g(GateKind.H, 0), _g(GateKind.RZ, 0, angle=0.3)], [0])
+            assert noise._noisy_vector(c, NoiseParams(eps2=0.2)).min() >= 0.0, theta
+            assert noisy_counts(c, NoiseParams(eps2=0.2), 100, 1).counts == {"0": 100}
 
     def test_counts_sum_to_shots_on_the_rz_path(self):
         circ = insert_coherent_rotation(ENCODER, 0.8)

@@ -9,10 +9,10 @@ from qec422.simulator import (
     OutcomeDistribution,
     PureState,
     ShotCounts,
-    apply_gate,
+    _evolve,
     final_state,
     ideal_distribution,
-    sample_counts,
+    ideal_marginal,
 )
 
 
@@ -23,6 +23,11 @@ def _g(kind, *targets, angle=None):
 def _rand_state(rng: np.random.Generator, n: int) -> PureState:
     amp = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
     return PureState(n, amp / np.linalg.norm(amp))
+
+
+def _apply(state: PureState, *gates) -> PureState:
+    """state after gates, through the kernel."""
+    return PureState(state.n_qubits, _evolve(state.amplitudes, gates, state.n_qubits))
 
 
 class TestConventions:
@@ -60,32 +65,27 @@ class TestGateSemantics:
         assert ideal_distribution(c).probs == {"001": 1.0}
 
     def test_cz_phase(self):
-        state = PureState.zero(2)
-        for gate in (_g(GateKind.H, 0), _g(GateKind.X, 1), _g(GateKind.CZ, 0, 1)):
-            state = apply_gate(state, gate)
+        state = _apply(PureState.zero(2), _g(GateKind.H, 0), _g(GateKind.X, 1), _g(GateKind.CZ, 0, 1))
         # |11> picked up a minus sign relative to |01>
         np.testing.assert_allclose(state.amplitudes[2], 1 / np.sqrt(2), atol=1e-12)
         np.testing.assert_allclose(state.amplitudes[3], -1 / np.sqrt(2), atol=1e-12)
 
     def test_s_phase(self):
-        state = apply_gate(apply_gate(PureState.zero(1), _g(GateKind.X, 0)),
-                           _g(GateKind.S, 0))
+        state = _apply(PureState.zero(1), _g(GateKind.X, 0), _g(GateKind.S, 0))
         np.testing.assert_allclose(state.amplitudes[1], 1j, atol=1e-12)
 
     def test_y_action(self):
-        state = apply_gate(PureState.zero(1), _g(GateKind.Y, 0))
+        state = _apply(PureState.zero(1), _g(GateKind.Y, 0))
         np.testing.assert_allclose(state.amplitudes, [0, 1j], atol=1e-12)
 
     def test_rz_relative_phase(self):
         theta = 0.8
-        state = PureState.zero(1)
-        state = apply_gate(state, _g(GateKind.H, 0))
-        state = apply_gate(state, _g(GateKind.RZ, 0, angle=theta))
+        state = _apply(PureState.zero(1), _g(GateKind.H, 0), _g(GateKind.RZ, 0, angle=theta))
         ratio = state.amplitudes[1] / state.amplitudes[0]
         np.testing.assert_allclose(ratio, np.exp(1j * theta), atol=1e-12)
 
     def test_single_qubit_gates_match_kron_oracle(self):
-        """apply_gate agrees with explicit kron-product matrices on 3 qubits."""
+        """The kernel agrees with explicit kron-product matrices on 3 qubits."""
         mats = {
             GateKind.X: np.array([[0, 1], [1, 0]], dtype=complex),
             GateKind.Y: np.array([[0, -1j], [1j, 0]]),
@@ -102,7 +102,7 @@ class TestGateSemantics:
                 factors = [eye, eye, eye]
                 factors[2 - q] = mat
                 big = np.kron(np.kron(factors[0], factors[1]), factors[2])
-                got = apply_gate(state, _g(kind, q)).amplitudes
+                got = _apply(state, _g(kind, q)).amplitudes
                 np.testing.assert_allclose(got, big @ state.amplitudes, atol=1e-12)
 
 
@@ -117,7 +117,7 @@ class TestAlgebraicProperties:
         ]
         for gate in twice:
             state = _rand_state(rng, 3)
-            out = apply_gate(apply_gate(state, gate), gate)
+            out = _apply(state, gate, gate)
             np.testing.assert_allclose(out.amplitudes, state.amplitudes, atol=1e-10)
 
     def test_rz_composition(self):
@@ -125,9 +125,8 @@ class TestAlgebraicProperties:
         rng = np.random.default_rng(12)
         a, b = 0.7, -1.9
         state = _rand_state(rng, 2)
-        one = apply_gate(apply_gate(state, _g(GateKind.RZ, 1, angle=a)),
-                         _g(GateKind.RZ, 1, angle=b))
-        both = apply_gate(state, _g(GateKind.RZ, 1, angle=a + b))
+        one = _apply(state, _g(GateKind.RZ, 1, angle=a), _g(GateKind.RZ, 1, angle=b))
+        both = _apply(state, _g(GateKind.RZ, 1, angle=a + b))
         np.testing.assert_allclose(one.amplitudes, both.amplitudes, atol=1e-12)
 
     def test_norm_preserved_on_random_circuits(self):
@@ -141,7 +140,7 @@ class TestAlgebraicProperties:
                 kind = kinds[int(rng.integers(0, len(kinds)))]
                 targets = tuple(int(q) for q in rng.choice(n, size=kind.arity, replace=False))
                 angle = float(rng.normal()) if kind.takes_angle else None
-                state = apply_gate(state, _g(kind, *targets, angle=angle))
+                state = _apply(state, _g(kind, *targets, angle=angle))
             assert abs(np.sum(np.abs(state.amplitudes) ** 2) - 1.0) < 1e-10
 
 
@@ -199,27 +198,30 @@ def _reference_marginal(amp: np.ndarray, n: int, measured: list) -> np.ndarray:
 
 
 class TestKernelAgainstUnitaries:
-    def test_final_state_and_apply_gate(self):
-        """final_state from a random initial state, and apply_gate folded
-        over the same gates, equal the product of reference unitaries."""
+    def test_evolve_from_random_states(self):
+        """_evolve from a random state, over all the gates at once and
+        folded one gate at a time, and final_state from |0...0>, equal
+        the product of reference unitaries."""
         rng = np.random.default_rng(21)
         for n in range(1, 7):
             for _ in range(6):
                 gates = _random_gates(rng, n, int(rng.integers(0, 30)))
-                initial = _rand_state(rng, n)
-                want = initial.amplitudes
+                initial = _rand_state(rng, n).amplitudes
+                want, want_zero = initial, np.eye(1 << n)[0]
                 for g in gates:
-                    want = _unitary(g, n) @ want
-                got = final_state(Circuit(n, gates, []), initial).amplitudes
-                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
-                state = initial
+                    want, want_zero = _unitary(g, n) @ want, _unitary(g, n) @ want_zero
+                np.testing.assert_allclose(_evolve(initial, gates, n), want, rtol=0, atol=1e-12)
+                amp = initial
                 for g in gates:
-                    state = apply_gate(state, g)
-                np.testing.assert_allclose(state.amplitudes, want, rtol=0, atol=1e-12)
+                    amp = _evolve(amp, [g], n)
+                np.testing.assert_allclose(amp, want, rtol=0, atol=1e-12)
+                got = final_state(Circuit(n, gates, [])).amplitudes
+                np.testing.assert_allclose(got, want_zero, rtol=0, atol=1e-12)
 
-    def test_config_marginal_with_faults(self):
-        """_config_marginal with random preparation masks and fault indices
-        equals the reference with the X flips and fault Paulis inserted."""
+    def test_ideal_marginal_with_inserted_faults(self):
+        """ideal_marginal of a circuit with random preparation X flips and
+        fault Paulis inserted into its gate list, the way verify-ft builds
+        a faulted circuit, equals the reference marginal."""
         rng = np.random.default_rng(22)
         for n in range(1, 7):
             for _ in range(6):
@@ -230,16 +232,20 @@ class TestKernelAgainstUnitaries:
                           for g in gates[:int(rng.integers(0, len(gates) + 1))]]
                 amp = np.zeros(1 << n, dtype=complex)
                 amp[0] = 1.0
+                faulted = []
                 for q in range(n):
                     if (prep >> q) & 1:
                         amp = _embed({q: _X}, n) @ amp
+                        faulted.append(_g(GateKind.X, q))
                 for i, g in enumerate(gates):
                     amp = _unitary(g, n) @ amp
+                    faulted.append(g)
                     k = faults[i] if i < len(faults) else 0
                     if k:
                         labels = noise.ONE_QUBIT_PAULIS if g.kind.arity == 1 else noise.TWO_QUBIT_PAULIS
                         amp = _embed({q: _PAULI[c] for c, q in zip(labels[k - 1], g.targets)}, n) @ amp
-                got = noise._config_marginal(Circuit(n, gates, measured), prep, np.array(faults))
+                        faulted += noise._pauli_gates(labels[k - 1], g.targets)
+                got = ideal_marginal(Circuit(n, faulted, measured))
                 np.testing.assert_allclose(got, _reference_marginal(amp, n, measured),
                                            rtol=0, atol=1e-12)
 
@@ -252,27 +258,19 @@ class TestKernelValidation:
         circuit.gates.append(_g(GateKind.CNOT, 0, 3))  # bypasses Circuit's own check
         for _ in range(2):
             with pytest.raises(CircuitError, match="qubit 2"):
-                apply_gate(PureState.zero(2), _g(GateKind.X, 2))
+                _evolve(PureState.zero(2).amplitudes, [_g(GateKind.X, 2)], 2)
             with pytest.raises(CircuitError, match="qubit 3"):
-                final_state(circuit, PureState.zero(2))
+                final_state(circuit)
         assert simulator._table.cache_info().currsize <= before + 1  # only H 0
 
     def test_bad_initial_state_refused(self):
         for amp in ([1.0, 1.0], [np.nan, 0.0], [np.inf, 0.0], [1.0, 1j * np.inf]):
             with pytest.raises(CircuitError):
                 PureState(1, np.array(amp))
-        # a state corrupted after construction is caught when the result is built
-        state = PureState.zero(2)
-        state.amplitudes = np.array([1.0, 1.0, 0.0, 0.0], dtype=complex)
-        with pytest.raises(CircuitError, match="norm"):
-            final_state(Circuit(2, [_g(GateKind.H, 0)], [0]), state)
-        state.amplitudes = np.array([np.nan, 0.0, 0.0, 0.0], dtype=complex)
-        with pytest.raises(CircuitError, match="non-finite"):
-            final_state(Circuit(2, [_g(GateKind.H, 0)], [0]), state)
 
     def test_one_validation_per_circuit(self, monkeypatch):
-        """final_state builds the zero state and the result whatever the
-        gate count, and _config_marginal builds only the zero state."""
+        """final_state, and so ideal_marginal, builds the zero state and
+        the result whatever the gate count."""
         built = []
         original = PureState.__post_init__
         monkeypatch.setattr(PureState, "__post_init__",
@@ -284,8 +282,8 @@ class TestKernelValidation:
             final_state(circuit)
             assert len(built) == 2
             built.clear()
-            noise._config_marginal(circuit, 0b0101, [1] * len(circuit.gates))
-            assert len(built) == 1
+            ideal_marginal(circuit)
+            assert len(built) == 2
 
     def test_cached_tables_are_read_only(self):
         """Every caller shares the cached arrays, so none may write them."""
@@ -329,21 +327,6 @@ class TestDistributions:
 
 
 class TestSampling:
-    def test_counts_sum_to_shots(self):
-        d = OutcomeDistribution({"00": 0.25, "01": 0.25, "10": 0.25, "11": 0.25})
-        counts = sample_counts(d, 10_000, seed=3)
-        assert counts.total == 10_000
-
-    def test_deterministic_for_fixed_seed(self):
-        d = OutcomeDistribution({"0": 0.3, "1": 0.7})
-        assert sample_counts(d, 5000, 9).counts == sample_counts(d, 5000, 9).counts
-
-    def test_frequencies_track_probabilities(self):
-        d = OutcomeDistribution({"0": 0.3, "1": 0.7})
-        counts = sample_counts(d, 100_000, 17)
-        # 3 sigma of a 0.3 binomial at 1e5 shots
-        assert abs(counts.counts["0"] / 100_000 - 0.3) < 3 * np.sqrt(0.3 * 0.7 / 100_000)
-
     def test_empirical_distribution(self):
         sc = ShotCounts({"00": 75, "11": 25})
         d = sc.to_distribution()
