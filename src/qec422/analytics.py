@@ -19,25 +19,26 @@ from dataclasses import dataclass
 from math import comb
 from typing import Mapping
 
+import numpy as np
+
 from .circuits import CircuitError
-from .code import LogicalGate
 from .noise import totally_mixed
-from .simulator import OutcomeDistribution
+from .simulator import OutcomeDistribution, string_order
 
 DistributionLike = OutcomeDistribution | Mapping[str, float]
 
 
-def _probs(d: DistributionLike) -> Mapping[str, float]:
-    return d.probs if isinstance(d, OutcomeDistribution) else d
+def _dist(d: DistributionLike) -> OutcomeDistribution:
+    return d if isinstance(d, OutcomeDistribution) else OutcomeDistribution(d)
 
 
 def trace_distance(p: DistributionLike, q: DistributionLike) -> float:
-    """D = half the L1 distance over the union of supports."""
-    pp, qq = _probs(p), _probs(q)
-    # sorted union: summation order must not depend on hash salting, or
-    # reruns in fresh processes drift by an ulp and break bit-exact CSVs
-    keys = sorted(set(pp) | set(qq))
-    return 0.5 * sum(abs(pp.get(k, 0.0) - qq.get(k, 0.0)) for k in keys)
+    """D = half the L1 distance between two distributions of one width."""
+    p, q = _dist(p), _dist(q)
+    if p.n_bits != q.n_bits:
+        raise CircuitError(f"cannot compare {p.n_bits}-bit and {q.n_bits}-bit distributions")
+    # summed in sorted-bitstring order, so a CSV value does not depend on the vector layout
+    return 0.5 * sum(np.abs(p.vec - q.vec)[string_order(p.n_bits)].tolist())
 
 
 def _clamp(x: float) -> float:
@@ -92,42 +93,6 @@ def sequence_error(p_block: float, length: int) -> float:
     return _clamp(1.0 - (1.0 - _clamp(p_block)) ** length)
 
 
-# Per-logical-gate counts (n1, n2) for each scheme.  The uncoded CZZZ is
-# CZ + two Z; uncoded HHSWAP is two H + a SWAP done as three CNOTs; every
-# coded block is transversal.
-GATE_COUNTS_UNCODED: dict[LogicalGate, tuple[int, int]] = {
-    LogicalGate.X0: (1, 0),
-    LogicalGate.X1: (1, 0),
-    LogicalGate.Z0: (1, 0),
-    LogicalGate.Z1: (1, 0),
-    LogicalGate.CZZZ: (2, 1),
-    LogicalGate.HHSWAP: (2, 3),
-}
-
-GATE_COUNTS_CODED: dict[LogicalGate, tuple[int, int]] = {g: (4, 0) if g in (LogicalGate.CZZZ, LogicalGate.HHSWAP) else (2, 0) for g in LogicalGate}
-
-
-def average_block_error(gates: tuple[LogicalGate, ...], scheme: str,
-                        eps1: float, eps2: float, truncated: bool = True) -> float:
-    """Mean per-block fault probability over a uniformly drawn gate set.
-
-    truncated keeps terms to first order in each block (the form the
-    closed-form predictors use); truncated=False averages the exact
-    union probabilities.
-    """
-    counts = {"uncoded": GATE_COUNTS_UNCODED, "coded": GATE_COUNTS_CODED}[scheme]
-    total = 0.0
-    for g in gates:
-        n1, n2 = counts[g]
-        if truncated:
-            # first order per arity, plus the n1=4 blocks' C(4,2) eps1^2 term
-            # that the coded predictors keep (4 eps1 + 6 eps1^2)
-            total += n1 * eps1 + n2 * eps2 + (comb(n1, 2) * eps1 ** 2 if n2 == 0 else 0.0)
-        else:
-            total += block_error(n1, n2, eps1, eps2).any_fault
-    return total / len(gates)
-
-
 # ---------------------------------------------------------------------------
 # Scheme-level predictors
 # ---------------------------------------------------------------------------
@@ -174,7 +139,7 @@ def worst_case_bound(ideal: DistributionLike, n_bits: int | None = None) -> floa
     1 - k/d: 0.75 for a single 4-outcome string, 0.5 for a 2-string
     superposition, 0 when the ideal is already flat.
     """
-    pp = _probs(ideal)
-    if n_bits is None:
-        n_bits = len(next(iter(pp)))
-    return trace_distance(pp, totally_mixed(1 << n_bits))
+    ideal = _dist(ideal)
+    if n_bits is not None and n_bits != ideal.n_bits:
+        raise CircuitError(f"n_bits {n_bits} differs from the ideal's width {ideal.n_bits}")
+    return trace_distance(ideal, totally_mixed(len(ideal.vec)))

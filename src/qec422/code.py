@@ -7,17 +7,21 @@ discarding odd-parity outcomes.  Logical operators act transversally
 cheap enough to beat their uncoded versions under two-qubit-dominated
 noise.
 
-Post-selection and decoding work on dense outcome vectors: entry j
-holds the counts or probability of the read-out string whose k-th bit
-is bit k of j, the layout of simulator.marginal_vector.  selection_split
-is the one implementation of the discard rule and DECODE_INDEX the one
-decode table, a 16-entry map from data index to logical index:
+Every gate block is data: _GATE_BLOCKS holds each logical gate's coded
+and uncoded realization as a frozen tuple built at import, and the
+block functions hand out fresh lists of it.
+
+Post-selection and decoding read the .vec of ShotCounts and
+OutcomeDistribution: entry j holds the counts or probability of the
+read-out string whose k-th bit is bit k of j, the layout of
+simulator.marginal_vector.  selection_split is the one implementation of
+the discard rule and DECODE_INDEX the one decode table, a 16-entry map
+from data index to logical index:
 
     0000, 1111 -> 00      1010, 0101 -> 10
     1100, 0011 -> 01      0110, 1001 -> 11
 
-equivalently Q0 = q0 xor q1, Q1 = q0 xor q2.  The string-keyed functions
-convert to a vector once on entry and back once on return.
+equivalently Q0 = q0 xor q1, Q1 = q0 xor q2.
 """
 
 from __future__ import annotations
@@ -29,15 +33,7 @@ from functools import lru_cache
 import numpy as np
 
 from .circuits import Circuit, CircuitError, GateInstance, GateKind
-from .simulator import (
-    OutcomeDistribution,
-    ShotCounts,
-    bitstring_of,
-    counts_from_vector,
-    distribution_from_vector,
-    index_of,
-    outcome_vector,
-)
+from .simulator import OutcomeDistribution, ShotCounts, bitstring_of, index_of, string_order
 
 DATA_QUBITS = 4
 
@@ -85,16 +81,12 @@ def codeword_distribution(label: LogicalStateLabel) -> OutcomeDistribution:
 # Encoders
 # ---------------------------------------------------------------------------
 
-def _g(kind: GateKind, *targets: int) -> GateInstance:
-    return GateInstance(kind, targets)
+def _block(*specs: str) -> tuple[GateInstance, ...]:
+    """Gates from specs such as "CNOT 0 1"."""
+    return tuple(GateInstance(GateKind[k], tuple(map(int, q))) for k, *q in map(str.split, specs))
 
-def _l00_core() -> list[GateInstance]:
-    return [
-        _g(GateKind.H, 1),
-        _g(GateKind.CNOT, 1, 0),
-        _g(GateKind.CNOT, 1, 2),
-        _g(GateKind.CNOT, 2, 3),
-    ]
+
+_L00_CORE = _block("H 1", "CNOT 1 0", "CNOT 1 2", "CNOT 2 3")
 
 
 def build_encoder(label: LogicalStateLabel, variant: EncoderVariant) -> Circuit:
@@ -113,26 +105,21 @@ def build_encoder(label: LogicalStateLabel, variant: EncoderVariant) -> Circuit:
 
     if label is LogicalStateLabel.L00:
         if nonft:
-            return Circuit(4, _l00_core(), [0, 1, 2, 3])
-        gates = _l00_core() + [_g(GateKind.CNOT, 0, 4), _g(GateKind.CNOT, 3, 4)]
-        return Circuit(5, gates, [0, 1, 2, 3, 4])
+            return Circuit(4, list(_L00_CORE), [0, 1, 2, 3])
+        return Circuit(5, list(_L00_CORE + _block("CNOT 0 4", "CNOT 3 4")), [0, 1, 2, 3, 4])
     if label is LogicalStateLabel.L01:
-        return Circuit(4, _l00_core() + coded_gate_circuit(LogicalGate.X1), [0, 1, 2, 3])
+        return Circuit(4, list(_L00_CORE) + coded_gate_circuit(LogicalGate.X1), [0, 1, 2, 3])
     if label is LogicalStateLabel.L10:
-        return Circuit(4, _l00_core() + coded_gate_circuit(LogicalGate.X0), [0, 1, 2, 3])
+        return Circuit(4, list(_L00_CORE) + coded_gate_circuit(LogicalGate.X0), [0, 1, 2, 3])
     if label is LogicalStateLabel.L11:
-        gates = _l00_core() + coded_gate_circuit(LogicalGate.X1) + coded_gate_circuit(LogicalGate.X0)
-        return Circuit(4, gates, [0, 1, 2, 3])
+        return Circuit(4, list(_L00_CORE) + coded_gate_circuit(LogicalGate.X1)
+                       + coded_gate_circuit(LogicalGate.X0), [0, 1, 2, 3])
     if label is LogicalStateLabel.L0PLUS:
         # Bell pair on (q0,q1) times Bell pair on (q2,q3)
-        gates = [_g(GateKind.H, 0), _g(GateKind.CNOT, 0, 1),
-                 _g(GateKind.H, 2), _g(GateKind.CNOT, 2, 3)]
-        return Circuit(4, gates, [0, 1, 2, 3])
+        return Circuit(4, list(_block("H 0", "CNOT 0 1", "H 2", "CNOT 2 3")), [0, 1, 2, 3])
     if label is LogicalStateLabel.LPHIPLUS:
         # Bell pair on (q0,q3) times Bell pair on (q1,q2)
-        gates = [_g(GateKind.H, 0), _g(GateKind.CNOT, 0, 3),
-                 _g(GateKind.H, 1), _g(GateKind.CNOT, 1, 2)]
-        return Circuit(4, gates, [0, 1, 2, 3])
+        return Circuit(4, list(_block("H 0", "CNOT 0 3", "H 1", "CNOT 1 2")), [0, 1, 2, 3])
     raise CircuitError(f"unsupported encoder ({label}, {variant})")  # pragma: no cover
 
 
@@ -140,41 +127,33 @@ def build_encoder(label: LogicalStateLabel, variant: EncoderVariant) -> Circuit:
 # Logical gate blocks
 # ---------------------------------------------------------------------------
 
+# (transversal block on the four data qubits, bare block on two qubits)
+# of every logical gate; the bare SWAP is three CNOTs
+_GATE_BLOCKS: dict[LogicalGate, tuple[tuple[GateInstance, ...], tuple[GateInstance, ...]]] = {
+    LogicalGate.X0: (_block("X 0", "X 2"), _block("X 0")),
+    LogicalGate.X1: (_block("X 0", "X 1"), _block("X 1")),
+    LogicalGate.Z0: (_block("Z 0", "Z 1"), _block("Z 0")),
+    LogicalGate.Z1: (_block("Z 0", "Z 2"), _block("Z 1")),
+    LogicalGate.CZZZ: (_block("S 0", "S 1", "S 2", "S 3"), _block("CZ 0 1", "Z 0", "Z 1")),
+    LogicalGate.HHSWAP: (_block("H 0", "H 1", "H 2", "H 3"),
+                         _block("H 0", "H 1", "CNOT 0 1", "CNOT 1 0", "CNOT 0 1")),
+}
+
+
+def _gate_blocks(gate: LogicalGate) -> tuple[tuple[GateInstance, ...], tuple[GateInstance, ...]]:
+    if not isinstance(gate, LogicalGate):
+        raise CircuitError(f"unknown logical gate {gate}")
+    return _GATE_BLOCKS[gate]
+
+
 def coded_gate_circuit(gate: LogicalGate) -> list[GateInstance]:
-    """Transversal realization on the four data qubits."""
-    if gate is LogicalGate.X0:
-        return [_g(GateKind.X, 0), _g(GateKind.X, 2)]
-    if gate is LogicalGate.X1:
-        return [_g(GateKind.X, 0), _g(GateKind.X, 1)]
-    if gate is LogicalGate.Z0:
-        return [_g(GateKind.Z, 0), _g(GateKind.Z, 1)]
-    if gate is LogicalGate.Z1:
-        return [_g(GateKind.Z, 0), _g(GateKind.Z, 2)]
-    if gate is LogicalGate.CZZZ:
-        return [_g(GateKind.S, q) for q in range(4)]
-    if gate is LogicalGate.HHSWAP:
-        return [_g(GateKind.H, q) for q in range(4)]
-    raise CircuitError(f"unknown logical gate {gate}")  # pragma: no cover
+    """Transversal realization on the four data qubits, as a fresh list."""
+    return list(_gate_blocks(gate)[0])
 
 
 def uncoded_gate_circuit(gate: LogicalGate) -> list[GateInstance]:
-    """Bare two-qubit realization; SWAP is expanded into three CNOTs."""
-    if gate is LogicalGate.X0:
-        return [_g(GateKind.X, 0)]
-    if gate is LogicalGate.X1:
-        return [_g(GateKind.X, 1)]
-    if gate is LogicalGate.Z0:
-        return [_g(GateKind.Z, 0)]
-    if gate is LogicalGate.Z1:
-        return [_g(GateKind.Z, 1)]
-    if gate is LogicalGate.CZZZ:
-        return [_g(GateKind.CZ, 0, 1), _g(GateKind.Z, 0), _g(GateKind.Z, 1)]
-    if gate is LogicalGate.HHSWAP:
-        return [
-            _g(GateKind.H, 0), _g(GateKind.H, 1),
-            _g(GateKind.CNOT, 0, 1), _g(GateKind.CNOT, 1, 0), _g(GateKind.CNOT, 0, 1),
-        ]
-    raise CircuitError(f"unknown logical gate {gate}")  # pragma: no cover
+    """Bare two-qubit realization, as a fresh list; SWAP is expanded into three CNOTs."""
+    return list(_gate_blocks(gate)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -187,9 +166,6 @@ ODD = 4
 DECODE_INDEX = np.array([0, ODD, ODD, 2, ODD, 1, 3, ODD, ODD, 3, 1, ODD, 2, ODD, ODD, 0])
 # data index with bits 0 and 1 exchanged, for relabel_swap01
 _SWAP01 = np.array([(j & ~3) | ((j & 1) << 1) | ((j >> 1) & 1) for j in range(16)])
-# Retention sums the data entries in bitstring order: the order moves the
-# last bit, and CSV values must not depend on the vector layout.
-_STRING_ORDER = sorted(range(16), key=lambda j: bitstring_of(j, DATA_QUBITS))
 _PARITY_BIN, _ANCILLA_BIN = 16, 17
 
 
@@ -253,37 +229,41 @@ class PostSelectionResult:
         return self.accepted / self.raw_total if self.raw_total else 0.0
 
 
-def _split_strings(entries: dict, ancilla_present: bool) -> tuple[np.ndarray, float, float]:
-    """selection_split on strings; an ancilla read-out is the fifth character."""
-    vec = outcome_vector(entries, DATA_QUBITS + (1 if ancilla_present else 0))
-    return selection_split(vec, DATA_QUBITS if ancilla_present else None)
+def _select(outcomes: ShotCounts | OutcomeDistribution,
+            ancilla_present: bool) -> tuple[np.ndarray, float, float]:
+    """selection_split of the outcome vector; an ancilla read-out is the fifth bit."""
+    width = DATA_QUBITS + (1 if ancilla_present else 0)
+    if outcomes.n_bits != width:
+        raise CircuitError(f"expected {width}-bit outcomes, got {outcomes.n_bits}")
+    return selection_split(outcomes.vec, DATA_QUBITS if ancilla_present else None)
 
 
 def post_select(raw: ShotCounts, ancilla_present: bool = False) -> PostSelectionResult:
     """Discard odd-parity strings and, with ancilla_present, strings whose
     fifth (ancilla) bit is 1.  Retained counts keep only the data bits."""
-    retained, parity_rej, ancilla_rej = _split_strings(raw.counts, ancilla_present)
-    return PostSelectionResult(counts_from_vector(retained, DATA_QUBITS), raw.total,
-                               int(parity_rej), int(ancilla_rej))
+    retained, parity_rej, ancilla_rej = _select(raw, ancilla_present)
+    return PostSelectionResult(ShotCounts(retained), raw.total, int(parity_rej), int(ancilla_rej))
 
 
 def post_select_distribution(dist: OutcomeDistribution, ancilla_present: bool = False
                              ) -> tuple[OutcomeDistribution | None, float]:
     """Analytic post-selection: (renormalized retained distribution, retention r);
-    the distribution is None when nothing is retained."""
-    retained, _, _ = _split_strings(dist.probs, ancilla_present)
-    r = sum(retained[_STRING_ORDER].tolist())
+    the distribution is None when nothing is retained.  r sums the
+    retained entries in sorted-bitstring order."""
+    retained, _, _ = _select(dist, ancilla_present)
+    r = sum(retained[string_order(DATA_QUBITS)].tolist())
     if r <= 0.0:
         return None, 0.0
-    return distribution_from_vector(retained / r, DATA_QUBITS), r
+    return OutcomeDistribution(retained / r), r
 
 
 def decode_distribution(dist: OutcomeDistribution,
                         relabel_swap01: bool = False) -> OutcomeDistribution:
     """Aggregate a 4-bit distribution with even-parity support into logical outcomes."""
-    data = outcome_vector(dist.probs, DATA_QUBITS)
-    logical = np.bincount(DECODE_INDEX, weights=data[_SWAP01] if relabel_swap01 else data,
+    if dist.n_bits != DATA_QUBITS:
+        raise CircuitError(f"expected {DATA_QUBITS}-bit outcomes, got {dist.n_bits}")
+    logical = np.bincount(DECODE_INDEX, weights=dist.vec[_SWAP01] if relabel_swap01 else dist.vec,
                           minlength=ODD + 1)
     if logical[ODD]:
         raise CircuitError("cannot decode odd-parity strings; post-select first")
-    return distribution_from_vector(logical[:ODD], 2)
+    return OutcomeDistribution(logical[:ODD])

@@ -26,18 +26,18 @@ import numpy as np
 from .analytics import trace_distance
 from .circuits import Circuit, CircuitError
 from .code import (
+    DATA_QUBITS,
     EncoderVariant,
     LogicalGate,
     LogicalStateLabel,
     build_encoder,
     coded_gate_circuit,
     decode_distribution,
-    post_select,
-    post_select_distribution,
+    selection_split,
     uncoded_gate_circuit,
 )
-from .noise import NoiseParams, derive_seed, insert_coherent_rotation, noisy_counts, noisy_distribution
-from .simulator import ideal_distribution
+from .noise import NoiseParams, derive_seed, insert_coherent_rotation, noisy_vector, sample_outcomes
+from .simulator import PRUNE_TOL, OutcomeDistribution, ideal_marginal, string_order
 
 DEFAULT_SHOTS = 8192
 MAX_SEQUENCE_LENGTH = 1000
@@ -125,7 +125,7 @@ _FLOAT_COLUMNS = {"r", "D", "D_decoded", "eps1", "eps2", "p_meas", "p_prep", "th
 @dataclass
 class ExperimentRecord:
     """One CSV row.  Floats are written with repr so they read back
-    bit-exactly; gamma is round(r * shots) in analytic-xi runs."""
+    bit-exactly; gamma is round(r * shots) on both paths."""
 
     experiment_id: str
     gate_set: str
@@ -201,41 +201,45 @@ def run_pair(sequence: list[LogicalGate], params: NoiseParams, shots: int,
 
     params.theta != 0 inserts the coherent rotation after the coded
     encoder's Hadamard (the uncoded circuit has no encoder and runs
-    clean of it).  With analytic_xi the exact noisy distributions, under
-    every channel, replace sampling and D carries no shot noise.  When
-    post-selection retains nothing (theta = pi), the coded_ps row
-    reports the worst case D = 1 with gamma = 0.
+    clean of it).  Each side's weights are one multinomial draw from its
+    exact noisy vector (total shots) or, with analytic_xi, the pruned
+    vector itself (total 1, so D carries no shot noise); one
+    post-selection serves both, and gamma = round(r * shots).  The
+    unrotated circuits' ideal marginals are the engine's bases, so each
+    is simulated once.  When post-selection retains nothing (theta = pi),
+    the coded_ps row reports the worst case D = 1 with gamma = 0.
     """
     if shots < 1:
         raise CircuitError(f"shots must be positive, got {shots}")
     unc, cod = build_pair(sequence)
-    ideal_u = ideal_distribution(unc)
-    ideal_c = ideal_distribution(cod)
+    base_u, base_c = ideal_marginal(unc), ideal_marginal(cod)
+    ideal_u, ideal_c = OutcomeDistribution(base_u), OutcomeDistribution(base_c)
     decoded_ideal = decode_distribution(ideal_c)
     if params.theta != 0.0:
-        cod = insert_coherent_rotation(cod, params.theta)
+        cod, base_c = insert_coherent_rotation(cod, params.theta), None
     L = len(sequence)
     stamp = _utc_now()
 
-    if analytic_xi:
-        dist_u = noisy_distribution(unc, params)
-        dist_c = noisy_distribution(cod, params)
-        retained, r = post_select_distribution(dist_c)
-        gamma = round(r * shots)
+    def weights(circuit: Circuit, base: np.ndarray | None, tag: str) -> np.ndarray:
+        vec = noisy_vector(circuit, params, base)
+        if analytic_xi:
+            return np.where(vec >= PRUNE_TOL, vec, 0.0)
+        return sample_outcomes(vec, shots, derive_seed(seed, tag))
+
+    w_u, w_c = weights(unc, base_u, "uncoded"), weights(cod, base_c, "coded")
+    total = 1.0 if analytic_xi else shots
+    retained, _, _ = selection_split(w_c)
+    kept = sum(retained[string_order(DATA_QUBITS)].tolist())
+    r = kept / total
+    gamma = round(r * shots)
+    D_u = trace_distance(ideal_u, OutcomeDistribution(w_u / total))
+    D_raw = trace_distance(ideal_c, OutcomeDistribution(w_c / total))
+    if kept > 0.0:
+        kept_dist = OutcomeDistribution(retained / kept)
+        D_ps = trace_distance(ideal_c, kept_dist)
+        D_dec = trace_distance(decoded_ideal, decode_distribution(kept_dist))
     else:
-        counts_u = noisy_counts(unc, params, shots, derive_seed(seed, "uncoded"))
-        counts_c = noisy_counts(cod, params, shots, derive_seed(seed, "coded"))
-        dist_u, dist_c = counts_u.to_distribution(), counts_c.to_distribution()
-        ps = post_select(counts_c)
-        r, gamma = ps.retention, ps.accepted
-        retained = ps.retained.to_distribution() if gamma else None
-    D_u = trace_distance(ideal_u, dist_u)
-    D_raw = trace_distance(ideal_c, dist_c)
-    if retained is None:
         D_ps, D_dec = 1.0, 1.0
-    else:
-        D_ps = trace_distance(ideal_c, retained)
-        D_dec = trace_distance(decoded_ideal, decode_distribution(retained))
 
     def rec(scheme: str, gam: int, rr: float, D: float, D_decoded: float,
             dim: int) -> ExperimentRecord:

@@ -9,24 +9,25 @@ with probability p_meas.  A coherent miscalibration is modeled as an
 RZ(theta) inserted after the first Hadamard, and xi mixes the final
 distribution toward uniform.
 
-One engine, _noisy_vector, computes a circuit's exact noisy read-out
-distribution; noisy_counts draws all its shots from it with one
-multinomial and noisy_distribution returns it.  One backward sweep of
-the Pauli frame (_FlipMaskTable) carries each measured Z observable from
-the end of the circuit back to its last RZ; a fault after any gate from
-there on is Clifford-propagated to an X-type read-out flip mask.  The
-base vector is the read-out marginal before those flips.  When a channel
-fires ahead of the last RZ (a preparation flip, or a fault after an
-earlier gate), the base is the exact density matrix's diagonal, from
-evolving vec(rho) on 2n qubits through the statevector kernel, which
-limits such a circuit to 6 qubits; otherwise it is the ideal statevector
-marginal.  Every folded flip is independent of the base and XORs onto
-it, and XOR-convolution is a pointwise product in the Walsh-Hadamard
-domain, so the suffix is one O(m 2^m) product with an O(G m 2^m)
-spectrum, skipped when no folded site fires.  Last, xi mixes toward
-uniform.  The randomness is one multinomial from a counter-based Philox
-stream per call, so a (circuit, params, shots, seed) tuple always yields
-identical counts, regardless of how calls are scheduled around it.
+One engine, noisy_vector, computes a circuit's exact noisy read-out
+distribution, a vector in the simulator.marginal_vector layout, and
+sample_outcomes draws all the shots of a run from it at once.  One
+backward sweep of the Pauli frame (_FlipMaskTable) carries each measured
+Z observable from the end of the circuit back to its last RZ; a fault
+after any gate from there on is Clifford-propagated to an X-type
+read-out flip mask.  The base vector is the read-out marginal before
+those flips.  When a channel fires ahead of the last RZ (a preparation
+flip, or a fault after an earlier gate), the base is the exact density
+matrix's diagonal, from evolving vec(rho) on 2n qubits through the
+statevector kernel, which limits such a circuit to 6 qubits; otherwise
+it is the ideal statevector marginal.  Every folded flip is independent
+of the base and XORs onto it, and XOR-convolution is a pointwise product
+in the Walsh-Hadamard domain, so the suffix is one O(m 2^m) product with
+an O(G m 2^m) spectrum, skipped when no folded site fires.  Last, xi
+mixes toward uniform.  The randomness is one multinomial from a
+counter-based Philox stream per call, so a (circuit, params, shots,
+seed) tuple always yields identical counts, regardless of how calls are
+scheduled around it.
 """
 
 from __future__ import annotations
@@ -42,8 +43,6 @@ from .simulator import (
     OutcomeDistribution,
     ShotCounts,
     _evolve,
-    counts_from_vector,
-    distribution_from_vector,
     ideal_marginal,
     marginal_vector,
 )
@@ -80,10 +79,8 @@ def _pauli_gates(label: str, targets: tuple[int, ...]) -> list[GateInstance]:
 
 
 def totally_mixed(d: int) -> OutcomeDistribution:
-    """Uniform distribution over d = 2**n_bits outcome strings."""
-    if d < 2 or d & (d - 1):
-        raise CircuitError(f"d must be a power of two >= 2, got {d}")
-    return distribution_from_vector(np.full(d, 1.0 / d), d.bit_length() - 1)
+    """Uniform distribution over d = 2**n_bits outcome strings, n_bits >= 1."""
+    return OutcomeDistribution(np.full(d, 1.0) / d)
 
 
 def insert_coherent_rotation(circuit: Circuit, theta: float) -> Circuit:
@@ -290,11 +287,14 @@ def _prefix_marginal(circuit: Circuit, params: NoiseParams, split: int) -> np.nd
     return np.maximum(marginal_vector(rho[diag].real, n, circuit.measured), 0.0)
 
 
-def _noisy_vector(circuit: Circuit, params: NoiseParams) -> np.ndarray:
-    """Exact noisy read-out distribution, indexed as marginal_vector.
+def noisy_vector(circuit: Circuit, params: NoiseParams,
+                 ideal: np.ndarray | None = None) -> np.ndarray:
+    """Exact noisy read-out distribution under every channel, indexed as
+    marginal_vector; params.theta is not applied (run_pair inserts it).
 
     The density-matrix prefix is built only when some channel fires
-    ahead of the last RZ; otherwise the base is the ideal marginal.
+    ahead of the last RZ; otherwise the base is the ideal marginal, which
+    a caller that already holds simulator.ideal_marginal(circuit) passes.
     """
     if not circuit.measured:
         raise CircuitError("circuit measures no qubits")
@@ -304,25 +304,19 @@ def _noisy_vector(circuit: Circuit, params: NoiseParams) -> np.ndarray:
             (params.eps1 if g.kind.arity == 1 else params.eps2) > 0.0 for g in circuit.gates[:split])):
         base = _prefix_marginal(circuit, params, split)
     else:
-        base = ideal_marginal(circuit)
+        base = ideal_marginal(circuit) if ideal is None else ideal
     return _clifford_outcomes(circuit, params, table, base)
 
 
-def noisy_counts(circuit: Circuit, params: NoiseParams, shots: int, seed: int) -> ShotCounts:
-    """Draw shots from the exact noisy process (prep flips, per-gate Pauli
-    faults, read-out flips, xi) with one multinomial.  params.theta is
-    not applied here: run_pair inserts the rotation.  Deterministic in
-    (circuit, params, shots, seed)."""
+def sample_outcomes(vec: np.ndarray, shots: int, seed: int) -> np.ndarray:
+    """Counts of shots drawn from the outcome vector vec with one
+    multinomial of a Philox stream; deterministic in (vec, shots, seed)."""
     if shots < 1:
         raise CircuitError(f"shots must be positive, got {shots}")
-    vec = _noisy_vector(circuit, params)
-    rng = np.random.Generator(np.random.Philox(seed))
-    return counts_from_vector(rng.multinomial(shots, vec), len(circuit.measured))
+    return np.random.Generator(np.random.Philox(seed)).multinomial(shots, vec)
 
 
-def noisy_distribution(circuit: Circuit, params: NoiseParams) -> OutcomeDistribution:
-    """Exact noisy distribution under every channel, the vector noisy_counts
-    draws from; the analytic path, used when sampling would only add
-    variance.  params.theta is not applied here: run_pair inserts the
-    rotation."""
-    return distribution_from_vector(_noisy_vector(circuit, params), len(circuit.measured))
+def noisy_counts(circuit: Circuit, params: NoiseParams, shots: int, seed: int) -> ShotCounts:
+    """Shots drawn from the exact noisy process (prep flips, per-gate Pauli
+    faults, read-out flips, xi) by sample_outcomes of noisy_vector."""
+    return ShotCounts(sample_outcomes(noisy_vector(circuit, params), shots, seed))

@@ -10,6 +10,11 @@ Conventions, fixed across the package:
 * registers are capped at 12 qubits, far above anything the [4,2,2]
   constructions need but enough for small ad-hoc circuits.
 
+OutcomeDistribution and ShotCounts hold one dense vector, .vec, over the
+read-out bits in the marginal_vector layout (entry j is the outcome whose
+k-th bit is bit k of j); .probs and .counts are string views in sorted
+order, for the I/O edge only.
+
 Every gate goes through one kernel, _evolve, which loops over raw
 amplitude arrays: a gate is a gather plus a scale from index tables.
 The tables are cached per (kind, targets, n), angle excluded, so the
@@ -69,75 +74,89 @@ class PureState:
         return np.abs(self.amplitudes) ** 2
 
 
-@dataclass
-class OutcomeDistribution:
-    """Probability map over equal-length bitstrings.
+class _OutcomeVector:
+    """A dense vector, .vec, over the outcomes of n_bits read-out bits in
+    the marginal_vector layout, built from a non-empty string mapping or
+    from such a vector.  The string view keys its nonzero entries by
+    bitstring, in sorted-string order."""
 
-    Support entries below PRUNE_TOL are dropped at construction; the
-    remaining mass must still be within NORM_TOL of 1 (pruning is not a
-    renormalization).
-    """
+    def __init__(self, data: Mapping[str, float] | np.ndarray, dtype):
+        if isinstance(data, Mapping):
+            if not data:
+                raise CircuitError("no outcomes given")
+            data = outcome_vector(data, len(next(iter(data))), dtype)
+        self.vec = np.asarray(data)
+        d = len(self.vec) if self.vec.ndim == 1 else 0
+        if d < 2 or d & (d - 1) or d > 1 << MAX_QUBITS:
+            raise CircuitError(f"an outcome vector needs 2**n entries, 1 <= n <= {MAX_QUBITS}, "
+                               f"got shape {self.vec.shape}")
 
-    probs: dict[str, float]
-
-    def __post_init__(self):
-        pruned: dict[str, float] = {}
-        width = None
-        for key in sorted(self.probs):
-            p = float(self.probs[key])
-            if width is None:
-                width = len(key)
-            if len(key) != width or width == 0 or set(key) - {"0", "1"}:
-                raise CircuitError(f"bad outcome string {key!r}")
-            if not 0.0 <= p <= 1.0 + NORM_TOL:
-                raise CircuitError(f"probability {p} for {key!r} outside [0, 1]")
-            if p >= PRUNE_TOL:
-                pruned[key] = p
-        if not pruned:
-            raise CircuitError("empty distribution")
-        total = sum(pruned.values())
-        if abs(total - 1.0) > NORM_TOL:
-            raise CircuitError(f"distribution mass {total} deviates from 1")
-        self.probs = pruned
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self._strings()!r})"
 
     @property
     def n_bits(self) -> int:
-        return len(next(iter(self.probs)))
+        return len(self.vec).bit_length() - 1
+
+    def _refuse(self, ok: np.ndarray, what: str) -> None:
+        """Raise on the first entry where ok is false, naming its outcome."""
+        if not ok.all():
+            j = int(np.argmin(ok))
+            raise CircuitError(f"{what}, got {self.vec[j]} for {bitstring_of(j, self.n_bits)!r}")
+
+    def _strings(self) -> dict:
+        order = string_order(self.n_bits)
+        keep = order[self.vec[order] != 0]
+        return {bitstring_of(j, self.n_bits): v
+                for j, v in zip(keep.tolist(), self.vec[keep].tolist())}
+
+
+class OutcomeDistribution(_OutcomeVector):
+    """Probability vector; probs is its string view.  Entries below
+    PRUNE_TOL are zeroed, and the rest must still sum to 1 within
+    NORM_TOL (pruning is not a renormalization)."""
+
+    def __init__(self, data: Mapping[str, float] | np.ndarray):
+        super().__init__(data, float)
+        self._refuse((self.vec >= 0.0) & (self.vec <= 1.0 + NORM_TOL),
+                     "probabilities must be in [0, 1]")
+        self.vec = np.where(self.vec >= PRUNE_TOL, self.vec, 0.0)
+        total = self.vec.sum()
+        if not total:
+            raise CircuitError("empty distribution")
+        if abs(total - 1.0) > NORM_TOL:
+            raise CircuitError(f"distribution mass {total} deviates from 1")
+
+    probs = property(_OutcomeVector._strings)
 
     @property
     def support_size(self) -> int:
-        return len(self.probs)
+        return int(np.count_nonzero(self.vec))
 
     def get(self, key: str) -> float:
         return self.probs.get(key, 0.0)
 
 
-@dataclass
-class ShotCounts:
-    """Integer outcome counts for one run; zero entries are dropped."""
+class ShotCounts(_OutcomeVector):
+    """Integer outcome counts for one run; counts is their string view."""
 
-    counts: dict[str, int]
+    def __init__(self, data: Mapping[str, int] | np.ndarray):
+        super().__init__(data, np.int64)
+        self._refuse(self.vec >= 0, "counts must be non-negative")
+        self.vec = self.vec.astype(np.int64)
 
-    def __post_init__(self):
-        cleaned = {}
-        for key in sorted(self.counts):
-            c = int(self.counts[key])
-            if c < 0:
-                raise CircuitError(f"negative count for {key!r}")
-            if c:
-                cleaned[key] = c
-        self.counts = cleaned
+    counts = property(_OutcomeVector._strings)
 
     @property
     def total(self) -> int:
-        return sum(self.counts.values())
+        return int(self.vec.sum())
 
     def to_distribution(self) -> OutcomeDistribution:
         """Empirical distribution counts/total."""
         r = self.total
         if r == 0:
             raise CircuitError("no shots to normalize")
-        return OutcomeDistribution({k: c / r for k, c in self.counts.items()})
+        return OutcomeDistribution(self.vec / r)
 
 
 # ---------------------------------------------------------------------------
@@ -225,24 +244,26 @@ def index_of(bitstring: str) -> int:
     return sum((c == "1") << k for k, c in enumerate(bitstring))
 
 
-def outcome_vector(entries: Mapping[str, float], n_bits: int) -> np.ndarray:
+@lru_cache(maxsize=None)
+def string_order(n_bits: int) -> np.ndarray:
+    """Indices of the 2**n_bits outcomes in sorted-bitstring order, the
+    order of every sum that reaches a CSV value."""
+    order = np.array(sorted(range(1 << n_bits), key=lambda j: bitstring_of(j, n_bits)))
+    order.setflags(write=False)  # cached and shared by every caller
+    return order
+
+
+def outcome_vector(entries: Mapping[str, float], n_bits: int, dtype=float) -> np.ndarray:
     """Dense form of string-keyed counts or probabilities; entry j is the
     outcome bitstring_of(j, n_bits), so index bit k is read-out bit k."""
-    vec = np.zeros(1 << n_bits)
+    if not 1 <= n_bits <= MAX_QUBITS:
+        raise CircuitError(f"outcome width must be in [1, {MAX_QUBITS}], got {n_bits}")
+    vec = np.zeros(1 << n_bits, dtype=dtype)
     for s, v in entries.items():
-        if len(s) != n_bits:
-            raise CircuitError(f"expected {n_bits}-bit strings, got {s!r}")
+        if len(s) != n_bits or set(s) - {"0", "1"}:
+            raise CircuitError(f"expected {n_bits}-bit 0/1 strings, got {s!r}")
         vec[index_of(s)] = v
     return vec
-
-
-def distribution_from_vector(vec: np.ndarray, n_bits: int) -> OutcomeDistribution:
-    support = np.nonzero(vec >= PRUNE_TOL)[0]
-    return OutcomeDistribution({bitstring_of(int(j), n_bits): float(vec[j]) for j in support})
-
-
-def counts_from_vector(vec: np.ndarray, n_bits: int) -> ShotCounts:
-    return ShotCounts({bitstring_of(int(j), n_bits): int(vec[j]) for j in np.flatnonzero(vec)})
 
 
 def ideal_marginal(circuit: Circuit) -> np.ndarray:
@@ -255,4 +276,4 @@ def ideal_marginal(circuit: Circuit) -> np.ndarray:
 
 def ideal_distribution(circuit: Circuit) -> OutcomeDistribution:
     """Noiseless outcome distribution over the circuit's measured qubits."""
-    return distribution_from_vector(ideal_marginal(circuit), len(circuit.measured))
+    return OutcomeDistribution(ideal_marginal(circuit))

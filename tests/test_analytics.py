@@ -6,9 +6,6 @@ import numpy as np
 import pytest
 
 from qec422.analytics import (
-    GATE_COUNTS_CODED,
-    GATE_COUNTS_UNCODED,
-    average_block_error,
     block_error,
     measurement_error_coded_ps,
     measurement_error_uncoded,
@@ -19,10 +16,10 @@ from qec422.analytics import (
     trace_distance,
     worst_case_bound,
 )
-from qec422.circuits import Circuit
+from qec422.circuits import Circuit, CircuitError
 from qec422.code import LogicalGate, coded_gate_circuit, uncoded_gate_circuit
 from qec422.experiments import GateSetId
-from qec422.noise import NoiseParams, noisy_distribution, totally_mixed
+from qec422.noise import NoiseParams, noisy_vector, totally_mixed
 from qec422.simulator import OutcomeDistribution
 
 
@@ -51,6 +48,33 @@ class TestTraceDistance:
     def test_accepts_raw_mappings_and_distributions(self):
         d = OutcomeDistribution({"0": 0.5, "1": 0.5})
         assert trace_distance(d, {"0": 0.5, "1": 0.5}) < 1e-15
+
+    def test_refuses_different_widths(self):
+        with pytest.raises(CircuitError, match="1-bit and 2-bit"):
+            trace_distance({"0": 1.0}, {"00": 1.0})
+        with pytest.raises(CircuitError):
+            trace_distance(totally_mixed(16), totally_mixed(8))
+
+    def test_equals_the_sorted_union_formula_bit_for_bit(self):
+        """The vector form sums in sorted-bitstring order, which is what
+        keeps CSV values byte-stable; the string formula is the reference."""
+        def sorted_union(pp, qq):
+            keys = sorted(set(pp) | set(qq))
+            return 0.5 * sum(abs(pp.get(k, 0.0) - qq.get(k, 0.0)) for k in keys)
+
+        def rand_dict(rng, n_bits):
+            size = int(rng.integers(1, (1 << n_bits) + 1))
+            support = rng.choice(1 << n_bits, size, replace=False)
+            v = rng.random(len(support)) + 1e-3
+            v /= v.sum()
+            return {format(int(j), f"0{n_bits}b"): float(p) for j, p in zip(support, v)}
+
+        rng = np.random.default_rng(43)
+        for trial in range(300):
+            n_bits = 1 + trial % 6
+            p, q = rand_dict(rng, n_bits), rand_dict(rng, n_bits)
+            assert trace_distance(p, q) == sorted_union(p, q), (p, q)
+            assert trace_distance(OutcomeDistribution(p), q) == sorted_union(p, q)
 
 
 class TestMeasurementLaws:
@@ -93,56 +117,46 @@ class TestBlockAndSequence:
 
 
 class TestGateCounts:
+    """The gate blocks whose counts the predictors' coefficients rest on."""
+
     @pytest.mark.parametrize("gate", list(LogicalGate))
     def test_tables_match_circuit_constructions(self, gate):
-        """The count tables are exactly what the builders emit."""
-        unc = uncoded_gate_circuit(gate)
-        n1 = sum(g.kind.arity == 1 for g in unc)
-        n2 = sum(g.kind.arity == 2 for g in unc)
-        assert GATE_COUNTS_UNCODED[gate] == (n1, n2)
-
-        cod = coded_gate_circuit(gate)
-        n1 = sum(g.kind.arity == 1 for g in cod)
-        n2 = sum(g.kind.arity == 2 for g in cod)
-        assert GATE_COUNTS_CODED[gate] == (n1, n2)
+        """Each block construction hands out a fresh list of its fixed
+        table: equal on every call, and a caller's edit does not leak."""
+        for build in (coded_gate_circuit, uncoded_gate_circuit):
+            first = build(gate)
+            first.append(first[0])
+            assert build(gate) == first[:-1] and build(gate) is not build(gate)
 
     def test_coded_blocks_are_transversal(self):
         for gate in LogicalGate:
-            assert GATE_COUNTS_CODED[gate][1] == 0
-
-
-class TestAverageBlockError:
-    def test_reduced_set_truncated_constants(self):
-        e1, e2 = 3e-3, 0.12
-        gates = GateSetId.REDUCED.gates
-        unc = average_block_error(gates, "uncoded", e1, e2)
-        assert abs(unc - (6 * e1 + e2) / 5) < 1e-15
-        cod = average_block_error(gates, "coded", e1, e2)
-        assert abs(cod - (12 * e1 / 5 + 2 * e1 ** 2)) < 1e-15
-
-    def test_full_set_truncated_constants(self):
-        e1, e2 = 2e-3, 0.08
-        gates = GateSetId.FULL.gates
-        unc = average_block_error(gates, "uncoded", e1, e2)
-        assert abs(unc - (8 * e1 + 4 * e2) / 6) < 1e-15
-        cod = average_block_error(gates, "coded", e1, e2)
-        assert abs(cod - (16 * e1 + 16 * e1 ** 2) / 6) < 1e-15
-
-    def test_single_hhswap_constants(self):
-        e1, e2 = 1e-3, 0.04
-        gates = GateSetId.SINGLE_HHSWAP.gates
-        assert abs(average_block_error(gates, "uncoded", e1, e2) - (2 * e1 + 3 * e2)) < 1e-15
-        assert abs(average_block_error(gates, "coded", e1, e2)
-                   - (4 * e1 + comb(4, 2) * e1 ** 2)) < 1e-15
-
-    def test_untruncated_close_at_small_rates(self):
-        gates = GateSetId.REDUCED.gates
-        t = average_block_error(gates, "uncoded", 1e-4, 4e-3, truncated=True)
-        f = average_block_error(gates, "uncoded", 1e-4, 4e-3, truncated=False)
-        assert abs(t - f) < 1e-5
+            assert all(g.kind.arity == 1 for g in coded_gate_circuit(gate))
 
 
 class TestPredictors:
+    def test_per_gate_coefficients_match_the_reduced_set_circuits(self):
+        """The per-L slope of predict_uncoded, (6 eps1 + eps2) / 5, and of
+        predict_coded_raw, 12/5 eps1 + 2 eps1^2, are the mean first-order
+        fault weight of one block drawn from the reduced set: mean n1
+        eps1 + mean n2 eps2, plus mean C(n1, 2) eps1^2 for the coded
+        blocks, counted off the circuits themselves."""
+        gates = GateSetId.REDUCED.gates
+
+        def means(build):
+            arities = [[g.kind.arity for g in build(gate)] for gate in gates]
+            n1 = [a.count(1) for a in arities]
+            return (np.mean(n1), np.mean([a.count(2) for a in arities]),
+                    np.mean([comb(k, 2) for k in n1]))
+
+        e1, e2 = 3e-4, 1.2e-2
+        n1, n2, _ = means(uncoded_gate_circuit)
+        slope = (predict_uncoded(20, e1, e2, 0.0) - predict_uncoded(10, e1, e2, 0.0)) / 10
+        assert abs(slope - (n1 * e1 + n2 * e2)) < 1e-15
+        n1, n2, pairs = means(coded_gate_circuit)
+        assert n2 == 0.0
+        slope = (predict_coded_raw(20, e1, e2, 0.0) - predict_coded_raw(10, e1, e2, 0.0)) / 10
+        assert abs(slope - (n1 * e1 + pairs * e1 ** 2)) < 1e-15
+
     def test_uncoded_spot_value(self):
         # L/5 (6 eps1 + eps2) + 2 pm - pm^2
         got = predict_uncoded(10, 4e-3, 0.16, 0.02)
@@ -178,13 +192,18 @@ class TestWorstCase:
         assert abs(worst_case_bound({"00": 0.5, "11": 0.5}) - 0.5) < 1e-12
         assert worst_case_bound(totally_mixed(4)) < 1e-12
 
+    def test_explicit_width_must_match(self):
+        assert abs(worst_case_bound({"00": 1.0}, n_bits=2) - 0.75) < 1e-12
+        with pytest.raises(CircuitError, match="n_bits 3"):
+            worst_case_bound({"00": 1.0}, n_bits=3)
+
     def test_mixing_reaches_bound_linearly(self):
         """D(depolarized, ideal) = xi * bound, monotone up to xi = 1."""
         ideal = OutcomeDistribution({"00": 1.0})
         bound = worst_case_bound(ideal)
         prev = -1.0
         for xi in (0.0, 0.25, 0.5, 0.75, 1.0):
-            mixed = noisy_distribution(Circuit(2, [], [0, 1]), NoiseParams(xi=xi))
+            mixed = OutcomeDistribution(noisy_vector(Circuit(2, [], [0, 1]), NoiseParams(xi=xi)))
             D = trace_distance(mixed, ideal)
             assert abs(D - xi * bound) < 1e-12
             assert D > prev or xi == 0.0

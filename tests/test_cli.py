@@ -151,6 +151,19 @@ class TestRun:
         ]
         assert strip(outs[0]) == strip(outs[1])
 
+    def test_rerun_replaces_the_csv_and_its_sidecar(self, tmp_path, capsys):
+        """A second run into the same --out used to append to the CSV while
+        its sidecar described only the second run."""
+        out = tmp_path / "x.csv"
+        for lengths in ("1", "5"):
+            argv = ["run", "--lengths", lengths, "--seeds-per-length", "1", "--shots", "64",
+                    "--out", str(out)]
+            assert main(argv) == 0
+        recs = read_records_csv(out)
+        assert len(recs) == 3 and {r.L for r in recs} == {5}
+        meta = json.loads((tmp_path / "x.csv.meta.json").read_text())
+        assert meta["lengths"] == [5] and meta["shots"] == 64
+
     def test_output_dir_env(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv(OUTPUT_DIR_ENV, str(tmp_path))
         cfg = tmp_path / "sweep.cfg"
@@ -276,6 +289,13 @@ class TestVerifyFt:
 
 
 class TestSweepTheta:
+    def test_rerun_replaces_the_csv(self, tmp_path, capsys):
+        out = tmp_path / "theta.csv"
+        for thetas in ("0.4", "0.9,1.2"):
+            argv = ["sweep-theta", "--thetas", thetas, "--shots", "64", "--out", str(out)]
+            assert main(argv) == 0
+        assert [r.theta for r in read_records_csv(out)] == [0.9] * 3 + [1.2] * 3
+
     def test_table_and_csv(self, tmp_path, capsys):
         out = tmp_path / "theta.csv"
         assert main(["sweep-theta", "--thetas", "0,1.5707963",

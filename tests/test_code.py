@@ -118,6 +118,12 @@ class TestLogicalGates:
         assert [g.kind for g in gates] == [GateKind.H, GateKind.H,
                                            GateKind.CNOT, GateKind.CNOT, GateKind.CNOT]
 
+    @pytest.mark.parametrize("build", [coded_gate_circuit, uncoded_gate_circuit])
+    def test_non_logical_gate_refused(self, build):
+        for bad in ("X0", None, [LogicalGate.X0]):
+            with pytest.raises(CircuitError, match="unknown logical gate"):
+                build(bad)
+
     def test_cz_only_variant_is_logical_cz(self):
         """S on all four qubits then Z1 Z2 = controlled-Z without the extra Zs."""
         enc = build_encoder(LogicalStateLabel.L00, EncoderVariant.NON_FAULT_TOLERANT)
@@ -187,6 +193,10 @@ class TestPostSelect:
     def test_width_mismatch_rejected(self):
         with pytest.raises(CircuitError):
             post_select(ShotCounts({"0000": 1}), ancilla_present=True)
+        with pytest.raises(CircuitError, match="expected 4-bit"):
+            post_select_distribution(OutcomeDistribution({"00000": 1.0}))
+        with pytest.raises(CircuitError, match="expected 4-bit"):
+            decode_distribution(OutcomeDistribution({"00": 1.0}))
 
     def test_empty_retention(self):
         ps = post_select(ShotCounts({"1000": 5}))

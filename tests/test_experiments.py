@@ -1,11 +1,23 @@
 """Sequence generation, paired runs, sweeps, CSV persistence."""
 
 import dataclasses
+import itertools
+import math
 
 import pytest
 
+from qec422 import simulator
+from qec422.analytics import trace_distance
 from qec422.circuits import Circuit, CircuitError, GateInstance, GateKind
-from qec422.code import EncoderVariant, LogicalGate, LogicalStateLabel, build_encoder
+from qec422.code import (
+    EncoderVariant,
+    LogicalGate,
+    LogicalStateLabel,
+    build_encoder,
+    decode_distribution,
+    post_select,
+    post_select_distribution,
+)
 from qec422.experiments import (
     CSV_COLUMNS,
     GateSetId,
@@ -22,7 +34,14 @@ from qec422.experiments import (
     sweep_theta,
     write_records_csv,
 )
-from qec422.noise import NoiseParams
+from qec422.noise import (
+    NoiseParams,
+    derive_seed,
+    insert_coherent_rotation,
+    noisy_counts,
+    noisy_vector,
+)
+from qec422.simulator import OutcomeDistribution, ideal_distribution
 
 PARAMS = NoiseParams(eps1=4e-3, eps2=0.16, p_meas=0.02)
 
@@ -119,7 +138,82 @@ class TestRunPair:
         assert ps.D < 0.07
 
 
+def _string_pipeline(sequence, params, shots, seed, analytic):
+    """(scheme, gamma, r, D, D_decoded, output_dimension) of the three rows,
+    through the public string-keyed API: per-path post-selection, a
+    distribution per count set, and a second simulation of each ideal."""
+    unc, cod = build_pair(sequence)
+    ideal_u, ideal_c = ideal_distribution(unc), ideal_distribution(cod)
+    decoded_ideal = decode_distribution(ideal_c)
+    if params.theta != 0.0:
+        cod = insert_coherent_rotation(cod, params.theta)
+    if analytic:
+        dist_u = OutcomeDistribution(noisy_vector(unc, params))
+        dist_c = OutcomeDistribution(noisy_vector(cod, params))
+        retained, r = post_select_distribution(dist_c)
+        gamma = round(r * shots)
+    else:
+        counts_u = noisy_counts(unc, params, shots, derive_seed(seed, "uncoded"))
+        counts_c = noisy_counts(cod, params, shots, derive_seed(seed, "coded"))
+        dist_u, dist_c = counts_u.to_distribution(), counts_c.to_distribution()
+        ps = post_select(counts_c)
+        r, gamma = ps.retention, ps.accepted
+        retained = ps.retained.to_distribution() if gamma else None
+    D_u = trace_distance(ideal_u, dist_u)
+    D_raw = trace_distance(ideal_c, dist_c)
+    if retained is None:
+        D_ps = D_dec = 1.0
+    else:
+        D_ps = trace_distance(ideal_c, retained)
+        D_dec = trace_distance(decoded_ideal, decode_distribution(retained))
+    return [(SCHEME_UNCODED, shots, 1.0, D_u, D_u, ideal_u.support_size),
+            (SCHEME_CODED_RAW, shots, 1.0, D_raw, D_dec, ideal_c.support_size),
+            (SCHEME_CODED_PS, gamma, r, D_ps, D_dec, ideal_c.support_size)]
+
+
+class TestOnePipeline:
+    """run_pair's one vector pipeline against the string-keyed pipeline."""
+
+    @pytest.mark.parametrize("analytic", [False, True])
+    @pytest.mark.parametrize("shots", [777, 8192])
+    def test_records_equal_the_string_pipeline(self, analytic, shots):
+        noises = (NoiseParams(), PARAMS, dataclasses.replace(PARAMS, p_prep=0.01))
+        cases = itertools.product((GateSetId.FULL, GateSetId.REDUCED), (0.0, 0.9, math.pi), noises)
+        for k, (gate_set, theta, params) in enumerate(cases):
+            params = dataclasses.replace(params, theta=theta)
+            seed = derive_seed(shots, k)
+            sequence = random_sequence(SequenceSpec(gate_set, 1 + k % 23, seed))
+            recs = run_pair(sequence, params, shots, seed, gate_set.value, analytic)
+            got = [(r.scheme, r.gamma, r.r, r.D, r.D_decoded, r.output_dimension) for r in recs]
+            assert got == _string_pipeline(sequence, params, shots, seed, analytic), (k, params)
+
+    @pytest.mark.parametrize("analytic", [False, True])
+    def test_each_circuit_simulated_once(self, monkeypatch, analytic):
+        """Two statevector runs at theta = 0, the two ideal circuits that are
+        also the engine's bases.  The rotated coded circuit adds a third,
+        unless a channel fires ahead of its RZ and the density-matrix
+        prefix replaces that run."""
+        calls = []
+        original = simulator.final_state
+        monkeypatch.setattr(simulator, "final_state", lambda c: calls.append(c) or original(c))
+        sequence = random_sequence(SequenceSpec(GateSetId.FULL, 12, 4))
+        for params, rotated in ((PARAMS, 2), (dataclasses.replace(PARAMS, p_prep=0.01), 2),
+                                (NoiseParams(p_meas=0.02, xi=0.1), 3)):
+            for theta, want in ((0.0, 2), (0.9, rotated), (math.pi, rotated)):
+                calls.clear()
+                run_pair(sequence, dataclasses.replace(params, theta=theta), 1000, 4,
+                         analytic_xi=analytic)
+                assert len(calls) == want, (params, theta)
+
+
 class TestSweeps:
+    def test_worker_processes_give_the_serial_records(self):
+        args = (GateSetId.FULL, [1, 10], dataclasses.replace(PARAMS, p_prep=0.01))
+        kwargs = {"shots": 777, "seeds_per_length": 2, "master_seed": 6}
+        serial = sweep_L(*args, **kwargs, jobs=1)
+        pooled = sweep_L(*args, **kwargs, jobs=2)
+        assert [_strip_stamp(r) for r in pooled] == [_strip_stamp(r) for r in serial]
+
     def test_sweep_is_deterministic_and_ordered(self):
         a = sweep_L(GateSetId.REDUCED, [2, 5], PARAMS, shots=512,
                     seeds_per_length=2, master_seed=1)

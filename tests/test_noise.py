@@ -27,10 +27,11 @@ from qec422.noise import (
     derive_seed,
     insert_coherent_rotation,
     noisy_counts,
-    noisy_distribution,
+    noisy_vector,
     totally_mixed,
 )
 from qec422.simulator import (
+    OutcomeDistribution,
     PureState,
     _evolve,
     bitstring_of,
@@ -145,8 +146,8 @@ class TestMixing:
 
     def test_depolarize_limits(self):
         bare = Circuit(2, [], [0, 1])
-        assert noisy_distribution(bare, NoiseParams(xi=0.0)).probs == {"00": 1.0}
-        full = noisy_distribution(bare, NoiseParams(xi=1.0))
+        assert OutcomeDistribution(noisy_vector(bare, NoiseParams(xi=0.0))).probs == {"00": 1.0}
+        full = OutcomeDistribution(noisy_vector(bare, NoiseParams(xi=1.0)))
         assert full.probs == totally_mixed(4).probs
 
     def test_depolarizing_spec_validation(self):
@@ -202,7 +203,7 @@ class TestNoisyCounts:
     def test_xi_sampling_matches_analytic(self):
         xi = 0.6
         counts = noisy_counts(ENCODER, NoiseParams(xi=xi), 200_000, 10)
-        want = noisy_distribution(ENCODER, NoiseParams(xi=xi))
+        want = OutcomeDistribution(noisy_vector(ENCODER, NoiseParams(xi=xi)))
         assert trace_distance(counts.to_distribution(), want) < 0.01
 
     def test_depolarizing_limit_hits_worst_case(self):
@@ -485,8 +486,8 @@ class TestEngineCost:
         for seed in range(10):
             c = _with_rzs(random_clifford(seed, n_qubits=2 + seed % 3, n_extra=seed), seed % 2, seed)
             ideal = noise.ideal_marginal(c)
-            assert np.array_equal(noise._noisy_vector(c, NoiseParams(theta=0.3)), ideal)
-            mixed = noise._noisy_vector(c, NoiseParams(xi=0.25))
+            assert np.array_equal(noise.noisy_vector(c, NoiseParams(theta=0.3)), ideal)
+            mixed = noise.noisy_vector(c, NoiseParams(xi=0.25))
             assert np.array_equal(mixed, 0.75 * ideal + 0.25 / len(ideal))
 
 
@@ -520,12 +521,12 @@ class TestSpectrumDraw:
             assert np.max(np.abs(p - _read_out_and_xi(exact, params))) < 1e-12, seed
 
     def test_analytic_distribution_is_the_drawn_vector(self, monkeypatch, random_clifford):
-        """noisy_distribution is exact under every channel at once, with
-        0, 1 or 2 RZs, and is the very vector noisy_counts draws from."""
+        """noisy_vector is exact under every channel at once, with 0, 1 or
+        2 RZs, and is the very vector noisy_counts draws from."""
         for seed in range(30):
             c = _with_rzs(random_clifford(seed, n_qubits=2 + seed % 3, n_extra=seed % 6), seed % 3, seed)
             params = self._params(seed)
-            got = outcome_vector(noisy_distribution(c, params).probs, len(c.measured))
+            got = noisy_vector(c, params)
             exact = outcome_vector(_exact_mixture(c, params), len(c.measured))
             assert np.max(np.abs(got - _read_out_and_xi(exact, params))) < 1e-12, seed
             assert np.array_equal(got, _drawn_vector(monkeypatch, c, params)), seed
@@ -562,7 +563,7 @@ class TestSpectrumDraw:
             c = Circuit(3, gates + [_g(GateKind.RZ, 0, angle=float(theta)), _g(GateKind.S, 0),
                                     _g(GateKind.RZ, 0, angle=-float(theta)), _g(GateKind.Z, 0),
                                     _g(GateKind.S, 0), _g(GateKind.H, 0), _g(GateKind.RZ, 0, angle=0.3)], [0])
-            assert noise._noisy_vector(c, NoiseParams(eps2=0.2)).min() >= 0.0, theta
+            assert noise.noisy_vector(c, NoiseParams(eps2=0.2)).min() >= 0.0, theta
             assert noisy_counts(c, NoiseParams(eps2=0.2), 100, 1).counts == {"0": 100}
 
     def test_counts_sum_to_shots_on_the_rz_path(self):

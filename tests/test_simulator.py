@@ -314,6 +314,48 @@ class TestDistributions:
         with pytest.raises(CircuitError):
             OutcomeDistribution({"0": 0.5, "10": 0.5})
 
+    def test_mapping_and_vector_constructors_agree(self):
+        """Both forms hold the same vector, and the string views come out
+        in sorted-string order whatever the order of the input."""
+        rng = np.random.default_rng(25)
+        for n_bits in (1, 2, 3, 5):
+            vec = rng.random(1 << n_bits) * (rng.random(1 << n_bits) < 0.6)
+            vec[rng.integers(1 << n_bits)] += 0.1
+            counts = rng.integers(0, 50, 1 << n_bits) * (vec > 0)
+            vec /= vec.sum()
+            strings = {simulator.bitstring_of(j, n_bits): j for j in range(1 << n_bits)}
+            keys = sorted(strings, key=lambda s: rng.random())
+            d = OutcomeDistribution({s: float(vec[strings[s]]) for s in keys if vec[strings[s]]})
+            assert np.array_equal(d.vec, OutcomeDistribution(vec).vec)
+            assert list(d.probs) == sorted(d.probs) and d.n_bits == n_bits
+            assert d.probs == {s: float(vec[j]) for s, j in strings.items() if vec[j]}
+            c = ShotCounts({s: int(counts[strings[s]]) for s in keys})
+            assert np.array_equal(c.vec, ShotCounts(counts).vec)
+            assert list(c.counts) == sorted(c.counts) and c.total == counts.sum()
+            assert c.counts == {s: int(counts[j]) for s, j in strings.items() if counts[j]}
+
+    @pytest.mark.parametrize("data", [
+        {"0": 0.5, "10": 0.5},          # mixed widths
+        {"02": 0.5, "00": 0.5},         # not a 0/1 string
+        {"0" * 13: 1.0},                # wider than MAX_QUBITS
+        {},                             # nothing to hold
+        np.full(3, 1 / 3),              # length not a power of two
+        np.ones(1),                     # zero read-out bits
+        np.array([np.nan, 1.0]),
+        np.array([-0.25, 0.75, 0.25, 0.25]),
+        np.full((2, 2), 0.25),          # not a vector
+    ])
+    def test_distribution_refusals(self, data):
+        with pytest.raises(CircuitError):
+            OutcomeDistribution(data)
+
+    @pytest.mark.parametrize("data", [
+        {"00": 3, "01": -1}, np.array([4, -2]), np.array([np.nan, 1.0]), {"0": 1, "x": 2}, {},
+    ])
+    def test_count_refusals(self, data):
+        with pytest.raises(CircuitError):
+            ShotCounts(data)
+
     def test_ghz_marginal(self):
         c = Circuit(3, [_g(GateKind.H, 0), _g(GateKind.CNOT, 0, 1),
                         _g(GateKind.CNOT, 1, 2)], [0, 2])
