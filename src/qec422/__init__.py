@@ -6,13 +6,11 @@ closed-form error models and worst-case bounds.
 """
 
 from .analytics import (
-    block_error,
     measurement_error_coded_ps,
     measurement_error_uncoded,
     predict_coded_ps,
     predict_coded_raw,
     predict_uncoded,
-    sequence_error,
     trace_distance,
     worst_case_bound,
 )
@@ -58,7 +56,7 @@ __all__ = [
     "build_encoder", "codeword_distribution", "coded_gate_circuit",
     "uncoded_gate_circuit", "decode", "post_select",
     "NoiseParams", "noisy_counts", "insert_coherent_rotation", "totally_mixed",
-    "trace_distance", "worst_case_bound", "block_error", "sequence_error",
+    "trace_distance", "worst_case_bound",
     "measurement_error_uncoded", "measurement_error_coded_ps",
     "predict_uncoded", "predict_coded_raw", "predict_coded_ps",
     "FaultSite", "FaultClassification", "FTReport", "verify_single_faults",

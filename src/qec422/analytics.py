@@ -1,10 +1,9 @@
 """Closed-form error models and distance measures.
 
 Everything here is algebra over the noise parameters, no sampling:
-measurement-error laws for bare and post-selected registers, per-block
-and per-sequence error accumulation, the truncated first-order
-predictors for the three schemes, and the worst-case trace-distance
-bound set by the output dimension.
+measurement-error laws for bare and post-selected registers, the
+truncated first-order predictors for the three schemes, and the
+worst-case trace-distance bound set by the output dimension.
 
 Gate counting convention: a block is one logical gate's realization.
 n1/n2 are its one-/two-qubit gate counts, eps1/eps2 the per-gate fault
@@ -15,8 +14,6 @@ dominate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from math import comb
 from typing import Mapping
 
 import numpy as np
@@ -62,35 +59,6 @@ def measurement_error_coded_ps(p_meas: float) -> float:
     partner, which decodes correctly, so they do not enter.
     """
     return _clamp(6.0 * p_meas ** 2 * (1.0 - p_meas) ** 2)
-
-
-# ---------------------------------------------------------------------------
-# Block and sequence error accumulation
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class BlockError:
-    """Fault probability of one gate block, split by gate arity."""
-
-    eps1_total: float   # 1 - (1 - eps1)^n1 expanded: sum_i C(n1,i) eps1^i
-    eps2_total: float
-    any_fault: float    # probability at least one gate in the block faults
-
-
-def block_error(n1: int, n2: int, eps1: float, eps2: float) -> BlockError:
-    """Exact union of independent per-gate faults within a block."""
-    if n1 < 0 or n2 < 0:
-        raise CircuitError("gate counts must be non-negative")
-    e1 = sum(comb(n1, i) * eps1 ** i for i in range(1, n1 + 1))
-    e2 = sum(comb(n2, i) * eps2 ** i for i in range(1, n2 + 1))
-    return BlockError(e1, e2, _clamp(e1 + e2 + e1 * e2))
-
-
-def sequence_error(p_block: float, length: int) -> float:
-    """P(at least one faulty block in a length-L sequence) = 1 - (1-P)^L."""
-    if length < 0:
-        raise CircuitError("sequence length must be non-negative")
-    return _clamp(1.0 - (1.0 - _clamp(p_block)) ** length)
 
 
 # ---------------------------------------------------------------------------

@@ -171,7 +171,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     records = sweep_L(gate_set, lengths, params, shots, seeds_per_length,
                       master_seed, analytic_xi, jobs)
-    write_records_csv(out, records, append=False)  # the sidecar describes this run only
+    write_records_csv(out, records)
     meta = {
         "generated": datetime.now(timezone.utc).isoformat(),
         "gate_set": gate_set.value,
@@ -259,7 +259,7 @@ def cmd_sweep_theta(args: argparse.Namespace) -> int:
     out = _out_path(_resolve(args, cfg, "out", "theta_sweep.csv"))
 
     records = sweep_theta(thetas, params, gate_set, length, shots, master_seed)
-    write_records_csv(out, records, append=False)
+    write_records_csv(out, records)
     print(f"wrote {len(records)} records to {out}")
     print(f"{'theta':>10} {'r':>8} {'cos^2(theta/2)':>16}")
     for rec in records:

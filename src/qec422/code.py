@@ -164,8 +164,6 @@ def uncoded_gate_circuit(gate: LogicalGate) -> list[GateInstance]:
 # ODD, one past the four logical outcomes, marks odd parity.
 ODD = 4
 DECODE_INDEX = np.array([0, ODD, ODD, 2, ODD, 1, 3, ODD, ODD, 3, 1, ODD, 2, ODD, ODD, 0])
-# data index with bits 0 and 1 exchanged, for relabel_swap01
-_SWAP01 = np.array([(j & ~3) | ((j & 1) << 1) | ((j >> 1) & 1) for j in range(16)])
 _PARITY_BIN, _ANCILLA_BIN = 16, 17
 
 
@@ -195,17 +193,11 @@ def selection_split(vec: np.ndarray,
     return split[:_PARITY_BIN], float(split[_PARITY_BIN]), float(split[_ANCILLA_BIN])
 
 
-def decode(bitstring: str, relabel_swap01: bool = False) -> str | None:
-    """Map a 4-bit data string to its logical value, or None on odd parity.
-
-    relabel_swap01 reads the string with physical qubits 0 and 1
-    exchanged, the virtual-SWAP trick that turns a wire relabeling into
-    a logical CNOT at decode time.  Off by default.
-    """
+def decode(bitstring: str) -> str | None:
+    """Map a 4-bit data string to its logical value, or None on odd parity."""
     if len(bitstring) != DATA_QUBITS or set(bitstring) - {"0", "1"}:
         raise CircuitError(f"expected a 4-bit string, got {bitstring!r}")
-    j = index_of(bitstring)
-    logical = int(DECODE_INDEX[_SWAP01[j] if relabel_swap01 else j])
+    logical = int(DECODE_INDEX[index_of(bitstring)])
     return None if logical == ODD else bitstring_of(logical, 2)
 
 
@@ -257,13 +249,11 @@ def post_select_distribution(dist: OutcomeDistribution, ancilla_present: bool = 
     return OutcomeDistribution(retained / r), r
 
 
-def decode_distribution(dist: OutcomeDistribution,
-                        relabel_swap01: bool = False) -> OutcomeDistribution:
+def decode_distribution(dist: OutcomeDistribution) -> OutcomeDistribution:
     """Aggregate a 4-bit distribution with even-parity support into logical outcomes."""
     if dist.n_bits != DATA_QUBITS:
         raise CircuitError(f"expected {DATA_QUBITS}-bit outcomes, got {dist.n_bits}")
-    logical = np.bincount(DECODE_INDEX, weights=dist.vec[_SWAP01] if relabel_swap01 else dist.vec,
-                          minlength=ODD + 1)
+    logical = np.bincount(DECODE_INDEX, weights=dist.vec, minlength=ODD + 1)
     if logical[ODD]:
         raise CircuitError("cannot decode odd-parity strings; post-select first")
     return OutcomeDistribution(logical[:ODD])

@@ -15,7 +15,6 @@ what makes CSV files regenerable byte-for-byte (timestamps aside).
 from __future__ import annotations
 
 import csv
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from datetime import datetime, timezone
@@ -170,15 +169,11 @@ def _utc_now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-def write_records_csv(path: str, records: list[ExperimentRecord],
-                      append: bool = True) -> None:
-    """Append records, writing the header only when creating the file."""
-    exists = os.path.exists(path) and os.path.getsize(path) > 0
-    mode = "a" if append and exists else "w"
-    with open(path, mode, newline="") as fh:
+def write_records_csv(path: str, records: list[ExperimentRecord]) -> None:
+    """Write the header and the records, replacing any file at path."""
+    with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        if mode == "w":
-            writer.writerow(CSV_COLUMNS)
+        writer.writerow(CSV_COLUMNS)
         for rec in records:
             writer.writerow(rec.to_csv_row())
 
@@ -206,8 +201,10 @@ def run_pair(sequence: list[LogicalGate], params: NoiseParams, shots: int,
     vector itself (total 1, so D carries no shot noise); one
     post-selection serves both, and gamma = round(r * shots).  The
     unrotated circuits' ideal marginals are the engine's bases, so each
-    is simulated once.  When post-selection retains nothing (theta = pi),
-    the coded_ps row reports the worst case D = 1 with gamma = 0.
+    is simulated once.  The coded_ps row reports the worst case D = 1
+    only when post-selection retains nothing, r = 0 exactly (theta = pi).
+    With analytic_xi, gamma is the rounded expected count, so a row with
+    0 < r < 1 / (2 shots) has gamma = 0 yet keeps the exact D.
     """
     if shots < 1:
         raise CircuitError(f"shots must be positive, got {shots}")

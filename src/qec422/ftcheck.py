@@ -5,7 +5,7 @@ gate fault can change the post-selected outcome distribution without
 being flagged.  The check enumerates every fault site (3 Paulis after
 each one-qubit gate, 15 after each two-qubit gate, optionally an X
 before the circuit on each qubit) and works out each faulted outcome
-vector exactly.  One backward Pauli-frame sweep (noise._FlipMaskTable)
+vector exactly.  One backward Pauli-frame sweep (noise.FlipMaskTable)
 gives every fault after the last RZ -- every fault, in a Clifford
 circuit -- as a read-out flip mask, so its outcome vector is the ideal
 one with indices XORed by the mask; only faults ahead of the last RZ
@@ -30,9 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import Circuit, CircuitError
+from .circuits import Circuit, CircuitError, GateInstance, GateKind
 from .code import DATA_QUBITS, selection_split
-from .noise import ONE_QUBIT_PAULIS, TWO_QUBIT_PAULIS, _FlipMaskTable, _pauli_gates
+from .noise import ONE_QUBIT_PAULIS, TWO_QUBIT_PAULIS, FlipMaskTable
 from .simulator import ideal_marginal
 
 DETECTION_MODES = ("postselect", "postselect+ancilla")
@@ -67,22 +67,13 @@ class FaultSite:
         return "eps1/3" if len(self.pauli) == 1 else "eps2/15"
 
 
-def enumerate_single_faults(circuit: Circuit, include_preparation: bool = False,
-                            gate_range: tuple[int, int] | None = None) -> list[FaultSite]:
-    """All single-fault sites, in circuit order.
-
-    gate_range=(a, b) restricts to gates a <= i < b, for checking a gate
-    block appended to an already-verified preparation.
-    """
-    lo, hi = gate_range if gate_range is not None else (0, len(circuit.gates))
-    if not 0 <= lo <= hi <= len(circuit.gates):
-        raise CircuitError(f"gate_range {gate_range} out of bounds")
+def enumerate_single_faults(circuit: Circuit, include_preparation: bool = False) -> list[FaultSite]:
+    """All single-fault sites, in circuit order."""
     sites: list[FaultSite] = []
     if include_preparation:
         for q in range(circuit.n_qubits):
             sites.append(FaultSite(-1, (q,), "X"))
-    for i in range(lo, hi):
-        g = circuit.gates[i]
+    for i, g in enumerate(circuit.gates):
         labels = ONE_QUBIT_PAULIS if g.kind.arity == 1 else TWO_QUBIT_PAULIS
         for pauli in labels:
             sites.append(FaultSite(i, g.targets, pauli))
@@ -93,27 +84,29 @@ def enumerate_single_faults(circuit: Circuit, include_preparation: bool = False,
 # Classification
 # ---------------------------------------------------------------------------
 
-def _fault_index(circuit: Circuit, site: FaultSite) -> int:
-    """k of the site's fault as _FlipMaskTable indexes it: qubit + 1 for
+def _fault_index(site: FaultSite) -> int:
+    """k of the site's fault as FlipMaskTable indexes it: qubit + 1 for
     a preparation flip, else the 1-based index of its Pauli label."""
     if site.is_preparation:
-        q = site.targets[0] if len(site.targets) == 1 else -1
-        if site.pauli != "X" or not 0 <= q < circuit.n_qubits:
-            raise CircuitError(f"site {site} is not an X flip on a register qubit")
-        return q + 1
-    if not 0 <= site.gate_index < len(circuit.gates):
-        raise CircuitError(f"site gate_index {site.gate_index} out of range")
-    g = circuit.gates[site.gate_index]
-    labels = ONE_QUBIT_PAULIS if g.kind.arity == 1 else TWO_QUBIT_PAULIS
-    if site.pauli not in labels or site.targets != g.targets:
-        raise CircuitError(f"site {site} does not match gate {site.gate_index}")
+        return site.targets[0] + 1
+    labels = ONE_QUBIT_PAULIS if len(site.pauli) == 1 else TWO_QUBIT_PAULIS
     return labels.index(site.pauli) + 1
 
 
-def _verdicts(circuit: Circuit, sites: list[FaultSite], detection: str,
-              ancilla_qubit: int | None) -> list[str]:
-    """Classification of each site; see classify_fault for the arguments.
+def _pauli_gates(label: str, targets: tuple[int, ...]) -> list[GateInstance]:
+    """The one-qubit gates of a Pauli label over targets, identities dropped."""
+    return [GateInstance(GateKind[letter], (q,)) for letter, q in zip(label, targets) if letter != "I"]
 
+
+def verify_single_faults(circuit: Circuit, detection: str, circuit_id: str = "circuit",
+                         include_preparation: bool = False,
+                         ancilla_qubit: int | None = None) -> FTReport:
+    """Classify every single-fault site of the circuit; the verdict is
+    fault_tolerant iff no site is an undetected logical error.
+
+    detection is "postselect" (data-parity discard only) or
+    "postselect+ancilla" (also require the ancilla read-out bit to be 0;
+    defaults to the last measured qubit when ancilla_qubit is None).
     The ideal marginal and the flip-mask table are built once.  A fault
     the Pauli frame folds (after the last RZ, or anywhere in a Clifford
     circuit) permutes the ideal outcomes by its mask; only faults ahead
@@ -132,7 +125,7 @@ def _verdicts(circuit: Circuit, sites: list[FaultSite], detection: str,
         if ancilla_bit < DATA_QUBITS:
             raise CircuitError("ancilla bit cannot be one of the four data bits")
 
-    table = _FlipMaskTable(circuit)
+    table = FlipMaskTable(circuit)
     ideal = ideal_marginal(circuit)
     idx = np.arange(len(ideal))
     ideal_ret, ideal_par, _ = selection_split(ideal, ancilla_bit)
@@ -140,9 +133,10 @@ def _verdicts(circuit: Circuit, sites: list[FaultSite], detection: str,
     if ideal_mass <= _ATOL:
         raise CircuitError("ideal circuit retains no probability mass")
 
+    sites = enumerate_single_faults(circuit, include_preparation)
     out = []
     for site in sites:
-        i, k = site.gate_index, _fault_index(circuit, site)
+        i, k = site.gate_index, _fault_index(site)
         if i >= table.split:
             row = table.gate_masks[i] if i >= 0 else table.prep_masks
             vec = ideal[idx ^ row[k]]
@@ -162,18 +156,7 @@ def _verdicts(circuit: Circuit, sites: list[FaultSite], detection: str,
             out.append(FaultClassification.DETECTED_POSTSELECTION)
         else:
             out.append(FaultClassification.DETECTED_ANCILLA)
-    return out
-
-
-def classify_fault(circuit: Circuit, site: FaultSite, detection: str,
-                   ancilla_qubit: int | None = None) -> str:
-    """Classify one fault site under the given detection mode.
-
-    detection is "postselect" (data-parity discard only) or
-    "postselect+ancilla" (also require the ancilla read-out bit to be 0;
-    defaults to the last measured qubit when ancilla_qubit is None).
-    """
-    return _verdicts(circuit, [site], detection, ancilla_qubit)[0]
+    return FTReport(circuit_id, detection, list(zip(sites, out)))
 
 
 # ---------------------------------------------------------------------------
@@ -268,14 +251,3 @@ class FTReport:
         lines.append(f"undetected weight: {self.undetected_fraction_text()}")
         lines.append(f"fault tolerant: {'yes' if self.fault_tolerant else 'no'}")
         return "\n".join(lines)
-
-
-def verify_single_faults(circuit: Circuit, detection: str, circuit_id: str = "circuit",
-                         include_preparation: bool = False,
-                         gate_range: tuple[int, int] | None = None,
-                         ancilla_qubit: int | None = None) -> FTReport:
-    """Classify every single-fault site of the circuit; the verdict is
-    fault_tolerant iff no site is an undetected logical error."""
-    sites = enumerate_single_faults(circuit, include_preparation, gate_range)
-    verdicts = _verdicts(circuit, sites, detection, ancilla_qubit)
-    return FTReport(circuit_id, detection, list(zip(sites, verdicts)))

@@ -12,7 +12,7 @@ distribution toward uniform.
 One engine, noisy_vector, computes a circuit's exact noisy read-out
 distribution, a vector in the simulator.marginal_vector layout, and
 sample_outcomes draws all the shots of a run from it at once.  One
-backward sweep of the Pauli frame (_FlipMaskTable) carries each measured
+backward sweep of the Pauli frame (FlipMaskTable) carries each measured
 Z observable from the end of the circuit back to its last RZ; a fault
 after any gate from there on is Clifford-propagated to an X-type
 read-out flip mask.  The base vector is the read-out marginal before
@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -71,11 +72,6 @@ class NoiseParams:
                 raise CircuitError(f"{name} must be in [0, 1], got {v}")
         if not np.isfinite(self.theta):
             raise CircuitError(f"theta must be finite, got {self.theta}")
-
-
-def _pauli_gates(label: str, targets: tuple[int, ...]) -> list[GateInstance]:
-    """The one-qubit gates of a Pauli label over targets, identities dropped."""
-    return [GateInstance(GateKind[letter], (q,)) for letter, q in zip(label, targets) if letter != "I"]
 
 
 def totally_mixed(d: int) -> OutcomeDistribution:
@@ -146,7 +142,7 @@ def _conjugate_columns(xcol: list[int], zcol: list[int], gate: GateInstance) -> 
     # X/Y/Z gates commute with any Pauli up to phase
 
 
-class _FlipMaskTable:
+class FlipMaskTable:
     """Read-out flip mask of every fault the Pauli frame can fold.
 
     split is the index of the last RZ, or -1 when there is none.  Every
@@ -201,7 +197,7 @@ def _wht(vec: np.ndarray) -> np.ndarray:
     return vec
 
 
-def _clifford_outcomes(circuit: Circuit, params: NoiseParams, table: _FlipMaskTable,
+def _clifford_outcomes(circuit: Circuit, params: NoiseParams, table: FlipMaskTable,
                        base: np.ndarray) -> np.ndarray:
     """Exact read-out distribution from base, the read-out marginal
     before every flip the frame folds.
@@ -249,12 +245,33 @@ def _doubled(gate: GateInstance, n: int) -> list[GateInstance]:
     return out
 
 
-def _pauli_channel(rho: np.ndarray, p: float, labels, targets, n: int) -> np.ndarray:
-    """(1 - p) rho + p / len(labels) sum_P P rho P^dagger, each label a
-    Pauli string over targets, on vec(rho) of n qubits."""
-    faulted = sum(_evolve(rho, [h for f in _pauli_gates(label, targets) for h in _doubled(f, n)], 2 * n)
-                  for label in labels)
-    return (1.0 - p) * rho + (p / len(labels)) * faulted
+@lru_cache(maxsize=None)
+def _twirl_groups(targets: tuple[int, ...], n: int) -> np.ndarray:
+    """vec(rho) indices on 2n qubits, one row per value of the bits off
+    the targets, one column per value a that ket and bra both take on them."""
+    both = [(1 << q) | (1 << (q + n)) for q in targets]
+    bases = np.flatnonzero((np.arange(1 << (2 * n)) & sum(both)) == 0)
+    spread = [sum(b for k, b in enumerate(both) if (a >> k) & 1) for a in range(1 << len(targets))]
+    groups = bases[:, None] | np.array(spread)
+    groups.setflags(write=False)  # cached and shared by every caller
+    return groups
+
+
+def _depolarize(rho: np.ndarray, p: float, targets: tuple[int, ...], n: int) -> np.ndarray:
+    """(1 - p) rho + p / (4^k - 1) sum_{P != I} P rho P^dagger over k targets,
+    on vec(rho) of n qubits.  Summed over all 4^k Paulis it is 4^k T(rho), the
+    full twirl T tracing the targets out and putting I / 2^k back, so the
+    channel is (1 - lam) rho + lam T(rho), lam = 4p/3 or 16p/15."""
+    lam = p * 4 ** len(targets) / (4 ** len(targets) - 1)
+    groups = _twirl_groups(targets, n)
+    out = (1.0 - lam) * rho
+    out[groups] += (lam / groups.shape[1]) * rho[groups].sum(axis=1, keepdims=True)
+    return out
+
+
+def _prep_flip(rho: np.ndarray, p: float, q: int, n: int) -> np.ndarray:
+    """(1 - p) rho + p X_q rho X_q on vec(rho) of n qubits."""
+    return (1.0 - p) * rho + p * rho[np.arange(len(rho)) ^ ((1 << q) | (1 << (q + n)))]
 
 
 def _prefix_marginal(circuit: Circuit, params: NoiseParams, split: int) -> np.ndarray:
@@ -263,9 +280,9 @@ def _prefix_marginal(circuit: Circuit, params: NoiseParams, split: int) -> np.nd
 
     vec(rho) is a state on 2n qubits (entry i | j << n holds rho_ij) that
     _evolve runs through each gate doubled, and every Pauli channel is
-    mixed in as it fires.  Memory is 16 * 4^n bytes, so the register is
-    capped at MAX_QUBITS // 2 and the doubled gate tables stay within
-    MAX_QUBITS.
+    mixed in as it fires, in closed form by index arithmetic.  Memory is
+    16 * 4^n bytes, so the register is capped at MAX_QUBITS // 2 and the
+    doubled gate tables stay within MAX_QUBITS.
     """
     n = circuit.n_qubits
     if n > MAX_QUBITS // 2:
@@ -276,13 +293,12 @@ def _prefix_marginal(circuit: Circuit, params: NoiseParams, split: int) -> np.nd
     rho[0] = 1.0
     if params.p_prep > 0.0:
         for q in range(n):
-            rho = _pauli_channel(rho, params.p_prep, ("X",), (q,), n)
+            rho = _prep_flip(rho, params.p_prep, q, n)
     for i, g in enumerate(circuit.gates):
         rho = _evolve(rho, _doubled(g, n), 2 * n)
         eps = params.eps1 if g.kind.arity == 1 else params.eps2
         if i < split and eps > 0.0:
-            labels = ONE_QUBIT_PAULIS if g.kind.arity == 1 else TWO_QUBIT_PAULIS
-            rho = _pauli_channel(rho, eps, labels, g.targets, n)
+            rho = _depolarize(rho, eps, g.targets, n)
     # rounding can leave a true zero slightly negative, and no suffix may clip it
     return np.maximum(marginal_vector(rho[diag].real, n, circuit.measured), 0.0)
 
@@ -298,7 +314,7 @@ def noisy_vector(circuit: Circuit, params: NoiseParams,
     """
     if not circuit.measured:
         raise CircuitError("circuit measures no qubits")
-    table = _FlipMaskTable(circuit)
+    table = FlipMaskTable(circuit)
     split = table.split
     if split >= 0 and (params.p_prep > 0.0 or any(
             (params.eps1 if g.kind.arity == 1 else params.eps2) > 0.0 for g in circuit.gates[:split])):

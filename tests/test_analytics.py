@@ -6,13 +6,11 @@ import numpy as np
 import pytest
 
 from qec422.analytics import (
-    block_error,
     measurement_error_coded_ps,
     measurement_error_uncoded,
     predict_coded_ps,
     predict_coded_raw,
     predict_uncoded,
-    sequence_error,
     trace_distance,
     worst_case_bound,
 )
@@ -90,30 +88,6 @@ class TestMeasurementLaws:
     def test_coded_quadratically_suppressed(self):
         for p in (0.001, 0.01, 0.05):
             assert measurement_error_coded_ps(p) < measurement_error_uncoded(p)
-
-
-class TestBlockAndSequence:
-    def test_binomial_expansion(self):
-        """eps_total is exactly sum_i C(n,i) eps^i = (1+eps)^n - 1."""
-        be = block_error(3, 2, 0.1, 0.05)
-        assert abs(be.eps1_total - ((1.1) ** 3 - 1)) < 1e-12
-        assert abs(be.eps2_total - ((1.05) ** 2 - 1)) < 1e-12
-        want = be.eps1_total + be.eps2_total + be.eps1_total * be.eps2_total
-        assert abs(be.any_fault - want) < 1e-12
-
-    def test_empty_block(self):
-        assert block_error(0, 0, 0.5, 0.5).any_fault == 0.0
-
-    def test_sequence_limits(self):
-        assert sequence_error(0.3, 0) == 0.0
-        assert abs(sequence_error(0.3, 1) - 0.3) < 1e-15
-        assert sequence_error(1.0, 5) == 1.0
-
-    def test_first_order_is_l_times_p(self):
-        """1 - (1-P)^L = L P + O((LP)^2) for small P."""
-        p = 1e-3
-        for L in (2, 5, 10, 20):
-            assert abs(sequence_error(p, L) - L * p) < (L * p) ** 2
 
 
 class TestGateCounts:

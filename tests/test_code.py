@@ -152,7 +152,6 @@ class TestDecode:
             s = format(j, "04b")
             q = [int(c) for c in s]
             assert decode(s) == (None if sum(q) % 2 else f"{q[0] ^ q[1]}{q[0] ^ q[2]}")
-            assert decode(s, relabel_swap01=True) == decode(s[1] + s[0] + s[2:])
 
     def test_odd_parity_rejected(self):
         assert decode("1000") is None
@@ -163,13 +162,6 @@ class TestDecode:
             decode("00")
         with pytest.raises(CircuitError):
             decode("00a0")
-
-    def test_relabel_swap01_is_logical_cnot(self):
-        """Reading q0/q1 swapped maps L10 <-> L11 and fixes L00, L01."""
-        assert decode("1010", relabel_swap01=True) == "11"
-        assert decode("0110", relabel_swap01=True) == "10"
-        assert decode("0000", relabel_swap01=True) == "00"
-        assert decode("1100", relabel_swap01=True) == "01"
 
 
 class TestPostSelect:

@@ -137,6 +137,21 @@ class TestRunPair:
         assert unc.D == 0.0
         assert ps.D < 0.07
 
+    def test_worst_case_only_when_nothing_is_retained(self):
+        """Noiseless HHSWAP, RZ just short of pi: r = sin^2(0.005) rounds to
+        gamma = 0 on both paths.  The exact path still holds the retained
+        distribution, which is the ideal one, while no sampled shot
+        survives; at pi nothing is retained on either path."""
+        sequence = random_sequence(SequenceSpec(GateSetId.SINGLE_HHSWAP, 1, 0))
+        exact = run_pair(sequence, NoiseParams(theta=math.pi - 0.01), 8192, 0, analytic_xi=True)[2]
+        assert exact.gamma == 0 and abs(exact.r - math.sin(0.005) ** 2) < 1e-12
+        assert exact.D < 1e-12 and exact.D_decoded < 1e-12
+        sampled = run_pair(sequence, NoiseParams(theta=math.pi - 0.01), 8192, 0)[2]
+        assert (sampled.gamma, sampled.r, sampled.D, sampled.D_decoded) == (0, 0.0, 1.0, 1.0)
+        for analytic in (False, True):
+            ps = run_pair(sequence, NoiseParams(theta=math.pi), 8192, 0, analytic_xi=analytic)[2]
+            assert (ps.gamma, ps.r, ps.D, ps.D_decoded) == (0, 0.0, 1.0, 1.0), analytic
+
 
 def _string_pipeline(sequence, params, shots, seed, analytic):
     """(scheme, gamma, r, D, D_decoded, output_dimension) of the three rows,
@@ -256,15 +271,15 @@ class TestCsv:
         write_records_csv(path, recs)
         assert read_records_csv(path) == recs
 
-    def test_header_written_once_on_append(self, tmp_path):
+    def test_second_write_replaces_the_file(self, tmp_path):
         recs = sweep_L(GateSetId.FULL, [2], PARAMS, shots=128, master_seed=5)
         path = tmp_path / "runs.csv"
-        write_records_csv(path, recs)
+        write_records_csv(path, recs + recs)
         write_records_csv(path, recs)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == ",".join(CSV_COLUMNS)
-        assert len(lines) == 1 + 2 * len(recs)
-        assert read_records_csv(path) == recs + recs
+        assert len(lines) == 1 + len(recs)
+        assert read_records_csv(path) == recs
 
     def test_rejects_foreign_header(self, tmp_path):
         path = tmp_path / "other.csv"

@@ -17,7 +17,6 @@ from qec422.ftcheck import (
     DETECTION_MODES,
     FaultClassification,
     FaultSite,
-    classify_fault,
     enumerate_single_faults,
     verify_single_faults,
 )
@@ -31,6 +30,11 @@ UNDETECTED_LOGICAL_ERROR = FaultClassification.UNDETECTED_LOGICAL_ERROR
 
 ENCODER = build_encoder(LogicalStateLabel.L00, EncoderVariant.NON_FAULT_TOLERANT)
 CHECKED = build_encoder(LogicalStateLabel.L00, EncoderVariant.ANCILLA_CHECKED)
+
+
+def _verdicts(circuit: Circuit, detection: str) -> dict:
+    """Classification of every site, preparation flips included, by site."""
+    return dict(verify_single_faults(circuit, detection, include_preparation=True).classifications)
 
 
 class TestEnumeration:
@@ -49,11 +53,6 @@ class TestEnumeration:
         for s in sites[:4]:
             assert s.is_preparation and s.pauli == "X"
         assert sites[0].weight_units == "p_prep"
-
-    def test_gate_range_restricts(self):
-        sites = enumerate_single_faults(ENCODER, gate_range=(1, 3))
-        assert len(sites) == 2 * 15
-        assert {s.gate_index for s in sites} == {1, 2}
 
     def test_weight_units(self):
         sites = enumerate_single_faults(ENCODER)
@@ -86,9 +85,9 @@ class TestEncoderClassification:
         """A flip after the seed Hadamard copies through every CNOT and
         lands on all four qubits, which maps the codeword set to itself;
         the phase flip sits on a control line and never shows up."""
+        verdicts = _verdicts(ENCODER, "postselect")
         for pauli in ("X", "Y", "Z"):
-            c = classify_fault(ENCODER, FaultSite(0, (1,), pauli), "postselect")
-            assert c == HARMLESS
+            assert verdicts[FaultSite(0, (1,), pauli)] == HARMLESS
 
     def test_tally_partition(self):
         report = verify_single_faults(ENCODER, "postselect")
@@ -126,15 +125,14 @@ class TestPreparationFaults:
     def test_third_qubit_flip_defeats_parity_alone(self):
         """|0> -> |1> on the qubit feeding the last CNOT makes a clean
         codeword of the wrong logical state."""
-        c = classify_fault(ENCODER, FaultSite(-1, (2,), "X"), "postselect")
-        assert c == UNDETECTED_LOGICAL_ERROR
+        verdicts = _verdicts(ENCODER, "postselect")
+        assert verdicts[FaultSite(-1, (2,), "X")] == UNDETECTED_LOGICAL_ERROR
         for q in (0, 1, 3):
-            assert classify_fault(ENCODER, FaultSite(-1, (q,), "X"),
-                                  "postselect") != UNDETECTED_LOGICAL_ERROR
+            assert verdicts[FaultSite(-1, (q,), "X")] != UNDETECTED_LOGICAL_ERROR
 
     def test_ancilla_catches_it(self):
-        c = classify_fault(CHECKED, FaultSite(-1, (2,), "X"), "postselect+ancilla")
-        assert c == DETECTED_ANCILLA
+        verdicts = _verdicts(CHECKED, "postselect+ancilla")
+        assert verdicts[FaultSite(-1, (2,), "X")] == DETECTED_ANCILLA
 
 
 class TestOtherPreparations:
@@ -146,14 +144,13 @@ class TestOtherPreparations:
 
     def test_transversal_block_is_fault_tolerant(self):
         """Single faults inside an appended logical-gate round stay
-        detectable: restrict the scan to the appended gates."""
+        detectable: no undetected site sits on the appended gates."""
         enc = build_encoder(LogicalStateLabel.L00, EncoderVariant.NON_FAULT_TOLERANT)
         block = coded_gate_circuit(LogicalGate.HHSWAP)
         circ = enc.with_gates(list(enc.gates) + list(block))
         start = len(enc.gates)
-        report = verify_single_faults(circ, "postselect",
-                                      gate_range=(start, len(circ.gates)))
-        assert report.fault_tolerant
+        report = verify_single_faults(circ, "postselect")
+        assert not [s for s in report.undetected_sites() if s.gate_index >= start]
 
 
 class TestInputValidation:
@@ -164,12 +161,6 @@ class TestInputValidation:
     def test_ancilla_mode_requires_ancilla_bit(self):
         with pytest.raises(CircuitError):
             verify_single_faults(ENCODER, "postselect+ancilla")
-
-    def test_site_must_match_circuit(self):
-        with pytest.raises(ValueError):
-            classify_fault(ENCODER, FaultSite(99, (0,), "X"), "postselect")
-        with pytest.raises(ValueError):
-            classify_fault(ENCODER, FaultSite(0, (0,), "X"), "postselect")  # H is on q1
 
     def test_too_few_data_bits_rejected(self):
         circ = Circuit(1, [GateInstance(GateKind.RZ, (0,), 0.3)], [0])

@@ -23,7 +23,7 @@ from qec422.noise import (
     ONE_QUBIT_PAULIS,
     TWO_QUBIT_PAULIS,
     NoiseParams,
-    _FlipMaskTable,
+    FlipMaskTable,
     derive_seed,
     insert_coherent_rotation,
     noisy_counts,
@@ -314,7 +314,7 @@ class TestFlipMaskTable:
                 gates = list(c.gates)
                 gates.insert(split, GateInstance(GateKind.RZ, (int(rng.integers(c.n_qubits)),), 0.4))
                 c = c.with_gates(gates)
-            table = _FlipMaskTable(c)
+            table = FlipMaskTable(c)
             assert table.split == split, seed
             for i, g in enumerate(c.gates):
                 if i < split:
@@ -515,7 +515,7 @@ class TestSpectrumDraw:
         for seed in range(40):
             c = _with_rzs(random_clifford(seed, n_qubits=2 + seed % 3, n_extra=seed % 6), 1 + seed % 2, seed)
             params = self._params(seed)
-            assert _FlipMaskTable(c).split >= 0
+            assert FlipMaskTable(c).split >= 0
             p = _drawn_vector(monkeypatch, c, params)
             exact = outcome_vector(_exact_mixture(c, params), len(c.measured))
             assert np.max(np.abs(p - _read_out_and_xi(exact, params))) < 1e-12, seed
@@ -571,6 +571,55 @@ class TestSpectrumDraw:
         params = NoiseParams(eps1=0.05, eps2=0.2, p_meas=0.1, p_prep=0.1, xi=0.1, theta=0.8)
         for shots in (1, 2, 999, 50_000):
             assert noisy_counts(circ, params, shots, shots).total == shots
+
+
+_PAULI_MATRICES = {"I": np.eye(2), "X": np.array([[0, 1], [1, 0]]),
+                   "Y": np.array([[0, -1j], [1j, 0]]), "Z": np.diag([1, -1])}
+
+
+def _pauli_on(label: str, targets: tuple[int, ...], n: int) -> np.ndarray:
+    """Matrix of a Pauli label over targets on n qubits, qubit q at index bit q."""
+    factors = dict(zip(targets, label))
+    out = np.eye(1)
+    for q in reversed(range(n)):
+        out = np.kron(out, _PAULI_MATRICES[factors.get(q, "I")])
+    return out
+
+
+class TestPrefixChannels:
+    """The density-matrix prefix's closed-form channels against the
+    explicit Kraus sum of P rho P^dagger on random Hermitian rho."""
+
+    N = 4
+
+    def _rho(self, seed: int) -> np.ndarray:
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(1 << self.N,) * 2) + 1j * rng.normal(size=(1 << self.N,) * 2)
+        return a + a.conj().T
+
+    @staticmethod
+    def _vec(rho: np.ndarray) -> np.ndarray:
+        """vec(rho): entry i | j << n holds rho_ij."""
+        return rho.T.reshape(-1)
+
+    @pytest.mark.parametrize("targets", [(0,), (3,), (0, 1), (2, 0), (1, 3)])
+    def test_depolarizing_channel(self, targets):
+        labels = ONE_QUBIT_PAULIS if len(targets) == 1 else TWO_QUBIT_PAULIS
+        paulis = [_pauli_on(label, targets, self.N) for label in labels]
+        for seed, p in enumerate((0.3, 0.01, 1.0)):
+            rho = self._rho(seed)
+            want = (1 - p) * rho + p / len(labels) * sum(P @ rho @ P.conj().T for P in paulis)
+            got = noise._depolarize(self._vec(rho), p, targets, self.N)
+            np.testing.assert_allclose(got, self._vec(want), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("q", range(4))
+    def test_preparation_flip(self, q):
+        X = _pauli_on("X", (q,), self.N)
+        for seed, p in enumerate((0.3, 0.01, 1.0)):
+            rho = self._rho(10 + seed)
+            want = (1 - p) * rho + p * X @ rho @ X
+            got = noise._prep_flip(self._vec(rho), p, q, self.N)
+            np.testing.assert_allclose(got, self._vec(want), rtol=0, atol=1e-12)
 
 
 class TestBoundedMemory:

@@ -244,7 +244,7 @@ class TestKernelAgainstUnitaries:
                     if k:
                         labels = noise.ONE_QUBIT_PAULIS if g.kind.arity == 1 else noise.TWO_QUBIT_PAULIS
                         amp = _embed({q: _PAULI[c] for c, q in zip(labels[k - 1], g.targets)}, n) @ amp
-                        faulted += noise._pauli_gates(labels[k - 1], g.targets)
+                        faulted += [_g(GateKind[c], q) for c, q in zip(labels[k - 1], g.targets) if c != "I"]
                 got = ideal_marginal(Circuit(n, faulted, measured))
                 np.testing.assert_allclose(got, _reference_marginal(amp, n, measured),
                                            rtol=0, atol=1e-12)
