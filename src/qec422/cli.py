@@ -19,6 +19,7 @@ import os
 import sys
 from dataclasses import asdict
 from datetime import datetime, timezone
+from functools import lru_cache
 
 import numpy as np
 
@@ -293,7 +294,10 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args leaves it
+    unchanged, and each call returns a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="qec422",
         description="[4,2,2] code experiments: simulate, post-select, predict, verify",

@@ -15,7 +15,6 @@ what makes CSV files regenerable byte-for-byte (timestamps aside).
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from datetime import datetime, timezone
 from enum import Enum
@@ -284,6 +283,8 @@ def sweep_L(gate_set: GateSetId, lengths: list[int], params: NoiseParams,
         for L in lengths for k in range(seeds_per_length)
     ]
     if jobs > 1:
+        # imported here, so that importing the package loads no multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             groups = list(pool.map(_run_one, tasks))
     else:

@@ -23,7 +23,10 @@ statevector kernel, which limits such a circuit to 6 qubits; otherwise
 it is the ideal statevector marginal.  Every folded flip is independent
 of the base and XORs onto it, and XOR-convolution is a pointwise product
 in the Walsh-Hadamard domain, so the suffix is one O(m 2^m) product with
-an O(G m 2^m) spectrum, skipped when no folded site fires.  Last, xi
+a spectrum, skipped when no folded site fires.  Equal sites fold into one
+row with a count; one bincount builds all S unique rows' flip histograms
+and one transform along the last axis their spectra, O(S m 2^m), and
+the spectrum is the product of each row raised to its count.  Last, xi
 mixes toward uniform.  The randomness is one multinomial from a
 counter-based Philox stream per call, so a (circuit, params, shots,
 seed) tuple always yields identical counts, regardless of how calls are
@@ -152,7 +155,7 @@ class FlipMaskTable:
     faults use k in 1..3 (X, Y, Z) and two-qubit faults k in 1..15
     indexing TWO_QUBIT_PAULIS.  Rows before the split are None.
     prep_masks[q + 1] is the mask of an X flip on qubit q before the
-    circuit, and exists only when split is -1.
+    circuit, and exists only when split is -1.  Rows are tuples of ints.
 
     One backward (Heisenberg) sweep builds every row: each measured Z is
     carried back through the gates, and a fault flips bit t exactly when
@@ -170,17 +173,17 @@ class FlipMaskTable:
         for t, q in enumerate(circuit.measured):
             zcol[q] |= 1 << t
 
-        self.gate_masks: list[np.ndarray | None] = [None] * len(gates)
+        self.gate_masks: list[tuple[int, ...] | None] = [None] * len(gates)
         for i in range(len(gates) - 1, max(self.split, 0) - 1, -1):
             g = gates[i]
             # flip masks of I, X, Y, Z on each target
             flips = [(0, zcol[q], zcol[q] ^ xcol[q], xcol[q]) for q in g.targets]
-            row = flips[0] if len(flips) == 1 else [a ^ b for a in flips[0] for b in flips[1]]
-            self.gate_masks[i] = np.array(row, dtype=np.int64)
+            self.gate_masks[i] = flips[0] if len(flips) == 1 else tuple(
+                a ^ b for a in flips[0] for b in flips[1])
             if i > self.split:
                 _conjugate_columns(xcol, zcol, g)
         # prep flips are indexed per qubit, not per Pauli
-        self.prep_masks = np.array([0] + zcol, dtype=np.int64) if self.split < 0 else None
+        self.prep_masks = (0, *zcol) if self.split < 0 else None
 
 
 # ---------------------------------------------------------------------------
@@ -188,13 +191,14 @@ class FlipMaskTable:
 # ---------------------------------------------------------------------------
 
 def _wht(vec: np.ndarray) -> np.ndarray:
-    """Walsh-Hadamard transform: out[s] = sum_j vec[j] (-1)^popcount(s & j)."""
-    h = 1
-    while h < len(vec):
-        a = vec.reshape(-1, 2, h)
-        vec = np.stack((a[:, 0] + a[:, 1], a[:, 0] - a[:, 1]), axis=1).reshape(-1)
+    """Walsh-Hadamard transform along the last axis:
+    out[..., s] = sum_j vec[..., j] (-1)^popcount(s & j)."""
+    shape, h = vec.shape, 1
+    while h < shape[-1]:
+        a = vec.reshape(*shape[:-1], -1, 2, h)
+        vec = np.stack((a[..., 0, :] + a[..., 1, :], a[..., 0, :] - a[..., 1, :]), axis=-2)
         h *= 2
-    return vec
+    return vec.reshape(shape)
 
 
 def _clifford_outcomes(circuit: Circuit, params: NoiseParams, table: FlipMaskTable,
@@ -206,43 +210,59 @@ def _clifford_outcomes(circuit: Circuit, params: NoiseParams, table: FlipMaskTab
     without an RZ, read-out flips) fires with probability p and XORs in
     masks[k], k >= 1 uniform, independently of what came before.  So the
     exact distribution is base times a pointwise product of
-    Walsh-Hadamard spectra (equal sites transformed once), clipped of
-    rounding negatives and renormalized; when no site fires it is base
-    itself.  Either way it is then mixed toward uniform by xi.
+    Walsh-Hadamard spectra, clipped of rounding negatives and
+    renormalized; when no site fires it is base itself.  Either way it
+    is then mixed toward uniform by xi.  Equal sites are folded into one
+    row raised to their count; every row's flip histogram (padded to 16
+    masks with weight 0) comes from one bincount and every spectrum from
+    one transform.
     """
     n_bits = len(circuit.measured)
     sites: Counter = Counter()
     for row in table.gate_masks[max(table.split, 0):]:
-        sites[(params.eps1 if len(row) == 4 else params.eps2, tuple(row.tolist()))] += 1
+        sites[(params.eps1 if len(row) == 4 else params.eps2, row)] += 1
     if table.prep_masks is not None:
-        sites.update((params.p_prep, (0, int(mask))) for mask in table.prep_masks[1:])
+        sites.update((params.p_prep, (0, mask)) for mask in table.prep_masks[1:])
     sites.update((params.p_meas, (0, 1 << t)) for t in range(n_bits))
     firing = [(p, masks, count) for (p, masks), count in sites.items() if p > 0.0]
     vec, total = base, 1.0
     if firing:
-        spec = np.ones(1 << n_bits)
-        for p, masks, count in firing:
-            w = [1.0 - p] + [p / (len(masks) - 1)] * (len(masks) - 1)
-            spec *= _wht(np.bincount(masks, w, minlength=len(spec))) ** count
+        d = 1 << n_bits
+        # padding adds exactly 0.0 to a row's bin 0, so rows come out as if binned alone
+        rows = np.array([masks + (0,) * (16 - len(masks)) for _, masks, _ in firing])
+        w = [[1.0 - p] + [p / (len(masks) - 1)] * (len(masks) - 1) + [0.0] * (16 - len(masks))
+             for p, masks, _ in firing]
+        bins = (rows + d * np.arange(len(rows))[:, None]).ravel()
+        spectra = _wht(np.bincount(bins, np.ravel(w), len(rows) * d).reshape(-1, d))
+        counts = np.array([count for _, _, count in firing])
+        powered = spectra ** counts[:, None]
+        # a scalar ** 2 is x * x, which an array exponent's pow() can miss by an ulp
+        twice = counts == 2
+        powered[twice] = spectra[twice] * spectra[twice]
         # the inverse transform's 1/2^m factor cancels in the renormalization
-        vec = np.maximum(_wht(_wht(base) * spec), 0.0)
+        vec = np.maximum(_wht(_wht(base) * np.prod(powered, axis=0)), 0.0)
         total = vec.sum()
     return (1.0 - params.xi) * vec / total + params.xi / len(vec)
 
 
-def _doubled(gate: GateInstance, n: int) -> list[GateInstance]:
+def _doubled(gate: GateInstance, n: int) -> tuple[GateInstance, ...]:
     """U rho U^dagger on vec(rho): U on the ket qubits 0..n-1, U* on the
-    bra qubits n..2n-1.  Y = i XZ runs as Z then X on both sides, so its
-    phases cancel; RZ* is RZ(-theta) and S* = S Z."""
-    if gate.kind is GateKind.Y:
-        q = gate.targets
-        return _doubled(GateInstance(GateKind.Z, q), n) + _doubled(GateInstance(GateKind.X, q), n)
-    bra = tuple(q + n for q in gate.targets)
-    angle = -gate.angle if gate.kind is GateKind.RZ else gate.angle
-    out = [gate, GateInstance(gate.kind, bra, angle)]
-    if gate.kind is GateKind.S:
-        out.append(GateInstance(GateKind.Z, bra))
-    return out
+    bra qubits n..2n-1.  RZ* is RZ(-theta); every other gate's pair is
+    cached per placement, like simulator._table."""
+    if gate.kind is GateKind.RZ:
+        return gate, GateInstance(GateKind.RZ, tuple(q + n for q in gate.targets), -gate.angle)
+    return _doubled_clifford(gate.kind, gate.targets, n)
+
+
+@lru_cache(maxsize=None)
+def _doubled_clifford(kind: GateKind, targets: tuple[int, ...], n: int) -> tuple[GateInstance, ...]:
+    """_doubled of a gate without an angle.  Y = i XZ runs as Z then X on
+    both sides, so its phases cancel; S* = S Z."""
+    if kind is GateKind.Y:
+        return _doubled_clifford(GateKind.Z, targets, n) + _doubled_clifford(GateKind.X, targets, n)
+    bra = tuple(q + n for q in targets)
+    out = (GateInstance(kind, targets), GateInstance(kind, bra))
+    return out + (GateInstance(GateKind.Z, bra),) if kind is GateKind.S else out
 
 
 @lru_cache(maxsize=None)

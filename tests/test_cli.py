@@ -10,9 +10,9 @@ import pytest
 
 import qec422
 from qec422.circuits import parse_circuit
-from qec422.cli import OUTPUT_DIR_ENV, load_config, main
+from qec422.cli import OUTPUT_DIR_ENV, build_parser, load_config, main
 from qec422.code import EncoderVariant, LogicalStateLabel, build_encoder
-from qec422.experiments import read_records_csv
+from qec422.experiments import DEFAULT_SHOTS, read_records_csv
 from qec422.simulator import ideal_distribution
 
 
@@ -334,6 +334,65 @@ class TestBounds:
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert "0.7500" in proc.stdout
+
+
+class TestOneParserPerProcess:
+    """main reuses one parser; no call may see another call's flags."""
+
+    @staticmethod
+    def _argvs(tmp_path) -> list[list[str]]:
+        run = ["run", "--lengths", "1", "--seeds-per-length", "1", "--gate-set", "reduced"]
+        return [
+            ["emit-circuit", "--encoder", "L00", "--variant", "AncillaChecked"],
+            ["emit-circuit", "--encoder", "L00"],
+            ["predict", "--lengths", "1,10,40", "--eps1", "0.004", "--eps2", "0.16", "--p-meas", "0.02"],
+            ["predict", "--lengths", "1,10,40"],
+            ["verify-ft", "--encoder", "L00", "--include-prep", "--json"],
+            ["verify-ft", "--encoder", "L00"],
+            run + ["--shots", "64", "--analytic-xi", "--eps2", "0.16", "--xi", "0.1",
+                   "--out", str(tmp_path / "a.csv")],
+            run + ["--out", str(tmp_path / "b.csv")],
+            ["bounds"],
+        ]
+
+    @staticmethod
+    def _call(argv, tmp_path, capsys) -> tuple:
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        if argv[0] != "run":
+            return out, None
+        path = argv[-1]
+        meta = json.loads(Path(path + ".meta.json").read_text())
+        del meta["generated"]
+        records = [tuple(getattr(r, f) for f in r.__dataclass_fields__ if f != "timestamp")
+                   for r in read_records_csv(path)]
+        return out, meta, records
+
+    def test_repeated_calls_match_single_calls(self, tmp_path, capsys):
+        argvs = self._argvs(tmp_path)
+        single = []
+        for argv in argvs:
+            build_parser.cache_clear()
+            single.append(self._call(argv, tmp_path, capsys))
+        for _ in range(2):
+            assert [self._call(argv, tmp_path, capsys) for argv in argvs] == single
+        assert build_parser() is build_parser()
+        # each flagged call is followed by one that leaves those flags out
+        assert all(single[i] != single[i + 1] for i in (0, 2, 4, 6))
+        meta_a, meta_b = single[6][1], single[7][1]
+        assert (meta_a["shots"], meta_a["analytic_xi"], meta_a["params"]["xi"]) == (64, True, 0.1)
+        assert (meta_b["shots"], meta_b["analytic_xi"], meta_b["params"]["xi"]) == (DEFAULT_SHOTS, False, 0.0)
+
+    def test_import_starts_no_process_machinery(self):
+        """The worker pool's modules load only when --jobs asks for one."""
+        src = str(Path(qec422.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = "import sys, qec422.cli; print(sorted(m for m in sys.modules if m.startswith('multiprocessing')))"
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 class TestUsageErrors:

@@ -3,6 +3,7 @@
 import itertools
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -322,12 +323,103 @@ class TestFlipMaskTable:
                     continue
                 labels = ONE_QUBIT_PAULIS if g.kind.arity == 1 else TWO_QUBIT_PAULIS
                 want = [0] + [_forward_mask(c, zip(label, g.targets), i + 1) for label in labels]
-                assert table.gate_masks[i].tolist() == want, (seed, i)
+                assert list(table.gate_masks[i]) == want, (seed, i)
             if split < 0:
                 want = [0] + [_forward_mask(c, [("X", q)], 0) for q in range(c.n_qubits)]
-                assert table.prep_masks.tolist() == want, seed
+                assert list(table.prep_masks) == want, seed
             else:
                 assert table.prep_masks is None, seed
+
+
+
+def _wht_1d(vec: np.ndarray) -> np.ndarray:
+    h = 1
+    while h < len(vec):
+        a = vec.reshape(-1, 2, h)
+        vec = np.stack((a[:, 0] + a[:, 1], a[:, 0] - a[:, 1]), axis=1).reshape(-1)
+        h *= 2
+    return vec
+
+
+def _per_site_outcomes(circuit: Circuit, params: NoiseParams, table: FlipMaskTable,
+                       base: np.ndarray) -> np.ndarray:
+    """Reference suffix: one bincount, one transform and one power per
+    unique folded site, multiplied into the spectrum in site order."""
+    n_bits = len(circuit.measured)
+    sites: Counter = Counter()
+    for row in table.gate_masks[max(table.split, 0):]:
+        sites[(params.eps1 if len(row) == 4 else params.eps2, tuple(row))] += 1
+    if table.prep_masks is not None:
+        sites.update((params.p_prep, (0, mask)) for mask in table.prep_masks[1:])
+    sites.update((params.p_meas, (0, 1 << t)) for t in range(n_bits))
+    firing = [(p, masks, count) for (p, masks), count in sites.items() if p > 0.0]
+    vec, total = base, 1.0
+    if firing:
+        spec = np.ones(1 << n_bits)
+        for p, masks, count in firing:
+            w = [1.0 - p] + [p / (len(masks) - 1)] * (len(masks) - 1)
+            spec *= _wht_1d(np.bincount(masks, w, minlength=len(spec))) ** count
+        vec = np.maximum(_wht_1d(_wht_1d(base) * spec), 0.0)
+        total = vec.sum()
+    return (1.0 - params.xi) * vec / total + params.xi / len(vec)
+
+
+class TestBatchedSuffix:
+    """_clifford_outcomes transforms every folded site in one batch; it
+    must give the per-site loop's vector bit for bit."""
+
+    @staticmethod
+    def _params(seed: int) -> NoiseParams:
+        """Odd seeds go up to 0.9, where a site's spectrum turns negative;
+        even seeds stay below 0.05 with no xi, where spectra stay near 1
+        and an ulp in one of them survives into the vector."""
+        eps1, eps2, p_prep, p_meas, xi = np.random.default_rng(seed).uniform(
+            0.0, 0.9 if seed % 2 else 0.05, 5)
+        return NoiseParams(eps1=eps1, eps2=eps2, p_prep=p_prep, p_meas=p_meas,
+                           xi=xi / 3 if seed % 2 else 0.0)
+
+    def _check(self, c: Circuit, params: NoiseParams) -> FlipMaskTable:
+        table = FlipMaskTable(c)
+        base = noise.ideal_marginal(c)
+        got = noise._clifford_outcomes(c, params, table, base)
+        assert np.array_equal(got, _per_site_outcomes(c, params, table, base))
+        return table
+
+    def test_random_circuits(self, random_clifford):
+        """Every channel on, with and without an RZ, 1 to 6 read-out bits;
+        prep rows whenever there is no RZ."""
+        widths = set()
+        for seed in range(120):
+            c = random_clifford(seed, n_qubits=2 + seed % 5, n_extra=seed % 30,
+                                measure_all=seed % 3 == 0)
+            c = _with_rzs(c, int(seed % 4 == 1), seed)
+            table = self._check(c, self._params(seed))
+            assert (table.prep_masks is None) == (table.split >= 0), seed
+            widths.add(len(c.measured))
+        assert widths == {1, 2, 3, 4, 5, 6}
+
+    def test_sites_repeated_twice(self, random_clifford):
+        """Equal sites raised to the power 2, where an array exponent's
+        pow() and x * x differ in the last bit for a few percent of
+        entries.  An X, Y or Z gate commutes with the frame, so doubling
+        each one gives two equal rows."""
+        doubled = 0
+        for seed in range(150):
+            c = random_clifford(seed, n_qubits=2 + seed % 5, n_extra=10 + seed % 20, measure_all=True)
+            twice = [[g, g] if g.kind in (GateKind.X, GateKind.Y, GateKind.Z) else [g] for g in c.gates]
+            table = self._check(c.with_gates([g for gs in twice for g in gs]), self._params(seed))
+            doubled += 2 in Counter(table.gate_masks).values()
+        assert doubled > 100
+
+    @pytest.mark.parametrize("gate_set", [GateSetId.FULL, GateSetId.REDUCED])
+    def test_coded_circuits(self, gate_set):
+        for L in (1, 20, 100):
+            for k in range(3):
+                for c in build_pair(random_sequence(SequenceSpec(gate_set, L, 40 + k))):
+                    for params in (self._params(L + k), NoiseParams(eps1=4e-3, eps2=0.16, p_meas=0.02)):
+                        self._check(c, params)
+                        if c.n_qubits == 4:  # the coded side, with its encoder's H
+                            self._check(insert_coherent_rotation(c, 0.7), params)
 
 
 def _merge(branches: dict, amp: np.ndarray, weight: float) -> None:
