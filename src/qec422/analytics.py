@@ -100,7 +100,7 @@ def predict_coded_ps(length: int, eps1: float, eps2: float, p_meas: float) -> fl
 # Worst-case bounds
 # ---------------------------------------------------------------------------
 
-def worst_case_bound(ideal: DistributionLike, n_bits: int | None = None) -> float:
+def worst_case_bound(ideal: DistributionLike) -> float:
     """Largest distance any noise process can reach: D(ideal, uniform).
 
     For an ideal distribution uniform over k of d outcomes this is
@@ -108,6 +108,4 @@ def worst_case_bound(ideal: DistributionLike, n_bits: int | None = None) -> floa
     superposition, 0 when the ideal is already flat.
     """
     ideal = _dist(ideal)
-    if n_bits is not None and n_bits != ideal.n_bits:
-        raise CircuitError(f"n_bits {n_bits} differs from the ideal's width {ideal.n_bits}")
     return trace_distance(ideal, totally_mixed(len(ideal.vec)))

@@ -56,6 +56,14 @@ OUTPUT_DIR_ENV = "QEC422_OUTPUT_DIR"
 
 _BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
+
+def _serial_only(value: str) -> int:
+    """jobs stays a key so that old configs load; runs are serial, so only 1 passes."""
+    if int(value) != 1:
+        raise CircuitError(f"jobs = {value}: parallel runs were removed, so jobs must be 1")
+    return 1
+
+
 # key -> parser; every key a config file may set
 _CONFIG_PARSERS = {
     "gate_set": str,
@@ -72,7 +80,7 @@ _CONFIG_PARSERS = {
     "theta": float,
     "xi": float,
     "analytic_xi": lambda s: _BOOLEANS[s.lower()],
-    "jobs": int,
+    "jobs": _serial_only,
     "out": str,
 }
 
@@ -96,6 +104,8 @@ def load_config(path: str) -> dict:
                 )
             try:
                 cfg[key] = _CONFIG_PARSERS[key](value)
+            except CircuitError as exc:
+                raise CircuitError(f"{path}:{line_no}: {exc}") from None
             except (KeyError, ValueError):
                 raise CircuitError(f"{path}:{line_no}: bad value {value!r} for {key}") from None
     return cfg
@@ -166,12 +176,11 @@ def cmd_run(args: argparse.Namespace) -> int:
     master_seed = _resolve(args, cfg, "master_seed", 0)
     shots = _resolve(args, cfg, "shots", DEFAULT_SHOTS)
     analytic_xi = bool(_resolve(args, cfg, "analytic_xi", False))
-    jobs = _resolve(args, cfg, "jobs", 1)
     params = _noise_from(args, cfg)
     out = _out_path(_resolve(args, cfg, "out", "results.csv"))
 
     records = sweep_L(gate_set, lengths, params, shots, seeds_per_length,
-                      master_seed, analytic_xi, jobs)
+                      master_seed, analytic_xi)
     write_records_csv(out, records)
     meta = {
         "generated": datetime.now(timezone.utc).isoformat(),
@@ -330,7 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--master-seed", dest="master_seed", type=int)
     p.add_argument("--shots", type=int)
     p.add_argument("--analytic-xi", dest="analytic_xi", action="store_const", const=True)
-    p.add_argument("--jobs", type=int)
     p.add_argument("--out", help="CSV path (relative paths land in $%s)" % OUTPUT_DIR_ENV)
     add_noise_flags(p)
     p.set_defaults(func=cmd_run)

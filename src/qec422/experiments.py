@@ -254,42 +254,26 @@ def run_pair(sequence: list[LogicalGate], params: NoiseParams, shots: int,
     ]
 
 
-def _run_one(task: tuple) -> list[ExperimentRecord]:
-    gate_set, L, k, master_seed, params, shots, analytic_xi = task
-    seed = derive_seed(master_seed, gate_set.value, L, k)
-    sequence = random_sequence(SequenceSpec(gate_set, L, seed))
-    return run_pair(sequence, params, shots, seed, gate_set.value, analytic_xi)
-
-
 def sweep_L(gate_set: GateSetId, lengths: list[int], params: NoiseParams,
             shots: int = DEFAULT_SHOTS, seeds_per_length: int = 1,
-            master_seed: int = 0, analytic_xi: bool = False,
-            jobs: int = 1) -> list[ExperimentRecord]:
-    """Run seeds_per_length independent pairs at every L.
+            master_seed: int = 0, analytic_xi: bool = False) -> list[ExperimentRecord]:
+    """Run seeds_per_length independent pairs at every L, in (L, k) order.
 
     Each (L, k) slot gets its own derived seed and its own freshly drawn
-    sequence.  With jobs > 1 the pairs run in worker processes; results
-    are collected in task order, so the record list (and any CSV written
-    from it) does not depend on scheduling.
+    sequence, so the record list (and any CSV written from it) depends
+    only on the arguments.
     """
     if not lengths:
         raise CircuitError("no sequence lengths to run")
     if seeds_per_length < 1:
         raise CircuitError(f"seeds_per_length must be positive, got {seeds_per_length}")
-    if jobs < 1:
-        raise CircuitError(f"jobs must be positive, got {jobs}")
-    tasks = [
-        (gate_set, L, k, master_seed, params, shots, analytic_xi)
-        for L in lengths for k in range(seeds_per_length)
-    ]
-    if jobs > 1:
-        # imported here, so that importing the package loads no multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            groups = list(pool.map(_run_one, tasks))
-    else:
-        groups = [_run_one(t) for t in tasks]
-    return [rec for group in groups for rec in group]
+    out: list[ExperimentRecord] = []
+    for L in lengths:
+        for k in range(seeds_per_length):
+            seed = derive_seed(master_seed, gate_set.value, L, k)
+            sequence = random_sequence(SequenceSpec(gate_set, L, seed))
+            out += run_pair(sequence, params, shots, seed, gate_set.value, analytic_xi)
+    return out
 
 
 def sweep_theta(thetas: list[float], params: NoiseParams,

@@ -99,14 +99,13 @@ def _pauli_gates(label: str, targets: tuple[int, ...]) -> list[GateInstance]:
 
 
 def verify_single_faults(circuit: Circuit, detection: str, circuit_id: str = "circuit",
-                         include_preparation: bool = False,
-                         ancilla_qubit: int | None = None) -> FTReport:
+                         include_preparation: bool = False) -> FTReport:
     """Classify every single-fault site of the circuit; the verdict is
     fault_tolerant iff no site is an undetected logical error.
 
     detection is "postselect" (data-parity discard only) or
-    "postselect+ancilla" (also require the ancilla read-out bit to be 0;
-    defaults to the last measured qubit when ancilla_qubit is None).
+    "postselect+ancilla" (also require the ancilla, the last measured
+    qubit, to read 0).
     The ideal marginal and the flip-mask table are built once.  A fault
     the Pauli frame folds (after the last RZ, or anywhere in a Clifford
     circuit) permutes the ideal outcomes by its mask; only faults ahead
@@ -118,10 +117,7 @@ def verify_single_faults(circuit: Circuit, detection: str, circuit_id: str = "ci
         raise CircuitError("detection needs at least the four data qubits measured")
     ancilla_bit = None
     if detection == "postselect+ancilla":
-        anc = circuit.measured[-1] if ancilla_qubit is None else ancilla_qubit
-        if anc not in circuit.measured:
-            raise CircuitError(f"ancilla qubit {anc} is not measured")
-        ancilla_bit = circuit.measured.index(anc)
+        ancilla_bit = len(circuit.measured) - 1
         if ancilla_bit < DATA_QUBITS:
             raise CircuitError("ancilla bit cannot be one of the four data bits")
 
@@ -231,8 +227,8 @@ class FTReport:
             ],
         }
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_json_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_json_dict())
 
     def format_table(self) -> str:
         lines = [

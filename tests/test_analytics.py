@@ -166,11 +166,6 @@ class TestWorstCase:
         assert abs(worst_case_bound({"00": 0.5, "11": 0.5}) - 0.5) < 1e-12
         assert worst_case_bound(totally_mixed(4)) < 1e-12
 
-    def test_explicit_width_must_match(self):
-        assert abs(worst_case_bound({"00": 1.0}, n_bits=2) - 0.75) < 1e-12
-        with pytest.raises(CircuitError, match="n_bits 3"):
-            worst_case_bound({"00": 1.0}, n_bits=3)
-
     def test_mixing_reaches_bound_linearly(self):
         """D(depolarized, ideal) = xi * bound, monotone up to xi = 1."""
         ideal = OutcomeDistribution({"00": 1.0})

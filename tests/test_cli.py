@@ -197,15 +197,38 @@ class TestRun:
         assert capsys.readouterr().err.startswith("error: no sequence lengths to run")
         assert not out.exists()
 
-    @pytest.mark.parametrize("jobs", ["0", "-3"])
-    def test_non_positive_jobs_refused(self, tmp_path, capsys, jobs):
-        """A negative --jobs used to run serially without a word."""
+    def test_jobs_flag_is_a_usage_error(self, tmp_path, capsys):
+        """Runs are serial: --jobs is no longer a flag."""
         out = tmp_path / "never.csv"
-        argv = ["run", "--lengths", "1", "--seeds-per-length", "1", "--jobs", jobs,
-                "--out", str(out)]
-        assert main(argv) == 1
-        assert capsys.readouterr().err.startswith(f"error: jobs must be positive, got {jobs}")
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--lengths", "1", "--seeds-per-length", "1", "--jobs", "2",
+                  "--out", str(out)])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_parallel_jobs_config_refused(self, tmp_path, capsys):
+        """An old config asking for worker processes fails loudly, before anything runs."""
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("lengths = 1\nseeds_per_length = 1\njobs = 2\n")
+        out = tmp_path / "never.csv"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}:3: jobs = 2: parallel runs were removed")
+        assert not out.exists()
+
+    def test_jobs_one_config_is_ignored(self, tmp_path, capsys):
+        """jobs = 1 still loads, and the records are those of the same config without it."""
+        body = "gate_set = full\nlengths = 1, 10\nseeds_per_length = 2\nshots = 777\neps2 = 0.16\n"
+        columns = []
+        for name, extra in (("plain", ""), ("serial", "jobs = 1\n")):
+            cfg, out = tmp_path / f"{name}.cfg", tmp_path / f"{name}.csv"
+            cfg.write_text(body + extra)
+            assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+            # columns 1-16: everything but the trailing timestamp
+            columns.append([line.rsplit(",", 1)[0] for line in out.read_text().splitlines()])
+        assert len(columns[0]) == 13
+        assert columns[1] == columns[0]
 
     def test_analytic_xi_is_exact_under_every_channel(self, tmp_path, capsys):
         """--analytic-xi used to refuse any Pauli, preparation or read-out noise."""
@@ -384,7 +407,7 @@ class TestOneParserPerProcess:
         assert (meta_b["shots"], meta_b["analytic_xi"], meta_b["params"]["xi"]) == (DEFAULT_SHOTS, False, 0.0)
 
     def test_import_starts_no_process_machinery(self):
-        """The worker pool's modules load only when --jobs asks for one."""
+        """Importing the CLI loads no multiprocessing: runs are serial, so nothing needs it."""
         src = str(Path(qec422.__file__).parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))

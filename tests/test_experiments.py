@@ -222,13 +222,6 @@ class TestOnePipeline:
 
 
 class TestSweeps:
-    def test_worker_processes_give_the_serial_records(self):
-        args = (GateSetId.FULL, [1, 10], dataclasses.replace(PARAMS, p_prep=0.01))
-        kwargs = {"shots": 777, "seeds_per_length": 2, "master_seed": 6}
-        serial = sweep_L(*args, **kwargs, jobs=1)
-        pooled = sweep_L(*args, **kwargs, jobs=2)
-        assert [_strip_stamp(r) for r in pooled] == [_strip_stamp(r) for r in serial]
-
     def test_sweep_is_deterministic_and_ordered(self):
         a = sweep_L(GateSetId.REDUCED, [2, 5], PARAMS, shots=512,
                     seeds_per_length=2, master_seed=1)

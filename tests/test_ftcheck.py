@@ -159,7 +159,7 @@ class TestInputValidation:
             verify_single_faults(ENCODER, "majority-vote")
 
     def test_ancilla_mode_requires_ancilla_bit(self):
-        with pytest.raises(CircuitError):
+        with pytest.raises(CircuitError, match="cannot be one of the four data bits"):
             verify_single_faults(ENCODER, "postselect+ancilla")
 
     def test_too_few_data_bits_rejected(self):
