@@ -6,9 +6,10 @@ models, verify-ft runs the exhaustive single-fault check, and bounds
 prints the worst-case distance table.
 
 Options resolve as defaults < config file < flags.  The config file is
-flat ``key = value`` lines with ``#`` comments; unknown keys are
-rejected before anything runs.  QEC422_OUTPUT_DIR sets where relative
-output paths land.  Exit codes: 0 success, 1 runtime failure, 2 usage.
+flat ``key = value`` lines with ``#`` comments; a key the subcommand
+does not read is rejected before anything runs.  QEC422_OUTPUT_DIR sets
+where relative output paths land.  Exit codes: 0 success, 1 runtime
+failure, 2 usage.
 """
 
 from __future__ import annotations
@@ -83,10 +84,18 @@ _CONFIG_PARSERS = {
     "jobs": _serial_only,
     "out": str,
 }
+_NOISE_KEYS = {"eps1", "eps2", "p_meas", "p_prep", "xi"}
+# subcommand -> the keys it reads; sweep-theta sets theta per angle itself
+_COMMAND_KEYS = {
+    "run": {"gate_set", "lengths", "seeds_per_length", "master_seed", "shots",
+            "analytic_xi", "jobs", "out", "theta", *_NOISE_KEYS},
+    "sweep-theta": {"gate_set", "thetas", "length", "shots", "master_seed", "out", *_NOISE_KEYS},
+    "predict": {"lengths", "eps1", "eps2", "p_meas"},
+}
 
 
-def load_config(path: str) -> dict:
-    """Parse a flat key = value file, rejecting unknown keys up front."""
+def load_config(path: str, command: str) -> dict:
+    """Parse a flat key = value file, refusing up front any key command does not read."""
     cfg = {}
     with open(path) as fh:
         for line_no, raw in enumerate(fh, start=1):
@@ -97,10 +106,10 @@ def load_config(path: str) -> dict:
                 raise CircuitError(f"{path}:{line_no}: expected 'key = value', got {line!r}")
             key, _, value = line.partition("=")
             key, value = key.strip(), value.strip()
-            if key not in _CONFIG_PARSERS:
+            if key not in _COMMAND_KEYS[command]:
                 raise CircuitError(
-                    f"{path}:{line_no}: unknown config key {key!r}; allowed: "
-                    + ", ".join(sorted(_CONFIG_PARSERS))
+                    f"{path}:{line_no}: unknown config key {key!r} for {command}; allowed: "
+                    + ", ".join(sorted(_COMMAND_KEYS[command]))
                 )
             try:
                 cfg[key] = _CONFIG_PARSERS[key](value)
@@ -113,11 +122,7 @@ def load_config(path: str) -> dict:
 
 def _resolve(args: argparse.Namespace, cfg: dict, key: str, default):
     flag = getattr(args, key, None)
-    if flag is not None:
-        return flag
-    if key in cfg:
-        return cfg[key]
-    return default
+    return flag if flag is not None else cfg.get(key, default)
 
 
 def _noise_from(args: argparse.Namespace, cfg: dict) -> NoiseParams:
@@ -132,8 +137,6 @@ def _noise_from(args: argparse.Namespace, cfg: dict) -> NoiseParams:
 
 
 def _out_path(name: str) -> str:
-    if os.path.isabs(name):
-        return name
     return os.path.join(os.environ.get(OUTPUT_DIR_ENV, "."), name)
 
 
@@ -169,7 +172,7 @@ def cmd_emit_circuit(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config) if args.config else {}
+    cfg = load_config(args.config, args.command) if args.config else {}
     gate_set = GateSetId.from_str(_resolve(args, cfg, "gate_set", "reduced"))
     lengths = _resolve(args, cfg, "lengths", [1, 2, 5, 10, 20, 50, 100])
     seeds_per_length = _resolve(args, cfg, "seeds_per_length", 5)
@@ -206,7 +209,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config) if args.config else {}
+    cfg = load_config(args.config, args.command) if args.config else {}
     lengths = _resolve(args, cfg, "lengths", list(range(1, 101)))
     if not lengths:
         raise CircuitError("no sequence lengths to predict")
@@ -258,7 +261,7 @@ def cmd_verify_ft(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep_theta(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config) if args.config else {}
+    cfg = load_config(args.config, args.command) if args.config else {}
     thetas = _resolve(args, cfg, "thetas",
                       [float(x) for x in np.linspace(0.0, np.pi, 9)])
     gate_set = GateSetId.from_str(_resolve(args, cfg, "gate_set", "single_hhswap"))

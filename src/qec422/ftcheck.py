@@ -7,11 +7,13 @@ each one-qubit gate, 15 after each two-qubit gate, optionally an X
 before the circuit on each qubit) and works out each faulted outcome
 vector exactly.  One backward Pauli-frame sweep (noise.FlipMaskTable)
 gives every fault after the last RZ -- every fault, in a Clifford
-circuit -- as a read-out flip mask, so its outcome vector is the ideal
-one with indices XORed by the mask; only faults ahead of the last RZ
-are simulated, one simulator.ideal_marginal of the faulted circuit
-each.  Each vector is split with code.selection_split (the rule
-post-selection applies to sampled counts) and the result classified:
+circuit -- as a read-out flip mask: the ideal outcome vector with
+indices XORed by the mask.  Each distinct mask is split and classified
+once, so folded sites on m read-out bits cost O(min(sites, 2^m) * 2^m)
+plus O(1) per site.  Faults ahead of the last RZ are simulated, one
+simulator.ideal_marginal of the faulted circuit each.  Each vector is
+split with code.selection_split (the rule post-selection applies to
+sampled counts) and the result classified:
 
 Harmless                  retained distribution and retention both unchanged
 DetectedPostSelection     probability mass moved into odd-parity strings
@@ -27,6 +29,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import groupby
+from operator import attrgetter
 
 import numpy as np
 
@@ -84,20 +88,6 @@ def enumerate_single_faults(circuit: Circuit, include_preparation: bool = False)
 # Classification
 # ---------------------------------------------------------------------------
 
-def _fault_index(site: FaultSite) -> int:
-    """k of the site's fault as FlipMaskTable indexes it: qubit + 1 for
-    a preparation flip, else the 1-based index of its Pauli label."""
-    if site.is_preparation:
-        return site.targets[0] + 1
-    labels = ONE_QUBIT_PAULIS if len(site.pauli) == 1 else TWO_QUBIT_PAULIS
-    return labels.index(site.pauli) + 1
-
-
-def _pauli_gates(label: str, targets: tuple[int, ...]) -> list[GateInstance]:
-    """The one-qubit gates of a Pauli label over targets, identities dropped."""
-    return [GateInstance(GateKind[letter], (q,)) for letter, q in zip(label, targets) if letter != "I"]
-
-
 def verify_single_faults(circuit: Circuit, detection: str, circuit_id: str = "circuit",
                          include_preparation: bool = False) -> FTReport:
     """Classify every single-fault site of the circuit; the verdict is
@@ -108,8 +98,10 @@ def verify_single_faults(circuit: Circuit, detection: str, circuit_id: str = "ci
     qubit, to read 0).
     The ideal marginal and the flip-mask table are built once.  A fault
     the Pauli frame folds (after the last RZ, or anywhere in a Clifford
-    circuit) permutes the ideal outcomes by its mask; only faults ahead
-    of the last RZ are simulated, each inserted into the gate list.
+    circuit) permutes the ideal outcomes by its mask, so each distinct
+    mask is split and classified once and later sites with it reuse the
+    verdict.  Only faults ahead of the last RZ are simulated, each
+    inserted into the gate list.
     """
     if detection not in DETECTION_MODES:
         raise CircuitError(f"detection must be one of {DETECTION_MODES}, got {detection!r}")
@@ -129,29 +121,35 @@ def verify_single_faults(circuit: Circuit, detection: str, circuit_id: str = "ci
     if ideal_mass <= _ATOL:
         raise CircuitError("ideal circuit retains no probability mass")
 
-    sites = enumerate_single_faults(circuit, include_preparation)
-    out = []
-    for site in sites:
-        i, k = site.gate_index, _fault_index(site)
-        if i >= table.split:
-            row = table.gate_masks[i] if i >= 0 else table.prep_masks
-            vec = ideal[idx ^ row[k]]
-        else:  # after gate i, or before the first gate when i is -1
-            fault = _pauli_gates(site.pauli, site.targets)
-            vec = ideal_marginal(circuit.with_gates(
-                circuit.gates[:i + 1] + fault + circuit.gates[i + 1:]))
+    def classify(vec: np.ndarray) -> str:
         ret, par, _ = selection_split(vec, ancilla_bit)
         mass = ret.sum()
         # a changed retained distribution that still reaches the decoder is
         # exactly what detection is supposed to prevent
         if mass > _ATOL and np.max(np.abs(ret / mass - ideal_ret / ideal_mass)) > _ATOL:
-            out.append(FaultClassification.UNDETECTED_LOGICAL_ERROR)
-        elif abs(mass - ideal_mass) <= _ATOL:
-            out.append(FaultClassification.HARMLESS)
-        elif par > ideal_par + _ATOL:
-            out.append(FaultClassification.DETECTED_POSTSELECTION)
-        else:
-            out.append(FaultClassification.DETECTED_ANCILLA)
+            return FaultClassification.UNDETECTED_LOGICAL_ERROR
+        if abs(mass - ideal_mass) <= _ATOL:
+            return FaultClassification.HARMLESS
+        if par > ideal_par + _ATOL:
+            return FaultClassification.DETECTED_POSTSELECTION
+        return FaultClassification.DETECTED_ANCILLA
+
+    sites = enumerate_single_faults(circuit, include_preparation)
+    by_mask: dict[int, str] = {}  # folded flip mask -> its verdict
+    out = []
+    # sites come grouped by gate in table order: a group's k-th is fault k of its row
+    for i, group in groupby(sites, key=attrgetter("gate_index")):
+        row = None if i < table.split else table.gate_masks[i] if i >= 0 else table.prep_masks
+        for k, site in enumerate(group, start=1):
+            if row is None:  # after gate i, or before the first gate when i is -1
+                fault = [GateInstance(GateKind[c], (q,))
+                         for c, q in zip(site.pauli, site.targets) if c != "I"]
+                out.append(classify(ideal_marginal(circuit.with_gates(
+                    circuit.gates[:i + 1] + fault + circuit.gates[i + 1:]))))
+            else:
+                if row[k] not in by_mask:
+                    by_mask[row[k]] = classify(ideal[idx ^ row[k]])
+                out.append(by_mask[row[k]])
     return FTReport(circuit_id, detection, list(zip(sites, out)))
 
 
@@ -169,8 +167,7 @@ class FTReport:
 
     @property
     def fault_tolerant(self) -> bool:
-        return not any(c == FaultClassification.UNDETECTED_LOGICAL_ERROR
-                       for _, c in self.classifications)
+        return not self.undetected_sites()
 
     def undetected_sites(self) -> list[FaultSite]:
         return [s for s, c in self.classifications

@@ -11,7 +11,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from qec422.analytics import (
     measurement_error_coded_ps,

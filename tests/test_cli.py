@@ -53,7 +53,7 @@ class TestConfig:
         p = tmp_path / "c.cfg"
         p.write_text("# sweep setup\nlengths = 1, 2, 5  # short\nshots = 256\n"
                      "eps2 = 0.16\nanalytic_xi = true\n\n")
-        cfg = load_config(str(p))
+        cfg = load_config(str(p), "run")
         assert cfg == {"lengths": [1, 2, 5], "shots": 256,
                        "eps2": 0.16, "analytic_xi": True}
 
@@ -61,23 +61,23 @@ class TestConfig:
         p = tmp_path / "c.cfg"
         p.write_text("shots = 10\nbogus = 3\n")
         with pytest.raises(Exception, match="c.cfg:2"):
-            load_config(str(p))
+            load_config(str(p), "run")
 
     def test_bad_value_reports_line(self, tmp_path):
         p = tmp_path / "c.cfg"
         p.write_text("shots = many\n")
         with pytest.raises(Exception, match="bad value"):
-            load_config(str(p))
+            load_config(str(p), "run")
 
     def test_analytic_xi_accepts_only_boolean_words(self, tmp_path, capsys):
         p = tmp_path / "c.cfg"
         for word, want in (("1", True), ("TRUE", True), ("Yes", True),
                            ("0", False), ("false", False), ("NO", False)):
             p.write_text(f"analytic_xi = {word}\n")
-            assert load_config(str(p)) == {"analytic_xi": want}
+            assert load_config(str(p), "run") == {"analytic_xi": want}
         p.write_text("shots = 16\nanalytic_xi = ture\n")
         with pytest.raises(Exception, match=r"c.cfg:2: bad value 'ture'"):
-            load_config(str(p))
+            load_config(str(p), "run")
         out = tmp_path / "never.csv"
         assert main(["run", "--config", str(p), "--out", str(out)]) == 1
         assert "bad value" in capsys.readouterr().err
@@ -88,6 +88,38 @@ class TestConfig:
         p.write_text("bogus = 3\n")
         assert main(["run", "--config", str(p)]) == 1
         assert "unknown config key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, body, line, key", [
+        ("run", "shots = 64\nthetas = 0.5\nlength = 7\n", 2, "thetas"),
+        ("run", "shots = 64\nlength = 7\n", 2, "length"),
+        ("sweep-theta", "thetas = 0.5\ntheta = 0.3\n", 2, "theta"),
+        ("sweep-theta", "seeds_per_length = 2\n", 1, "seeds_per_length"),
+        ("predict", "eps2 = 0.16\nshots = 64\n", 2, "shots"),
+        ("predict", "out = pred.csv\n", 1, "out"),
+    ])
+    def test_key_the_command_does_not_read_refused(self, tmp_path, capsys, command, body,
+                                                    line, key):
+        """A key another subcommand reads used to load and be silently ignored."""
+        cfg, out = tmp_path / "c.cfg", tmp_path / "never.csv"
+        cfg.write_text(body)
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            f"error: {cfg}:{line}: unknown config key {key!r} for {command}")
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, keys", [
+        ("run", "gate_set lengths seeds_per_length master_seed shots eps1 eps2 p_meas jobs out"),
+        ("sweep-theta", "gate_set length thetas master_seed shots eps1 eps2 p_meas out"),
+    ])
+    def test_benchmark_config_keys_load(self, tmp_path, command, keys):
+        """The keys the benchmark's sweep and coherent configs write."""
+        values = {"gate_set": "full", "lengths": "1", "thetas": "0.5", "out": "x.csv",
+                  "eps1": "0.004", "eps2": "0.16", "p_meas": "0.02", "jobs": "1"}
+        p = tmp_path / "c.cfg"
+        p.write_text("".join(f"{k} = {values.get(k, '2')}\n" for k in keys.split()))
+        assert set(load_config(str(p), command)) == set(keys.split())
 
 
 class TestRun:

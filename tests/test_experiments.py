@@ -8,7 +8,7 @@ import pytest
 
 from qec422 import simulator
 from qec422.analytics import trace_distance
-from qec422.circuits import Circuit, CircuitError, GateInstance, GateKind
+from qec422.circuits import GateKind
 from qec422.code import (
     EncoderVariant,
     LogicalGate,

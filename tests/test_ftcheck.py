@@ -2,9 +2,9 @@
 
 import json
 
-import numpy as np
 import pytest
 
+from qec422 import ftcheck
 from qec422.circuits import Circuit, CircuitError, GateInstance, GateKind, parse_circuit
 from qec422.code import (
     EncoderVariant,
@@ -13,6 +13,7 @@ from qec422.code import (
     build_encoder,
     coded_gate_circuit,
 )
+from qec422.experiments import GateSetId, SequenceSpec, build_pair, random_sequence
 from qec422.ftcheck import (
     DETECTION_MODES,
     FaultClassification,
@@ -20,7 +21,7 @@ from qec422.ftcheck import (
     enumerate_single_faults,
     verify_single_faults,
 )
-from qec422.noise import ONE_QUBIT_PAULIS, TWO_QUBIT_PAULIS, insert_coherent_rotation
+from qec422.noise import FlipMaskTable, insert_coherent_rotation
 from qec422.simulator import PureState, ideal_distribution
 
 HARMLESS = FaultClassification.HARMLESS
@@ -259,6 +260,11 @@ _RZ_CIRCUITS = {
         CHECKED.with_gates(CHECKED.gates + [_rz(3, 1.3)] + _HHSWAP), 0.6),
     "rotated_L00": insert_coherent_rotation(ENCODER, 0.3),
 }
+# the benchmark's ftcheck size: 21 two-gate and 9 four-gate blocks, 282 sites
+_L30 = build_pair([LogicalGate.X0, LogicalGate.X1, LogicalGate.Z0, LogicalGate.Z1, LogicalGate.X0,
+                   LogicalGate.Z1, LogicalGate.Z0, LogicalGate.CZZZ, LogicalGate.HHSWAP,
+                   LogicalGate.CZZZ] * 3)[1]
+_L100 = build_pair(random_sequence(SequenceSpec(GateSetId.FULL, 100, 0)))[1]
 
 
 class TestAgainstBruteForce:
@@ -293,6 +299,10 @@ class TestAgainstBruteForce:
         assert seen == {HARMLESS, DETECTED_POSTSELECTION, DETECTED_ANCILLA,
                         UNDETECTED_LOGICAL_ERROR}
 
+    def test_full_set_length_30_coded_circuit(self):
+        assert len(enumerate_single_faults(_L30)) == 282
+        self._check(_L30, set())
+
     def test_one_statevector_per_clifford_check(self, monkeypatch):
         """Every fault in a Clifford circuit is read off the ideal outcome
         vector, so the whole check runs the ideal circuit once."""
@@ -303,3 +313,28 @@ class TestAgainstBruteForce:
         report = verify_single_faults(CHECKED, "postselect+ancilla", include_preparation=True)
         assert len(report.classifications) == 5 + 3 + 5 * 15
         assert len(runs) == 1
+
+
+class TestPerMaskCost:
+    """Each distinct folded flip mask is split once; only sites ahead of
+    the last RZ are split one by one."""
+
+    @pytest.mark.parametrize("circuit, detection", [
+        (CHECKED, "postselect+ancilla"),
+        (_L100, "postselect"),
+        (_RZ_CIRCUITS["two_rz"], "postselect+ancilla"),
+    ], ids=["checked", "full_L100", "two_rz"])
+    def test_splits_per_distinct_mask(self, monkeypatch, circuit, detection):
+        calls = []
+        original = ftcheck.selection_split
+        monkeypatch.setattr(ftcheck, "selection_split",
+                            lambda *a, **kw: calls.append(1) or original(*a, **kw))
+        report = verify_single_faults(circuit, detection, include_preparation=True)
+        table = FlipMaskTable(circuit)
+        rows = table.gate_masks[max(table.split, 0):]
+        if table.prep_masks is not None:
+            rows.append(table.prep_masks)
+        masks = {m for row in rows for m in row[1:]}
+        ahead = sum(s.gate_index < table.split for s, _ in report.classifications)
+        assert len(calls) <= 1 + len(masks) + ahead
+        assert len(masks) <= 2 ** len(circuit.measured)
