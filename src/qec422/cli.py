@@ -7,9 +7,9 @@ prints the worst-case distance table.
 
 Options resolve as defaults < config file < flags.  The config file is
 flat ``key = value`` lines with ``#`` comments; a key the subcommand
-does not read is rejected before anything runs.  QEC422_OUTPUT_DIR sets
-where relative output paths land.  Exit codes: 0 success, 1 runtime
-failure, 2 usage.
+does not read has no flag and is rejected before anything runs.
+QEC422_OUTPUT_DIR sets where relative output paths land.  Exit codes:
+0 success, 1 runtime failure, 2 usage.
 """
 
 from __future__ import annotations
@@ -84,7 +84,10 @@ _CONFIG_PARSERS = {
     "jobs": _serial_only,
     "out": str,
 }
-_NOISE_KEYS = {"eps1", "eps2", "p_meas", "p_prep", "xi"}
+_NOISE_HELP = {"eps1": "one-qubit gate fault probability", "eps2": "two-qubit gate fault probability",
+               "p_meas": "read-out flip probability", "p_prep": "preparation flip probability",
+               "theta": "coherent rotation angle", "xi": "depolarizing mix toward uniform"}
+_NOISE_KEYS = _NOISE_HELP.keys() - {"theta"}
 # subcommand -> the keys it reads; sweep-theta sets theta per angle itself
 _COMMAND_KEYS = {
     "run": {"gate_set", "lengths", "seeds_per_length", "master_seed", "shots",
@@ -316,13 +319,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_noise_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--eps1", type=float, help="one-qubit gate fault probability")
-        p.add_argument("--eps2", type=float, help="two-qubit gate fault probability")
-        p.add_argument("--p-meas", dest="p_meas", type=float, help="read-out flip probability")
-        p.add_argument("--p-prep", dest="p_prep", type=float, help="preparation flip probability")
-        p.add_argument("--theta", type=float, help="coherent rotation angle")
-        p.add_argument("--xi", type=float, help="depolarizing mix toward uniform")
+    def add_noise_flags(p: argparse.ArgumentParser, command: str) -> None:
+        for key in sorted(_NOISE_HELP.keys() & _COMMAND_KEYS[command]):
+            p.add_argument("--" + key.replace("_", "-"), dest=key, type=float, help=_NOISE_HELP[key])
 
     p = sub.add_parser("emit-circuit", help="print an encoder or gate block as circuit text")
     p.add_argument("--encoder", choices=[l.value for l in LogicalStateLabel])
@@ -343,14 +342,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shots", type=int)
     p.add_argument("--analytic-xi", dest="analytic_xi", action="store_const", const=True)
     p.add_argument("--out", help="CSV path (relative paths land in $%s)" % OUTPUT_DIR_ENV)
-    add_noise_flags(p)
+    add_noise_flags(p, "run")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("predict", help="closed-form D predictions per scheme")
     p.add_argument("--config")
     p.add_argument("--lengths", type=_CONFIG_PARSERS["lengths"])
     p.add_argument("--out", help="write CSV instead of stdout")
-    add_noise_flags(p)
+    add_noise_flags(p, "predict")
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("verify-ft", help="exhaustive single-fault check")
@@ -364,7 +363,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true", help="machine-readable report")
     p.set_defaults(func=cmd_verify_ft)
 
-    p = sub.add_parser("sweep-theta", help="coherent-rotation retention sweep")
+    # no abbreviations, or the --theta this command lacks would pass as --thetas
+    p = sub.add_parser("sweep-theta", help="coherent-rotation retention sweep", allow_abbrev=False)
     p.add_argument("--config")
     p.add_argument("--thetas", type=_CONFIG_PARSERS["thetas"], help="comma-separated angles")
     p.add_argument("--gate-set", dest="gate_set", choices=[g.value for g in GateSetId])
@@ -372,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shots", type=int)
     p.add_argument("--master-seed", dest="master_seed", type=int)
     p.add_argument("--out")
-    add_noise_flags(p)
+    add_noise_flags(p, "sweep-theta")
     p.set_defaults(func=cmd_sweep_theta)
 
     p = sub.add_parser("bounds", help="worst-case trace-distance table")

@@ -1,12 +1,12 @@
 """Noise model and the exact noisy-outcome sampler.
 
-The fault model is the standard circuit-level one: after every gate a
-Pauli error fires with probability eps1 (one-qubit gates, uniform over
-X/Y/Z) or eps2 (two-qubit gates, uniform over the 15 non-identity pairs,
-first letter on ``targets[0]``).  Preparation flips each qubit before
-the circuit with probability p_prep, read-out flips each measured bit
-with probability p_meas.  A coherent miscalibration is modeled as an
-RZ(theta) inserted after the first Hadamard, and xi mixes the final
+The fault model is the standard circuit-level one, with one Pauli
+channel per fault site whose weights, identity first, _site_weights
+gives: after every gate eps1 spread uniformly over X/Y/Z, or eps2 over
+the 15 non-identity pairs (first letter on ``targets[0]``), and
+(1 - p, p) for an X flip of each qubit before the circuit (p_prep) or
+of each measured bit (p_meas).  A coherent miscalibration is modeled as
+an RZ(theta) inserted after the first Hadamard, and xi mixes the final
 distribution toward uniform.
 
 One engine, noisy_vector, computes a circuit's exact noisy read-out
@@ -17,20 +17,17 @@ Z observable from the end of the circuit back to its last RZ; a fault
 after any gate from there on is Clifford-propagated to an X-type
 read-out flip mask.  The base vector is the read-out marginal before
 those flips.  When a channel fires ahead of the last RZ (a preparation
-flip, or a fault after an earlier gate), the base is the exact density
-matrix's diagonal, from evolving vec(rho) on 2n qubits through the
-statevector kernel, which limits such a circuit to 6 qubits; otherwise
-it is the ideal statevector marginal.  Every folded flip is independent
-of the base and XORs onto it, and XOR-convolution is a pointwise product
-in the Walsh-Hadamard domain, so the suffix is one O(m 2^m) product with
-a spectrum, skipped when no folded site fires.  Equal sites fold into one
-row with a count; one bincount builds all S unique rows' flip histograms
-and one transform along the last axis their spectra, O(S m 2^m), and
-the spectrum is the product of each row raised to its count.  Last, xi
-mixes toward uniform.  The randomness is one multinomial from a
-counter-based Philox stream per call, so a (circuit, params, shots,
-seed) tuple always yields identical counts, regardless of how calls are
-scheduled around it.
+flip, or a fault after an earlier gate), the base is the diagonal of
+the exact density matrix, each such site mixing sum_k w_k P_k rho P_k^dagger
+into it; otherwise it is the ideal statevector marginal.  Every folded
+flip is independent of the base and XORs onto it, and XOR-convolution
+is a pointwise product in the Walsh-Hadamard domain, so the suffix
+multiplies the base's spectrum by each site's: the transform of its
+weights binned by flip mask, which is the channel's eigenvalues
+(Flammia & Wallman, arXiv:1907.12976).  Last, xi mixes toward uniform.
+The randomness is one multinomial from a counter-based Philox stream
+per call, so a (circuit, params, shots, seed) tuple always yields
+identical counts, regardless of how calls are scheduled around it.
 """
 
 from __future__ import annotations
@@ -75,6 +72,16 @@ class NoiseParams:
                 raise CircuitError(f"{name} must be in [0, 1], got {v}")
         if not np.isfinite(self.theta):
             raise CircuitError(f"theta must be finite, got {self.theta}")
+
+
+def _site_weights(params: NoiseParams, site: int | str) -> tuple[float, ...]:
+    """Pauli weights of a fault site, identity first, for both halves of the
+    engine: eps1 or eps2 after a gate of arity 1 or 2, uniform over the rest
+    of ("I",) + ONE_QUBIT_PAULIS or ("II",) + TWO_QUBIT_PAULIS; (1 - p, p)
+    for the X flip of a "prep" or "meas" site."""
+    p, k = {1: (params.eps1, 4), 2: (params.eps2, 16),
+            "prep": (params.p_prep, 2), "meas": (params.p_meas, 2)}[site]
+    return (1.0 - p,) + (p / (k - 1),) * (k - 1)
 
 
 def totally_mixed(d: int) -> OutcomeDistribution:
@@ -207,33 +214,30 @@ def _clifford_outcomes(circuit: Circuit, params: NoiseParams, table: FlipMaskTab
     before every flip the frame folds.
 
     Each site the frame folds (gate faults from the split on, prep flips
-    without an RZ, read-out flips) fires with probability p and XORs in
-    masks[k], k >= 1 uniform, independently of what came before.  So the
-    exact distribution is base times a pointwise product of
-    Walsh-Hadamard spectra, clipped of rounding negatives and
-    renormalized; when no site fires it is base itself.  Either way it
-    is then mixed toward uniform by xi.  Equal sites are folded into one
-    row raised to their count; every row's flip histogram (padded to 16
-    masks with weight 0) comes from one bincount and every spectrum from
-    one transform.
+    without an RZ, read-out flips) XORs in masks[k] with weight w[k] of
+    its _site_weights, independently of what came before.  So the exact
+    distribution is base times a pointwise product of Walsh-Hadamard
+    spectra, clipped of rounding negatives and renormalized; when no site
+    fires it is base itself.  Either way it is then mixed toward uniform
+    by xi.  Equal sites are folded into one row raised to their count;
+    one bincount of every row's weights by mask (padded to 16 masks with
+    weight 0) gives all flip histograms, and one transform all spectra.
     """
     n_bits = len(circuit.measured)
-    sites: Counter = Counter()
-    for row in table.gate_masks[max(table.split, 0):]:
-        sites[(params.eps1 if len(row) == 4 else params.eps2, row)] += 1
+    gate = {len(w): w for w in (_site_weights(params, 1), _site_weights(params, 2))}
+    sites = Counter((gate[len(row)], row) for row in table.gate_masks[max(table.split, 0):])
     if table.prep_masks is not None:
-        sites.update((params.p_prep, (0, mask)) for mask in table.prep_masks[1:])
-    sites.update((params.p_meas, (0, 1 << t)) for t in range(n_bits))
-    firing = [(p, masks, count) for (p, masks), count in sites.items() if p > 0.0]
+        sites.update((_site_weights(params, "prep"), (0, mask)) for mask in table.prep_masks[1:])
+    sites.update((_site_weights(params, "meas"), (0, 1 << t)) for t in range(n_bits))
+    firing = [(w, masks, count) for (w, masks), count in sites.items() if any(w[1:])]
     vec, total = base, 1.0
     if firing:
         d = 1 << n_bits
         # padding adds exactly 0.0 to a row's bin 0, so rows come out as if binned alone
         rows = np.array([masks + (0,) * (16 - len(masks)) for _, masks, _ in firing])
-        w = [[1.0 - p] + [p / (len(masks) - 1)] * (len(masks) - 1) + [0.0] * (16 - len(masks))
-             for p, masks, _ in firing]
+        weights = np.array([w + (0.0,) * (16 - len(w)) for w, _, _ in firing])
         bins = (rows + d * np.arange(len(rows))[:, None]).ravel()
-        spectra = _wht(np.bincount(bins, np.ravel(w), len(rows) * d).reshape(-1, d))
+        spectra = _wht(np.bincount(bins, weights.ravel(), len(rows) * d).reshape(-1, d))
         counts = np.array([count for _, _, count in firing])
         powered = spectra ** counts[:, None]
         # a scalar ** 2 is x * x, which an array exponent's pow() can miss by an ulp
@@ -266,32 +270,33 @@ def _doubled_clifford(kind: GateKind, targets: tuple[int, ...], n: int) -> tuple
 
 
 @lru_cache(maxsize=None)
-def _twirl_groups(targets: tuple[int, ...], n: int) -> np.ndarray:
-    """vec(rho) indices on 2n qubits, one row per value of the bits off
-    the targets, one column per value a that ket and bra both take on them."""
-    both = [(1 << q) | (1 << (q + n)) for q in targets]
-    bases = np.flatnonzero((np.arange(1 << (2 * n)) & sum(both)) == 0)
-    spread = [sum(b for k, b in enumerate(both) if (a >> k) & 1) for a in range(1 << len(targets))]
-    groups = bases[:, None] | np.array(spread)
-    groups.setflags(write=False)  # cached and shared by every caller
-    return groups
+def _pauli_tables(targets: tuple[int, ...], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (gather, sign) with (P_k rho P_k^dagger)[i] = sign[k, i] *
+    rho[gather[k, i]] on vec(rho) of n qubits, P_k the k-th of ("I",) +
+    ONE_QUBIT_PAULIS or ("II",) + TWO_QUBIT_PAULIS on targets.  P = X^x Z^z
+    up to a phase: x flips ket and bra, z signs by popcount(z & (ket ^ bra))."""
+    labels = ("I",) + ONE_QUBIT_PAULIS if len(targets) == 1 else ("II",) + TWO_QUBIT_PAULIS
+    idx = np.arange(1 << (2 * n))
+    gather, sign = np.tile(idx, (len(labels), 1)), np.ones((len(labels), len(idx)))
+    for k, label in enumerate(labels):
+        for c, q in zip(label, targets):
+            if c in "XY":
+                gather[k] ^= (1 << q) | (1 << (q + n))
+            if c in "YZ":
+                sign[k] *= 1 - 2 * (((idx ^ (idx >> n)) >> q) & 1)
+    gather.setflags(write=False)  # cached and shared by every caller
+    sign.setflags(write=False)
+    return gather, sign
 
 
-def _depolarize(rho: np.ndarray, p: float, targets: tuple[int, ...], n: int) -> np.ndarray:
-    """(1 - p) rho + p / (4^k - 1) sum_{P != I} P rho P^dagger over k targets,
-    on vec(rho) of n qubits.  Summed over all 4^k Paulis it is 4^k T(rho), the
-    full twirl T tracing the targets out and putting I / 2^k back, so the
-    channel is (1 - lam) rho + lam T(rho), lam = 4p/3 or 16p/15."""
-    lam = p * 4 ** len(targets) / (4 ** len(targets) - 1)
-    groups = _twirl_groups(targets, n)
-    out = (1.0 - lam) * rho
-    out[groups] += (lam / groups.shape[1]) * rho[groups].sum(axis=1, keepdims=True)
-    return out
-
-
-def _prep_flip(rho: np.ndarray, p: float, q: int, n: int) -> np.ndarray:
-    """(1 - p) rho + p X_q rho X_q on vec(rho) of n qubits."""
-    return (1.0 - p) * rho + p * rho[np.arange(len(rho)) ^ ((1 << q) | (1 << (q + n)))]
+def _pauli_channel(rho: np.ndarray, weights: tuple[float, ...], targets: tuple[int, ...],
+                   n: int) -> np.ndarray:
+    """sum_k weights[k] P_k rho P_k^dagger on vec(rho) of n qubits, P_k as in
+    _pauli_tables, so (1 - p, p) on one target is an X flip."""
+    if not any(weights[1:]):
+        return rho
+    gather, sign = _pauli_tables(targets, n)
+    return np.asarray(weights) @ (sign[:len(weights)] * rho[gather[:len(weights)]])
 
 
 def _prefix_marginal(circuit: Circuit, params: NoiseParams, split: int) -> np.ndarray:
@@ -299,10 +304,9 @@ def _prefix_marginal(circuit: Circuit, params: NoiseParams, split: int) -> np.nd
     after every gate before gate split, from the density matrix.
 
     vec(rho) is a state on 2n qubits (entry i | j << n holds rho_ij) that
-    _evolve runs through each gate doubled, and every Pauli channel is
-    mixed in as it fires, in closed form by index arithmetic.  Memory is
-    16 * 4^n bytes, so the register is capped at MAX_QUBITS // 2 and the
-    doubled gate tables stay within MAX_QUBITS.
+    _evolve runs through each gate doubled, and _pauli_channel mixes in
+    each site's channel.  Memory is 16 * 4^n bytes, so the register is
+    capped at MAX_QUBITS // 2 and the doubled gate tables stay within MAX_QUBITS.
     """
     n = circuit.n_qubits
     if n > MAX_QUBITS // 2:
@@ -311,14 +315,13 @@ def _prefix_marginal(circuit: Circuit, params: NoiseParams, split: int) -> np.nd
     diag = np.arange(1 << n) * ((1 << n) + 1)  # i | i << n
     rho = np.zeros(1 << (2 * n), dtype=complex)
     rho[0] = 1.0
-    if params.p_prep > 0.0:
-        for q in range(n):
-            rho = _prep_flip(rho, params.p_prep, q, n)
+    weights = {site: _site_weights(params, site) for site in ("prep", 1, 2)}
+    for q in range(n):
+        rho = _pauli_channel(rho, weights["prep"], (q,), n)
     for i, g in enumerate(circuit.gates):
         rho = _evolve(rho, _doubled(g, n), 2 * n)
-        eps = params.eps1 if g.kind.arity == 1 else params.eps2
-        if i < split and eps > 0.0:
-            rho = _depolarize(rho, eps, g.targets, n)
+        if i < split:
+            rho = _pauli_channel(rho, weights[g.kind.arity], g.targets, n)
     # rounding can leave a true zero slightly negative, and no suffix may clip it
     return np.maximum(marginal_vector(rho[diag].real, n, circuit.measured), 0.0)
 
@@ -336,8 +339,8 @@ def noisy_vector(circuit: Circuit, params: NoiseParams,
         raise CircuitError("circuit measures no qubits")
     table = FlipMaskTable(circuit)
     split = table.split
-    if split >= 0 and (params.p_prep > 0.0 or any(
-            (params.eps1 if g.kind.arity == 1 else params.eps2) > 0.0 for g in circuit.gates[:split])):
+    ahead = ("prep", *{g.kind.arity for g in circuit.gates[:split]}) if split >= 0 else ()
+    if any(any(_site_weights(params, site)[1:]) for site in ahead):
         base = _prefix_marginal(circuit, params, split)
     else:
         base = ideal_marginal(circuit) if ideal is None else ideal

@@ -133,9 +133,6 @@ class OutcomeDistribution(_OutcomeVector):
     def support_size(self) -> int:
         return int(np.count_nonzero(self.vec))
 
-    def get(self, key: str) -> float:
-        return self.probs.get(key, 0.0)
-
 
 class ShotCounts(_OutcomeVector):
     """Integer outcome counts for one run; counts is their string view."""

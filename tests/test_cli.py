@@ -465,3 +465,19 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["emit-circuit", "--encoder", "L99"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["predict", "--eps2", "0.1", "--theta", "0.5"],
+        ["predict", "--eps2", "0.1", "--xi", "0.3"],
+        ["predict", "--eps2", "0.1", "--p-prep", "0.2"],
+        ["sweep-theta", "--thetas", "0.5", "--theta", "2.0"],
+    ])
+    def test_noise_flag_the_command_ignores(self, tmp_path, capsys, argv):
+        """A flag for a key the subcommand does not read used to parse and be
+        ignored; sweep-theta's --theta passed as an abbreviation of --thetas."""
+        out = tmp_path / "never.csv"
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", str(out)])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
+        assert not out.exists()

@@ -199,8 +199,8 @@ class TestPostSelect:
         d = OutcomeDistribution({"0000": 0.4, "1110": 0.2, "1111": 0.4})
         retained, r = post_select_distribution(d)
         np.testing.assert_allclose(r, 0.8)
-        np.testing.assert_allclose(retained.get("0000"), 0.5)
-        np.testing.assert_allclose(retained.get("1111"), 0.5)
+        np.testing.assert_allclose(retained.probs["0000"], 0.5)
+        np.testing.assert_allclose(retained.probs["1111"], 0.5)
 
 
 def _reference_split(entries: dict, ancilla: bool):
@@ -255,7 +255,7 @@ class TestSelectionSplit:
         np.testing.assert_allclose(r, sum(ret_p.values()), rtol=1e-14)
         assert set(retained.probs) == set(ret_p)
         for s, p in ret_p.items():
-            np.testing.assert_allclose(retained.get(s), p / r, rtol=1e-14)
+            np.testing.assert_allclose(retained.probs[s], p / r, rtol=1e-14)
         _, vec_par, vec_anc = selection_split(outcome_vector(probs, width),
                                               4 if ancilla else None)
         np.testing.assert_allclose([vec_par, vec_anc], [par_p, anc_p], rtol=1e-14)

@@ -679,8 +679,8 @@ def _pauli_on(label: str, targets: tuple[int, ...], n: int) -> np.ndarray:
 
 
 class TestPrefixChannels:
-    """The density-matrix prefix's closed-form channels against the
-    explicit Kraus sum of P rho P^dagger on random Hermitian rho."""
+    """The density-matrix prefix's one channel, sum_k w_k P_k rho P_k^dagger,
+    against the explicit Kraus sum on random Hermitian rho."""
 
     N = 4
 
@@ -696,12 +696,15 @@ class TestPrefixChannels:
 
     @pytest.mark.parametrize("targets", [(0,), (3,), (0, 1), (2, 0), (1, 3)])
     def test_depolarizing_channel(self, targets):
+        """The weight rule's uniform gate channel: (1 - p) rho plus p spread
+        over the 4^k - 1 non-identity Paulis."""
         labels = ONE_QUBIT_PAULIS if len(targets) == 1 else TWO_QUBIT_PAULIS
         paulis = [_pauli_on(label, targets, self.N) for label in labels]
         for seed, p in enumerate((0.3, 0.01, 1.0)):
             rho = self._rho(seed)
             want = (1 - p) * rho + p / len(labels) * sum(P @ rho @ P.conj().T for P in paulis)
-            got = noise._depolarize(self._vec(rho), p, targets, self.N)
+            weights = noise._site_weights(NoiseParams(eps1=p, eps2=p), len(targets))
+            got = noise._pauli_channel(self._vec(rho), weights, targets, self.N)
             np.testing.assert_allclose(got, self._vec(want), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("q", range(4))
@@ -710,8 +713,55 @@ class TestPrefixChannels:
         for seed, p in enumerate((0.3, 0.01, 1.0)):
             rho = self._rho(10 + seed)
             want = (1 - p) * rho + p * X @ rho @ X
-            got = noise._prep_flip(self._vec(rho), p, q, self.N)
+            weights = noise._site_weights(NoiseParams(p_prep=p), "prep")
+            assert weights == (1 - p, p)
+            got = noise._pauli_channel(self._vec(rho), weights, (q,), self.N)
             np.testing.assert_allclose(got, self._vec(want), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("targets", [(0,), (3,), (0, 1), (2, 0), (1, 3)])
+    def test_biased_channel(self, targets):
+        """Random biased weights over the first 2, 4 or 16 Paulis, so every
+        Pauli's gather and sign is checked on its own."""
+        labels = ("I",) + ONE_QUBIT_PAULIS if len(targets) == 1 else ("II",) + TWO_QUBIT_PAULIS
+        paulis = [_pauli_on(label, targets, self.N) for label in labels]
+        rng = np.random.default_rng(sum(targets) + 7 * len(targets))
+        for length in (2, 4, 16)[:len(targets) + 1]:
+            for seed in range(3):
+                rho, weights = self._rho(20 + seed), rng.dirichlet(np.full(length, 0.5))
+                want = sum(w * P @ rho @ P.conj().T for w, P in zip(weights, paulis))
+                got = noise._pauli_channel(self._vec(rho), tuple(weights), targets, self.N)
+                np.testing.assert_allclose(got, self._vec(want), rtol=0, atol=1e-12)
+
+
+def _biased_weights(seed: int):
+    """A weight rule with one fixed random biased vector per site class."""
+    rng = np.random.default_rng(seed)
+    table = {}
+    for site, length in ((1, 4), (2, 16), ("prep", 2), ("meas", 2)):
+        p = rng.uniform(0.05, 0.3)
+        table[site] = (1.0 - p, *(p * rng.dirichlet(np.full(length - 1, 0.3))))
+    return lambda params, site: table[site]
+
+
+class TestSuffixAgainstPrefix:
+    """Appending Z 0 leaves every site to the Walsh-Hadamard suffix;
+    appending RZ(0) on qubit 0 routes every earlier site through the
+    density-matrix prefix.  The two circuits are the same state, so under
+    any weight rule the vectors agree; under biased weights this checks
+    that the frame's rows and the prefix's tables order the Paulis alike."""
+
+    @pytest.mark.parametrize("gate_set", [GateSetId.FULL, GateSetId.REDUCED])
+    @pytest.mark.parametrize("length", [1, 5, 20, 50])
+    def test_biased_weights(self, monkeypatch, gate_set, length):
+        params = NoiseParams(xi=0.05)  # the patched rule turns every other channel on
+        for seed in range(2):
+            monkeypatch.setattr(noise, "_site_weights", _biased_weights(seed))
+            for c in build_pair(random_sequence(SequenceSpec(gate_set, length, seed))):
+                suffix = c.with_gates([*c.gates, _g(GateKind.Z, 0)])
+                prefix = c.with_gates([*c.gates, _g(GateKind.RZ, 0, angle=0.0)])
+                assert FlipMaskTable(prefix).split == len(c.gates)
+                np.testing.assert_allclose(noisy_vector(prefix, params), noisy_vector(suffix, params),
+                                           rtol=0, atol=1e-14)
 
 
 class TestBoundedMemory:
