@@ -15,15 +15,18 @@ sample_outcomes draws all the shots of a run from it at once.  One
 backward sweep of the Pauli frame (FlipMaskTable) carries each measured
 Z observable from the end of the circuit back to its last RZ; a fault
 after any gate from there on is Clifford-propagated to an X-type
-read-out flip mask.  The base vector is the read-out marginal before
-those flips.  When a channel fires ahead of the last RZ (a preparation
-flip, or a fault after an earlier gate), the base is the diagonal of
-the exact density matrix, each such site mixing sum_k w_k P_k rho P_k^dagger
-into it; otherwise it is the ideal statevector marginal.  Every folded
-flip is independent of the base and XORs onto it, and XOR-convolution
-is a pointwise product in the Walsh-Hadamard domain, so the suffix
-multiplies the base's spectrum by each site's: the transform of its
-weights binned by flip mask, which is the channel's eigenvalues
+read-out flip mask, and only H, S, CNOT, CZ and SWAP move the frame.
+The base vector is the read-out marginal before those flips.  When a
+channel fires ahead of the last RZ (a preparation flip, or a fault
+after an earlier gate), the base is the diagonal of the exact density
+matrix, each such site mixing sum_k w_k P_k rho P_k^dagger into it;
+otherwise it is the ideal statevector marginal.  Both stop their
+gates at the last H or RZ and move the probabilities through the
+monomial tail after it, exactly (simulator.monomial_tail).  Every
+folded flip is independent of the base and XORs onto it, and
+XOR-convolution is a pointwise product in the Walsh-Hadamard domain, so
+the suffix multiplies the base's spectrum by each site's: the transform
+of its weights binned by flip mask, which is the channel's eigenvalues
 (Flammia & Wallman, arXiv:1907.12976).  Last, xi mixes toward uniform.
 The randomness is one multinomial from a counter-based Philox stream
 per call, so a (circuit, params, shots, seed) tuple always yields
@@ -39,19 +42,14 @@ from functools import lru_cache
 import numpy as np
 
 from .circuits import Circuit, CircuitError, GateInstance, GateKind
-from .simulator import (
-    MAX_QUBITS,
-    OutcomeDistribution,
-    ShotCounts,
-    _evolve,
-    ideal_marginal,
-    marginal_vector,
-)
+from .simulator import (MAX_QUBITS, OutcomeDistribution, ShotCounts, _CNOT, _H, _RZ, _SWAP,
+                        _evolve, ideal_marginal, marginal_vector, monomial_tail, move_to_tail_end)
 
 ONE_QUBIT_PAULIS = ("X", "Y", "Z")
 TWO_QUBIT_PAULIS = tuple(
     a + b for a in "IXYZ" for b in "IXYZ" if a + b != "II"
 )  # IX, IY, IZ, XI, ..., ZZ in lexicographic order
+_S, _CZ, _PAULI_GATES = GateKind.S, GateKind.CZ, (GateKind.X, GateKind.Y, GateKind.Z)
 
 
 @dataclass(frozen=True)
@@ -133,21 +131,21 @@ def _conjugate_columns(xcol: list[int], zcol: list[int], gate: GateInstance) -> 
     (S and S-dagger differ only in phase), so the forward map serves.
     """
     kind, t = gate.kind, gate.targets
-    if kind is GateKind.H:
+    if kind is _H:
         xcol[t[0]], zcol[t[0]] = zcol[t[0]], xcol[t[0]]
-    elif kind is GateKind.S:
+    elif kind is _S:
         zcol[t[0]] ^= xcol[t[0]]
-    elif kind is GateKind.CNOT:
+    elif kind is _CNOT:
         xcol[t[1]] ^= xcol[t[0]]
         zcol[t[0]] ^= zcol[t[1]]
-    elif kind is GateKind.CZ:
+    elif kind is _CZ:
         zcol[t[0]] ^= xcol[t[1]]
         zcol[t[1]] ^= xcol[t[0]]
-    elif kind is GateKind.SWAP:
+    elif kind is _SWAP:
         a, b = t
         xcol[a], xcol[b] = xcol[b], xcol[a]
         zcol[a], zcol[b] = zcol[b], zcol[a]
-    elif kind is GateKind.RZ:
+    elif kind is _RZ:
         raise CircuitError("cannot carry a Pauli frame past RZ")
     # X/Y/Z gates commute with any Pauli up to phase
 
@@ -173,22 +171,24 @@ class FlipMaskTable:
 
     def __init__(self, circuit: Circuit):
         gates = circuit.gates
-        rz = [i for i, g in enumerate(gates) if g.kind is GateKind.RZ]
+        rz = [i for i, g in enumerate(gates) if g.kind is _RZ]
         self.split = rz[-1] if rz else -1
         xcol = [0] * circuit.n_qubits
         zcol = [0] * circuit.n_qubits
         for t, q in enumerate(circuit.measured):
             zcol[q] |= 1 << t
+        rows = [(0, z, z, 0) for z in zcol]  # flip masks of I, X, Y, Z on each qubit
 
         self.gate_masks: list[tuple[int, ...] | None] = [None] * len(gates)
         for i in range(len(gates) - 1, max(self.split, 0) - 1, -1):
             g = gates[i]
-            # flip masks of I, X, Y, Z on each target
-            flips = [(0, zcol[q], zcol[q] ^ xcol[q], xcol[q]) for q in g.targets]
-            self.gate_masks[i] = flips[0] if len(flips) == 1 else tuple(
-                a ^ b for a in flips[0] for b in flips[1])
-            if i > self.split:
+            t = g.targets
+            self.gate_masks[i] = rows[t[0]] if len(t) == 1 else tuple(
+                a ^ b for a in rows[t[0]] for b in rows[t[1]])
+            if i > self.split and g.kind not in _PAULI_GATES:
                 _conjugate_columns(xcol, zcol, g)
+                for q in t:
+                    rows[q] = (0, zcol[q], zcol[q] ^ xcol[q], xcol[q])
         # prep flips are indexed per qubit, not per Pauli
         self.prep_masks = (0, *zcol) if self.split < 0 else None
 
@@ -225,7 +225,8 @@ def _clifford_outcomes(circuit: Circuit, params: NoiseParams, table: FlipMaskTab
     """
     n_bits = len(circuit.measured)
     gate = {len(w): w for w in (_site_weights(params, 1), _site_weights(params, 2))}
-    sites = Counter((gate[len(row)], row) for row in table.gate_masks[max(table.split, 0):])
+    rows = Counter(table.gate_masks[max(table.split, 0):])
+    sites = Counter({(gate[len(row)], row): count for row, count in rows.items()})
     if table.prep_masks is not None:
         sites.update((_site_weights(params, "prep"), (0, mask)) for mask in table.prep_masks[1:])
     sites.update((_site_weights(params, "meas"), (0, 1 << t)) for t in range(n_bits))
@@ -253,8 +254,8 @@ def _doubled(gate: GateInstance, n: int) -> tuple[GateInstance, ...]:
     """U rho U^dagger on vec(rho): U on the ket qubits 0..n-1, U* on the
     bra qubits n..2n-1.  RZ* is RZ(-theta); every other gate's pair is
     cached per placement, like simulator._table."""
-    if gate.kind is GateKind.RZ:
-        return gate, GateInstance(GateKind.RZ, tuple(q + n for q in gate.targets), -gate.angle)
+    if gate.kind is _RZ:
+        return gate, GateInstance(_RZ, tuple(q + n for q in gate.targets), -gate.angle)
     return _doubled_clifford(gate.kind, gate.targets, n)
 
 
@@ -318,12 +319,14 @@ def _prefix_marginal(circuit: Circuit, params: NoiseParams, split: int) -> np.nd
     weights = {site: _site_weights(params, site) for site in ("prep", 1, 2)}
     for q in range(n):
         rho = _pauli_channel(rho, weights["prep"], (q,), n)
-    for i, g in enumerate(circuit.gates):
+    s, cols, c = monomial_tail(circuit.gates, n)  # s > split
+    for i, g in enumerate(circuit.gates[:s]):
         rho = _evolve(rho, _doubled(g, n), 2 * n)
         if i < split:
             rho = _pauli_channel(rho, weights[g.kind.arity], g.targets, n)
     # rounding can leave a true zero slightly negative, and no suffix may clip it
-    return np.maximum(marginal_vector(rho[diag].real, n, circuit.measured), 0.0)
+    probs = move_to_tail_end(rho[diag].real, cols, c)
+    return np.maximum(marginal_vector(probs, n, circuit.measured), 0.0)
 
 
 def noisy_vector(circuit: Circuit, params: NoiseParams,

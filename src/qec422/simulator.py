@@ -15,14 +15,15 @@ read-out bits in the marginal_vector layout (entry j is the outcome whose
 k-th bit is bit k of j); .probs and .counts are string views in sorted
 order, for the I/O edge only.
 
-Every gate goes through one kernel, _evolve, which loops over raw
-amplitude arrays: a gate is a gather plus a scale from index tables.
-The tables are cached per (kind, targets, n), angle excluded, so the
-cache holds at most one entry per gate placement on a register of at
-most MAX_QUBITS qubits and needs no bound; RZ builds its phase vector
-per call.  The table build refuses a target outside the register, and
-PureState checks width, finiteness and norm once per final_state call,
-not once per gate.
+A run stops at the last H or RZ.  Every later gate is monomial: it
+sends basis index i to monomial_tail's XOR map of i times +-1 or +-i,
+which changes no |a|**2, so ideal_marginal scatters the probabilities
+to their final indices, bit for bit as a full run would leave them.
+Every earlier gate goes through one kernel, _evolve: a gather plus a
+scale from index tables cached per (kind, targets, n), angle excluded,
+so at most one entry per gate placement on at most MAX_QUBITS qubits.
+The table build refuses a target outside the register, and PureState
+checks width, finiteness and norm once per final_state call.
 """
 
 from __future__ import annotations
@@ -40,6 +41,8 @@ NORM_TOL = 1e-10
 PRUNE_TOL = 1e-12
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
+# per-gate loops compare against these: an inline GateKind.H costs more than the test
+_H, _RZ, _X, _Y, _CNOT, _SWAP = (GateKind[k] for k in ("H", "RZ", "X", "Y", "CNOT", "SWAP"))
 
 
 @dataclass
@@ -204,9 +207,9 @@ def _evolve(amp: np.ndarray, gates, n: int) -> np.ndarray:
     """Amplitudes after applying gates in order to amp on n qubits."""
     for g in gates:
         t = _table(g.kind, g.targets, n)
-        if g.kind is GateKind.H:
+        if g.kind is _H:
             amp = _INV_SQRT2 * amp[t[0]] + t[2] * amp[t[1]]
-        elif g.kind is GateKind.RZ:
+        elif g.kind is _RZ:
             half = 0.5 * g.angle
             amp = amp * np.where(t[0], np.exp(1j * half), np.exp(-1j * half))
         else:
@@ -217,6 +220,43 @@ def _evolve(amp: np.ndarray, gates, n: int) -> np.ndarray:
     return amp
 
 
+def monomial_tail(gates, n: int) -> tuple[int, tuple[int, ...], int]:
+    """(s, cols, c): gates[s:], the gates after the last H or RZ, send basis
+    index i to c ^ XOR(cols[q] for each set bit q of i) times +-1 or +-i.
+    The backward pass carries every qubit's Z observable: bit k of cols[q]
+    says the carried Z_k has a Z on qubit q, and bit k of c is its sign."""
+    cols, c, s = [1 << q for q in range(n)], 0, len(gates)
+    while s:
+        kind, t = gates[s - 1].kind, gates[s - 1].targets
+        if kind is _H or kind is _RZ:
+            break
+        if kind is _X or kind is _Y:
+            c ^= cols[t[0]]
+        elif kind is _CNOT:
+            cols[t[0]] ^= cols[t[1]]
+        elif kind is _SWAP:
+            cols[t[0]], cols[t[1]] = cols[t[1]], cols[t[0]]
+        s -= 1
+    return s, tuple(cols), c
+
+
+@lru_cache(maxsize=256)
+def _xor_index(cols: tuple[int, ...]) -> np.ndarray:
+    """Read-only array whose entry i is the XOR of cols[q] over the set bits q of i."""
+    out = np.zeros(1, dtype=np.intp)
+    for col in cols:
+        out = np.concatenate((out, out ^ col))
+    out.setflags(write=False)
+    return out
+
+
+def move_to_tail_end(probs: np.ndarray, cols: tuple[int, ...], c: int) -> np.ndarray:
+    """probs before a monomial_tail, each at the index the tail sends it to."""
+    out = np.empty_like(probs)
+    out[_xor_index(cols) ^ c] = probs
+    return out
+
+
 def final_state(circuit: Circuit) -> PureState:
     """Run every gate of the circuit from |0...0>."""
     n = circuit.n_qubits
@@ -225,11 +265,10 @@ def final_state(circuit: Circuit) -> PureState:
 
 def marginal_vector(probs: np.ndarray, n: int, measured: list[int]) -> np.ndarray:
     """Marginal over the measured qubits, indexed little-endian in measured order."""
-    idx = np.arange(len(probs))
-    j = np.zeros_like(idx)
+    bins = [0] * n
     for t, q in enumerate(measured):
-        j |= ((idx >> q) & 1) << t
-    return np.bincount(j, weights=probs, minlength=1 << len(measured))
+        bins[q] = 1 << t
+    return np.bincount(_xor_index(tuple(bins)), probs, 1 << len(measured))
 
 
 def bitstring_of(index: int, n_bits: int) -> str:
@@ -265,10 +304,13 @@ def outcome_vector(entries: Mapping[str, float], n_bits: int, dtype=float) -> np
 
 def ideal_marginal(circuit: Circuit) -> np.ndarray:
     """Noiseless read-out vector over the circuit's measured qubits,
-    indexed as marginal_vector."""
+    indexed as marginal_vector; the state stops at the last H or RZ."""
     if not circuit.measured:
         raise CircuitError("circuit measures no qubits")
-    return marginal_vector(final_state(circuit).probabilities(), circuit.n_qubits, circuit.measured)
+    s, cols, c = monomial_tail(circuit.gates, circuit.n_qubits)
+    head = circuit if s == len(circuit.gates) else circuit.with_gates(circuit.gates[:s])
+    probs = move_to_tail_end(final_state(head).probabilities(), cols, c)
+    return marginal_vector(probs, circuit.n_qubits, circuit.measured)
 
 
 def ideal_distribution(circuit: Circuit) -> OutcomeDistribution:

@@ -305,31 +305,35 @@ class TestFlipMaskTable:
     def test_backward_masks_equal_forward_push(self, random_clifford):
         """Every row of the backward sweep equals pushing the fault forward
         to the end, prep row included; with an RZ inserted, rows after it
-        still do and the rest are left to the statevector."""
-        for seed in range(60):
-            rng = np.random.default_rng(seed)
-            c = random_clifford(seed, n_qubits=2 + seed % 4, n_extra=seed % 25)
+        still do and the rest are left to the statevector.  The coded
+        L = 100 circuits run long stretches of Pauli gates, which leave
+        the frame where it is, between its moves."""
+        cases = [(seed, random_clifford(seed, n_qubits=2 + seed % 4, n_extra=seed % 25))
+                 for seed in range(60)]
+        cases += [(gate_set, build_pair(random_sequence(SequenceSpec(gate_set, 100, seed)))[1])
+                  for seed, gate_set in enumerate([GateSetId.FULL] * 2 + [GateSetId.REDUCED] * 2)]
+        for k, (tag, c) in enumerate(cases):
+            rng = np.random.default_rng(k)
             split = -1
-            if seed % 2:
+            if k % 2:
                 split = int(rng.integers(0, len(c.gates) + 1))
                 gates = list(c.gates)
                 gates.insert(split, GateInstance(GateKind.RZ, (int(rng.integers(c.n_qubits)),), 0.4))
                 c = c.with_gates(gates)
             table = FlipMaskTable(c)
-            assert table.split == split, seed
+            assert table.split == split, tag
             for i, g in enumerate(c.gates):
                 if i < split:
-                    assert table.gate_masks[i] is None, (seed, i)
+                    assert table.gate_masks[i] is None, (tag, i)
                     continue
                 labels = ONE_QUBIT_PAULIS if g.kind.arity == 1 else TWO_QUBIT_PAULIS
                 want = [0] + [_forward_mask(c, zip(label, g.targets), i + 1) for label in labels]
-                assert list(table.gate_masks[i]) == want, (seed, i)
+                assert list(table.gate_masks[i]) == want, (tag, i)
             if split < 0:
                 want = [0] + [_forward_mask(c, [("X", q)], 0) for q in range(c.n_qubits)]
-                assert list(table.prep_masks) == want, seed
+                assert list(table.prep_masks) == want, tag
             else:
-                assert table.prep_masks is None, seed
-
+                assert table.prep_masks is None, tag
 
 
 def _wht_1d(vec: np.ndarray) -> np.ndarray:
@@ -731,6 +735,38 @@ class TestPrefixChannels:
                 want = sum(w * P @ rho @ P.conj().T for w, P in zip(weights, paulis))
                 got = noise._pauli_channel(self._vec(rho), tuple(weights), targets, self.N)
                 np.testing.assert_allclose(got, self._vec(want), rtol=0, atol=1e-12)
+
+
+def _prefix_every_gate(circuit: Circuit, params: NoiseParams, split: int) -> np.ndarray:
+    """Reference prefix: every gate doubled through the kernel, no tail."""
+    n = circuit.n_qubits
+    rho = np.zeros(1 << (2 * n), dtype=complex)
+    rho[0] = 1.0
+    for q in range(n):
+        rho = noise._pauli_channel(rho, noise._site_weights(params, "prep"), (q,), n)
+    for i, g in enumerate(circuit.gates):
+        rho = _evolve(rho, noise._doubled(g, n), 2 * n)
+        if i < split:
+            rho = noise._pauli_channel(rho, noise._site_weights(params, g.kind.arity), g.targets, n)
+    diag = np.arange(1 << n) * ((1 << n) + 1)
+    return np.maximum(marginal_vector(rho[diag].real, n, circuit.measured), 0.0)
+
+
+class TestPrefixTail:
+    def test_prefix_is_bit_exact(self, random_clifford):
+        """_prefix_marginal stops its doubled gates at the last H or RZ and
+        moves the diagonal of rho through the rest; with preparation flips
+        and gate faults ahead of an RZ it equals the reference bit for bit."""
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            c = random_clifford(seed, n_qubits=2 + seed % 4, n_extra=seed % 20)
+            gates = [g for g in c.gates if seed % 3 or g.kind is not GateKind.H]
+            split = int(rng.integers(0, len(gates) + 1))
+            gates.insert(split, _g(GateKind.RZ, int(rng.integers(c.n_qubits)), angle=0.9))
+            c = c.with_gates(gates)
+            params = NoiseParams(*rng.uniform(0.01, 0.2, 2), p_prep=float(rng.uniform(0.01, 0.2)))
+            assert np.array_equal(noise._prefix_marginal(c, params, split),
+                                  _prefix_every_gate(c, params, split)), seed
 
 
 def _biased_weights(seed: int):

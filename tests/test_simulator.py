@@ -5,6 +5,8 @@ import pytest
 
 from qec422 import noise, simulator
 from qec422.circuits import Circuit, CircuitError, GateInstance, GateKind
+from qec422.code import LogicalGate
+from qec422.experiments import GateSetId, SequenceSpec, build_pair, random_sequence
 from qec422.simulator import (
     OutcomeDistribution,
     PureState,
@@ -248,6 +250,66 @@ class TestKernelAgainstUnitaries:
                 got = ideal_marginal(Circuit(n, faulted, measured))
                 np.testing.assert_allclose(got, _reference_marginal(amp, n, measured),
                                            rtol=0, atol=1e-12)
+
+
+class TestMonomialTail:
+    """ideal_marginal runs the statevector only up to the last H or RZ and
+    moves the probabilities through the monomial tail after it; its bytes
+    must equal the full statevector's marginal."""
+
+    @staticmethod
+    def _circuits(rng: np.random.Generator):
+        """Per n in 1..6: circuits with no H or RZ (all tail), ending in H
+        (empty tail), with one H or RZ at a random position, and with
+        every kind shuffled; measured qubits a random permuted subset."""
+        for n in range(1, 7):
+            for case in range(16):
+                gates = _random_gates(rng, n, int(rng.integers(0, 30)))
+                if case % 4 < 3:
+                    gates = [g for g in gates if g.kind not in (GateKind.H, GateKind.RZ)]
+                if case % 4 == 1:
+                    gates.append(_g(GateKind.H, int(rng.integers(n))))
+                elif case % 4 == 2:
+                    kind = (GateKind.H, GateKind.RZ)[case % 8 // 4]
+                    gates.insert(int(rng.integers(len(gates) + 1)),
+                                 _g(kind, int(rng.integers(n)), angle=0.7 if kind.takes_angle else None))
+                measured = [int(q) for q in rng.permutation(n)[:int(rng.integers(1, n + 1))]]
+                yield Circuit(n, gates, measured)
+
+    def test_ideal_marginal_is_bit_exact(self):
+        rng = np.random.default_rng(26)
+        for c in self._circuits(rng):
+            want = simulator.marginal_vector(final_state(c).probabilities(), c.n_qubits, c.measured)
+            assert np.array_equal(ideal_marginal(c), want), c
+
+    def test_tail_map_matches_the_kernel(self):
+        """The tail sends basis index i to c ^ XOR(cols[q] over bits q of
+        i) with a phase of +-1 or +-i, and starts right after the last H or RZ."""
+        rng = np.random.default_rng(27)
+        for c in self._circuits(rng):
+            n, gates = c.n_qubits, c.gates
+            s, cols, const = simulator.monomial_tail(gates, n)
+            stops = [i for i, g in enumerate(gates) if g.kind in (GateKind.H, GateKind.RZ)]
+            assert s == (stops[-1] + 1 if stops else 0)
+            for i in range(1 << n):
+                out = _evolve(np.eye(1 << n, dtype=complex)[i], gates[s:], n)
+                dest = const
+                for q in range(n):
+                    dest ^= cols[q] * ((i >> q) & 1)
+                assert np.flatnonzero(out).tolist() == [dest]
+                assert out[dest] in (1, -1, 1j, -1j)
+
+    def test_statevector_stops_at_the_last_h(self, monkeypatch):
+        """Cost as a count: the gates final_state sees."""
+        seen = []
+        original = simulator.final_state
+        monkeypatch.setattr(simulator, "final_state", lambda c: seen.append(len(c.gates)) or original(c))
+        reduced = build_pair(random_sequence(SequenceSpec(GateSetId.REDUCED, 100, 1)))
+        full = build_pair(random_sequence(SequenceSpec(GateSetId.FULL, 100, 1)) + [LogicalGate.HHSWAP])
+        for (unc, cod), want in ((reduced, (0, 1)), (full, (len(full[0].gates) - 3, len(full[1].gates)))):
+            seen.clear()
+            ideal_marginal(unc), ideal_marginal(cod)
+            assert tuple(seen) == want
 
 
 class TestKernelValidation:
