@@ -18,8 +18,10 @@ follow that order: character k of a printed string is the outcome of
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
+from numbers import Real
 
 
 class CircuitError(ValueError):
@@ -79,8 +81,9 @@ class GateInstance:
         if self.kind.takes_angle:
             if self.angle is None:
                 raise CircuitError("RZ requires an angle")
-            if not _finite(self.angle):
-                raise CircuitError(f"RZ angle must be finite, got {self.angle!r}")
+            if not isinstance(self.angle, Real) or not math.isfinite(self.angle):
+                raise CircuitError(f"RZ angle must be a finite real number, got {self.angle!r}")
+            object.__setattr__(self, "angle", float(self.angle))  # repr round-trips a float only
         elif self.angle is not None:
             raise CircuitError(f"{self.kind.value} takes no angle")
 
@@ -116,10 +119,6 @@ class Circuit:
     def with_gates(self, gates: list[GateInstance]) -> "Circuit":
         """Copy of this circuit with a different gate list."""
         return Circuit(self.n_qubits, list(gates), list(self.measured))
-
-
-def _finite(x: float) -> bool:
-    return x == x and x not in (float("inf"), float("-inf"))
 
 
 def parse_circuit(text: str) -> Circuit:

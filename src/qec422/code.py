@@ -7,9 +7,10 @@ discarding odd-parity outcomes.  Logical operators act transversally
 cheap enough to beat their uncoded versions under two-qubit-dominated
 noise.
 
-Every gate block is data: _GATE_BLOCKS holds each logical gate's coded
-and uncoded realization as a frozen tuple built at import, and the
-block functions hand out fresh lists of it.
+Every gate block and encoder is data: _GATE_BLOCKS holds each logical
+gate's coded and uncoded realization and _ENCODERS each label's encoder,
+as frozen tuples built at import, and the block functions and
+build_encoder hand out fresh lists of them.
 
 Post-selection and decoding read the .vec of ShotCounts and
 OutcomeDistribution: entry j holds the counts or probability of the
@@ -78,54 +79,13 @@ def codeword_distribution(label: LogicalStateLabel) -> OutcomeDistribution:
 
 
 # ---------------------------------------------------------------------------
-# Encoders
+# Logical gate blocks and encoders
 # ---------------------------------------------------------------------------
 
 def _block(*specs: str) -> tuple[GateInstance, ...]:
     """Gates from specs such as "CNOT 0 1"."""
     return tuple(GateInstance(GateKind[k], tuple(map(int, q))) for k, *q in map(str.split, specs))
 
-
-_L00_CORE = _block("H 1", "CNOT 1 0", "CNOT 1 2", "CNOT 2 3")
-
-
-def build_encoder(label: LogicalStateLabel, variant: EncoderVariant) -> Circuit:
-    """Preparation circuit whose ideal distribution is codeword_distribution(label).
-
-    The AncillaChecked variant exists only for L00: a fifth qubit checks
-    q0 xor q3 (0 on every codeword), turning the one fault class the
-    plain encoder misses into a flagged event.  Basis-state labels other
-    than L00 are prepared as the L00 encoder followed by transversal
-    logical X blocks; the two superposition labels have direct two-Bell
-    constructions.
-    """
-    nonft = variant is EncoderVariant.NON_FAULT_TOLERANT
-    if not nonft and label is not LogicalStateLabel.L00:
-        raise CircuitError(f"AncillaChecked encoder is only defined for L00, got {label.value}")
-
-    if label is LogicalStateLabel.L00:
-        if nonft:
-            return Circuit(4, list(_L00_CORE), [0, 1, 2, 3])
-        return Circuit(5, list(_L00_CORE + _block("CNOT 0 4", "CNOT 3 4")), [0, 1, 2, 3, 4])
-    if label is LogicalStateLabel.L01:
-        return Circuit(4, list(_L00_CORE) + coded_gate_circuit(LogicalGate.X1), [0, 1, 2, 3])
-    if label is LogicalStateLabel.L10:
-        return Circuit(4, list(_L00_CORE) + coded_gate_circuit(LogicalGate.X0), [0, 1, 2, 3])
-    if label is LogicalStateLabel.L11:
-        return Circuit(4, list(_L00_CORE) + coded_gate_circuit(LogicalGate.X1)
-                       + coded_gate_circuit(LogicalGate.X0), [0, 1, 2, 3])
-    if label is LogicalStateLabel.L0PLUS:
-        # Bell pair on (q0,q1) times Bell pair on (q2,q3)
-        return Circuit(4, list(_block("H 0", "CNOT 0 1", "H 2", "CNOT 2 3")), [0, 1, 2, 3])
-    if label is LogicalStateLabel.LPHIPLUS:
-        # Bell pair on (q0,q3) times Bell pair on (q1,q2)
-        return Circuit(4, list(_block("H 0", "CNOT 0 3", "H 1", "CNOT 1 2")), [0, 1, 2, 3])
-    raise CircuitError(f"unsupported encoder ({label}, {variant})")  # pragma: no cover
-
-
-# ---------------------------------------------------------------------------
-# Logical gate blocks
-# ---------------------------------------------------------------------------
 
 # (transversal block on the four data qubits, bare block on two qubits)
 # of every logical gate; the bare SWAP is three CNOTs
@@ -138,6 +98,36 @@ _GATE_BLOCKS: dict[LogicalGate, tuple[tuple[GateInstance, ...], tuple[GateInstan
     LogicalGate.HHSWAP: (_block("H 0", "H 1", "H 2", "H 3"),
                          _block("H 0", "H 1", "CNOT 0 1", "CNOT 1 0", "CNOT 0 1")),
 }
+
+# The NonFaultTolerant encoder of every label on the four data qubits:
+# basis labels other than L00 are the L00 encoder followed by transversal
+# logical X blocks, and each superposition label is two Bell pairs.
+_L00_CORE = _block("H 1", "CNOT 1 0", "CNOT 1 2", "CNOT 2 3")
+_X0, _X1 = _GATE_BLOCKS[LogicalGate.X0][0], _GATE_BLOCKS[LogicalGate.X1][0]
+_ENCODERS: dict[LogicalStateLabel, tuple[GateInstance, ...]] = {
+    LogicalStateLabel.L00: _L00_CORE,
+    LogicalStateLabel.L01: _L00_CORE + _X1,
+    LogicalStateLabel.L10: _L00_CORE + _X0,
+    LogicalStateLabel.L11: _L00_CORE + _X1 + _X0,
+    LogicalStateLabel.L0PLUS: _block("H 0", "CNOT 0 1", "H 2", "CNOT 2 3"),    # (q0,q1), (q2,q3)
+    LogicalStateLabel.LPHIPLUS: _block("H 0", "CNOT 0 3", "H 1", "CNOT 1 2"),  # (q0,q3), (q1,q2)
+}
+
+
+def build_encoder(label: LogicalStateLabel, variant: EncoderVariant) -> Circuit:
+    """Preparation circuit whose ideal distribution is codeword_distribution(label).
+
+    The AncillaChecked variant exists only for L00: a fifth qubit checks
+    q0 xor q3 (0 on every codeword), turning the one fault class the
+    plain encoder misses into a flagged event.
+    """
+    if label not in _ENCODERS:
+        raise CircuitError(f"unknown encoder label {label!r}")
+    if variant is EncoderVariant.NON_FAULT_TOLERANT:
+        return Circuit(4, list(_ENCODERS[label]), [0, 1, 2, 3])
+    if label is not LogicalStateLabel.L00:
+        raise CircuitError(f"AncillaChecked encoder is only defined for L00, got {label.value}")
+    return Circuit(5, list(_L00_CORE + _block("CNOT 0 4", "CNOT 3 4")), [0, 1, 2, 3, 4])
 
 
 def _gate_blocks(gate: LogicalGate) -> tuple[tuple[GateInstance, ...], tuple[GateInstance, ...]]:

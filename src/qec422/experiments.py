@@ -10,6 +10,8 @@ post-selection, coded with post-selection.
 Everything is reproducible from (gate_set, L, seed): the sequence, both
 circuits, and both sets of counts follow deterministically, which is
 what makes CSV files regenerable byte-for-byte (timestamps aside).
+ExperimentRecord is the CSV schema: its fields, in order, are the
+columns, and their annotations say how each is written and read.
 """
 
 from __future__ import annotations
@@ -110,19 +112,11 @@ def build_pair(sequence: list[LogicalGate]) -> tuple[Circuit, Circuit]:
 # Records
 # ---------------------------------------------------------------------------
 
-CSV_COLUMNS = (
-    "experiment_id", "gate_set", "L", "seed", "scheme", "shots", "gamma", "r",
-    "D", "D_decoded", "output_dimension", "eps1", "eps2", "p_meas", "p_prep",
-    "theta", "timestamp",
-)
-
-_INT_COLUMNS = {"L", "seed", "shots", "gamma", "output_dimension"}
-_FLOAT_COLUMNS = {"r", "D", "D_decoded", "eps1", "eps2", "p_meas", "p_prep", "theta"}
-
-
 @dataclass
 class ExperimentRecord:
-    """One CSV row.  Floats are written with repr so they read back
+    """One CSV row.  The fields, in order, are the CSV columns (CSV_COLUMNS)
+    and each annotation is its column's type, so a new column is one
+    appended field.  Floats are written with repr so they read back
     bit-exactly; gamma is round(r * shots) on both paths."""
 
     experiment_id: str
@@ -144,24 +138,16 @@ class ExperimentRecord:
     timestamp: str
 
     def to_csv_row(self) -> list[str]:
-        out = []
-        for f in fields(self):
-            v = getattr(self, f.name)
-            out.append(repr(v) if f.name in _FLOAT_COLUMNS else str(v))
-        return out
+        return [(repr if f.type == "float" else str)(getattr(self, f.name)) for f in fields(self)]
 
     @classmethod
     def from_csv_row(cls, row: dict[str, str]) -> "ExperimentRecord":
-        kwargs = {}
-        for f in fields(cls):
-            raw = row[f.name]
-            if f.name in _INT_COLUMNS:
-                kwargs[f.name] = int(raw)
-            elif f.name in _FLOAT_COLUMNS:
-                kwargs[f.name] = float(raw)
-            else:
-                kwargs[f.name] = raw
-        return cls(**kwargs)
+        # annotations are strings under postponed evaluation
+        return cls(**{f.name: {"int": int, "float": float, "str": str}[f.type](row[f.name])
+                      for f in fields(cls)})
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(ExperimentRecord))
 
 
 def _utc_now() -> str:

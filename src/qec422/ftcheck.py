@@ -100,8 +100,8 @@ def verify_single_faults(circuit: Circuit, detection: str, circuit_id: str = "ci
     the Pauli frame folds (after the last RZ, or anywhere in a Clifford
     circuit) permutes the ideal outcomes by its mask, so each distinct
     mask is split and classified once and later sites with it reuse the
-    verdict.  Only faults ahead of the last RZ are simulated, each
-    inserted into the gate list.
+    verdict.  Only the sites the table leaves unfolded (a None row, ahead
+    of the last RZ) are simulated, each inserted into the gate list.
     """
     if detection not in DETECTION_MODES:
         raise CircuitError(f"detection must be one of {DETECTION_MODES}, got {detection!r}")
@@ -139,9 +139,9 @@ def verify_single_faults(circuit: Circuit, detection: str, circuit_id: str = "ci
     out = []
     # sites come grouped by gate in table order: a group's k-th is fault k of its row
     for i, group in groupby(sites, key=attrgetter("gate_index")):
-        row = None if i < table.split else table.gate_masks[i] if i >= 0 else table.prep_masks
+        row = table.gate_masks[i] if i >= 0 else table.prep_masks
         for k, site in enumerate(group, start=1):
-            if row is None:  # after gate i, or before the first gate when i is -1
+            if row is None:  # unfolded: after gate i, or before the first gate when i is -1
                 fault = [GateInstance(GateKind[c], (q,))
                          for c, q in zip(site.pauli, site.targets) if c != "I"]
                 out.append(classify(ideal_marginal(circuit.with_gates(

@@ -16,11 +16,12 @@ backward sweep of the Pauli frame (FlipMaskTable) carries each measured
 Z observable from the end of the circuit back to its last RZ; a fault
 after any gate from there on is Clifford-propagated to an X-type
 read-out flip mask, and only H, S, CNOT, CZ and SWAP move the frame.
-The base vector is the read-out marginal before those flips.  When a
-channel fires ahead of the last RZ (a preparation flip, or a fault
-after an earlier gate), the base is the diagonal of the exact density
-matrix, each such site mixing sum_k w_k P_k rho P_k^dagger into it;
-otherwise it is the ideal statevector marginal.  Both stop their
+The table alone decides which sites it folds: a None row is one it
+does not.  The base vector is the read-out marginal before the folded
+flips.  When an unfolded channel fires (a preparation flip, or a fault
+after a gate ahead of the last RZ), the base is the diagonal of the
+exact density matrix, each such site mixing sum_k w_k P_k rho P_k^dagger
+into it; otherwise it is the ideal statevector marginal.  Both stop their
 gates at the last H or RZ and move the probabilities through the
 monomial tail after it, exactly (simulator.monomial_tail).  Every
 folded flip is independent of the base and XORs onto it, and
@@ -94,12 +95,10 @@ def insert_coherent_rotation(circuit: Circuit, theta: float) -> Circuit:
     encoder's H just put into superposition.  theta = 0 still inserts
     the (no-op) gate so circuit structure is deterministic.
     """
-    if not np.isfinite(theta):
-        raise CircuitError(f"theta must be finite, got {theta}")
     for i, g in enumerate(circuit.gates):
         if g.kind is GateKind.H:
             gates = list(circuit.gates)
-            gates.insert(i + 1, GateInstance(GateKind.RZ, (g.targets[0],), float(theta)))
+            gates.insert(i + 1, GateInstance(GateKind.RZ, (g.targets[0],), theta))
             return circuit.with_gates(gates)
     raise CircuitError("no Hadamard to attach the rotation to")
 
@@ -151,16 +150,18 @@ def _conjugate_columns(xcol: list[int], zcol: list[int], gate: GateInstance) -> 
 
 
 class FlipMaskTable:
-    """Read-out flip mask of every fault the Pauli frame can fold.
+    """Read-out flip mask of every fault the Pauli frame folds, and the
+    one record of which faults it leaves to the density-matrix prefix.
 
-    split is the index of the last RZ, or -1 when there is none.  Every
-    gate after it is Clifford, so a fault after gate i >= split reaches
-    the read-out as a fixed flip mask over the measured bits:
-    gate_masks[i][k] for fault k, where k = 0 is no fault, one-qubit
-    faults use k in 1..3 (X, Y, Z) and two-qubit faults k in 1..15
-    indexing TWO_QUBIT_PAULIS.  Rows before the split are None.
-    prep_masks[q + 1] is the mask of an X flip on qubit q before the
-    circuit, and exists only when split is -1.  Rows are tuples of ints.
+    Every gate from the last RZ on is Clifford, so a fault after such a
+    gate reaches the read-out as a fixed flip mask over the measured
+    bits: gate_masks[i][k] for fault k after gate i, where k = 0 is no
+    fault, one-qubit faults use k in 1..3 (X, Y, Z) and two-qubit faults
+    k in 1..15 indexing TWO_QUBIT_PAULIS.  prep_masks[q + 1] is the mask
+    of an X flip on qubit q before the circuit.  Rows are tuples of ints.
+    A None row, or prep_masks None, means the frame does not fold that
+    site (it sits ahead of the last RZ), so _prefix_marginal mixes it;
+    unfolded names those sites' _site_weights kinds.
 
     One backward (Heisenberg) sweep builds every row: each measured Z is
     carried back through the gates, and a fault flips bit t exactly when
@@ -171,8 +172,7 @@ class FlipMaskTable:
 
     def __init__(self, circuit: Circuit):
         gates = circuit.gates
-        rz = [i for i, g in enumerate(gates) if g.kind is _RZ]
-        self.split = rz[-1] if rz else -1
+        split = max((i for i, g in enumerate(gates) if g.kind is _RZ), default=-1)
         xcol = [0] * circuit.n_qubits
         zcol = [0] * circuit.n_qubits
         for t, q in enumerate(circuit.measured):
@@ -180,17 +180,18 @@ class FlipMaskTable:
         rows = [(0, z, z, 0) for z in zcol]  # flip masks of I, X, Y, Z on each qubit
 
         self.gate_masks: list[tuple[int, ...] | None] = [None] * len(gates)
-        for i in range(len(gates) - 1, max(self.split, 0) - 1, -1):
+        for i in range(len(gates) - 1, max(split, 0) - 1, -1):
             g = gates[i]
             t = g.targets
             self.gate_masks[i] = rows[t[0]] if len(t) == 1 else tuple(
                 a ^ b for a in rows[t[0]] for b in rows[t[1]])
-            if i > self.split and g.kind not in _PAULI_GATES:
+            if i > split and g.kind not in _PAULI_GATES:
                 _conjugate_columns(xcol, zcol, g)
                 for q in t:
                     rows[q] = (0, zcol[q], zcol[q] ^ xcol[q], xcol[q])
         # prep flips are indexed per qubit, not per Pauli
-        self.prep_masks = (0, *zcol) if self.split < 0 else None
+        self.prep_masks = (0, *zcol) if split < 0 else None
+        self.unfolded = ("prep", *{g.kind.arity for g in gates[:split]}) if split >= 0 else ()
 
 
 # ---------------------------------------------------------------------------
@@ -213,9 +214,9 @@ def _clifford_outcomes(circuit: Circuit, params: NoiseParams, table: FlipMaskTab
     """Exact read-out distribution from base, the read-out marginal
     before every flip the frame folds.
 
-    Each site the frame folds (gate faults from the split on, prep flips
-    without an RZ, read-out flips) XORs in masks[k] with weight w[k] of
-    its _site_weights, independently of what came before.  So the exact
+    Each site the frame folds (a gate fault with a row, a prep flip when
+    prep_masks is not None, a read-out flip) XORs in masks[k] with weight
+    w[k] of its _site_weights, independently of what came before.  So the exact
     distribution is base times a pointwise product of Walsh-Hadamard
     spectra, clipped of rounding negatives and renormalized; when no site
     fires it is base itself.  Either way it is then mixed toward uniform
@@ -225,7 +226,7 @@ def _clifford_outcomes(circuit: Circuit, params: NoiseParams, table: FlipMaskTab
     """
     n_bits = len(circuit.measured)
     gate = {len(w): w for w in (_site_weights(params, 1), _site_weights(params, 2))}
-    rows = Counter(table.gate_masks[max(table.split, 0):])
+    rows = Counter(row for row in table.gate_masks if row is not None)
     sites = Counter({(gate[len(row)], row): count for row, count in rows.items()})
     if table.prep_masks is not None:
         sites.update((_site_weights(params, "prep"), (0, mask)) for mask in table.prep_masks[1:])
@@ -300,9 +301,10 @@ def _pauli_channel(rho: np.ndarray, weights: tuple[float, ...], targets: tuple[i
     return np.asarray(weights) @ (sign[:len(weights)] * rho[gather[:len(weights)]])
 
 
-def _prefix_marginal(circuit: Circuit, params: NoiseParams, split: int) -> np.ndarray:
-    """Exact read-out marginal with preparation flips and the faults
-    after every gate before gate split, from the density matrix.
+def _prefix_marginal(circuit: Circuit, params: NoiseParams, table: FlipMaskTable) -> np.ndarray:
+    """Exact read-out marginal with every site table does not fold (each
+    None row, and the preparation flips when prep_masks is None) mixed
+    in, from the density matrix.
 
     vec(rho) is a state on 2n qubits (entry i | j << n holds rho_ij) that
     _evolve runs through each gate doubled, and _pauli_channel mixes in
@@ -317,12 +319,13 @@ def _prefix_marginal(circuit: Circuit, params: NoiseParams, split: int) -> np.nd
     rho = np.zeros(1 << (2 * n), dtype=complex)
     rho[0] = 1.0
     weights = {site: _site_weights(params, site) for site in ("prep", 1, 2)}
-    for q in range(n):
-        rho = _pauli_channel(rho, weights["prep"], (q,), n)
-    s, cols, c = monomial_tail(circuit.gates, n)  # s > split
-    for i, g in enumerate(circuit.gates[:s]):
+    if table.prep_masks is None:
+        for q in range(n):
+            rho = _pauli_channel(rho, weights["prep"], (q,), n)
+    s, cols, c = monomial_tail(circuit.gates, n)  # every None row is ahead of the last RZ, so of s
+    for g, row in zip(circuit.gates[:s], table.gate_masks):
         rho = _evolve(rho, _doubled(g, n), 2 * n)
-        if i < split:
+        if row is None:
             rho = _pauli_channel(rho, weights[g.kind.arity], g.targets, n)
     # rounding can leave a true zero slightly negative, and no suffix may clip it
     probs = move_to_tail_end(rho[diag].real, cols, c)
@@ -334,17 +337,15 @@ def noisy_vector(circuit: Circuit, params: NoiseParams,
     """Exact noisy read-out distribution under every channel, indexed as
     marginal_vector; params.theta is not applied (run_pair inserts it).
 
-    The density-matrix prefix is built only when some channel fires
-    ahead of the last RZ; otherwise the base is the ideal marginal, which
+    The density-matrix prefix is built only when some channel the frame
+    leaves unfolded fires; otherwise the base is the ideal marginal, which
     a caller that already holds simulator.ideal_marginal(circuit) passes.
     """
     if not circuit.measured:
         raise CircuitError("circuit measures no qubits")
     table = FlipMaskTable(circuit)
-    split = table.split
-    ahead = ("prep", *{g.kind.arity for g in circuit.gates[:split]}) if split >= 0 else ()
-    if any(any(_site_weights(params, site)[1:]) for site in ahead):
-        base = _prefix_marginal(circuit, params, split)
+    if any(any(_site_weights(params, site)[1:]) for site in table.unfolded):
+        base = _prefix_marginal(circuit, params, table)
     else:
         base = ideal_marginal(circuit) if ideal is None else ideal
     return _clifford_outcomes(circuit, params, table, base)

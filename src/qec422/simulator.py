@@ -23,7 +23,8 @@ Every earlier gate goes through one kernel, _evolve: a gather plus a
 scale from index tables cached per (kind, targets, n), angle excluded,
 so at most one entry per gate placement on at most MAX_QUBITS qubits.
 The table build refuses a target outside the register, and PureState
-checks width, finiteness and norm once per final_state call.
+checks width, finiteness and norm twice per final_state call: the zero
+state and the result.
 """
 
 from __future__ import annotations
@@ -141,8 +142,9 @@ class ShotCounts(_OutcomeVector):
     """Integer outcome counts for one run; counts is their string view."""
 
     def __init__(self, data: Mapping[str, int] | np.ndarray):
-        super().__init__(data, np.int64)
-        self._refuse(self.vec >= 0, "counts must be non-negative")
+        super().__init__(data, float)  # an int64 vector would truncate 1.7 unseen
+        self._refuse(np.isfinite(self.vec) & (self.vec >= 0) & (self.vec == np.round(self.vec)),
+                     "counts must be non-negative integers")
         self.vec = self.vec.astype(np.int64)
 
     counts = property(_OutcomeVector._strings)

@@ -38,6 +38,12 @@ class TestGateInstance:
             GateInstance(GateKind.RZ, (0,), float("nan"))
         GateInstance(GateKind.RZ, (0,), 0.25)
 
+    @pytest.mark.parametrize("angle", ["0.5", 0.3 + 0.5j, 0.5 + 0j, float("nan"), float("inf"),
+                                       -np.inf, np.float32("nan")])
+    def test_rz_angle_must_be_a_finite_real(self, angle):
+        with pytest.raises(CircuitError, match="finite real"):
+            GateInstance(GateKind.RZ, (0,), angle)
+
     def test_angle_on_non_rz_rejected(self):
         with pytest.raises(CircuitError):
             GateInstance(GateKind.H, (0,), 1.0)
@@ -129,3 +135,14 @@ class TestRoundTrip:
             back = parse_circuit(text)
             assert back == c
             assert serialize_circuit(back) == text
+
+    @pytest.mark.parametrize("angle", [np.float64(0.3), np.float32(0.3), 2, np.int64(-3), True])
+    def test_numpy_and_int_angles_round_trip(self, angle):
+        """Any finite real angle is stored as a Python float, so its text
+        is a float literal that parse_circuit reads back exactly."""
+        g = GateInstance(GateKind.RZ, (0,), angle)
+        assert type(g.angle) is float and g.angle == float(angle)
+        c = Circuit(1, [g], [0])
+        text = serialize_circuit(c)
+        assert text.splitlines()[1] == f"RZ 0 {float(angle)!r}"
+        assert parse_circuit(text) == c

@@ -74,6 +74,11 @@ class TestEncoders:
         with pytest.raises(CircuitError):
             build_encoder(LogicalStateLabel.L01, EncoderVariant.ANCILLA_CHECKED)
 
+    @pytest.mark.parametrize("variant", list(EncoderVariant))
+    def test_unknown_label_refused(self, variant):
+        with pytest.raises(CircuitError, match="unknown encoder label 'L00'"):
+            build_encoder("L00", variant)
+
 
 class TestLogicalGates:
     @pytest.mark.parametrize("gate,expect", [

@@ -331,10 +331,8 @@ class TestPerMaskCost:
                             lambda *a, **kw: calls.append(1) or original(*a, **kw))
         report = verify_single_faults(circuit, detection, include_preparation=True)
         table = FlipMaskTable(circuit)
-        rows = table.gate_masks[max(table.split, 0):]
-        if table.prep_masks is not None:
-            rows.append(table.prep_masks)
-        masks = {m for row in rows for m in row[1:]}
-        ahead = sum(s.gate_index < table.split for s, _ in report.classifications)
+        rows = [table.prep_masks, *table.gate_masks]  # site gate_index i reads rows[i + 1]
+        masks = {m for row in filter(None, rows) for m in row[1:]}
+        ahead = sum(rows[s.gate_index + 1] is None for s, _ in report.classifications)
         assert len(calls) <= 1 + len(masks) + ahead
         assert len(masks) <= 2 ** len(circuit.measured)

@@ -321,7 +321,7 @@ class TestFlipMaskTable:
                 gates.insert(split, GateInstance(GateKind.RZ, (int(rng.integers(c.n_qubits)),), 0.4))
                 c = c.with_gates(gates)
             table = FlipMaskTable(c)
-            assert table.split == split, tag
+            assert [row is None for row in table.gate_masks] == [i < split for i in range(len(c.gates))], tag
             for i, g in enumerate(c.gates):
                 if i < split:
                     assert table.gate_masks[i] is None, (tag, i)
@@ -351,7 +351,7 @@ def _per_site_outcomes(circuit: Circuit, params: NoiseParams, table: FlipMaskTab
     unique folded site, multiplied into the spectrum in site order."""
     n_bits = len(circuit.measured)
     sites: Counter = Counter()
-    for row in table.gate_masks[max(table.split, 0):]:
+    for row in filter(None, table.gate_masks):
         sites[(params.eps1 if len(row) == 4 else params.eps2, tuple(row))] += 1
     if table.prep_masks is not None:
         sites.update((params.p_prep, (0, mask)) for mask in table.prep_masks[1:])
@@ -398,7 +398,7 @@ class TestBatchedSuffix:
                                 measure_all=seed % 3 == 0)
             c = _with_rzs(c, int(seed % 4 == 1), seed)
             table = self._check(c, self._params(seed))
-            assert (table.prep_masks is None) == (table.split >= 0), seed
+            assert (table.prep_masks is None) == any(g.kind is GateKind.RZ for g in c.gates), seed
             widths.add(len(c.measured))
         assert widths == {1, 2, 3, 4, 5, 6}
 
@@ -611,7 +611,7 @@ class TestSpectrumDraw:
         for seed in range(40):
             c = _with_rzs(random_clifford(seed, n_qubits=2 + seed % 3, n_extra=seed % 6), 1 + seed % 2, seed)
             params = self._params(seed)
-            assert FlipMaskTable(c).split >= 0
+            assert FlipMaskTable(c).prep_masks is None
             p = _drawn_vector(monkeypatch, c, params)
             exact = outcome_vector(_exact_mixture(c, params), len(c.measured))
             assert np.max(np.abs(p - _read_out_and_xi(exact, params))) < 1e-12, seed
@@ -765,8 +765,44 @@ class TestPrefixTail:
             gates.insert(split, _g(GateKind.RZ, int(rng.integers(c.n_qubits)), angle=0.9))
             c = c.with_gates(gates)
             params = NoiseParams(*rng.uniform(0.01, 0.2, 2), p_prep=float(rng.uniform(0.01, 0.2)))
-            assert np.array_equal(noise._prefix_marginal(c, params, split),
+            assert np.array_equal(noise._prefix_marginal(c, params, FlipMaskTable(c)),
                                   _prefix_every_gate(c, params, split)), seed
+
+    def test_prefix_mixes_exactly_the_unfolded_sites(self, monkeypatch, random_clifford):
+        """The table alone says what the frame folds: _prefix_marginal
+        mixes one channel after exactly the gates whose row is None, and
+        one per qubit before the first gate exactly when prep_masks is
+        None.  Every channel is on, and the RZ, when there is one, sits
+        anywhere."""
+        events = []
+        evolve, channel = noise._evolve, noise._pauli_channel
+        monkeypatch.setattr(noise, "_evolve", lambda *a: events.append(None) or evolve(*a))
+        monkeypatch.setattr(noise, "_pauli_channel", lambda *a: events.append(a[2]) or channel(*a))
+        seen = Counter()
+        for seed in range(60):
+            rng = np.random.default_rng(seed)
+            c = random_clifford(seed, n_qubits=2 + seed % 4, n_extra=seed % 20)
+            if seed % 4:
+                gates = list(c.gates)
+                gates.insert(int(rng.integers(0, len(gates) + 1)),
+                             _g(GateKind.RZ, int(rng.integers(c.n_qubits)), angle=0.9))
+                c = c.with_gates(gates)
+            table = FlipMaskTable(c)
+            params = NoiseParams(*rng.uniform(0.01, 0.2, 2), p_prep=float(rng.uniform(0.01, 0.2)))
+            events.clear()
+            noise._prefix_marginal(c, params, table)
+            mixed, after = [], -1  # (index of the gate a channel follows, its targets)
+            for e in events:
+                if e is None:
+                    after += 1
+                else:
+                    mixed.append((after, e))
+            want = [(-1, (q,)) for q in range(c.n_qubits)] if table.prep_masks is None else []
+            want += [(i, g.targets) for i, (g, row) in enumerate(zip(c.gates, table.gate_masks))
+                     if row is None]
+            assert mixed == want, seed
+            seen.update(prep=table.prep_masks is None, gates=len(want) > c.n_qubits)
+        assert seen["prep"] == 45 and seen["gates"] > 30
 
 
 def _biased_weights(seed: int):
@@ -795,7 +831,8 @@ class TestSuffixAgainstPrefix:
             for c in build_pair(random_sequence(SequenceSpec(gate_set, length, seed))):
                 suffix = c.with_gates([*c.gates, _g(GateKind.Z, 0)])
                 prefix = c.with_gates([*c.gates, _g(GateKind.RZ, 0, angle=0.0)])
-                assert FlipMaskTable(prefix).split == len(c.gates)
+                rows = FlipMaskTable(prefix).gate_masks
+                assert rows[:-1] == [None] * len(c.gates) and rows[-1] is not None
                 np.testing.assert_allclose(noisy_vector(prefix, params), noisy_vector(suffix, params),
                                            rtol=0, atol=1e-14)
 

@@ -413,10 +413,19 @@ class TestDistributions:
 
     @pytest.mark.parametrize("data", [
         {"00": 3, "01": -1}, np.array([4, -2]), np.array([np.nan, 1.0]), {"0": 1, "x": 2}, {},
+        np.array([0.5, 1.7]), {"0": 2, "1": 0.5}, np.array([np.inf, 1.0]),
     ])
     def test_count_refusals(self, data):
         with pytest.raises(CircuitError):
             ShotCounts(data)
+
+    def test_integral_float_counts_pass(self):
+        """A bincount's integral-valued floats are counts; a fraction is not
+        truncated but refused."""
+        c = ShotCounts(np.bincount([0, 1, 1, 3], weights=np.ones(4)))
+        assert c.vec.dtype == np.int64 and c.counts == {"00": 1, "10": 2, "11": 1}
+        with pytest.raises(CircuitError, match="non-negative integers, got 0.5"):
+            ShotCounts(np.array([0.5, 1.7]))
 
     def test_ghz_marginal(self):
         c = Circuit(3, [_g(GateKind.H, 0), _g(GateKind.CNOT, 0, 1),
