@@ -14,6 +14,9 @@ qubit indices (and a float angle for RZ), and the final line lists the
 measured qubits in print order.  Bitstrings elsewhere in this package
 follow that order: character k of a printed string is the outcome of
 ``measured[k]``.
+
+The register cap, MAX_QUBITS, lives here: Circuit and the ``qubits N``
+header refuse a wider register before anything allocates 2**n amplitudes.
 """
 
 from __future__ import annotations
@@ -22,6 +25,8 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from numbers import Real
+
+MAX_QUBITS = 12
 
 
 class CircuitError(ValueError):
@@ -34,6 +39,14 @@ class CircuitParseError(CircuitError):
     def __init__(self, message: str, line_no: int):
         super().__init__(f"line {line_no}: {message}")
         self.line_no = line_no
+
+
+def finite_real(value, name: str) -> float:
+    """value as a float, so that its repr is a literal the circuit and CSV
+    readers take back; anything but a finite real number raises."""
+    if not isinstance(value, Real) or not math.isfinite(value):
+        raise CircuitError(f"{name} must be a finite real number, got {value!r}")
+    return float(value)
 
 
 class GateKind(Enum):
@@ -81,9 +94,7 @@ class GateInstance:
         if self.kind.takes_angle:
             if self.angle is None:
                 raise CircuitError("RZ requires an angle")
-            if not isinstance(self.angle, Real) or not math.isfinite(self.angle):
-                raise CircuitError(f"RZ angle must be a finite real number, got {self.angle!r}")
-            object.__setattr__(self, "angle", float(self.angle))  # repr round-trips a float only
+            object.__setattr__(self, "angle", finite_real(self.angle, "RZ angle"))
         elif self.angle is not None:
             raise CircuitError(f"{self.kind.value} takes no angle")
 
@@ -102,8 +113,8 @@ class Circuit:
     measured: list[int] = field(default_factory=list)
 
     def __post_init__(self):
-        if self.n_qubits < 1:
-            raise CircuitError(f"n_qubits must be positive, got {self.n_qubits}")
+        if not 1 <= self.n_qubits <= MAX_QUBITS:
+            raise CircuitError(f"n_qubits must be in [1, {MAX_QUBITS}], got {self.n_qubits}")
         for g in self.gates:
             for q in g.targets:
                 if q >= self.n_qubits:
@@ -140,8 +151,8 @@ def parse_circuit(text: str) -> Circuit:
             if len(tokens) != 2:
                 raise CircuitParseError("'qubits' takes exactly one integer", line_no)
             n_qubits = _parse_int(tokens[1], line_no)
-            if n_qubits < 1:
-                raise CircuitParseError(f"qubit count must be positive, got {n_qubits}", line_no)
+            if not 1 <= n_qubits <= MAX_QUBITS:
+                raise CircuitParseError(f"qubits must be in [1, {MAX_QUBITS}], got {n_qubits}", line_no)
             continue
 
         if measured is not None:

@@ -87,13 +87,16 @@ _CONFIG_PARSERS = {
 _NOISE_HELP = {"eps1": "one-qubit gate fault probability", "eps2": "two-qubit gate fault probability",
                "p_meas": "read-out flip probability", "p_prep": "preparation flip probability",
                "theta": "coherent rotation angle", "xi": "depolarizing mix toward uniform"}
-_NOISE_KEYS = _NOISE_HELP.keys() - {"theta"}
-# subcommand -> the keys it reads; sweep-theta sets theta per angle itself
-_COMMAND_KEYS = {
-    "run": {"gate_set", "lengths", "seeds_per_length", "master_seed", "shots",
-            "analytic_xi", "jobs", "out", "theta", *_NOISE_KEYS},
-    "sweep-theta": {"gate_set", "thetas", "length", "shots", "master_seed", "out", *_NOISE_KEYS},
-    "predict": {"lengths", "eps1", "eps2", "p_meas"},
+_NOISE_DEFAULTS = {key: 0.0 for key in _NOISE_HELP if key != "theta"}
+# subcommand -> every key it reads, with its default; sweep-theta sets theta per angle itself
+_DEFAULTS = {
+    "run": {"gate_set": "reduced", "lengths": (1, 2, 5, 10, 20, 50, 100), "seeds_per_length": 5,
+            "master_seed": 0, "shots": DEFAULT_SHOTS, "analytic_xi": False, "jobs": 1,
+            "out": "results.csv", "theta": 0.0, **_NOISE_DEFAULTS},
+    "sweep-theta": {"gate_set": "single_hhswap", "length": 1, "shots": DEFAULT_SHOTS,
+                    "thetas": tuple(np.linspace(0.0, np.pi, 9).tolist()),
+                    "master_seed": 0, "out": "theta_sweep.csv", **_NOISE_DEFAULTS},
+    "predict": {"lengths": tuple(range(1, 101)), "eps1": 0.0, "eps2": 0.0, "p_meas": 0.0},
 }
 
 
@@ -109,10 +112,10 @@ def load_config(path: str, command: str) -> dict:
                 raise CircuitError(f"{path}:{line_no}: expected 'key = value', got {line!r}")
             key, _, value = line.partition("=")
             key, value = key.strip(), value.strip()
-            if key not in _COMMAND_KEYS[command]:
+            if key not in _DEFAULTS[command]:
                 raise CircuitError(
                     f"{path}:{line_no}: unknown config key {key!r} for {command}; allowed: "
-                    + ", ".join(sorted(_COMMAND_KEYS[command]))
+                    + ", ".join(sorted(_DEFAULTS[command]))
                 )
             try:
                 cfg[key] = _CONFIG_PARSERS[key](value)
@@ -123,20 +126,15 @@ def load_config(path: str, command: str) -> dict:
     return cfg
 
 
-def _resolve(args: argparse.Namespace, cfg: dict, key: str, default):
-    flag = getattr(args, key, None)
-    return flag if flag is not None else cfg.get(key, default)
-
-
-def _noise_from(args: argparse.Namespace, cfg: dict) -> NoiseParams:
-    return NoiseParams(
-        eps1=_resolve(args, cfg, "eps1", 0.0),
-        eps2=_resolve(args, cfg, "eps2", 0.0),
-        p_meas=_resolve(args, cfg, "p_meas", 0.0),
-        p_prep=_resolve(args, cfg, "p_prep", 0.0),
-        theta=_resolve(args, cfg, "theta", 0.0),
-        xi=_resolve(args, cfg, "xi", 0.0),
-    )
+def _options(args: argparse.Namespace) -> dict:
+    """The command's keys as defaults < config file < flags, with the
+    noise keys replaced by the NoiseParams they build, under "params"."""
+    opts = dict(_DEFAULTS[args.command])
+    if args.config:
+        opts.update(load_config(args.config, args.command))
+    opts.update({key: getattr(args, key) for key in opts if getattr(args, key, None) is not None})
+    opts["params"] = NoiseParams(**{key: opts.pop(key) for key in _NOISE_HELP if key in opts})
+    return opts
 
 
 def _out_path(name: str) -> str:
@@ -175,29 +173,23 @@ def cmd_emit_circuit(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config, args.command) if args.config else {}
-    gate_set = GateSetId.from_str(_resolve(args, cfg, "gate_set", "reduced"))
-    lengths = _resolve(args, cfg, "lengths", [1, 2, 5, 10, 20, 50, 100])
-    seeds_per_length = _resolve(args, cfg, "seeds_per_length", 5)
-    master_seed = _resolve(args, cfg, "master_seed", 0)
-    shots = _resolve(args, cfg, "shots", DEFAULT_SHOTS)
-    analytic_xi = bool(_resolve(args, cfg, "analytic_xi", False))
-    params = _noise_from(args, cfg)
-    out = _out_path(_resolve(args, cfg, "out", "results.csv"))
+    opts = _options(args)
+    gate_set = GateSetId.from_str(opts["gate_set"])
+    out = _out_path(opts["out"])
 
-    records = sweep_L(gate_set, lengths, params, shots, seeds_per_length,
-                      master_seed, analytic_xi)
+    records = sweep_L(gate_set, opts["lengths"], opts["params"], opts["shots"],
+                      opts["seeds_per_length"], opts["master_seed"], opts["analytic_xi"])
     write_records_csv(out, records)
     meta = {
         "generated": datetime.now(timezone.utc).isoformat(),
         "gate_set": gate_set.value,
-        "lengths": lengths,
-        "seeds_per_length": seeds_per_length,
-        "master_seed": master_seed,
-        "shots": shots,
-        "analytic_xi": analytic_xi,
+        "lengths": opts["lengths"],
+        "seeds_per_length": opts["seeds_per_length"],
+        "master_seed": opts["master_seed"],
+        "shots": opts["shots"],
+        "analytic_xi": opts["analytic_xi"],
         "sequence_sampling": "independent_per_L_seed",
-        "params": asdict(params),
+        "params": asdict(opts["params"]),
     }
     with open(out + ".meta.json", "w") as fh:
         json.dump(meta, fh, indent=2)
@@ -212,11 +204,10 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config, args.command) if args.config else {}
-    lengths = _resolve(args, cfg, "lengths", list(range(1, 101)))
+    opts = _options(args)
+    lengths, params = opts["lengths"], opts["params"]
     if not lengths:
         raise CircuitError("no sequence lengths to predict")
-    params = _noise_from(args, cfg)
     e1, e2, pm = params.eps1, params.eps2, params.p_meas
 
     lines = ["scheme,L,D_pred"]
@@ -264,17 +255,11 @@ def cmd_verify_ft(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep_theta(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config, args.command) if args.config else {}
-    thetas = _resolve(args, cfg, "thetas",
-                      [float(x) for x in np.linspace(0.0, np.pi, 9)])
-    gate_set = GateSetId.from_str(_resolve(args, cfg, "gate_set", "single_hhswap"))
-    length = _resolve(args, cfg, "length", 1)
-    shots = _resolve(args, cfg, "shots", DEFAULT_SHOTS)
-    master_seed = _resolve(args, cfg, "master_seed", 0)
-    params = _noise_from(args, cfg)
-    out = _out_path(_resolve(args, cfg, "out", "theta_sweep.csv"))
+    opts = _options(args)
+    out = _out_path(opts["out"])
 
-    records = sweep_theta(thetas, params, gate_set, length, shots, master_seed)
+    records = sweep_theta(opts["thetas"], opts["params"], GateSetId.from_str(opts["gate_set"]),
+                          opts["length"], opts["shots"], opts["master_seed"])
     write_records_csv(out, records)
     print(f"wrote {len(records)} records to {out}")
     print(f"{'theta':>10} {'r':>8} {'cos^2(theta/2)':>16}")
@@ -320,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_noise_flags(p: argparse.ArgumentParser, command: str) -> None:
-        for key in sorted(_NOISE_HELP.keys() & _COMMAND_KEYS[command]):
+        for key in sorted(_NOISE_HELP.keys() & _DEFAULTS[command].keys()):
             p.add_argument("--" + key.replace("_", "-"), dest=key, type=float, help=_NOISE_HELP[key])
 
     p = sub.add_parser("emit-circuit", help="print an encoder or gate block as circuit text")

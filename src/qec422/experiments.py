@@ -271,7 +271,7 @@ def sweep_theta(thetas: list[float], params: NoiseParams,
     out: list[ExperimentRecord] = []
     for i, theta in enumerate(thetas):
         seed = derive_seed(master_seed, "theta", i)
-        run_params = replace(params, theta=float(theta))
+        run_params = replace(params, theta=theta)
         sequence = random_sequence(SequenceSpec(gate_set, length, seed))
         out += run_pair(sequence, run_params, shots, seed, gate_set.value)
     return out

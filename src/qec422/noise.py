@@ -37,13 +37,13 @@ identical counts, regardless of how calls are scheduled around it.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
 
-from .circuits import Circuit, CircuitError, GateInstance, GateKind
-from .simulator import (MAX_QUBITS, OutcomeDistribution, ShotCounts, _CNOT, _H, _RZ, _SWAP,
+from .circuits import MAX_QUBITS, Circuit, CircuitError, GateInstance, GateKind, finite_real
+from .simulator import (OutcomeDistribution, ShotCounts, _CNOT, _H, _RZ, _SWAP,
                         _evolve, ideal_marginal, marginal_vector, monomial_tail, move_to_tail_end)
 
 ONE_QUBIT_PAULIS = ("X", "Y", "Z")
@@ -55,7 +55,7 @@ _S, _CZ, _PAULI_GATES = GateKind.S, GateKind.CZ, (GateKind.X, GateKind.Y, GateKi
 
 @dataclass(frozen=True)
 class NoiseParams:
-    """All knobs of the error model; zero everywhere means noiseless."""
+    """All knobs of the error model, stored as floats; zero everywhere means noiseless."""
 
     eps1: float = 0.0
     eps2: float = 0.0
@@ -65,12 +65,11 @@ class NoiseParams:
     xi: float = 0.0
 
     def __post_init__(self):
-        for name in ("eps1", "eps2", "p_meas", "p_prep", "xi"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise CircuitError(f"{name} must be in [0, 1], got {v}")
-        if not np.isfinite(self.theta):
-            raise CircuitError(f"theta must be finite, got {self.theta}")
+        for f in fields(self):
+            v = finite_real(getattr(self, f.name), f.name)
+            if f.name != "theta" and not 0.0 <= v <= 1.0:
+                raise CircuitError(f"{f.name} must be in [0, 1], got {v}")
+            object.__setattr__(self, f.name, v)
 
 
 def _site_weights(params: NoiseParams, site: int | str) -> tuple[float, ...]:

@@ -7,8 +7,8 @@ Conventions, fixed across the package:
   ``(i >> q) & 1``;
 * printed bitstrings list measured qubits in measurement order, qubit 0
   (or more precisely ``measured[0]``) leftmost;
-* registers are capped at 12 qubits, far above anything the [4,2,2]
-  constructions need but enough for small ad-hoc circuits.
+* registers are capped at 12 qubits (circuits.MAX_QUBITS), enough for
+  small ad-hoc circuits and far above what the [4,2,2] constructions need.
 
 OutcomeDistribution and ShotCounts hold one dense vector, .vec, over the
 read-out bits in the marginal_vector layout (entry j is the outcome whose
@@ -22,9 +22,9 @@ to their final indices, bit for bit as a full run would leave them.
 Every earlier gate goes through one kernel, _evolve: a gather plus a
 scale from index tables cached per (kind, targets, n), angle excluded,
 so at most one entry per gate placement on at most MAX_QUBITS qubits.
-The table build refuses a target outside the register, and PureState
-checks width, finiteness and norm twice per final_state call: the zero
-state and the result.
+The table build refuses a target outside the register (Circuit.gates is
+a mutable list); PureState checks width, finiteness and norm once per
+final_state call, on the result, and ideal_marginal builds no PureState.
 """
 
 from __future__ import annotations
@@ -35,9 +35,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .circuits import Circuit, CircuitError, GateKind
+from .circuits import MAX_QUBITS, Circuit, CircuitError, GateKind
 
-MAX_QUBITS = 12
 NORM_TOL = 1e-10
 PRUNE_TOL = 1e-12
 
@@ -66,13 +65,6 @@ class PureState:
         norm = float(np.sum(np.abs(self.amplitudes) ** 2))
         if abs(norm - 1.0) > NORM_TOL:
             raise CircuitError(f"state norm {norm} deviates from 1 by more than {NORM_TOL}")
-
-    @classmethod
-    def zero(cls, n_qubits: int) -> "PureState":
-        """|00...0> on n_qubits."""
-        amp = np.zeros(1 << n_qubits, dtype=complex)
-        amp[0] = 1.0
-        return cls(n_qubits, amp)
 
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
@@ -259,10 +251,17 @@ def move_to_tail_end(probs: np.ndarray, cols: tuple[int, ...], c: int) -> np.nda
     return out
 
 
+def _zero(n: int) -> np.ndarray:
+    """Amplitudes of |0...0> on n qubits."""
+    amp = np.zeros(1 << n, dtype=complex)
+    amp[0] = 1.0
+    return amp
+
+
 def final_state(circuit: Circuit) -> PureState:
     """Run every gate of the circuit from |0...0>."""
     n = circuit.n_qubits
-    return PureState(n, _evolve(PureState.zero(n).amplitudes, circuit.gates, n))
+    return PureState(n, _evolve(_zero(n), circuit.gates, n))
 
 
 def marginal_vector(probs: np.ndarray, n: int, measured: list[int]) -> np.ndarray:
@@ -309,10 +308,10 @@ def ideal_marginal(circuit: Circuit) -> np.ndarray:
     indexed as marginal_vector; the state stops at the last H or RZ."""
     if not circuit.measured:
         raise CircuitError("circuit measures no qubits")
-    s, cols, c = monomial_tail(circuit.gates, circuit.n_qubits)
-    head = circuit if s == len(circuit.gates) else circuit.with_gates(circuit.gates[:s])
-    probs = move_to_tail_end(final_state(head).probabilities(), cols, c)
-    return marginal_vector(probs, circuit.n_qubits, circuit.measured)
+    n = circuit.n_qubits
+    s, cols, c = monomial_tail(circuit.gates, n)
+    probs = move_to_tail_end(np.abs(_evolve(_zero(n), circuit.gates[:s], n)) ** 2, cols, c)
+    return marginal_vector(probs, n, circuit.measured)
 
 
 def ideal_distribution(circuit: Circuit) -> OutcomeDistribution:

@@ -1,5 +1,7 @@
 """Circuit types and the text format."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from qec422.circuits import (
     parse_circuit,
     serialize_circuit,
 )
+from qec422.noise import NoiseParams
 
 
 class TestGateInstance:
@@ -41,8 +44,12 @@ class TestGateInstance:
     @pytest.mark.parametrize("angle", ["0.5", 0.3 + 0.5j, 0.5 + 0j, float("nan"), float("inf"),
                                        -np.inf, np.float32("nan")])
     def test_rz_angle_must_be_a_finite_real(self, angle):
-        with pytest.raises(CircuitError, match="finite real"):
-            GateInstance(GateKind.RZ, (0,), angle)
+        """The RZ angle and NoiseParams.theta share one rule and its message."""
+        for name, build in (("RZ angle", lambda: GateInstance(GateKind.RZ, (0,), angle)),
+                            ("theta", lambda: NoiseParams(theta=angle))):
+            with pytest.raises(CircuitError,
+                               match=re.escape(f"{name} must be a finite real number, got {angle!r}")):
+                build()
 
     def test_angle_on_non_rz_rejected(self):
         with pytest.raises(CircuitError):
@@ -53,6 +60,12 @@ class TestCircuit:
     def test_target_out_of_range(self):
         with pytest.raises(CircuitError):
             Circuit(2, [GateInstance(GateKind.X, (2,))], [0])
+
+    def test_register_cap(self):
+        for n in (0, 13):
+            with pytest.raises(CircuitError, match=r"n_qubits must be in \[1, 12\]"):
+                Circuit(n, [], [0])
+        assert Circuit(12, [], [11]).n_qubits == 12
 
     def test_measured_validation(self):
         with pytest.raises(CircuitError):
@@ -81,6 +94,12 @@ class TestParser:
     def test_missing_header(self):
         with pytest.raises(CircuitParseError) as err:
             parse_circuit("H 0\nMEASURE 0\n")
+        assert err.value.line_no == 1
+
+    @pytest.mark.parametrize("n", [0, 13, 40])
+    def test_header_outside_the_register_cap(self, n):
+        with pytest.raises(CircuitParseError, match=rf"qubits must be in \[1, 12\], got {n}") as err:
+            parse_circuit(f"qubits {n}\nX 0\nMEASURE 0\n")
         assert err.value.line_no == 1
 
     def test_unknown_gate_names_line(self):

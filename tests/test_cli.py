@@ -339,6 +339,14 @@ class TestVerifyFt:
     def test_missing_file(self, capsys):
         assert main(["verify-ft", "--circuit", "/no/such/file"]) == 1
 
+    def test_wide_circuit_file_refused_at_its_header(self, tmp_path, capsys):
+        """A 40-qubit header used to reach a 2**40-amplitude allocation."""
+        path = tmp_path / "wide.txt"
+        path.write_text("qubits 40\nH 39\nMEASURE 0 1 2 3\n")
+        assert main(["verify-ft", "--circuit", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: line 1: qubits must be in [1, 12], got 40\n"
+
     def test_needs_exactly_one_source(self, capsys):
         assert main(["verify-ft"]) == 1
 

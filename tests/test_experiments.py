@@ -4,11 +4,12 @@ import dataclasses
 import itertools
 import math
 
+import numpy as np
 import pytest
 
 from qec422 import simulator
 from qec422.analytics import trace_distance
-from qec422.circuits import GateKind
+from qec422.circuits import CircuitError, GateKind
 from qec422.code import (
     EncoderVariant,
     LogicalGate,
@@ -207,10 +208,11 @@ class TestOnePipeline:
         """Two statevector runs at theta = 0, the two ideal circuits that are
         also the engine's bases.  The rotated coded circuit adds a third,
         unless a channel fires ahead of its RZ and the density-matrix
-        prefix replaces that run."""
+        prefix, which noise runs through its own _evolve name, replaces
+        that run."""
         calls = []
-        original = simulator.final_state
-        monkeypatch.setattr(simulator, "final_state", lambda c: calls.append(c) or original(c))
+        original = simulator._evolve
+        monkeypatch.setattr(simulator, "_evolve", lambda *a: calls.append(a) or original(*a))
         sequence = random_sequence(SequenceSpec(GateSetId.FULL, 12, 4))
         for params, rotated in ((PARAMS, 2), (dataclasses.replace(PARAMS, p_prep=0.01), 2),
                                 (NoiseParams(p_meas=0.02, xi=0.1), 3)):
@@ -273,6 +275,25 @@ class TestCsv:
         assert lines[0] == ",".join(CSV_COLUMNS)
         assert len(lines) == 1 + len(recs)
         assert read_records_csv(path) == recs
+
+    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(NoiseParams)])
+    @pytest.mark.parametrize("value", [True, 1, np.int64(0), np.float32(0.01), np.float64(0.2)],
+                             ids=repr)
+    def test_numeric_noise_values_round_trip(self, tmp_path, field, value):
+        """Each is stored as a float, so the CSV holds a float literal that reads back."""
+        params = NoiseParams(**{field: value})
+        assert type(getattr(params, field)) is float and getattr(params, field) == float(value)
+        recs = sweep_L(GateSetId.REDUCED, [1], params, shots=16)
+        path = tmp_path / "runs.csv"
+        write_records_csv(path, recs)
+        assert read_records_csv(path) == recs
+
+    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(NoiseParams)])
+    @pytest.mark.parametrize("value", [0.3 + 0j, 0.3 + 0.5j, "0.1", float("nan")], ids=repr)
+    def test_non_real_noise_values_refused(self, field, value):
+        """A CircuitError, where complex and str rates used to raise TypeError or pass."""
+        with pytest.raises(CircuitError, match=f"{field} must be a finite real number"):
+            NoiseParams(**{field: value})
 
     def test_rejects_foreign_header(self, tmp_path):
         path = tmp_path / "other.csv"

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from qec422 import ftcheck
+from qec422 import ftcheck, simulator
 from qec422.circuits import Circuit, CircuitError, GateInstance, GateKind, parse_circuit
 from qec422.code import (
     EncoderVariant,
@@ -22,7 +22,7 @@ from qec422.ftcheck import (
     verify_single_faults,
 )
 from qec422.noise import FlipMaskTable, insert_coherent_rotation
-from qec422.simulator import PureState, ideal_distribution
+from qec422.simulator import ideal_distribution
 
 HARMLESS = FaultClassification.HARMLESS
 DETECTED_POSTSELECTION = FaultClassification.DETECTED_POSTSELECTION
@@ -307,9 +307,8 @@ class TestAgainstBruteForce:
         """Every fault in a Clifford circuit is read off the ideal outcome
         vector, so the whole check runs the ideal circuit once."""
         runs = []
-        original = PureState.zero
-        monkeypatch.setattr(PureState, "zero",
-                            classmethod(lambda cls, n: runs.append(n) or original(n)))
+        original = simulator._evolve
+        monkeypatch.setattr(simulator, "_evolve", lambda *a: runs.append(a) or original(*a))
         report = verify_single_faults(CHECKED, "postselect+ancilla", include_preparation=True)
         assert len(report.classifications) == 5 + 3 + 5 * 15
         assert len(runs) == 1

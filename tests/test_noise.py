@@ -33,9 +33,9 @@ from qec422.noise import (
 )
 from qec422.simulator import (
     OutcomeDistribution,
-    PureState,
     _evolve,
     bitstring_of,
+    final_state,
     ideal_distribution,
     marginal_vector,
     outcome_vector,
@@ -442,7 +442,7 @@ def _exact_mixture(circuit: Circuit, params: NoiseParams) -> dict[str, float]:
     n = circuit.n_qubits
     branches: dict = {}
     for flips in itertools.product((0, 1), repeat=n):
-        amp = _evolve(PureState.zero(n).amplitudes, [_g(GateKind.X, q) for q, f in enumerate(flips) if f], n)
+        amp = final_state(Circuit(n, [_g(GateKind.X, q) for q, f in enumerate(flips) if f], [])).amplitudes
         _merge(branches, amp, math.prod(params.p_prep if f else 1.0 - params.p_prep for f in flips))
     for g in circuit.gates:
         eps = params.eps1 if g.kind.arity == 1 else params.eps2

@@ -27,6 +27,10 @@ def _rand_state(rng: np.random.Generator, n: int) -> PureState:
     return PureState(n, amp / np.linalg.norm(amp))
 
 
+def _zero(n: int) -> PureState:
+    return final_state(Circuit(n, [], []))
+
+
 def _apply(state: PureState, *gates) -> PureState:
     """state after gates, through the kernel."""
     return PureState(state.n_qubits, _evolve(state.amplitudes, gates, state.n_qubits))
@@ -43,9 +47,11 @@ class TestConventions:
         assert ideal_distribution(c).probs == {"01": 1.0}
 
     def test_qubit_cap(self):
-        with pytest.raises(CircuitError):
-            PureState.zero(13)
-        PureState.zero(12)
+        amp = np.zeros(1 << 13, dtype=complex)
+        amp[0] = 1.0
+        with pytest.raises(CircuitError, match=r"n_qubits must be in \[1, 12\]"):
+            PureState(13, amp)
+        PureState(12, amp[:1 << 12])
 
     def test_norm_enforced(self):
         with pytest.raises(CircuitError):
@@ -67,22 +73,22 @@ class TestGateSemantics:
         assert ideal_distribution(c).probs == {"001": 1.0}
 
     def test_cz_phase(self):
-        state = _apply(PureState.zero(2), _g(GateKind.H, 0), _g(GateKind.X, 1), _g(GateKind.CZ, 0, 1))
+        state = _apply(_zero(2), _g(GateKind.H, 0), _g(GateKind.X, 1), _g(GateKind.CZ, 0, 1))
         # |11> picked up a minus sign relative to |01>
         np.testing.assert_allclose(state.amplitudes[2], 1 / np.sqrt(2), atol=1e-12)
         np.testing.assert_allclose(state.amplitudes[3], -1 / np.sqrt(2), atol=1e-12)
 
     def test_s_phase(self):
-        state = _apply(PureState.zero(1), _g(GateKind.X, 0), _g(GateKind.S, 0))
+        state = _apply(_zero(1), _g(GateKind.X, 0), _g(GateKind.S, 0))
         np.testing.assert_allclose(state.amplitudes[1], 1j, atol=1e-12)
 
     def test_y_action(self):
-        state = _apply(PureState.zero(1), _g(GateKind.Y, 0))
+        state = _apply(_zero(1), _g(GateKind.Y, 0))
         np.testing.assert_allclose(state.amplitudes, [0, 1j], atol=1e-12)
 
     def test_rz_relative_phase(self):
         theta = 0.8
-        state = _apply(PureState.zero(1), _g(GateKind.H, 0), _g(GateKind.RZ, 0, angle=theta))
+        state = _apply(_zero(1), _g(GateKind.H, 0), _g(GateKind.RZ, 0, angle=theta))
         ratio = state.amplitudes[1] / state.amplitudes[0]
         np.testing.assert_allclose(ratio, np.exp(1j * theta), atol=1e-12)
 
@@ -137,7 +143,7 @@ class TestAlgebraicProperties:
         kinds = list(GateKind)
         for _ in range(25):
             n = int(rng.integers(2, 7))
-            state = PureState.zero(n)
+            state = _zero(n)
             for _ in range(int(rng.integers(1, 41))):
                 kind = kinds[int(rng.integers(0, len(kinds)))]
                 targets = tuple(int(q) for q in rng.choice(n, size=kind.arity, replace=False))
@@ -300,10 +306,11 @@ class TestMonomialTail:
                 assert out[dest] in (1, -1, 1j, -1j)
 
     def test_statevector_stops_at_the_last_h(self, monkeypatch):
-        """Cost as a count: the gates final_state sees."""
+        """Cost as a count: the gates the statevector kernel runs."""
         seen = []
-        original = simulator.final_state
-        monkeypatch.setattr(simulator, "final_state", lambda c: seen.append(len(c.gates)) or original(c))
+        original = simulator._evolve
+        monkeypatch.setattr(simulator, "_evolve",
+                            lambda amp, gates, n: seen.append(len(gates)) or original(amp, gates, n))
         reduced = build_pair(random_sequence(SequenceSpec(GateSetId.REDUCED, 100, 1)))
         full = build_pair(random_sequence(SequenceSpec(GateSetId.FULL, 100, 1)) + [LogicalGate.HHSWAP])
         for (unc, cod), want in ((reduced, (0, 1)), (full, (len(full[0].gates) - 3, len(full[1].gates)))):
@@ -320,7 +327,7 @@ class TestKernelValidation:
         circuit.gates.append(_g(GateKind.CNOT, 0, 3))  # bypasses Circuit's own check
         for _ in range(2):
             with pytest.raises(CircuitError, match="qubit 2"):
-                _evolve(PureState.zero(2).amplitudes, [_g(GateKind.X, 2)], 2)
+                _evolve(_zero(2).amplitudes, [_g(GateKind.X, 2)], 2)
             with pytest.raises(CircuitError, match="qubit 3"):
                 final_state(circuit)
         assert simulator._table.cache_info().currsize <= before + 1  # only H 0
@@ -331,21 +338,22 @@ class TestKernelValidation:
                 PureState(1, np.array(amp))
 
     def test_one_validation_per_circuit(self, monkeypatch):
-        """final_state, and so ideal_marginal, builds the zero state and
-        the result whatever the gate count."""
+        """final_state checks its result alone, and ideal_marginal, which
+        only reads probabilities, builds no PureState and no Circuit,
+        whatever the gate count."""
         built = []
-        original = PureState.__post_init__
-        monkeypatch.setattr(PureState, "__post_init__",
-                            lambda self: built.append(self.n_qubits) or original(self))
+        for cls in (PureState, Circuit):
+            monkeypatch.setattr(cls, "__post_init__", lambda self, check=cls.__post_init__:
+                                built.append(type(self)) or check(self))
         rng = np.random.default_rng(23)
         for n_extra in (0, 10, 300):
             circuit = Circuit(4, _random_gates(rng, 4, n_extra), [0, 1, 2, 3])
             built.clear()
             final_state(circuit)
-            assert len(built) == 2
+            assert built == [PureState]
             built.clear()
             ideal_marginal(circuit)
-            assert len(built) == 2
+            assert built == []
 
     def test_cached_tables_are_read_only(self):
         """Every caller shares the cached arrays, so none may write them."""
