@@ -159,15 +159,16 @@ def cmd_emit_circuit(args: argparse.Namespace) -> int:
     if (args.encoder is None) == (args.gate is None):
         raise CircuitError("emit-circuit needs exactly one of --encoder or --gate")
     if args.encoder is not None:
-        label = LogicalStateLabel(args.encoder)
-        variant = EncoderVariant(args.variant)
-        circuit = build_encoder(label, variant)
+        if args.scheme is not None:
+            raise CircuitError("--scheme does not apply to --encoder")
+        variant = EncoderVariant(args.variant or EncoderVariant.NON_FAULT_TOLERANT.value)
+        circuit = build_encoder(LogicalStateLabel(args.encoder), variant)
+    elif args.variant is not None:
+        raise CircuitError("--variant does not apply to --gate")
+    elif args.scheme == "uncoded":
+        circuit = Circuit(2, uncoded_gate_circuit(LogicalGate(args.gate)), [0, 1])
     else:
-        gate = LogicalGate(args.gate)
-        if args.scheme == "coded":
-            circuit = Circuit(4, coded_gate_circuit(gate), [0, 1, 2, 3])
-        else:
-            circuit = Circuit(2, uncoded_gate_circuit(gate), [0, 1])
+        circuit = Circuit(4, coded_gate_circuit(LogicalGate(args.gate)), [0, 1, 2, 3])
     _write_text(args.out, serialize_circuit(circuit))
     return 0
 
@@ -208,6 +209,8 @@ def cmd_predict(args: argparse.Namespace) -> int:
     lengths, params = opts["lengths"], opts["params"]
     if not lengths:
         raise CircuitError("no sequence lengths to predict")
+    if min(lengths) < 1:
+        raise CircuitError(f"sequence lengths must be positive, got {min(lengths)}")
     e1, e2, pm = params.eps1, params.eps2, params.p_meas
 
     lines = ["scheme,L,D_pred"]
@@ -233,11 +236,13 @@ def cmd_verify_ft(args: argparse.Namespace) -> int:
         raise CircuitError("verify-ft needs exactly one of --encoder or --circuit")
     if args.encoder is not None:
         label = LogicalStateLabel(args.encoder)
-        variant = EncoderVariant(args.variant)
+        variant = EncoderVariant(args.variant or EncoderVariant.NON_FAULT_TOLERANT.value)
         circuit = build_encoder(label, variant)
         circuit_id = f"{label.value}-{variant.value}"
         default_detection = ("postselect+ancilla"
                              if variant is EncoderVariant.ANCILLA_CHECKED else "postselect")
+    elif args.variant is not None:
+        raise CircuitError("--variant does not apply to --circuit")
     else:
         with open(args.circuit) as fh:
             circuit = parse_circuit(fh.read())
@@ -311,9 +316,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("emit-circuit", help="print an encoder or gate block as circuit text")
     p.add_argument("--encoder", choices=[l.value for l in LogicalStateLabel])
     p.add_argument("--variant", choices=[v.value for v in EncoderVariant],
-                   default=EncoderVariant.NON_FAULT_TOLERANT.value)
+                   help="with --encoder; default NonFaultTolerant")
     p.add_argument("--gate", choices=[g.value for g in LogicalGate])
-    p.add_argument("--scheme", choices=["coded", "uncoded"], default="coded")
+    p.add_argument("--scheme", choices=["coded", "uncoded"], help="with --gate; default coded")
     p.add_argument("--out", help="write to file instead of stdout")
     p.set_defaults(func=cmd_emit_circuit)
 
@@ -340,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-ft", help="exhaustive single-fault check")
     p.add_argument("--encoder", choices=[l.value for l in LogicalStateLabel])
     p.add_argument("--variant", choices=[v.value for v in EncoderVariant],
-                   default=EncoderVariant.NON_FAULT_TOLERANT.value)
+                   help="with --encoder; default NonFaultTolerant")
     p.add_argument("--circuit", help="circuit text file to check instead")
     p.add_argument("--detection", choices=["postselect", "postselect+ancilla"])
     p.add_argument("--include-prep", dest="include_prep", action="store_true",

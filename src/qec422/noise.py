@@ -20,7 +20,8 @@ The table alone decides which sites it folds: a None row is one it
 does not.  The base vector is the read-out marginal before the folded
 flips.  When an unfolded channel fires (a preparation flip, or a fault
 after a gate ahead of the last RZ), the base is the diagonal of the
-exact density matrix, each such site mixing sum_k w_k P_k rho P_k^dagger
+exact density matrix, each gate run as U (U rho)^dagger through the one
+statevector kernel and each such site mixing sum_k w_k P_k rho P_k^dagger
 into it; otherwise it is the ideal statevector marginal.  Both stop their
 gates at the last H or RZ and move the probabilities through the
 monomial tail after it, exactly (simulator.monomial_tail).  Every
@@ -250,24 +251,13 @@ def _clifford_outcomes(circuit: Circuit, params: NoiseParams, table: FlipMaskTab
     return (1.0 - params.xi) * vec / total + params.xi / len(vec)
 
 
-def _doubled(gate: GateInstance, n: int) -> tuple[GateInstance, ...]:
-    """U rho U^dagger on vec(rho): U on the ket qubits 0..n-1, U* on the
-    bra qubits n..2n-1.  RZ* is RZ(-theta); every other gate's pair is
-    cached per placement, like simulator._table."""
-    if gate.kind is _RZ:
-        return gate, GateInstance(_RZ, tuple(q + n for q in gate.targets), -gate.angle)
-    return _doubled_clifford(gate.kind, gate.targets, n)
-
-
-@lru_cache(maxsize=None)
-def _doubled_clifford(kind: GateKind, targets: tuple[int, ...], n: int) -> tuple[GateInstance, ...]:
-    """_doubled of a gate without an angle.  Y = i XZ runs as Z then X on
-    both sides, so its phases cancel; S* = S Z."""
-    if kind is GateKind.Y:
-        return _doubled_clifford(GateKind.Z, targets, n) + _doubled_clifford(GateKind.X, targets, n)
-    bra = tuple(q + n for q in targets)
-    out = (GateInstance(kind, targets), GateInstance(kind, bra))
-    return out + (GateInstance(GateKind.Z, bra),) if kind is GateKind.S else out
+def _conjugate_by(rho: np.ndarray, gate: GateInstance, n: int) -> np.ndarray:
+    """U rho U^dagger on vec(rho) of n qubits, rho Hermitian, through the one
+    kernel: U on the ket bits, the adjoint, U on the ket bits again, since
+    (U rho)^dagger = rho U^dagger."""
+    d = 1 << n
+    half = _evolve(rho, (gate,), 2 * n)
+    return _evolve(np.conjugate(half.reshape(d, d).T, order="C").ravel(), (gate,), 2 * n)
 
 
 @lru_cache(maxsize=None)
@@ -306,9 +296,9 @@ def _prefix_marginal(circuit: Circuit, params: NoiseParams, table: FlipMaskTable
     in, from the density matrix.
 
     vec(rho) is a state on 2n qubits (entry i | j << n holds rho_ij) that
-    _evolve runs through each gate doubled, and _pauli_channel mixes in
-    each site's channel.  Memory is 16 * 4^n bytes, so the register is
-    capped at MAX_QUBITS // 2 and the doubled gate tables stay within MAX_QUBITS.
+    _conjugate_by runs through each gate as U (U rho)^dagger, and _pauli_channel
+    mixes in each site's channel.  Memory is 16 * 4^n bytes; the register cap,
+    MAX_QUBITS // 2, keeps the ket gate tables on 2n bits within MAX_QUBITS.
     """
     n = circuit.n_qubits
     if n > MAX_QUBITS // 2:
@@ -323,7 +313,7 @@ def _prefix_marginal(circuit: Circuit, params: NoiseParams, table: FlipMaskTable
             rho = _pauli_channel(rho, weights["prep"], (q,), n)
     s, cols, c = monomial_tail(circuit.gates, n)  # every None row is ahead of the last RZ, so of s
     for g, row in zip(circuit.gates[:s], table.gate_masks):
-        rho = _evolve(rho, _doubled(g, n), 2 * n)
+        rho = _conjugate_by(rho, g, n)
         if row is None:
             rho = _pauli_channel(rho, weights[g.kind.arity], g.targets, n)
     # rounding can leave a true zero slightly negative, and no suffix may clip it
@@ -353,8 +343,8 @@ def noisy_vector(circuit: Circuit, params: NoiseParams,
 def sample_outcomes(vec: np.ndarray, shots: int, seed: int) -> np.ndarray:
     """Counts of shots drawn from the outcome vector vec with one
     multinomial of a Philox stream; deterministic in (vec, shots, seed)."""
-    if shots < 1:
-        raise CircuitError(f"shots must be positive, got {shots}")
+    if not 1 <= shots < 1 << 63:
+        raise CircuitError(f"shots must be in [1, 2**63 - 1], got {shots}")
     return np.random.Generator(np.random.Philox(seed)).multinomial(shots, vec)
 
 

@@ -48,6 +48,20 @@ class TestEmitCircuit:
         assert "exactly one" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["emit-circuit", "--gate", "X0", "--variant", "AncillaChecked"], "--variant"),
+    (["emit-circuit", "--encoder", "L00", "--scheme", "uncoded"], "--scheme"),
+    (["verify-ft", "--circuit", "enc.txt", "--variant", "AncillaChecked"], "--variant"),
+])
+def test_mode_flag_the_mode_does_not_read(capsys, argv, flag):
+    """Each used to exit 0 with the flag ignored; verify-ft still reported
+    postselect for an AncillaChecked --variant on a circuit file."""
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {flag} does not apply to")
+    assert captured.out == ""
+
+
 class TestConfig:
     def test_parse_and_comment_handling(self, tmp_path):
         p = tmp_path / "c.cfg"
@@ -215,6 +229,24 @@ class TestRun:
         assert capsys.readouterr().err.startswith(f"error: shots must be positive, got {shots}")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", [["run", "--lengths", "1", "--seeds-per-length", "1"],
+                                         ["sweep-theta", "--thetas", "0.3"]])
+    def test_shots_beyond_int64_refused(self, tmp_path, capsys, command):
+        """2**63 shots used to exit 1 with an OverflowError traceback from
+        numpy's multinomial."""
+        out = tmp_path / "never.csv"
+        assert main([*command, "--shots", str(2**63), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: shots must be in [1, 2**63 - 1]") and "Traceback" not in err
+        assert not out.exists()
+
+    def test_analytic_xi_draws_no_shots(self, tmp_path):
+        """--analytic-xi samples nothing, so shots beyond int64 still run."""
+        out = tmp_path / "exact.csv"
+        assert main(["run", "--lengths", "1", "--seeds-per-length", "1", "--analytic-xi",
+                     "--shots", str(2**63), "--out", str(out)]) == 0
+        assert {r.shots for r in read_records_csv(out)} == {2**63}
+
     def test_zero_seeds_per_length_refused(self, tmp_path, capsys):
         """Zero seeds used to write a header-only CSV and exit 0."""
         out = tmp_path / "never.csv"
@@ -306,6 +338,13 @@ class TestPredict:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: no sequence lengths to predict")
         assert "crossover" not in captured.out
+        assert not out.exists()
+
+    def test_non_positive_lengths_refused(self, tmp_path, capsys):
+        """L <= 0 used to print rows such as coded_raw,-3,0.30000000000000004."""
+        out = tmp_path / "never.csv"
+        assert main(["predict", "--eps2", "0.1", "--lengths", "0,-3", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: sequence lengths must be positive, got -3")
         assert not out.exists()
 
 

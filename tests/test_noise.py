@@ -8,7 +8,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from qec422 import noise
+from qec422 import noise, simulator
 from qec422.circuits import Circuit, CircuitError, GateInstance, GateKind, parse_circuit
 from qec422.code import (
     EncoderVariant,
@@ -175,6 +175,15 @@ class TestNoisyCounts:
     def test_total_preserved(self):
         counts = noisy_counts(ENCODER, NoiseParams(eps2=0.3, p_meas=0.2), 12_345, 5)
         assert counts.total == 12_345
+
+    def test_shots_must_fit_int64(self):
+        """2**63 shots used to reach numpy's multinomial and raise
+        OverflowError; the largest int64 still samples."""
+        with pytest.raises(CircuitError, match=r"shots must be in \[1, 2\*\*63 - 1\]"):
+            noisy_counts(ENCODER, NoiseParams(), 2**63, 0)
+        with pytest.raises(CircuitError):
+            noisy_counts(ENCODER, NoiseParams(), 0, 0)
+        assert noisy_counts(ENCODER, NoiseParams(), 2**63 - 1, 0).total == 2**63 - 1
 
     def test_measurement_flip_rate(self):
         """p_meas alone on an empty 2-qubit circuit: P(any flip) = 2p - p^2."""
@@ -737,15 +746,62 @@ class TestPrefixChannels:
                 np.testing.assert_allclose(got, self._vec(want), rtol=0, atol=1e-12)
 
 
+# each gate kind as a sum of (coefficient, Pauli label on its targets), RZ aside
+_AS_PAULIS = {
+    GateKind.X: [(1, "X")], GateKind.Y: [(1, "Y")], GateKind.Z: [(1, "Z")],
+    GateKind.H: [(2 ** -0.5, "X"), (2 ** -0.5, "Z")],
+    GateKind.S: [((1 + 1j) / 2, "I"), ((1 - 1j) / 2, "Z")],
+    GateKind.CNOT: [(0.5, "II"), (0.5, "ZI"), (0.5, "IX"), (-0.5, "ZX")],
+    GateKind.CZ: [(0.5, "II"), (0.5, "ZI"), (0.5, "IZ"), (-0.5, "ZZ")],
+    GateKind.SWAP: [(0.5, "II"), (0.5, "XX"), (0.5, "YY"), (0.5, "ZZ")],
+}
+
+
+def _dense(gate: GateInstance, n: int) -> np.ndarray:
+    """The gate's matrix on n qubits, built from Pauli matrices alone."""
+    terms = _AS_PAULIS.get(gate.kind) or [(np.cos(gate.angle / 2), "I"),
+                                          (-1j * np.sin(gate.angle / 2), "Z")]
+    return sum(c * _pauli_on(label, gate.targets, n) for c, label in terms)
+
+
+class TestConjugateBy:
+    @pytest.mark.parametrize("kind, n", [(k, n) for n in (1, 2, 3) for k in GateKind
+                                         if k.arity <= n])
+    def test_matches_dense_conjugation(self, kind, n):
+        """U rho U^dagger by U on the ket bits, the adjoint and U again
+        equals the dense product for every gate kind, S, Y and RZ among
+        them, on random Hermitian rho."""
+        rng = np.random.default_rng([n, list(GateKind).index(kind)])
+        for _ in range(5):
+            targets = tuple(int(q) for q in rng.choice(n, kind.arity, replace=False))
+            g = _g(kind, *targets, angle=float(rng.uniform(-2 * np.pi, 2 * np.pi))
+                   if kind.takes_angle else None)
+            a = rng.normal(size=(1 << n,) * 2) + 1j * rng.normal(size=(1 << n,) * 2)
+            rho, U = a + a.conj().T, _dense(g, n)
+            got = noise._conjugate_by(TestPrefixChannels._vec(rho), g, n)
+            want = TestPrefixChannels._vec(U @ rho @ U.conj().T)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_prefix_builds_only_ket_tables(self):
+        """One noisy_vector on the coherent workload's circuit (HHSWAP x 6,
+        coded, RZ after the encoder's H) builds one kernel table per ket
+        gate placement ahead of the tail on 2n bits, and none for a bra."""
+        circuit = build_pair(random_sequence(SequenceSpec(GateSetId.SINGLE_HHSWAP, 6, 0)))[1]
+        circuit = insert_coherent_rotation(circuit, 0.9)
+        simulator._table.cache_clear()
+        noisy_vector(circuit, NoiseParams(eps1=4e-3, eps2=0.16, p_meas=0.02))
+        assert simulator._table.cache_info().currsize == 8
+
+
 def _prefix_every_gate(circuit: Circuit, params: NoiseParams, split: int) -> np.ndarray:
-    """Reference prefix: every gate doubled through the kernel, no tail."""
+    """Reference prefix: every gate conjugated through the kernel, no tail."""
     n = circuit.n_qubits
     rho = np.zeros(1 << (2 * n), dtype=complex)
     rho[0] = 1.0
     for q in range(n):
         rho = noise._pauli_channel(rho, noise._site_weights(params, "prep"), (q,), n)
     for i, g in enumerate(circuit.gates):
-        rho = _evolve(rho, noise._doubled(g, n), 2 * n)
+        rho = noise._conjugate_by(rho, g, n)
         if i < split:
             rho = noise._pauli_channel(rho, noise._site_weights(params, g.kind.arity), g.targets, n)
     diag = np.arange(1 << n) * ((1 << n) + 1)
@@ -754,7 +810,7 @@ def _prefix_every_gate(circuit: Circuit, params: NoiseParams, split: int) -> np.
 
 class TestPrefixTail:
     def test_prefix_is_bit_exact(self, random_clifford):
-        """_prefix_marginal stops its doubled gates at the last H or RZ and
+        """_prefix_marginal stops its gates at the last H or RZ and
         moves the diagonal of rho through the rest; with preparation flips
         and gate faults ahead of an RZ it equals the reference bit for bit."""
         for seed in range(40):
@@ -775,8 +831,8 @@ class TestPrefixTail:
         None.  Every channel is on, and the RZ, when there is one, sits
         anywhere."""
         events = []
-        evolve, channel = noise._evolve, noise._pauli_channel
-        monkeypatch.setattr(noise, "_evolve", lambda *a: events.append(None) or evolve(*a))
+        conjugate, channel = noise._conjugate_by, noise._pauli_channel
+        monkeypatch.setattr(noise, "_conjugate_by", lambda *a: events.append(None) or conjugate(*a))
         monkeypatch.setattr(noise, "_pauli_channel", lambda *a: events.append(a[2]) or channel(*a))
         seen = Counter()
         for seed in range(60):
