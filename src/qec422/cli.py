@@ -6,8 +6,10 @@ models, verify-ft runs the exhaustive single-fault check, and bounds
 prints the worst-case distance table.
 
 Options resolve as defaults < config file < flags.  The config file is
-flat ``key = value`` lines with ``#`` comments; a key the subcommand
-does not read has no flag and is rejected before anything runs.
+flat ``key = value`` lines with ``#`` comments.  _KEYS declares every
+key once, with its parser and flag, and _DEFAULTS names the keys each
+subcommand reads; a key it does not read has no flag and is rejected
+before anything runs, and so is a key given twice.
 QEC422_OUTPUT_DIR sets where relative output paths land.  Exit codes:
 0 success, 1 runtime failure, 2 usage.
 """
@@ -18,7 +20,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from datetime import datetime, timezone
 from functools import lru_cache
 
@@ -65,30 +67,30 @@ def _serial_only(value: str) -> int:
     return 1
 
 
-# key -> parser; every key a config file may set
-_CONFIG_PARSERS = {
-    "gate_set": str,
-    "lengths": lambda s: [int(x) for x in s.replace(",", " ").split()],
-    "thetas": lambda s: [float(x) for x in s.replace(",", " ").split()],
-    "seeds_per_length": int,
-    "master_seed": int,
-    "shots": int,
-    "length": int,
-    "eps1": float,
-    "eps2": float,
-    "p_meas": float,
-    "p_prep": float,
-    "theta": float,
-    "xi": float,
-    "analytic_xi": lambda s: _BOOLEANS[s.lower()],
-    "jobs": _serial_only,
-    "out": str,
+def _numbers(kind: type):
+    return lambda s: [kind(x) for x in s.replace(",", " ").split()]
+
+
+# key -> (parser, add_argument keywords of its flag): every key a config
+# file may set; a flag's type is the key's parser unless it has an action
+_KEYS = {
+    "gate_set": (str, {"choices": [g.value for g in GateSetId], "help": "gate set to draw from"}),
+    "lengths": (_numbers(int), {"help": "comma-separated L values"}),
+    "thetas": (_numbers(float), {"help": "comma-separated angles"}),
+    "seeds_per_length": (int, {"help": "random sequences per L"}),
+    "master_seed": (int, {"help": "seed every run derives its own from"}),
+    "shots": (int, {"help": "shots per circuit"}),
+    "length": (int, {"help": "sequence length L"}),
+    "analytic_xi": (lambda s: _BOOLEANS[s.lower()],
+                    {"action": "store_const", "const": True,
+                     "help": "exact noisy distributions instead of sampled shots"}),
+    "jobs": (_serial_only, None),  # config-only
+    "out": (str, {"help": f"CSV path (relative paths land in ${OUTPUT_DIR_ENV})"}),
+    **{f.name: (float, {"help": f.metadata["help"]}) for f in fields(NoiseParams)},
 }
-_NOISE_HELP = {"eps1": "one-qubit gate fault probability", "eps2": "two-qubit gate fault probability",
-               "p_meas": "read-out flip probability", "p_prep": "preparation flip probability",
-               "theta": "coherent rotation angle", "xi": "depolarizing mix toward uniform"}
-_NOISE_DEFAULTS = {key: 0.0 for key in _NOISE_HELP if key != "theta"}
-# subcommand -> every key it reads, with its default; sweep-theta sets theta per angle itself
+_NOISE_DEFAULTS = {f.name: f.default for f in fields(NoiseParams) if f.name != "theta"}
+# subcommand -> every key it reads, with its default and in flag order;
+# sweep-theta sets theta per angle itself
 _DEFAULTS = {
     "run": {"gate_set": "reduced", "lengths": (1, 2, 5, 10, 20, 50, 100), "seeds_per_length": 5,
             "master_seed": 0, "shots": DEFAULT_SHOTS, "analytic_xi": False, "jobs": 1,
@@ -117,8 +119,10 @@ def load_config(path: str, command: str) -> dict:
                     f"{path}:{line_no}: unknown config key {key!r} for {command}; allowed: "
                     + ", ".join(sorted(_DEFAULTS[command]))
                 )
+            if key in cfg:
+                raise CircuitError(f"{path}:{line_no}: key {key!r} given twice")
             try:
-                cfg[key] = _CONFIG_PARSERS[key](value)
+                cfg[key] = _KEYS[key][0](value)
             except CircuitError as exc:
                 raise CircuitError(f"{path}:{line_no}: {exc}") from None
             except (KeyError, ValueError):
@@ -133,7 +137,8 @@ def _options(args: argparse.Namespace) -> dict:
     if args.config:
         opts.update(load_config(args.config, args.command))
     opts.update({key: getattr(args, key) for key in opts if getattr(args, key, None) is not None})
-    opts["params"] = NoiseParams(**{key: opts.pop(key) for key in _NOISE_HELP if key in opts})
+    opts["params"] = NoiseParams(**{f.name: opts.pop(f.name) for f in fields(NoiseParams)
+                                    if f.name in opts})
     return opts
 
 
@@ -309,9 +314,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_noise_flags(p: argparse.ArgumentParser, command: str) -> None:
-        for key in sorted(_NOISE_HELP.keys() & _DEFAULTS[command].keys()):
-            p.add_argument("--" + key.replace("_", "-"), dest=key, type=float, help=_NOISE_HELP[key])
+    def add_key_flags(p: argparse.ArgumentParser, command: str) -> None:
+        p.add_argument("--config", help="flat key = value config file")
+        for key in _DEFAULTS[command]:
+            parse, flag = _KEYS[key]
+            if flag is not None:
+                p.add_argument("--" + key.replace("_", "-"),
+                               **(flag if "action" in flag else {"type": parse, **flag}))
 
     p = sub.add_parser("emit-circuit", help="print an encoder or gate block as circuit text")
     p.add_argument("--encoder", choices=[l.value for l in LogicalStateLabel])
@@ -323,23 +332,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_emit_circuit)
 
     p = sub.add_parser("run", help="sweep sequence lengths, write records CSV")
-    p.add_argument("--config", help="flat key = value config file")
-    p.add_argument("--gate-set", dest="gate_set",
-                   choices=[g.value for g in GateSetId])
-    p.add_argument("--lengths", type=_CONFIG_PARSERS["lengths"], help="comma-separated L values")
-    p.add_argument("--seeds-per-length", dest="seeds_per_length", type=int)
-    p.add_argument("--master-seed", dest="master_seed", type=int)
-    p.add_argument("--shots", type=int)
-    p.add_argument("--analytic-xi", dest="analytic_xi", action="store_const", const=True)
-    p.add_argument("--out", help="CSV path (relative paths land in $%s)" % OUTPUT_DIR_ENV)
-    add_noise_flags(p, "run")
+    add_key_flags(p, "run")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("predict", help="closed-form D predictions per scheme")
-    p.add_argument("--config")
-    p.add_argument("--lengths", type=_CONFIG_PARSERS["lengths"])
+    add_key_flags(p, "predict")
     p.add_argument("--out", help="write CSV instead of stdout")
-    add_noise_flags(p, "predict")
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("verify-ft", help="exhaustive single-fault check")
@@ -355,14 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     # no abbreviations, or the --theta this command lacks would pass as --thetas
     p = sub.add_parser("sweep-theta", help="coherent-rotation retention sweep", allow_abbrev=False)
-    p.add_argument("--config")
-    p.add_argument("--thetas", type=_CONFIG_PARSERS["thetas"], help="comma-separated angles")
-    p.add_argument("--gate-set", dest="gate_set", choices=[g.value for g in GateSetId])
-    p.add_argument("--length", type=int)
-    p.add_argument("--shots", type=int)
-    p.add_argument("--master-seed", dest="master_seed", type=int)
-    p.add_argument("--out")
-    add_noise_flags(p, "sweep-theta")
+    add_key_flags(p, "sweep-theta")
     p.set_defaults(func=cmd_sweep_theta)
 
     p = sub.add_parser("bounds", help="worst-case trace-distance table")

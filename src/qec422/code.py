@@ -193,57 +193,48 @@ def decode(bitstring: str) -> str | None:
 
 @dataclass
 class PostSelectionResult:
-    """Retained data-qubit counts plus the bookkeeping around the discard."""
+    """Retained data-qubit counts, all even parity."""
 
-    retained: ShotCounts          # 4-bit data strings, all even parity
-    raw_total: int                # R
-    parity_rejections: int
-    ancilla_rejections: int       # 0 unless an ancilla bit was filtered
+    retained: ShotCounts
 
     @property
     def accepted(self) -> int:
         """gamma, the number of retained shots."""
         return self.retained.total
 
-    @property
-    def retention(self) -> float:
-        """r = gamma / R."""
-        return self.accepted / self.raw_total if self.raw_total else 0.0
+
+def _data_vector(outcomes: ShotCounts | OutcomeDistribution) -> np.ndarray:
+    """The .vec of 4-bit outcomes; an ancilla read-out goes through selection_split."""
+    if outcomes.n_bits != DATA_QUBITS:
+        raise CircuitError(f"expected {DATA_QUBITS}-bit outcomes, got {outcomes.n_bits}")
+    return outcomes.vec
 
 
-def _select(outcomes: ShotCounts | OutcomeDistribution,
-            ancilla_present: bool) -> tuple[np.ndarray, float, float]:
-    """selection_split of the outcome vector; an ancilla read-out is the fifth bit."""
-    width = DATA_QUBITS + (1 if ancilla_present else 0)
-    if outcomes.n_bits != width:
-        raise CircuitError(f"expected {width}-bit outcomes, got {outcomes.n_bits}")
-    return selection_split(outcomes.vec, DATA_QUBITS if ancilla_present else None)
+def post_select(raw: ShotCounts) -> PostSelectionResult:
+    """Discard odd-parity strings from 4-bit counts."""
+    return PostSelectionResult(ShotCounts(selection_split(_data_vector(raw))[0]))
 
 
-def post_select(raw: ShotCounts, ancilla_present: bool = False) -> PostSelectionResult:
-    """Discard odd-parity strings and, with ancilla_present, strings whose
-    fifth (ancilla) bit is 1.  Retained counts keep only the data bits."""
-    retained, parity_rej, ancilla_rej = _select(raw, ancilla_present)
-    return PostSelectionResult(ShotCounts(retained), raw.total, int(parity_rej), int(ancilla_rej))
-
-
-def post_select_distribution(dist: OutcomeDistribution, ancilla_present: bool = False
-                             ) -> tuple[OutcomeDistribution | None, float]:
-    """Analytic post-selection: (renormalized retained distribution, retention r);
-    the distribution is None when nothing is retained.  r sums the
-    retained entries in sorted-bitstring order."""
-    retained, _, _ = _select(dist, ancilla_present)
-    r = sum(retained[string_order(DATA_QUBITS)].tolist())
-    if r <= 0.0:
+def retained_distribution(vec: np.ndarray) -> tuple[OutcomeDistribution | None, float]:
+    """Post-select a 4-bit vector of counts or probabilities: (retained
+    part renormalized, or None when nothing is retained; retained mass,
+    summed in sorted-bitstring order)."""
+    retained = selection_split(vec)[0]
+    kept = sum(retained[string_order(DATA_QUBITS)].tolist())
+    if kept <= 0.0:
         return None, 0.0
-    return OutcomeDistribution(retained / r), r
+    return OutcomeDistribution(retained / kept), kept
+
+
+def post_select_distribution(dist: OutcomeDistribution) -> tuple[OutcomeDistribution | None, float]:
+    """Analytic post-selection: (renormalized retained distribution, retention r);
+    the distribution is None when nothing is retained."""
+    return retained_distribution(_data_vector(dist))
 
 
 def decode_distribution(dist: OutcomeDistribution) -> OutcomeDistribution:
     """Aggregate a 4-bit distribution with even-parity support into logical outcomes."""
-    if dist.n_bits != DATA_QUBITS:
-        raise CircuitError(f"expected {DATA_QUBITS}-bit outcomes, got {dist.n_bits}")
-    logical = np.bincount(DECODE_INDEX, weights=dist.vec, minlength=ODD + 1)
+    logical = np.bincount(DECODE_INDEX, weights=_data_vector(dist), minlength=ODD + 1)
     if logical[ODD]:
         raise CircuitError("cannot decode odd-parity strings; post-select first")
     return OutcomeDistribution(logical[:ODD])

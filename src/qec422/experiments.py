@@ -26,18 +26,17 @@ import numpy as np
 from .analytics import trace_distance
 from .circuits import Circuit, CircuitError
 from .code import (
-    DATA_QUBITS,
     EncoderVariant,
     LogicalGate,
     LogicalStateLabel,
     build_encoder,
     coded_gate_circuit,
     decode_distribution,
-    selection_split,
+    retained_distribution,
     uncoded_gate_circuit,
 )
 from .noise import NoiseParams, derive_seed, insert_coherent_rotation, noisy_vector, sample_outcomes
-from .simulator import PRUNE_TOL, OutcomeDistribution, ideal_marginal, string_order
+from .simulator import PRUNE_TOL, OutcomeDistribution, ideal_marginal
 
 DEFAULT_SHOTS = 8192
 MAX_SEQUENCE_LENGTH = 1000
@@ -210,14 +209,12 @@ def run_pair(sequence: list[LogicalGate], params: NoiseParams, shots: int,
 
     w_u, w_c = weights(unc, base_u, "uncoded"), weights(cod, base_c, "coded")
     total = 1.0 if analytic_xi else shots
-    retained, _, _ = selection_split(w_c)
-    kept = sum(retained[string_order(DATA_QUBITS)].tolist())
+    kept_dist, kept = retained_distribution(w_c)
     r = kept / total
     gamma = round(r * shots)
     D_u = trace_distance(ideal_u, OutcomeDistribution(w_u / total))
     D_raw = trace_distance(ideal_c, OutcomeDistribution(w_c / total))
-    if kept > 0.0:
-        kept_dist = OutcomeDistribution(retained / kept)
+    if kept_dist is not None:
         D_ps = trace_distance(ideal_c, kept_dist)
         D_dec = trace_distance(decoded_ideal, decode_distribution(kept_dist))
     else:
@@ -247,10 +244,14 @@ def sweep_L(gate_set: GateSetId, lengths: list[int], params: NoiseParams,
 
     Each (L, k) slot gets its own derived seed and its own freshly drawn
     sequence, so the record list (and any CSV written from it) depends
-    only on the arguments.
+    only on the arguments.  A repeated length would repeat its rows, ids
+    and all, so it is refused.
     """
     if not lengths:
         raise CircuitError("no sequence lengths to run")
+    repeated = [L for i, L in enumerate(lengths) if L in lengths[:i]]
+    if repeated:
+        raise CircuitError(f"sequence length {repeated[0]} given twice")
     if seeds_per_length < 1:
         raise CircuitError(f"seeds_per_length must be positive, got {seeds_per_length}")
     out: list[ExperimentRecord] = []

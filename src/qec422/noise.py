@@ -38,7 +38,7 @@ identical counts, regardless of how calls are scheduled around it.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 
 import numpy as np
@@ -56,14 +56,15 @@ _S, _CZ, _PAULI_GATES = GateKind.S, GateKind.CZ, (GateKind.X, GateKind.Y, GateKi
 
 @dataclass(frozen=True)
 class NoiseParams:
-    """All knobs of the error model, stored as floats; zero everywhere means noiseless."""
+    """All knobs of the error model, stored as floats; zero everywhere means
+    noiseless.  Each field's "help" is the help of its CLI flag."""
 
-    eps1: float = 0.0
-    eps2: float = 0.0
-    p_meas: float = 0.0
-    p_prep: float = 0.0
-    theta: float = 0.0
-    xi: float = 0.0
+    eps1: float = field(default=0.0, metadata={"help": "one-qubit gate fault probability"})
+    eps2: float = field(default=0.0, metadata={"help": "two-qubit gate fault probability"})
+    p_meas: float = field(default=0.0, metadata={"help": "read-out flip probability"})
+    p_prep: float = field(default=0.0, metadata={"help": "preparation flip probability"})
+    theta: float = field(default=0.0, metadata={"help": "coherent rotation angle"})
+    xi: float = field(default=0.0, metadata={"help": "depolarizing mix toward uniform"})
 
     def __post_init__(self):
         for f in fields(self):

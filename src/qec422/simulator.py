@@ -76,11 +76,11 @@ class _OutcomeVector:
     from such a vector.  The string view keys its nonzero entries by
     bitstring, in sorted-string order."""
 
-    def __init__(self, data: Mapping[str, float] | np.ndarray, dtype):
+    def __init__(self, data: Mapping[str, float] | np.ndarray):
         if isinstance(data, Mapping):
             if not data:
                 raise CircuitError("no outcomes given")
-            data = outcome_vector(data, len(next(iter(data))), dtype)
+            data = outcome_vector(data, len(next(iter(data))))
         self.vec = np.asarray(data)
         d = len(self.vec) if self.vec.ndim == 1 else 0
         if d < 2 or d & (d - 1) or d > 1 << MAX_QUBITS:
@@ -113,7 +113,7 @@ class OutcomeDistribution(_OutcomeVector):
     NORM_TOL (pruning is not a renormalization)."""
 
     def __init__(self, data: Mapping[str, float] | np.ndarray):
-        super().__init__(data, float)
+        super().__init__(data)
         self._refuse((self.vec >= 0.0) & (self.vec <= 1.0 + NORM_TOL),
                      "probabilities must be in [0, 1]")
         self.vec = np.where(self.vec >= PRUNE_TOL, self.vec, 0.0)
@@ -134,7 +134,7 @@ class ShotCounts(_OutcomeVector):
     """Integer outcome counts for one run; counts is their string view."""
 
     def __init__(self, data: Mapping[str, int] | np.ndarray):
-        super().__init__(data, float)  # an int64 vector would truncate 1.7 unseen
+        super().__init__(data)
         self._refuse(np.isfinite(self.vec) & (self.vec >= 0) & (self.vec == np.round(self.vec)),
                      "counts must be non-negative integers")
         self.vec = self.vec.astype(np.int64)
@@ -290,12 +290,13 @@ def string_order(n_bits: int) -> np.ndarray:
     return order
 
 
-def outcome_vector(entries: Mapping[str, float], n_bits: int, dtype=float) -> np.ndarray:
-    """Dense form of string-keyed counts or probabilities; entry j is the
-    outcome bitstring_of(j, n_bits), so index bit k is read-out bit k."""
+def outcome_vector(entries: Mapping[str, float], n_bits: int) -> np.ndarray:
+    """Dense float form of string-keyed counts or probabilities (so a count
+    of 1.7 reaches ShotCounts' check untruncated); entry j is the outcome
+    bitstring_of(j, n_bits), so index bit k is read-out bit k."""
     if not 1 <= n_bits <= MAX_QUBITS:
         raise CircuitError(f"outcome width must be in [1, {MAX_QUBITS}], got {n_bits}")
-    vec = np.zeros(1 << n_bits, dtype=dtype)
+    vec = np.zeros(1 << n_bits)
     for s, v in entries.items():
         if len(s) != n_bits or set(s) - {"0", "1"}:
             raise CircuitError(f"expected {n_bits}-bit 0/1 strings, got {s!r}")

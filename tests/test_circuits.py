@@ -128,6 +128,20 @@ class TestParser:
         with pytest.raises(CircuitParseError):
             parse_circuit("qubits 2\nX 0\n")
 
+    @pytest.mark.parametrize("text, line_no, message", [
+        ("qubits 4 5\nMEASURE 0\n", 1, "'qubits' takes exactly one integer"),
+        ("qubits four\nMEASURE 0\n", 1, "expected integer, got 'four'"),
+        ("qubits 2\nMEASURE\n", 2, "MEASURE needs at least one qubit index"),
+        ("qubits 2\nMEASURE 0 0\n", 2, "duplicate measured qubit in [0, 0]"),
+        ("qubits 2\nCNOT 0 0\nMEASURE 0 1\n", 2, "CNOT targets must be distinct: (0, 0)"),
+        ("# comments only\n\n# nothing else\n", 1, "empty circuit: missing 'qubits N' header"),
+    ])
+    def test_refusal_names_its_line(self, text, line_no, message):
+        with pytest.raises(CircuitParseError) as err:
+            parse_circuit(text)
+        assert err.value.line_no == line_no
+        assert str(err.value) == f"line {line_no}: {message}"
+
 
 def _random_circuit(rng: np.random.Generator) -> Circuit:
     n = int(rng.integers(1, 7))

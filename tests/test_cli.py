@@ -1,5 +1,6 @@
 """Command-line behavior, driven through main(argv)."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -9,9 +10,9 @@ from pathlib import Path
 import pytest
 
 import qec422
-from qec422.circuits import parse_circuit
-from qec422.cli import OUTPUT_DIR_ENV, build_parser, load_config, main
-from qec422.code import EncoderVariant, LogicalStateLabel, build_encoder
+from qec422.circuits import Circuit, parse_circuit
+from qec422.cli import _DEFAULTS, OUTPUT_DIR_ENV, build_parser, load_config, main
+from qec422.code import EncoderVariant, LogicalGate, LogicalStateLabel, build_encoder, coded_gate_circuit
 from qec422.experiments import DEFAULT_SHOTS, read_records_csv
 from qec422.simulator import ideal_distribution
 
@@ -36,6 +37,11 @@ class TestEmitCircuit:
         dist = ideal_distribution(circuit)
         assert dist.support_size == 4
         assert all(abs(p - 0.25) < 1e-12 for p in dist.probs.values())
+
+    def test_gate_block_defaults_to_coded(self, capsys):
+        assert main(["emit-circuit", "--gate", "X0"]) == 0
+        want = Circuit(4, coded_gate_circuit(LogicalGate.X0), [0, 1, 2, 3])
+        assert parse_circuit(capsys.readouterr().out) == want
 
     def test_out_file(self, tmp_path, capsys):
         path = tmp_path / "enc.txt"
@@ -95,6 +101,24 @@ class TestConfig:
         out = tmp_path / "never.csv"
         assert main(["run", "--config", str(p), "--out", str(out)]) == 1
         assert "bad value" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_line_without_equals_reports_line(self, tmp_path):
+        p = tmp_path / "c.cfg"
+        p.write_text("# shots\nshots 10\n")
+        with pytest.raises(Exception, match=r"c.cfg:2: expected 'key = value', got 'shots 10'$"):
+            load_config(str(p), "run")
+
+    def test_repeated_key_refused(self, tmp_path, capsys):
+        """A later line used to win silently: shots = 10 then shots = 20 ran 20."""
+        cfg, out = tmp_path / "c.cfg", tmp_path / "never.csv"
+        cfg.write_text("lengths = 1\nshots = 10\nseeds_per_length = 1\nshots = 20\n")
+        with pytest.raises(Exception, match=r"c.cfg:4: key 'shots' given twice$"):
+            load_config(str(cfg), "run")
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {cfg}:4: key 'shots' given twice\n"
+        assert captured.out == ""
         assert not out.exists()
 
     def test_unknown_key_exits_one(self, tmp_path, capsys):
@@ -260,6 +284,20 @@ class TestRun:
         assert main(["run", "--lengths", "", "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith("error: no sequence lengths to run")
         assert not out.exists()
+
+    @pytest.mark.parametrize("flags, body", [(["--lengths", "1,1"], ""),
+                                             ([], "lengths = 20, 20\n")])
+    def test_repeated_length_refused(self, tmp_path, capsys, flags, body):
+        """A repeated length used to write its rows twice under one
+        experiment_id, and the summary averaged the copy as a second sample."""
+        cfg, out = tmp_path / "c.cfg", tmp_path / "never.csv"
+        cfg.write_text(body + "seeds_per_length = 1\n")
+        assert main(["run", "--config", str(cfg), *flags, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        length = "1" if flags else "20"
+        assert captured.err == f"error: sequence length {length} given twice\n"
+        assert captured.out == ""
+        assert not out.exists() and not (tmp_path / "never.csv.meta.json").exists()
 
     def test_jobs_flag_is_a_usage_error(self, tmp_path, capsys):
         """Runs are serial: --jobs is no longer a flag."""
@@ -495,6 +533,17 @@ class TestOneParserPerProcess:
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("command", ["run", "sweep-theta", "predict"])
+def test_one_flag_per_key(command):
+    """--config, then one flag per key the command reads, in _DEFAULTS order;
+    jobs is config-only and predict's --out is flag-only."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    flags = [a.option_strings[-1] for a in sub.choices[command]._actions]
+    want = ["--help", "--config"] + ["--" + key.replace("_", "-")
+                                      for key in _DEFAULTS[command] if key != "jobs"]
+    assert flags == want + (["--out"] if command == "predict" else [])
 
 
 class TestUsageErrors:

@@ -16,6 +16,7 @@ from qec422.code import (
     decode_distribution,
     post_select,
     post_select_distribution,
+    retained_distribution,
     selection_split,
     uncoded_gate_circuit,
 )
@@ -173,32 +174,34 @@ class TestPostSelect:
     def test_parity_filter(self):
         raw = ShotCounts({"0000": 70, "1111": 20, "1000": 7, "1110": 3})
         ps = post_select(raw)
+        _, parity, ancilla = selection_split(raw.vec)
         assert ps.retained.counts == {"0000": 70, "1111": 20}
-        assert ps.raw_total == 100
+        assert raw.total == 100
         assert ps.accepted == 90
-        assert ps.parity_rejections == 10
-        assert ps.ancilla_rejections == 0
-        assert ps.retention == 0.9
+        assert parity == 10
+        assert ancilla == 0
+        assert ps.accepted / raw.total == 0.9
 
     def test_ancilla_filter_runs_after_parity(self):
         raw = ShotCounts({"00000": 50, "00001": 30, "10001": 20})
-        ps = post_select(raw, ancilla_present=True)
-        assert ps.retained.counts == {"0000": 50}
-        assert ps.ancilla_rejections == 30
-        assert ps.parity_rejections == 20  # odd data parity wins the tally
+        retained, parity, ancilla = selection_split(raw.vec, 4)
+        assert ShotCounts(retained).counts == {"0000": 50}
+        assert ancilla == 30
+        assert parity == 20  # odd data parity wins the tally
 
     def test_width_mismatch_rejected(self):
-        with pytest.raises(CircuitError):
-            post_select(ShotCounts({"0000": 1}), ancilla_present=True)
+        with pytest.raises(CircuitError, match="expected 4-bit"):
+            post_select(ShotCounts({"00000": 1}))
         with pytest.raises(CircuitError, match="expected 4-bit"):
             post_select_distribution(OutcomeDistribution({"00000": 1.0}))
         with pytest.raises(CircuitError, match="expected 4-bit"):
             decode_distribution(OutcomeDistribution({"00": 1.0}))
 
     def test_empty_retention(self):
-        ps = post_select(ShotCounts({"1000": 5}))
+        raw = ShotCounts({"1000": 5})
+        ps = post_select(raw)
         assert ps.accepted == 0
-        assert ps.retention == 0.0
+        assert ps.accepted / raw.total == 0.0
 
     def test_distribution_version(self):
         d = OutcomeDistribution({"0000": 0.4, "1110": 0.2, "1111": 0.4})
@@ -221,6 +224,11 @@ def _reference_split(entries: dict, ancilla: bool):
     return retained, parity, anc
 
 
+def _split(entries: dict, width: int):
+    """selection_split of a 4-bit vector, or of a 5-bit one whose bit 4 is the ancilla."""
+    return selection_split(outcome_vector(entries, width), 4 if width == 5 else None)
+
+
 class TestSelectionSplit:
     @pytest.mark.parametrize("width", [4, 5])
     def test_every_string_alone(self, width):
@@ -230,37 +238,41 @@ class TestSelectionSplit:
             ret, par, anc = _reference_split({s: 3}, ancilla)
             if ancilla and s[:4].count("1") % 2 and s[4] == "1":
                 assert (par, anc) == (3, 0)  # failing both is a parity rejection
-            ps = post_select(ShotCounts({s: 3}), ancilla_present=ancilla)
-            assert ps.retained.counts == ret
-            assert (ps.parity_rejections, ps.ancilla_rejections) == (par, anc)
+            vec_ret, vec_par, vec_anc = _split({s: 3}, width)
+            assert ShotCounts(vec_ret).counts == ret
+            assert (vec_par, vec_anc) == (par, anc)
+            if not ancilla:
+                assert post_select(ShotCounts({s: 3})).retained.counts == ret
 
             kept = {k: 1.0 for k in ret}
-            retained, r = post_select_distribution(OutcomeDistribution({s: 1.0}), ancilla)
-            assert r == (1.0 if kept else 0.0)
-            assert (retained.probs if retained else {}) == kept
-            vec_ret, vec_par, vec_anc = selection_split(
-                outcome_vector({s: 1.0}, width), 4 if ancilla else None)
+            vec_ret, vec_par, vec_anc = _split({s: 1.0}, width)
             np.testing.assert_array_equal(vec_ret, outcome_vector(kept, 4))
             assert (vec_par, vec_anc) == (par / 3, anc / 3)
+            retained, r = (retained_distribution(vec_ret) if ancilla
+                           else post_select_distribution(OutcomeDistribution({s: 1.0})))
+            assert r == (1.0 if kept else 0.0)
+            assert (retained.probs if retained else {}) == kept
 
     @pytest.mark.parametrize("width", [4, 5])
     def test_all_strings_together(self, width):
         ancilla = width == 5
         counts = {format(j, f"0{width}b"): 1 + (7 * j) % 11 for j in range(1 << width)}
         ret, par, anc = _reference_split(counts, ancilla)
-        ps = post_select(ShotCounts(counts), ancilla_present=ancilla)
-        assert ps.retained.counts == ret
-        assert (ps.parity_rejections, ps.ancilla_rejections) == (par, anc)
-        assert ps.raw_total == sum(counts.values())
+        vec_ret, vec_par, vec_anc = _split(counts, width)
+        assert ShotCounts(vec_ret).counts == ret
+        assert (vec_par, vec_anc) == (par, anc)
+        assert ShotCounts(counts).total == sum(counts.values())
+        if not ancilla:
+            assert post_select(ShotCounts(counts)).retained.counts == ret
 
         total = sum(counts.values())
         probs = {s: c / total for s, c in counts.items()}
         ret_p, par_p, anc_p = _reference_split(probs, ancilla)
-        retained, r = post_select_distribution(OutcomeDistribution(probs), ancilla)
+        vec_ret, vec_par, vec_anc = _split(probs, width)
+        retained, r = (retained_distribution(vec_ret) if ancilla
+                       else post_select_distribution(OutcomeDistribution(probs)))
         np.testing.assert_allclose(r, sum(ret_p.values()), rtol=1e-14)
         assert set(retained.probs) == set(ret_p)
         for s, p in ret_p.items():
             np.testing.assert_allclose(retained.probs[s], p / r, rtol=1e-14)
-        _, vec_par, vec_anc = selection_split(outcome_vector(probs, width),
-                                              4 if ancilla else None)
         np.testing.assert_allclose([vec_par, vec_anc], [par_p, anc_p], rtol=1e-14)

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from qec422 import simulator
+from qec422 import experiments, simulator
 from qec422.analytics import trace_distance
 from qec422.circuits import CircuitError, GateKind
 from qec422.code import (
@@ -173,7 +173,7 @@ def _string_pipeline(sequence, params, shots, seed, analytic):
         counts_c = noisy_counts(cod, params, shots, derive_seed(seed, "coded"))
         dist_u, dist_c = counts_u.to_distribution(), counts_c.to_distribution()
         ps = post_select(counts_c)
-        r, gamma = ps.retention, ps.accepted
+        r, gamma = ps.accepted / counts_c.total, ps.accepted
         retained = ps.retained.to_distribution() if gamma else None
     D_u = trace_distance(ideal_u, dist_u)
     D_raw = trace_distance(ideal_c, dist_c)
@@ -247,6 +247,15 @@ class TestSweeps:
         rows = summarize_records(recs)
         assert len(rows) == 3
         assert all(row["n"] == 3 for row in rows)
+
+    @pytest.mark.parametrize("lengths", [[1, 1], (2, 5, 2)])
+    def test_repeated_length_refused_before_any_run(self, monkeypatch, lengths):
+        """A repeated length used to repeat its rows, experiment ids and all."""
+        calls = []
+        monkeypatch.setattr(experiments, "run_pair", lambda *a, **k: calls.append(a) or [])
+        with pytest.raises(CircuitError, match=f"^sequence length {lengths[0]} given twice$"):
+            sweep_L(GateSetId.REDUCED, lengths, PARAMS, shots=64)
+        assert calls == []
 
     def test_theta_sweep_tracks_cosine_law(self):
         import math

@@ -199,6 +199,15 @@ class TestReporting:
         text = verify_single_faults(CHECKED, "postselect+ancilla").format_table()
         assert "fault tolerant: yes" in text
 
+    def test_one_qubit_term_in_the_fraction(self):
+        """An X or Y fault after the X gate flips q0 and q1 through the CNOT,
+        as do XX, XY, YX and YY after it: 2 of 3 and 4 of 15 undetected."""
+        circ = parse_circuit("qubits 4\nX 0\nCNOT 0 1\nMEASURE 0 1 2 3\n")
+        report = verify_single_faults(circ, "postselect")
+        assert len(report.classifications) == 18
+        assert report.undetected_fraction_text() == "2/3 * eps1 + 4/15 * eps2"
+        assert report.undetected_fraction(0.3, 0.15) == pytest.approx(0.2 + 0.04)
+
     def test_trivial_circuit(self):
         """No gates, no sites; preparation flips are all caught by parity."""
         circ = parse_circuit("qubits 4\nMEASURE 0 1 2 3\n")

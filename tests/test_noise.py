@@ -18,6 +18,7 @@ from qec422.code import (
     coded_gate_circuit,
     decode,
     post_select,
+    selection_split,
 )
 from qec422.experiments import MAX_SEQUENCE_LENGTH, GateSetId, SequenceSpec, build_pair, random_sequence
 from qec422.noise import (
@@ -33,6 +34,7 @@ from qec422.noise import (
 )
 from qec422.simulator import (
     OutcomeDistribution,
+    ShotCounts,
     _evolve,
     bitstring_of,
     final_state,
@@ -238,10 +240,11 @@ class TestNoisyCounts:
         eps2 = 0.02
         anc = build_encoder(LogicalStateLabel.L00, EncoderVariant.ANCILLA_CHECKED)
         counts = noisy_counts(anc, NoiseParams(eps2=eps2), 300_000, 13)
-        ps = post_select(counts, ancilla_present=True)
-        wrong = sum(c for s, c in ps.retained.counts.items() if decode(s) != "00")
-        frac = wrong / ps.accepted
-        assert ps.ancilla_rejections > 0
+        vec, _, ancilla_rejections = selection_split(counts.vec, 4)
+        retained = ShotCounts(vec)
+        wrong = sum(c for s, c in retained.counts.items() if decode(s) != "00")
+        frac = wrong / retained.total
+        assert ancilla_rejections > 0
         assert frac < 10 * eps2 ** 2          # second order, generous constant
         assert frac < (8 * eps2 / 15) / 2     # clearly below the unchecked floor
 
@@ -251,17 +254,17 @@ class TestNoisyCounts:
                        [0, 1, 2, 3])
         for theta in (0.0, 0.9, np.pi / 2, np.pi):
             circ = insert_coherent_rotation(base, theta)
-            ps = post_select(noisy_counts(circ, NoiseParams(theta=theta), 60_000, 14))
+            raw = noisy_counts(circ, NoiseParams(theta=theta), 60_000, 14)
             want = np.cos(theta / 2) ** 2
             sigma = np.sqrt(max(want * (1 - want), 1e-12) / 60_000)
-            assert abs(ps.retention - want) < max(3 * sigma, 1e-9)
+            assert abs(post_select(raw).accepted / raw.total - want) < max(3 * sigma, 1e-9)
 
     def test_even_hhswap_count_theta_invariant(self):
         base = Circuit(4, ENCODER.gates + coded_gate_circuit(LogicalGate.HHSWAP) * 2,
                        [0, 1, 2, 3])
         circ = insert_coherent_rotation(base, 2.2)
-        ps = post_select(noisy_counts(circ, NoiseParams(theta=2.2), 20_000, 15))
-        assert ps.retention == 1.0
+        raw = noisy_counts(circ, NoiseParams(theta=2.2), 20_000, 15)
+        assert post_select(raw).accepted / raw.total == 1.0
 
 
 class TestSeedDerivation:
