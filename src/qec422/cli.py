@@ -20,6 +20,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import suppress
 from dataclasses import asdict, fields
 from datetime import datetime, timezone
 from functools import lru_cache
@@ -52,7 +53,7 @@ from .experiments import (
     sweep_theta,
     write_records_csv,
 )
-from .ftcheck import verify_single_faults
+from .ftcheck import DETECTION_MODES, verify_single_faults
 from .noise import NoiseParams, totally_mixed
 
 OUTPUT_DIR_ENV = "QEC422_OUTPUT_DIR"
@@ -244,18 +245,14 @@ def cmd_verify_ft(args: argparse.Namespace) -> int:
         variant = EncoderVariant(args.variant or EncoderVariant.NON_FAULT_TOLERANT.value)
         circuit = build_encoder(label, variant)
         circuit_id = f"{label.value}-{variant.value}"
-        default_detection = ("postselect+ancilla"
-                             if variant is EncoderVariant.ANCILLA_CHECKED else "postselect")
     elif args.variant is not None:
         raise CircuitError("--variant does not apply to --circuit")
     else:
         with open(args.circuit) as fh:
             circuit = parse_circuit(fh.read())
         circuit_id = os.path.basename(args.circuit)
-        default_detection = "postselect"
-    detection = args.detection or default_detection
 
-    report = verify_single_faults(circuit, detection, circuit_id,
+    report = verify_single_faults(circuit, args.detection, circuit_id,
                                   include_preparation=args.include_prep)
     if args.json:
         print(report.to_json())
@@ -271,6 +268,9 @@ def cmd_sweep_theta(args: argparse.Namespace) -> int:
     records = sweep_theta(opts["thetas"], opts["params"], GateSetId.from_str(opts["gate_set"]),
                           opts["length"], opts["shots"], opts["master_seed"])
     write_records_csv(out, records)
+    # a sidecar left at this path by an earlier run describes that run, not these records
+    with suppress(FileNotFoundError):
+        os.remove(out + ".meta.json")
     print(f"wrote {len(records)} records to {out}")
     print(f"{'theta':>10} {'r':>8} {'cos^2(theta/2)':>16}")
     for rec in records:
@@ -345,7 +345,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variant", choices=[v.value for v in EncoderVariant],
                    help="with --encoder; default NonFaultTolerant")
     p.add_argument("--circuit", help="circuit text file to check instead")
-    p.add_argument("--detection", choices=["postselect", "postselect+ancilla"])
+    p.add_argument("--detection", choices=DETECTION_MODES,
+                   help="default: postselect+ancilla when more than four bits are measured "
+                        "(the last is the ancilla), else postselect")
     p.add_argument("--include-prep", dest="include_prep", action="store_true",
                    help="also enumerate preparation X flips")
     p.add_argument("--json", action="store_true", help="machine-readable report")

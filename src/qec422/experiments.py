@@ -245,7 +245,8 @@ def sweep_L(gate_set: GateSetId, lengths: list[int], params: NoiseParams,
     Each (L, k) slot gets its own derived seed and its own freshly drawn
     sequence, so the record list (and any CSV written from it) depends
     only on the arguments.  A repeated length would repeat its rows, ids
-    and all, so it is refused.
+    and all, so it is refused.  Every slot's spec is built, and its
+    length checked, before the first pair runs.
     """
     if not lengths:
         raise CircuitError("no sequence lengths to run")
@@ -254,27 +255,27 @@ def sweep_L(gate_set: GateSetId, lengths: list[int], params: NoiseParams,
         raise CircuitError(f"sequence length {repeated[0]} given twice")
     if seeds_per_length < 1:
         raise CircuitError(f"seeds_per_length must be positive, got {seeds_per_length}")
+    specs = [SequenceSpec(gate_set, L, derive_seed(master_seed, gate_set.value, L, k))
+             for L in lengths for k in range(seeds_per_length)]
     out: list[ExperimentRecord] = []
-    for L in lengths:
-        for k in range(seeds_per_length):
-            seed = derive_seed(master_seed, gate_set.value, L, k)
-            sequence = random_sequence(SequenceSpec(gate_set, L, seed))
-            out += run_pair(sequence, params, shots, seed, gate_set.value, analytic_xi)
+    for spec in specs:
+        out += run_pair(random_sequence(spec), params, shots, spec.seed, gate_set.value, analytic_xi)
     return out
 
 
 def sweep_theta(thetas: list[float], params: NoiseParams,
                 gate_set: GateSetId = GateSetId.SINGLE_HHSWAP, length: int = 1,
                 shots: int = DEFAULT_SHOTS, master_seed: int = 0) -> list[ExperimentRecord]:
-    """Coherent-rotation sweep: one pair per theta, retention in the r column."""
+    """Coherent-rotation sweep: one pair per theta, retention in the r column.
+    Every angle's spec and NoiseParams are built, and so checked, before
+    the first pair runs."""
     if not thetas:
         raise CircuitError("no angles to sweep")
+    runs = [(SequenceSpec(gate_set, length, derive_seed(master_seed, "theta", i)),
+             replace(params, theta=theta)) for i, theta in enumerate(thetas)]
     out: list[ExperimentRecord] = []
-    for i, theta in enumerate(thetas):
-        seed = derive_seed(master_seed, "theta", i)
-        run_params = replace(params, theta=theta)
-        sequence = random_sequence(SequenceSpec(gate_set, length, seed))
-        out += run_pair(sequence, run_params, shots, seed, gate_set.value)
+    for spec, run_params in runs:
+        out += run_pair(random_sequence(spec), run_params, shots, spec.seed, gate_set.value)
     return out
 
 

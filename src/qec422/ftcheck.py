@@ -40,6 +40,8 @@ from .noise import ONE_QUBIT_PAULIS, TWO_QUBIT_PAULIS, FlipMaskTable
 from .simulator import ideal_marginal
 
 DETECTION_MODES = ("postselect", "postselect+ancilla")
+# weight unit (FaultSite.weight_units) -> its term in the report, in report order
+_WEIGHT_TERMS = {"eps1/3": "{}/3 * eps1", "eps2/15": "{}/15 * eps2", "p_prep": "{} * p_prep"}
 _ATOL = 1e-9
 
 
@@ -88,14 +90,16 @@ def enumerate_single_faults(circuit: Circuit, include_preparation: bool = False)
 # Classification
 # ---------------------------------------------------------------------------
 
-def verify_single_faults(circuit: Circuit, detection: str, circuit_id: str = "circuit",
+def verify_single_faults(circuit: Circuit, detection: str | None = None,
+                         circuit_id: str = "circuit",
                          include_preparation: bool = False) -> FTReport:
     """Classify every single-fault site of the circuit; the verdict is
     fault_tolerant iff no site is an undetected logical error.
 
     detection is "postselect" (data-parity discard only) or
     "postselect+ancilla" (also require the ancilla, the last measured
-    qubit, to read 0).
+    qubit, to read 0).  None picks it from the read-out: a bit beyond
+    the four data bits is the ancilla.
     The ideal marginal and the flip-mask table are built once.  A fault
     the Pauli frame folds (after the last RZ, or anywhere in a Clifford
     circuit) permutes the ideal outcomes by its mask, so each distinct
@@ -103,10 +107,12 @@ def verify_single_faults(circuit: Circuit, detection: str, circuit_id: str = "ci
     verdict.  Only the sites the table leaves unfolded (a None row, ahead
     of the last RZ) are simulated, each inserted into the gate list.
     """
-    if detection not in DETECTION_MODES:
-        raise CircuitError(f"detection must be one of {DETECTION_MODES}, got {detection!r}")
     if len(circuit.measured) < DATA_QUBITS:
         raise CircuitError("detection needs at least the four data qubits measured")
+    if detection is None:
+        detection = "postselect+ancilla" if len(circuit.measured) > DATA_QUBITS else "postselect"
+    if detection not in DETECTION_MODES:
+        raise CircuitError(f"detection must be one of {DETECTION_MODES}, got {detection!r}")
     ancilla_bit = None
     if detection == "postselect+ancilla":
         ancilla_bit = len(circuit.measured) - 1
@@ -174,8 +180,8 @@ class FTReport:
                 if c == FaultClassification.UNDETECTED_LOGICAL_ERROR]
 
     def undetected_counts(self) -> dict[str, int]:
-        """Undetected site tallies keyed by their weight units."""
-        out = {"eps1/3": 0, "eps2/15": 0, "p_prep": 0}
+        """Undetected site tallies keyed by their weight units, in _WEIGHT_TERMS order."""
+        out = dict.fromkeys(_WEIGHT_TERMS, 0)
         for s in self.undetected_sites():
             out[s.weight_units] += 1
         return out
@@ -186,15 +192,8 @@ class FTReport:
         return n["eps1/3"] * eps1 / 3.0 + n["eps2/15"] * eps2 / 15.0 + n["p_prep"] * p_prep
 
     def undetected_fraction_text(self) -> str:
-        n = self.undetected_counts()
-        parts = []
-        if n["eps1/3"]:
-            parts.append(f"{n['eps1/3']}/3 * eps1")
-        if n["eps2/15"]:
-            parts.append(f"{n['eps2/15']}/15 * eps2")
-        if n["p_prep"]:
-            parts.append(f"{n['p_prep']} * p_prep")
-        return " + ".join(parts) if parts else "0"
+        return " + ".join(_WEIGHT_TERMS[unit].format(k)
+                          for unit, k in self.undetected_counts().items() if k) or "0"
 
     def tally(self) -> dict[str, int]:
         out = {c: 0 for c in (FaultClassification.HARMLESS,
@@ -205,8 +204,8 @@ class FTReport:
             out[c] += 1
         return out
 
-    def to_json_dict(self) -> dict:
-        return {
+    def to_json(self) -> str:
+        return json.dumps({
             "circuit_id": self.circuit_id,
             "detection": self.detection,
             "fault_tolerant": self.fault_tolerant,
@@ -222,10 +221,7 @@ class FTReport:
                 }
                 for s, c in self.classifications
             ],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
+        })
 
     def format_table(self) -> str:
         lines = [

@@ -413,6 +413,34 @@ class TestVerifyFt:
         assert main(["verify-ft", "--circuit", str(path)]) == 0
         assert "circ.txt" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("prep", [[], ["--include-prep"]])
+    def test_checked_encoder_file_reports_as_the_encoder(self, tmp_path, capsys, prep):
+        """A circuit file used to get parity-only detection whatever it
+        measured, so the checked encoder's own file came out not fault
+        tolerant while --encoder passed it."""
+        path = tmp_path / "checked.txt"
+        main(["emit-circuit", "--encoder", "L00", "--variant", "AncillaChecked", "--out", str(path)])
+        capsys.readouterr()
+        assert main(["verify-ft", "--circuit", str(path), "--json"] + prep) == 0
+        from_file = json.loads(capsys.readouterr().out)
+        assert main(["verify-ft", "--encoder", "L00", "--variant", "AncillaChecked",
+                     "--json"] + prep) == 0
+        from_encoder = json.loads(capsys.readouterr().out)
+        assert from_file.pop("circuit_id") == "checked.txt"
+        assert from_encoder.pop("circuit_id") == "L00-AncillaChecked"
+        assert from_file == from_encoder
+        assert (from_file["fault_tolerant"], from_file["undetected_fraction"]) == (True, "0")
+
+    def test_detection_flag_overrides_the_read_out(self, tmp_path, capsys):
+        path = tmp_path / "checked.txt"
+        main(["emit-circuit", "--encoder", "L00", "--variant", "AncillaChecked", "--out", str(path)])
+        capsys.readouterr()
+        assert main(["verify-ft", "--circuit", str(path), "--detection", "postselect",
+                     "--include-prep", "--json"]) == 0
+        d = json.loads(capsys.readouterr().out)
+        assert (d["detection"], d["fault_tolerant"]) == ("postselect", False)
+        assert d["undetected_fraction"] == "8/15 * eps2 + 1 * p_prep"
+
     def test_missing_file(self, capsys):
         assert main(["verify-ft", "--circuit", "/no/such/file"]) == 1
 
@@ -435,6 +463,17 @@ class TestSweepTheta:
             argv = ["sweep-theta", "--thetas", thetas, "--shots", "64", "--out", str(out)]
             assert main(argv) == 0
         assert [r.theta for r in read_records_csv(out)] == [0.9] * 3 + [1.2] * 3
+
+    def test_removes_a_stale_sidecar(self, tmp_path, capsys):
+        """A sidecar left by an earlier run used to survive beside the
+        theta sweep's CSV, still describing that run."""
+        out, sidecar = tmp_path / "x.csv", tmp_path / "x.csv.meta.json"
+        assert main(["run", "--lengths", "1", "--seeds-per-length", "1", "--shots", "64",
+                     "--out", str(out)]) == 0
+        assert sidecar.exists()
+        assert main(["sweep-theta", "--thetas", "0.4", "--shots", "64", "--out", str(out)]) == 0
+        assert not sidecar.exists()
+        assert [r.theta for r in read_records_csv(out)] == [0.4] * 3
 
     def test_table_and_csv(self, tmp_path, capsys):
         out = tmp_path / "theta.csv"

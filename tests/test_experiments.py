@@ -257,6 +257,21 @@ class TestSweeps:
             sweep_L(GateSetId.REDUCED, lengths, PARAMS, shots=64)
         assert calls == []
 
+    @pytest.mark.parametrize("sweep, message", [
+        (lambda: sweep_L(GateSetId.REDUCED, [1000, 1001], NoiseParams(), 64, 3),
+         r"^sequence length must be in \[1, 1000\], got 1001$"),
+        (lambda: sweep_theta([0.3, math.nan], NoiseParams(), shots=64),
+         "^theta must be a finite real number, got nan$"),
+    ], ids=["length", "theta"])
+    def test_bad_slot_refused_before_any_run(self, monkeypatch, sweep, message):
+        """A bad length or angle used to be refused only once every slot
+        ahead of it had run."""
+        calls = []
+        monkeypatch.setattr(experiments, "run_pair", lambda *a, **k: calls.append(a) or [])
+        with pytest.raises(CircuitError, match=message):
+            sweep()
+        assert calls == []
+
     def test_theta_sweep_tracks_cosine_law(self):
         import math
         thetas = [0.0, math.pi / 3, math.pi / 2]

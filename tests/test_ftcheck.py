@@ -106,6 +106,19 @@ class TestEncoderClassification:
         assert report.undetected_fraction(0.1, 0.1, p_prep=0.1) == 0.0
         assert report.undetected_fraction_text() == "0"
 
+    @pytest.mark.parametrize("circuit, detection, text", [
+        (ENCODER, "postselect", "8/15 * eps2 + 1 * p_prep"),
+        (CHECKED, "postselect+ancilla", "0"),
+    ])
+    def test_detection_defaults_from_the_read_out(self, circuit, detection, text):
+        """A read-out bit beyond the four data bits is the ancilla, so a
+        five-bit read-out is checked with it unasked and a four-bit one is not."""
+        report = verify_single_faults(circuit, include_preparation=True)
+        assert report.detection == detection
+        assert report.undetected_fraction_text() == text
+        explicit = verify_single_faults(circuit, detection, include_preparation=True)
+        assert report.classifications == explicit.classifications
+
     def test_checked_encoder_needs_its_ancilla(self):
         """Same circuit, parity detection only: the check qubit's own
         faults leak through."""
@@ -207,6 +220,15 @@ class TestReporting:
         assert len(report.classifications) == 18
         assert report.undetected_fraction_text() == "2/3 * eps1 + 4/15 * eps2"
         assert report.undetected_fraction(0.3, 0.15) == pytest.approx(0.2 + 0.04)
+
+    def test_all_three_units_in_the_fraction(self):
+        """A preparation flip of q0 cancels the X gate, so the same circuit
+        with preparation sites adds one p_prep term, printed last."""
+        circ = parse_circuit("qubits 4\nX 0\nCNOT 0 1\nMEASURE 0 1 2 3\n")
+        report = verify_single_faults(circ, "postselect", include_preparation=True)
+        assert report.undetected_counts() == {"eps1/3": 2, "eps2/15": 4, "p_prep": 1}
+        assert report.undetected_fraction_text() == "2/3 * eps1 + 4/15 * eps2 + 1 * p_prep"
+        assert report.undetected_fraction(0.3, 0.15, p_prep=0.1) == pytest.approx(0.34)
 
     def test_trivial_circuit(self):
         """No gates, no sites; preparation flips are all caught by parity."""
