@@ -60,13 +60,9 @@ class GateKind(Enum):
     CZ = "CZ"
     SWAP = "SWAP"
 
-    @property
-    def arity(self) -> int:
-        return 2 if self in (GateKind.CNOT, GateKind.CZ, GateKind.SWAP) else 1
-
-    @property
-    def takes_angle(self) -> bool:
-        return self is GateKind.RZ
+    def __init__(self, value: str):
+        self.arity = 2 if value in ("CNOT", "CZ", "SWAP") else 1
+        self.takes_angle = value == "RZ"
 
 
 @dataclass(frozen=True)

@@ -103,31 +103,39 @@ _DEFAULTS = {
 }
 
 
+def _read_text(path: str) -> str:
+    """The file at path as UTF-8 text; bytes that are not UTF-8 are a CircuitError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise CircuitError(f"{path}: {exc}") from None
+
+
 def load_config(path: str, command: str) -> dict:
     """Parse a flat key = value file, refusing up front any key command does not read."""
     cfg = {}
-    with open(path) as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise CircuitError(f"{path}:{line_no}: expected 'key = value', got {line!r}")
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if key not in _DEFAULTS[command]:
-                raise CircuitError(
-                    f"{path}:{line_no}: unknown config key {key!r} for {command}; allowed: "
-                    + ", ".join(sorted(_DEFAULTS[command]))
-                )
-            if key in cfg:
-                raise CircuitError(f"{path}:{line_no}: key {key!r} given twice")
-            try:
-                cfg[key] = _KEYS[key][0](value)
-            except CircuitError as exc:
-                raise CircuitError(f"{path}:{line_no}: {exc}") from None
-            except (KeyError, ValueError):
-                raise CircuitError(f"{path}:{line_no}: bad value {value!r} for {key}") from None
+    for line_no, raw in enumerate(_read_text(path).split("\n"), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise CircuitError(f"{path}:{line_no}: expected 'key = value', got {line!r}")
+        key, _, value = line.partition("=")
+        key, value = key.strip(), value.strip()
+        if key not in _DEFAULTS[command]:
+            raise CircuitError(
+                f"{path}:{line_no}: unknown config key {key!r} for {command}; allowed: "
+                + ", ".join(sorted(_DEFAULTS[command]))
+            )
+        if key in cfg:
+            raise CircuitError(f"{path}:{line_no}: key {key!r} given twice")
+        try:
+            cfg[key] = _KEYS[key][0](value)
+        except CircuitError as exc:
+            raise CircuitError(f"{path}:{line_no}: {exc}") from None
+        except (KeyError, ValueError):
+            raise CircuitError(f"{path}:{line_no}: bad value {value!r} for {key}") from None
     return cfg
 
 
@@ -144,7 +152,11 @@ def _options(args: argparse.Namespace) -> dict:
 
 
 def _out_path(name: str) -> str:
-    return os.path.join(os.environ.get(OUTPUT_DIR_ENV, "."), name)
+    """name under $QEC422_OUTPUT_DIR, refused before any work if its directory is missing."""
+    path = os.path.join(os.environ.get(OUTPUT_DIR_ENV, "."), name)
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise CircuitError(f"{path}: no directory {os.path.dirname(path)!r} to write into")
+    return path
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -248,8 +260,7 @@ def cmd_verify_ft(args: argparse.Namespace) -> int:
     elif args.variant is not None:
         raise CircuitError("--variant does not apply to --circuit")
     else:
-        with open(args.circuit) as fh:
-            circuit = parse_circuit(fh.read())
+        circuit = parse_circuit(_read_text(args.circuit))
         circuit_id = os.path.basename(args.circuit)
 
     report = verify_single_faults(circuit, args.detection, circuit_id,

@@ -29,11 +29,10 @@ from .code import (
     EncoderVariant,
     LogicalGate,
     LogicalStateLabel,
+    _gate_blocks,
     build_encoder,
-    coded_gate_circuit,
     decode_distribution,
     retained_distribution,
-    uncoded_gate_circuit,
 )
 from .noise import NoiseParams, derive_seed, insert_coherent_rotation, noisy_vector, sample_outcomes
 from .simulator import PRUNE_TOL, OutcomeDistribution, ideal_marginal
@@ -101,9 +100,9 @@ def build_pair(sequence: list[LogicalGate]) -> tuple[Circuit, Circuit]:
     unc_gates = []
     cod_gates = list(build_encoder(LogicalStateLabel.L00,
                                    EncoderVariant.NON_FAULT_TOLERANT).gates)
-    for g in sequence:
-        unc_gates += uncoded_gate_circuit(g)
-        cod_gates += coded_gate_circuit(g)
+    for coded, uncoded in map(_gate_blocks, sequence):
+        unc_gates += uncoded
+        cod_gates += coded
     return (Circuit(2, unc_gates, [0, 1]), Circuit(4, cod_gates, [0, 1, 2, 3]))
 
 

@@ -145,9 +145,6 @@ def _conjugate_columns(xcol: list[int], zcol: list[int], gate: GateInstance) -> 
         a, b = t
         xcol[a], xcol[b] = xcol[b], xcol[a]
         zcol[a], zcol[b] = zcol[b], zcol[a]
-    elif kind is _RZ:
-        raise CircuitError("cannot carry a Pauli frame past RZ")
-    # X/Y/Z gates commute with any Pauli up to phase
 
 
 class FlipMaskTable:
@@ -173,7 +170,6 @@ class FlipMaskTable:
 
     def __init__(self, circuit: Circuit):
         gates = circuit.gates
-        split = max((i for i, g in enumerate(gates) if g.kind is _RZ), default=-1)
         xcol = [0] * circuit.n_qubits
         zcol = [0] * circuit.n_qubits
         for t, q in enumerate(circuit.measured):
@@ -181,13 +177,17 @@ class FlipMaskTable:
         rows = [(0, z, z, 0) for z in zcol]  # flip masks of I, X, Y, Z on each qubit
 
         self.gate_masks: list[tuple[int, ...] | None] = [None] * len(gates)
-        for i in range(len(gates) - 1, max(split, 0) - 1, -1):
-            g = gates[i]
-            t = g.targets
+        split = -1  # the last RZ, where the sweep stops
+        for i in range(len(gates) - 1, -1, -1):
+            kind, t = gates[i].kind, gates[i].targets
             self.gate_masks[i] = rows[t[0]] if len(t) == 1 else tuple(
-                a ^ b for a in rows[t[0]] for b in rows[t[1]])
-            if i > split and g.kind not in _PAULI_GATES:
-                _conjugate_columns(xcol, zcol, g)
+                [a ^ b for a in rows[t[0]] for b in rows[t[1]]])
+            if kind is _RZ:
+                split = i
+                break
+            # X, Y and Z commute with every Pauli, and S fixes an X-free column
+            if kind not in _PAULI_GATES and (kind is not _S or xcol[t[0]]):
+                _conjugate_columns(xcol, zcol, gates[i])
                 for q in t:
                     rows[q] = (0, zcol[q], zcol[q] ^ xcol[q], xcol[q])
         # prep flips are indexed per qubit, not per Pauli
@@ -204,8 +204,9 @@ def _wht(vec: np.ndarray) -> np.ndarray:
     out[..., s] = sum_j vec[..., j] (-1)^popcount(s & j)."""
     shape, h = vec.shape, 1
     while h < shape[-1]:
-        a = vec.reshape(*shape[:-1], -1, 2, h)
-        vec = np.stack((a[..., 0, :] + a[..., 1, :], a[..., 0, :] - a[..., 1, :]), axis=-2)
+        a = vec.reshape(-1, 2 * h)
+        lo, hi = a[:, :h], a[:, h:]
+        vec = np.concatenate((lo + hi, lo - hi), axis=1)
         h *= 2
     return vec.reshape(shape)
 
@@ -221,33 +222,36 @@ def _clifford_outcomes(circuit: Circuit, params: NoiseParams, table: FlipMaskTab
     distribution is base times a pointwise product of Walsh-Hadamard
     spectra, clipped of rounding negatives and renormalized; when no site
     fires it is base itself.  Either way it is then mixed toward uniform
-    by xi.  Equal sites are folded into one row raised to their count;
-    one bincount of every row's weights by mask (padded to 16 masks with
-    weight 0) gives all flip histograms, and one transform all spectra.
+    by xi.  Equal sites are folded into one row raised to their count, a
+    gate row counted by the row alone (its length says eps1 or eps2) and
+    a prep or read-out flip by its weights and mask.  One bincount gives
+    all flip histograms, and one transform their spectra and base's.
     """
     n_bits = len(circuit.measured)
-    gate = {len(w): w for w in (_site_weights(params, 1), _site_weights(params, 2))}
-    rows = Counter(row for row in table.gate_masks if row is not None)
-    sites = Counter({(gate[len(row)], row): count for row, count in rows.items()})
-    if table.prep_masks is not None:
-        sites.update((_site_weights(params, "prep"), (0, mask)) for mask in table.prep_masks[1:])
-    sites.update((_site_weights(params, "meas"), (0, 1 << t)) for t in range(n_bits))
-    firing = [(w, masks, count) for (w, masks), count in sites.items() if any(w[1:])]
+    gate = {len(w): w for w in (_site_weights(params, 1), _site_weights(params, 2)) if any(w[1:])}
+    rows = Counter(table.gate_masks)
+    rows.pop(None, None)
+    firing = [(gate[len(row)], row, count) for row, count in rows.items() if len(row) in gate]
+    prep, meas = _site_weights(params, "prep"), _site_weights(params, "meas")
+    flips = Counter((prep, mask) for mask in table.prep_masks[1:]) if table.prep_masks else Counter()
+    flips.update((meas, 1 << t) for t in range(n_bits))
+    firing += [(w, (0, mask), count) for (w, mask), count in flips.items() if w[1]]
     vec, total = base, 1.0
     if firing:
         d = 1 << n_bits
-        # padding adds exactly 0.0 to a row's bin 0, so rows come out as if binned alone
-        rows = np.array([masks + (0,) * (16 - len(masks)) for _, masks, _ in firing])
-        weights = np.array([w + (0.0,) * (16 - len(w)) for w, _, _ in firing])
-        bins = (rows + d * np.arange(len(rows))[:, None]).ravel()
-        spectra = _wht(np.bincount(bins, weights.ravel(), len(rows) * d).reshape(-1, d))
-        counts = np.array([count for _, _, count in firing])
-        powered = spectra ** counts[:, None]
+        # row 0 is left empty for base; row i >= 1 bins site i - 1's weights by mask
+        bins = [mask + d * i for i, (_, masks, _) in enumerate(firing, 1) for mask in masks]
+        weights = [x for w, _, _ in firing for x in w]
+        hist = np.bincount(bins, weights, (len(firing) + 1) * d).reshape(-1, d)
+        hist[0] = base
+        spectra = _wht(hist)
+        sites, counts = spectra[1:], np.array([count for _, _, count in firing])
+        powered = sites ** counts[:, None]
         # a scalar ** 2 is x * x, which an array exponent's pow() can miss by an ulp
         twice = counts == 2
-        powered[twice] = spectra[twice] * spectra[twice]
+        powered[twice] = sites[twice] * sites[twice]
         # the inverse transform's 1/2^m factor cancels in the renormalization
-        vec = np.maximum(_wht(_wht(base) * np.prod(powered, axis=0)), 0.0)
+        vec = np.maximum(_wht(spectra[0] * np.prod(powered, axis=0)), 0.0)
         total = vec.sum()
     return (1.0 - params.xi) * vec / total + params.xi / len(vec)
 

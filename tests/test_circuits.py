@@ -24,6 +24,13 @@ class TestGateInstance:
         assert GateKind.CNOT.arity == 2
         assert GateKind.SWAP.arity == 2
 
+    def test_kind_attributes_and_lookup(self):
+        """arity and takes_angle are attributes set once per member."""
+        assert {k.value: (k.arity, k.takes_angle) for k in GateKind} == {
+            "X": (1, False), "Y": (1, False), "Z": (1, False), "H": (1, False), "S": (1, False),
+            "RZ": (1, True), "CNOT": (2, False), "CZ": (2, False), "SWAP": (2, False)}
+        assert GateKind("CNOT") is GateKind.CNOT and "arity" in vars(GateKind.CNOT)
+
     def test_wrong_arity_rejected(self):
         with pytest.raises(CircuitError):
             GateInstance(GateKind.CNOT, (0,))

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import qec422
+from qec422 import experiments
 from qec422.circuits import Circuit, parse_circuit
 from qec422.cli import _DEFAULTS, OUTPUT_DIR_ENV, build_parser, load_config, main
 from qec422.code import EncoderVariant, LogicalGate, LogicalStateLabel, build_encoder, coded_gate_circuit
@@ -101,6 +102,15 @@ class TestConfig:
         out = tmp_path / "never.csv"
         assert main(["run", "--config", str(p), "--out", str(out)]) == 1
         assert "bad value" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_utf8_config_refused(self, tmp_path, capsys):
+        """A config that is not UTF-8 used to end in a UnicodeDecodeError traceback."""
+        cfg, out = tmp_path / "latin1.cfg", tmp_path / "never.csv"
+        cfg.write_bytes("# caf\xe9\nlengths = 1\n".encode("latin-1"))
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}: 'utf-8' codec can't decode byte 0xe9")
         assert not out.exists()
 
     def test_line_without_equals_reports_line(self, tmp_path):
@@ -299,6 +309,20 @@ class TestRun:
         assert captured.out == ""
         assert not out.exists() and not (tmp_path / "never.csv.meta.json").exists()
 
+    @pytest.mark.parametrize("command", [["run", "--lengths", "1,5", "--seeds-per-length", "2"],
+                                         ["sweep-theta", "--thetas", "0.3,0.6"]])
+    def test_missing_out_directory_refused_before_any_run(self, tmp_path, monkeypatch, capsys,
+                                                          command):
+        """An --out in a missing directory used to fail only once the whole
+        sweep had been simulated."""
+        calls = []
+        monkeypatch.setattr(experiments, "run_pair", lambda *a, **k: calls.append(a) or [])
+        out = tmp_path / "nodir" / "x.csv"
+        assert main([*command, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (f"error: {out}: no directory "
+                                           f"{str(out.parent)!r} to write into\n")
+        assert calls == []
+
     def test_jobs_flag_is_a_usage_error(self, tmp_path, capsys):
         """Runs are serial: --jobs is no longer a flag."""
         out = tmp_path / "never.csv"
@@ -443,6 +467,13 @@ class TestVerifyFt:
 
     def test_missing_file(self, capsys):
         assert main(["verify-ft", "--circuit", "/no/such/file"]) == 1
+
+    def test_non_utf8_circuit_file_refused(self, tmp_path, capsys):
+        """A circuit file that is not UTF-8 used to end in a UnicodeDecodeError traceback."""
+        path = tmp_path / "latin1.txt"
+        path.write_bytes("# \xe9t\xe9\nqubits 1\nH 0\nMEASURE 0\n".encode("latin-1"))
+        assert main(["verify-ft", "--circuit", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: 'utf-8' codec can't decode")
 
     def test_wide_circuit_file_refused_at_its_header(self, tmp_path, capsys):
         """A 40-qubit header used to reach a 2**40-amplitude allocation."""

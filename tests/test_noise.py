@@ -348,6 +348,42 @@ class TestFlipMaskTable:
                 assert table.prep_masks is None, tag
 
 
+    def test_rows_through_gates_that_leave_the_frame(self):
+        """Circuits built back from the read-out, so that most gates leave
+        the carried columns as they are: S on an X-free column, CZ or CNOT
+        on columns that do not interact, SWAP of equal columns.  The sweep
+        may pass such a gate by, and every row must still equal the
+        forward push."""
+        kinds = [GateKind.H, GateKind.S, GateKind.CNOT, GateKind.CZ, GateKind.SWAP]
+        fixed: Counter = Counter()
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            n = 2 + seed % 4
+            measured = [int(q) for q in rng.permutation(n)[:1 + seed % n]]
+            # the backward frame as bit columns, carried with the forward map (each is self-inverse)
+            cols = ([0] * n, [sum(1 << t for t, m in enumerate(measured) if m == q) for q in range(n)])
+            gates: list[GateInstance] = []
+            while len(gates) < 60:
+                kind = kinds[int(rng.integers(len(kinds)))]
+                g = GateInstance(kind, tuple(int(q) for q in rng.choice(n, kind.arity, replace=False)))
+                moved = (list(cols[0]), list(cols[1]))
+                _forward_push(*moved, g)
+                if moved == cols:
+                    fixed[kind] += 1
+                elif rng.random() < 0.8:
+                    continue
+                cols = moved
+                gates.insert(0, g)
+            c = Circuit(n, gates, measured)
+            table = FlipMaskTable(c)
+            for i, g in enumerate(gates):
+                labels = ONE_QUBIT_PAULIS if g.kind.arity == 1 else TWO_QUBIT_PAULIS
+                want = [0] + [_forward_mask(c, zip(label, g.targets), i + 1) for label in labels]
+                assert list(table.gate_masks[i]) == want, (seed, i)
+            assert list(table.prep_masks) == [0] + [_forward_mask(c, [("X", q)], 0) for q in range(n)]
+        assert min(fixed[k] for k in (GateKind.S, GateKind.CNOT, GateKind.CZ, GateKind.SWAP)) > 100
+
+
 def _wht_1d(vec: np.ndarray) -> np.ndarray:
     h = 1
     while h < len(vec):
@@ -355,6 +391,21 @@ def _wht_1d(vec: np.ndarray) -> np.ndarray:
         vec = np.stack((a[:, 0] + a[:, 1], a[:, 0] - a[:, 1]), axis=1).reshape(-1)
         h *= 2
     return vec
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+def test_batched_transform_equals_the_butterfly(m):
+    """_wht on a (k, 2^m) batch is the one-vector butterfly on each row,
+    bit for bit, through zeros, negatives, subnormals and a wide range."""
+    rng = np.random.default_rng(m)
+    vec = rng.standard_normal((4, 1 << m)) * 10.0 ** rng.integers(-300, 290, (4, 1 << m))
+    vec[0, ::3] = 0.0
+    vec[1] = rng.integers(-3, 4, 1 << m) * 5e-324  # subnormal multiples of the least one
+    vec[2] *= 1e-310  # mostly subnormal
+    want = np.array([_wht_1d(row) for row in vec])
+    assert np.array_equal(noise._wht(vec), want)
+    assert np.array_equal(noise._wht(vec[3]), want[3])
+    assert np.isfinite(want).all() and (want[1] != 0.0).any()
 
 
 def _per_site_outcomes(circuit: Circuit, params: NoiseParams, table: FlipMaskTable,
