@@ -123,6 +123,14 @@ class Circuit:
             if not 0 <= q < self.n_qubits:
                 raise CircuitError(f"measured qubit {q} out of range")
 
+    @classmethod
+    def _trusted(cls, n_qubits: int, gates: list[GateInstance], measured: list[int]) -> "Circuit":
+        """A Circuit of parts already checked against n_qubits, skipping
+        __post_init__ (build_pair joins blocks checked at import)."""
+        circuit = cls.__new__(cls)
+        circuit.n_qubits, circuit.gates, circuit.measured = n_qubits, gates, measured
+        return circuit
+
     def with_gates(self, gates: list[GateInstance]) -> "Circuit":
         """Copy of this circuit with a different gate list."""
         return Circuit(self.n_qubits, list(gates), list(self.measured))

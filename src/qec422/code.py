@@ -99,6 +99,9 @@ _GATE_BLOCKS: dict[LogicalGate, tuple[tuple[GateInstance, ...], tuple[GateInstan
                          _block("H 0", "H 1", "CNOT 0 1", "CNOT 1 0", "CNOT 0 1")),
 }
 
+for _coded, _bare in _GATE_BLOCKS.values():  # checked once here, so build_pair need not
+    Circuit(4, list(_coded)), Circuit(2, list(_bare))
+
 # The NonFaultTolerant encoder of every label on the four data qubits:
 # basis labels other than L00 are the L00 encoder followed by transversal
 # logical X blocks, and each superposition label is two Bell pairs.

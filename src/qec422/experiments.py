@@ -34,8 +34,9 @@ from .code import (
     decode_distribution,
     retained_distribution,
 )
-from .noise import NoiseParams, derive_seed, insert_coherent_rotation, noisy_vector, sample_outcomes
-from .simulator import PRUNE_TOL, OutcomeDistribution, ideal_marginal
+from .noise import (FlipMaskTable, NoiseParams, derive_seed, insert_coherent_rotation, noisy_vector,
+                    sample_outcomes)
+from .simulator import PRUNE_TOL, OutcomeDistribution, frame_spectrum, spectrum_marginal
 
 DEFAULT_SHOTS = 8192
 MAX_SEQUENCE_LENGTH = 1000
@@ -103,7 +104,7 @@ def build_pair(sequence: list[LogicalGate]) -> tuple[Circuit, Circuit]:
     for coded, uncoded in map(_gate_blocks, sequence):
         unc_gates += uncoded
         cod_gates += coded
-    return (Circuit(2, unc_gates, [0, 1]), Circuit(4, cod_gates, [0, 1, 2, 3]))
+    return (Circuit._trusted(2, unc_gates, [0, 1]), Circuit._trusted(4, cod_gates, [0, 1, 2, 3]))
 
 
 # ---------------------------------------------------------------------------
@@ -182,31 +183,35 @@ def run_pair(sequence: list[LogicalGate], params: NoiseParams, shots: int,
     clean of it).  Each side's weights are one multinomial draw from its
     exact noisy vector (total shots) or, with analytic_xi, the pruned
     vector itself (total 1, so D carries no shot noise); one
-    post-selection serves both, and gamma = round(r * shots).  The
-    unrotated circuits' ideal marginals are the engine's bases, so each
-    is simulated once.  The coded_ps row reports the worst case D = 1
-    only when post-selection retains nothing, r = 0 exactly (theta = pi).
+    post-selection serves both, and gamma = round(r * shots).  Each
+    unrotated circuit's one frame sweep gives both its ideal marginal and
+    the engine's base, so no statevector runs for it.  The coded_ps row
+    reports the worst case D = 1 only when post-selection retains
+    nothing, r = 0 exactly (theta = pi).
     With analytic_xi, gamma is the rounded expected count, so a row with
     0 < r < 1 / (2 shots) has gamma = 0 yet keeps the exact D.
     """
     if shots < 1:
         raise CircuitError(f"shots must be positive, got {shots}")
-    unc, cod = build_pair(sequence)
-    base_u, base_c = ideal_marginal(unc), ideal_marginal(cod)
-    ideal_u, ideal_c = OutcomeDistribution(base_u), OutcomeDistribution(base_c)
-    decoded_ideal = decode_distribution(ideal_c)
-    if params.theta != 0.0:
-        cod, base_c = insert_coherent_rotation(cod, params.theta), None
     L = len(sequence)
     stamp = _utc_now()
 
-    def weights(circuit: Circuit, base: np.ndarray | None, tag: str) -> np.ndarray:
-        vec = noisy_vector(circuit, params, base)
+    def side(circuit: Circuit, tag: str, rotate: bool) -> tuple[OutcomeDistribution, np.ndarray]:
+        """(ideal distribution, weights) of one side."""
+        table = FlipMaskTable(circuit)
+        spectrum = frame_spectrum(circuit, table.frame)
+        ideal = OutcomeDistribution(spectrum_marginal(spectrum))
+        if rotate:
+            circuit, table, spectrum = insert_coherent_rotation(circuit, params.theta), None, None
+        vec = noisy_vector(circuit, params, table, spectrum)
         if analytic_xi:
-            return np.where(vec >= PRUNE_TOL, vec, 0.0)
-        return sample_outcomes(vec, shots, derive_seed(seed, tag))
+            return ideal, np.where(vec >= PRUNE_TOL, vec, 0.0)
+        return ideal, sample_outcomes(vec, shots, derive_seed(seed, tag))
 
-    w_u, w_c = weights(unc, base_u, "uncoded"), weights(cod, base_c, "coded")
+    unc, cod = build_pair(sequence)
+    ideal_u, w_u = side(unc, "uncoded", False)
+    ideal_c, w_c = side(cod, "coded", params.theta != 0.0)
+    decoded_ideal = decode_distribution(ideal_c)
     total = 1.0 if analytic_xi else shots
     kept_dist, kept = retained_distribution(w_c)
     r = kept / total

@@ -37,7 +37,7 @@ import numpy as np
 from .circuits import Circuit, CircuitError, GateInstance, GateKind
 from .code import DATA_QUBITS, selection_split
 from .noise import ONE_QUBIT_PAULIS, TWO_QUBIT_PAULIS, FlipMaskTable
-from .simulator import ideal_marginal
+from .simulator import frame_spectrum, ideal_marginal, spectrum_marginal
 
 DETECTION_MODES = ("postselect", "postselect+ancilla")
 # weight unit (FaultSite.weight_units) -> its term in the report, in report order
@@ -100,7 +100,8 @@ def verify_single_faults(circuit: Circuit, detection: str | None = None,
     "postselect+ancilla" (also require the ancilla, the last measured
     qubit, to read 0).  None picks it from the read-out: a bit beyond
     the four data bits is the ancilla.
-    The ideal marginal and the flip-mask table are built once.  A fault
+    The flip-mask table is built once, and its frame gives the ideal
+    marginal (with no statevector in a Clifford circuit).  A fault
     the Pauli frame folds (after the last RZ, or anywhere in a Clifford
     circuit) permutes the ideal outcomes by its mask, so each distinct
     mask is split and classified once and later sites with it reuse the
@@ -120,7 +121,7 @@ def verify_single_faults(circuit: Circuit, detection: str | None = None,
             raise CircuitError("ancilla bit cannot be one of the four data bits")
 
     table = FlipMaskTable(circuit)
-    ideal = ideal_marginal(circuit)
+    ideal = spectrum_marginal(frame_spectrum(circuit, table.frame))
     idx = np.arange(len(ideal))
     ideal_ret, ideal_par, _ = selection_split(ideal, ancilla_bit)
     ideal_mass = ideal_ret.sum()

@@ -12,22 +12,21 @@ distribution toward uniform.
 One engine, noisy_vector, computes a circuit's exact noisy read-out
 distribution, a vector in the simulator.marginal_vector layout, and
 sample_outcomes draws all the shots of a run from it at once.  One
-backward sweep of the Pauli frame (FlipMaskTable) carries each measured
-Z observable from the end of the circuit back to its last RZ; a fault
-after any gate from there on is Clifford-propagated to an X-type
-read-out flip mask, and only H, S, CNOT, CZ and SWAP move the frame.
-The table alone decides which sites it folds: a None row is one it
-does not.  The base vector is the read-out marginal before the folded
-flips.  When an unfolded channel fires (a preparation flip, or a fault
-after a gate ahead of the last RZ), the base is the diagonal of the
-exact density matrix, each gate run as U (U rho)^dagger through the one
-statevector kernel and each such site mixing sum_k w_k P_k rho P_k^dagger
-into it; otherwise it is the ideal statevector marginal.  Both stop their
-gates at the last H or RZ and move the probabilities through the
-monomial tail after it, exactly (simulator.monomial_tail).  Every
+backward sweep of the signed Pauli frame (FlipMaskTable) carries each
+measured Z observable from the end of the circuit back to its last RZ.
+A fault after any gate from there on is Clifford-propagated to an
+X-type read-out flip mask; the table alone decides which sites it
+folds, a None row being one it does not.  The base is the read-out
+spectrum before the folded flips, which simulator.frame_spectrum reads
+from the frame where the sweep stopped: on |0...0> in a Clifford
+circuit, else on the ideal statevector up to the last RZ, or, when an
+unfolded channel fires (a preparation flip, or a fault after a gate
+ahead of the last RZ), on the exact density matrix at that point, each
+gate run as U (U rho)^dagger through the one statevector kernel and
+each such site mixing sum_k w_k P_k rho P_k^dagger into it.  Every
 folded flip is independent of the base and XORs onto it, and
 XOR-convolution is a pointwise product in the Walsh-Hadamard domain, so
-the suffix multiplies the base's spectrum by each site's: the transform
+the suffix multiplies the base spectrum by each site's: the transform
 of its weights binned by flip mask, which is the channel's eigenvalues
 (Flammia & Wallman, arXiv:1907.12976).  Last, xi mixes toward uniform.
 The randomness is one multinomial from a counter-based Philox stream
@@ -44,14 +43,13 @@ from functools import lru_cache
 import numpy as np
 
 from .circuits import MAX_QUBITS, Circuit, CircuitError, GateInstance, GateKind, finite_real
-from .simulator import (OutcomeDistribution, ShotCounts, _CNOT, _H, _RZ, _SWAP,
-                        _evolve, ideal_marginal, marginal_vector, monomial_tail, move_to_tail_end)
+from .simulator import (OutcomeDistribution, ShotCounts, _RZ, _S, _X, _Y, _Z, _evolve, _wht,
+                        conjugate_frame, frame_spectrum, read_out_frame, spectrum_marginal)
 
 ONE_QUBIT_PAULIS = ("X", "Y", "Z")
 TWO_QUBIT_PAULIS = tuple(
     a + b for a in "IXYZ" for b in "IXYZ" if a + b != "II"
 )  # IX, IY, IZ, XI, ..., ZZ in lexicographic order
-_S, _CZ, _PAULI_GATES = GateKind.S, GateKind.CZ, (GateKind.X, GateKind.Y, GateKind.Z)
 
 
 @dataclass(frozen=True)
@@ -119,37 +117,11 @@ def derive_seed(master_seed: int, *tags: object) -> int:
 # ---------------------------------------------------------------------------
 # The Pauli frame: one backward sweep
 # ---------------------------------------------------------------------------
-# A Pauli (up to phase, which no distribution sees) is a pair of X and Z
-# masks.  The frame carries the m measured observables together, stored
-# per qubit as bit columns over the observable index t: bit t of xcol[q]
-# (zcol[q]) says observable t has an X (Z) component on qubit q.
-
-def _conjugate_columns(xcol: list[int], zcol: list[int], gate: GateInstance) -> None:
-    """Carry every observable back through one Clifford gate, in place.
-
-    Each supported gate maps Pauli masks the same way as its inverse
-    (S and S-dagger differ only in phase), so the forward map serves.
-    """
-    kind, t = gate.kind, gate.targets
-    if kind is _H:
-        xcol[t[0]], zcol[t[0]] = zcol[t[0]], xcol[t[0]]
-    elif kind is _S:
-        zcol[t[0]] ^= xcol[t[0]]
-    elif kind is _CNOT:
-        xcol[t[1]] ^= xcol[t[0]]
-        zcol[t[0]] ^= zcol[t[1]]
-    elif kind is _CZ:
-        zcol[t[0]] ^= xcol[t[1]]
-        zcol[t[1]] ^= xcol[t[0]]
-    elif kind is _SWAP:
-        a, b = t
-        xcol[a], xcol[b] = xcol[b], xcol[a]
-        zcol[a], zcol[b] = zcol[b], zcol[a]
-
 
 class FlipMaskTable:
-    """Read-out flip mask of every fault the Pauli frame folds, and the
-    one record of which faults it leaves to the density-matrix prefix.
+    """Read-out flip mask of every fault the Pauli frame folds, the one
+    record of which faults it leaves to the density-matrix prefix, and
+    the signed frame where its sweep stopped.
 
     Every gate from the last RZ on is Clifford, so a fault after such a
     gate reaches the read-out as a fixed flip mask over the measured
@@ -158,74 +130,67 @@ class FlipMaskTable:
     k in 1..15 indexing TWO_QUBIT_PAULIS.  prep_masks[q + 1] is the mask
     of an X flip on qubit q before the circuit.  Rows are tuples of ints.
     A None row, or prep_masks None, means the frame does not fold that
-    site (it sits ahead of the last RZ), so _prefix_marginal mixes it;
-    unfolded names those sites' _site_weights kinds.
+    site (it sits ahead of the last RZ), so _prefix_state mixes it;
+    unfolded names those sites' _site_weights kinds.  frame is
+    (split, xcol, zcol, sign) as simulator.pauli_frame gives it.
 
     One backward (Heisenberg) sweep builds every row: each measured Z is
-    carried back through the gates, and a fault flips bit t exactly when
-    it anticommutes with the t-th carried observable.  So an X on q
-    flips zcol[q], a Z flips xcol[q] and a Y flips both.  The cost is
-    linear in the gate count.
+    carried back through the gates (simulator.conjugate_frame), and a
+    fault flips bit t exactly when it anticommutes with the t-th carried
+    observable.  So an X on q flips zcol[q], a Z flips xcol[q] and a Y
+    flips both.  The cost is linear in the gate count.
     """
 
     def __init__(self, circuit: Circuit):
         gates = circuit.gates
-        xcol = [0] * circuit.n_qubits
-        zcol = [0] * circuit.n_qubits
-        for t, q in enumerate(circuit.measured):
-            zcol[q] |= 1 << t
+        xcol, zcol = read_out_frame(circuit)
         rows = [(0, z, z, 0) for z in zcol]  # flip masks of I, X, Y, Z on each qubit
-
         self.gate_masks: list[tuple[int, ...] | None] = [None] * len(gates)
-        split = -1  # the last RZ, where the sweep stops
+        split, sign = -1, 0  # the last RZ, where the sweep stops
         for i in range(len(gates) - 1, -1, -1):
             kind, t = gates[i].kind, gates[i].targets
-            self.gate_masks[i] = rows[t[0]] if len(t) == 1 else tuple(
+            row = self.gate_masks[i] = rows[t[0]] if len(t) == 1 else tuple(
                 [a ^ b for a in rows[t[0]] for b in rows[t[1]]])
             if kind is _RZ:
                 split = i
                 break
-            # X, Y and Z commute with every Pauli, and S fixes an X-free column
-            if kind not in _PAULI_GATES and (kind is not _S or xcol[t[0]]):
-                _conjugate_columns(xcol, zcol, gates[i])
+            # a Pauli gate negates the observables a fault of its Pauli would flip
+            if kind is _X:
+                sign ^= row[1]
+            elif kind is _Z:
+                sign ^= row[3]
+            elif kind is _Y:
+                sign ^= row[2]
+            elif kind is not _S or xcol[t[0]]:  # S fixes an X-free column, sign included
+                sign = conjugate_frame(xcol, zcol, sign, kind, t)
                 for q in t:
                     rows[q] = (0, zcol[q], zcol[q] ^ xcol[q], xcol[q])
+        self.frame = (split, xcol, zcol, sign)
         # prep flips are indexed per qubit, not per Pauli
         self.prep_masks = (0, *zcol) if split < 0 else None
         self.unfolded = ("prep", *{g.kind.arity for g in gates[:split]}) if split >= 0 else ()
 
 
 # ---------------------------------------------------------------------------
-# The engine: a base vector, the folded suffix, the xi mix
+# The engine: a base spectrum, the folded suffix, the xi mix
 # ---------------------------------------------------------------------------
-
-def _wht(vec: np.ndarray) -> np.ndarray:
-    """Walsh-Hadamard transform along the last axis:
-    out[..., s] = sum_j vec[..., j] (-1)^popcount(s & j)."""
-    shape, h = vec.shape, 1
-    while h < shape[-1]:
-        a = vec.reshape(-1, 2 * h)
-        lo, hi = a[:, :h], a[:, h:]
-        vec = np.concatenate((lo + hi, lo - hi), axis=1)
-        h *= 2
-    return vec.reshape(shape)
-
 
 def _clifford_outcomes(circuit: Circuit, params: NoiseParams, table: FlipMaskTable,
                        base: np.ndarray) -> np.ndarray:
-    """Exact read-out distribution from base, the read-out marginal
+    """Exact read-out distribution from base, the read-out spectrum
     before every flip the frame folds.
 
     Each site the frame folds (a gate fault with a row, a prep flip when
     prep_masks is not None, a read-out flip) XORs in masks[k] with weight
-    w[k] of its _site_weights, independently of what came before.  So the exact
-    distribution is base times a pointwise product of Walsh-Hadamard
-    spectra, clipped of rounding negatives and renormalized; when no site
-    fires it is base itself.  Either way it is then mixed toward uniform
-    by xi.  Equal sites are folded into one row raised to their count, a
-    gate row counted by the row alone (its length says eps1 or eps2) and
-    a prep or read-out flip by its weights and mask.  One bincount gives
-    all flip histograms, and one transform their spectra and base's.
+    w[k] of its _site_weights, independently of what came before.  So the
+    exact distribution is the inverse transform of base times the sites'
+    Walsh-Hadamard spectra, clipped of rounding negatives and
+    renormalized; when no site fires it is spectrum_marginal(base).
+    Either way it is then mixed toward uniform by xi.  Equal sites are
+    folded into one row raised to their count, a gate row counted by the
+    row alone (its length says eps1 or eps2) and a prep or read-out flip
+    by its weights and mask.  One bincount gives all flip histograms,
+    and one transform their spectra.
     """
     n_bits = len(circuit.measured)
     gate = {len(w): w for w in (_site_weights(params, 1), _site_weights(params, 2)) if any(w[1:])}
@@ -236,22 +201,21 @@ def _clifford_outcomes(circuit: Circuit, params: NoiseParams, table: FlipMaskTab
     flips = Counter((prep, mask) for mask in table.prep_masks[1:]) if table.prep_masks else Counter()
     flips.update((meas, 1 << t) for t in range(n_bits))
     firing += [(w, (0, mask), count) for (w, mask), count in flips.items() if w[1]]
-    vec, total = base, 1.0
-    if firing:
+    if not firing:
+        vec, total = spectrum_marginal(base), 1.0
+    else:
         d = 1 << n_bits
-        # row 0 is left empty for base; row i >= 1 bins site i - 1's weights by mask
-        bins = [mask + d * i for i, (_, masks, _) in enumerate(firing, 1) for mask in masks]
+        # row i bins site i's weights by mask
+        bins = [mask + d * i for i, (_, masks, _) in enumerate(firing) for mask in masks]
         weights = [x for w, _, _ in firing for x in w]
-        hist = np.bincount(bins, weights, (len(firing) + 1) * d).reshape(-1, d)
-        hist[0] = base
-        spectra = _wht(hist)
-        sites, counts = spectra[1:], np.array([count for _, _, count in firing])
+        sites = _wht(np.bincount(bins, weights, len(firing) * d).reshape(-1, d))
+        counts = np.array([count for _, _, count in firing])
         powered = sites ** counts[:, None]
         # a scalar ** 2 is x * x, which an array exponent's pow() can miss by an ulp
         twice = counts == 2
         powered[twice] = sites[twice] * sites[twice]
         # the inverse transform's 1/2^m factor cancels in the renormalization
-        vec = np.maximum(_wht(spectra[0] * np.prod(powered, axis=0)), 0.0)
+        vec = np.maximum(_wht(base * np.prod(powered, axis=0)), 0.0)
         total = vec.sum()
     return (1.0 - params.xi) * vec / total + params.xi / len(vec)
 
@@ -295,10 +259,10 @@ def _pauli_channel(rho: np.ndarray, weights: tuple[float, ...], targets: tuple[i
     return np.asarray(weights) @ (sign[:len(weights)] * rho[gather[:len(weights)]])
 
 
-def _prefix_marginal(circuit: Circuit, params: NoiseParams, table: FlipMaskTable) -> np.ndarray:
-    """Exact read-out marginal with every site table does not fold (each
-    None row, and the preparation flips when prep_masks is None) mixed
-    in, from the density matrix.
+def _prefix_state(circuit: Circuit, params: NoiseParams, table: FlipMaskTable) -> np.ndarray:
+    """vec(rho) just after the last RZ, with every site table does not fold
+    (each None row, and the preparation flips when prep_masks is None)
+    mixed in.
 
     vec(rho) is a state on 2n qubits (entry i | j << n holds rho_ij) that
     _conjugate_by runs through each gate as U (U rho)^dagger, and _pauli_channel
@@ -309,40 +273,37 @@ def _prefix_marginal(circuit: Circuit, params: NoiseParams, table: FlipMaskTable
     if n > MAX_QUBITS // 2:
         raise CircuitError(f"noise ahead of an RZ is limited to {MAX_QUBITS // 2} qubits "
                            f"(its density matrix), got {n}")
-    diag = np.arange(1 << n) * ((1 << n) + 1)  # i | i << n
     rho = np.zeros(1 << (2 * n), dtype=complex)
     rho[0] = 1.0
     weights = {site: _site_weights(params, site) for site in ("prep", 1, 2)}
     if table.prep_masks is None:
         for q in range(n):
             rho = _pauli_channel(rho, weights["prep"], (q,), n)
-    s, cols, c = monomial_tail(circuit.gates, n)  # every None row is ahead of the last RZ, so of s
-    for g, row in zip(circuit.gates[:s], table.gate_masks):
+    for g, row in zip(circuit.gates[:table.frame[0] + 1], table.gate_masks):
         rho = _conjugate_by(rho, g, n)
         if row is None:
             rho = _pauli_channel(rho, weights[g.kind.arity], g.targets, n)
-    # rounding can leave a true zero slightly negative, and no suffix may clip it
-    probs = move_to_tail_end(rho[diag].real, cols, c)
-    return np.maximum(marginal_vector(probs, n, circuit.measured), 0.0)
+    return rho
 
 
-def noisy_vector(circuit: Circuit, params: NoiseParams,
-                 ideal: np.ndarray | None = None) -> np.ndarray:
+def noisy_vector(circuit: Circuit, params: NoiseParams, table: FlipMaskTable | None = None,
+                 spectrum: np.ndarray | None = None) -> np.ndarray:
     """Exact noisy read-out distribution under every channel, indexed as
     marginal_vector; params.theta is not applied (run_pair inserts it).
 
     The density-matrix prefix is built only when some channel the frame
-    leaves unfolded fires; otherwise the base is the ideal marginal, which
-    a caller that already holds simulator.ideal_marginal(circuit) passes.
+    leaves unfolded fires; otherwise the base is the ideal spectrum.  A
+    caller that already holds the circuit's table, and the ideal
+    spectrum frame_spectrum(circuit, table.frame), passes them.
     """
     if not circuit.measured:
         raise CircuitError("circuit measures no qubits")
-    table = FlipMaskTable(circuit)
+    table = FlipMaskTable(circuit) if table is None else table
     if any(any(_site_weights(params, site)[1:]) for site in table.unfolded):
-        base = _prefix_marginal(circuit, params, table)
-    else:
-        base = ideal_marginal(circuit) if ideal is None else ideal
-    return _clifford_outcomes(circuit, params, table, base)
+        spectrum = frame_spectrum(circuit, table.frame, _prefix_state(circuit, params, table))
+    elif spectrum is None:
+        spectrum = frame_spectrum(circuit, table.frame)
+    return _clifford_outcomes(circuit, params, table, spectrum)
 
 
 def sample_outcomes(vec: np.ndarray, shots: int, seed: int) -> np.ndarray:

@@ -1,4 +1,5 @@
-"""Dense statevector simulation for small registers.
+"""Dense statevector simulation for small registers, and the signed
+Pauli frame that reads a circuit's read-out spectrum.
 
 Conventions, fixed across the package:
 
@@ -15,11 +16,16 @@ read-out bits in the marginal_vector layout (entry j is the outcome whose
 k-th bit is bit k of j); .probs and .counts are string views in sorted
 order, for the I/O edge only.
 
-A run stops at the last H or RZ.  Every later gate is monomial: it
-sends basis index i to monomial_tail's XOR map of i times +-1 or +-i,
-which changes no |a|**2, so ideal_marginal scatters the probabilities
-to their final indices, bit for bit as a full run would leave them.
-Every earlier gate goes through one kernel, _evolve: a gather plus a
+No gate after the last RZ is simulated.  pauli_frame carries each
+measured Z_t back from the read-out through the Clifford gates after
+the last RZ, sign included (Aaronson & Gottesman, quant-ph/0406196), so
+the read-out spectrum, spectrum[s] = <prod_{t in s} Z_t>, is <Q_s> just
+after that RZ, Q_s the product of the carried observables.
+frame_spectrum reads it off |0...0> in a Clifford circuit (each entry 0
+or +-1, so no statevector runs and the marginal is exactly dyadic), off
+the statevector of the gates up to the last RZ, or off a density matrix
+run that far; spectrum_marginal is the inverse Walsh-Hadamard transform.
+Every gate that is run goes through one kernel, _evolve: a gather plus a
 scale from index tables cached per (kind, targets, n), angle excluded,
 so at most one entry per gate placement on at most MAX_QUBITS qubits.
 The table build refuses a target outside the register (Circuit.gates is
@@ -42,7 +48,9 @@ PRUNE_TOL = 1e-12
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 # per-gate loops compare against these: an inline GateKind.H costs more than the test
-_H, _RZ, _X, _Y, _CNOT, _SWAP = (GateKind[k] for k in ("H", "RZ", "X", "Y", "CNOT", "SWAP"))
+_H, _S, _RZ, _X, _Y, _Z, _CNOT, _CZ, _SWAP = (
+    GateKind[k] for k in ("H", "S", "RZ", "X", "Y", "Z", "CNOT", "CZ", "SWAP"))
+_PHASES = np.array([1, 1j, -1, -1j])  # i**e for e mod 4
 
 
 @dataclass
@@ -214,26 +222,6 @@ def _evolve(amp: np.ndarray, gates, n: int) -> np.ndarray:
     return amp
 
 
-def monomial_tail(gates, n: int) -> tuple[int, tuple[int, ...], int]:
-    """(s, cols, c): gates[s:], the gates after the last H or RZ, send basis
-    index i to c ^ XOR(cols[q] for each set bit q of i) times +-1 or +-i.
-    The backward pass carries every qubit's Z observable: bit k of cols[q]
-    says the carried Z_k has a Z on qubit q, and bit k of c is its sign."""
-    cols, c, s = [1 << q for q in range(n)], 0, len(gates)
-    while s:
-        kind, t = gates[s - 1].kind, gates[s - 1].targets
-        if kind is _H or kind is _RZ:
-            break
-        if kind is _X or kind is _Y:
-            c ^= cols[t[0]]
-        elif kind is _CNOT:
-            cols[t[0]] ^= cols[t[1]]
-        elif kind is _SWAP:
-            cols[t[0]], cols[t[1]] = cols[t[1]], cols[t[0]]
-        s -= 1
-    return s, tuple(cols), c
-
-
 @lru_cache(maxsize=256)
 def _xor_index(cols: tuple[int, ...]) -> np.ndarray:
     """Read-only array whose entry i is the XOR of cols[q] over the set bits q of i."""
@@ -241,13 +229,6 @@ def _xor_index(cols: tuple[int, ...]) -> np.ndarray:
     for col in cols:
         out = np.concatenate((out, out ^ col))
     out.setflags(write=False)
-    return out
-
-
-def move_to_tail_end(probs: np.ndarray, cols: tuple[int, ...], c: int) -> np.ndarray:
-    """probs before a monomial_tail, each at the index the tail sends it to."""
-    out = np.empty_like(probs)
-    out[_xor_index(cols) ^ c] = probs
     return out
 
 
@@ -304,15 +285,131 @@ def outcome_vector(entries: Mapping[str, float], n_bits: int) -> np.ndarray:
     return vec
 
 
+# ---------------------------------------------------------------------------
+# The signed Pauli frame
+# ---------------------------------------------------------------------------
+# The frame carries the m measured observables together, stored per qubit
+# as bit columns over the observable index t: bit t of xcol[q] (zcol[q])
+# says observable t has an X (Z) part on qubit q, and bit t of sign says
+# it is -1 times i**popcount(x & z) X^x Z^z, the Hermitian Pauli of its
+# masks.
+
+def conjugate_frame(xcol: list[int], zcol: list[int], sign: int, kind: GateKind,
+                    t: tuple[int, ...]) -> int:
+    """Carry every observable P back through one Clifford gate G, to
+    G^dagger P G, in place; returns the new sign column.  S is carried as
+    S-dagger; the others are their own inverses up to phase."""
+    a = t[0]
+    if kind is _H:
+        sign ^= xcol[a] & zcol[a]
+        xcol[a], zcol[a] = zcol[a], xcol[a]
+    elif kind is _S:
+        sign ^= xcol[a] & ~zcol[a]
+        zcol[a] ^= xcol[a]
+    elif kind is _X:
+        sign ^= zcol[a]
+    elif kind is _Y:
+        sign ^= xcol[a] ^ zcol[a]
+    elif kind is _Z:
+        sign ^= xcol[a]
+    elif kind is _CNOT:  # t = (control, target)
+        b = t[1]
+        sign ^= xcol[a] & zcol[b] & ~(xcol[b] ^ zcol[a])
+        xcol[b] ^= xcol[a]
+        zcol[a] ^= zcol[b]
+    elif kind is _CZ:
+        b = t[1]
+        sign ^= xcol[a] & xcol[b] & (zcol[a] ^ zcol[b])
+        zcol[a] ^= xcol[b]
+        zcol[b] ^= xcol[a]
+    else:  # SWAP
+        b = t[1]
+        xcol[a], xcol[b] = xcol[b], xcol[a]
+        zcol[a], zcol[b] = zcol[b], zcol[a]
+    return sign
+
+
+def read_out_frame(circuit: Circuit) -> tuple[list[int], list[int]]:
+    """(xcol, zcol) of the measured Z's at the read-out: Z_t on measured[t]."""
+    zcol = [0] * circuit.n_qubits
+    for t, q in enumerate(circuit.measured):
+        zcol[q] |= 1 << t
+    return [0] * circuit.n_qubits, zcol
+
+
+def pauli_frame(circuit: Circuit) -> tuple[int, list[int], list[int], int]:
+    """(split, xcol, zcol, sign): the measured Z's carried back to just
+    after the last RZ, gate split, or to the start, split = -1."""
+    xcol, zcol = read_out_frame(circuit)
+    sign, gates = 0, circuit.gates
+    for i in range(len(gates) - 1, -1, -1):
+        kind, t = gates[i].kind, gates[i].targets
+        if kind is _RZ:
+            return i, xcol, zcol, sign
+        if kind is not _S or xcol[t[0]]:  # S fixes an X-free column, sign included
+            sign = conjugate_frame(xcol, zcol, sign, kind, t)
+    return -1, xcol, zcol, sign
+
+
+def frame_spectrum(circuit: Circuit, frame: tuple, rho: np.ndarray | None = None) -> np.ndarray:
+    """Read-out spectrum, spectrum[s] = <Q_s>, from frame = (split, xcol,
+    zcol, sign) as pauli_frame gives it.
+
+    The 2**m products Q_s = i**e X^x Z^z are formed by doubling, the
+    phase e kept mod 4 with plain ints.  A Clifford circuit (split -1)
+    reads them on |0...0>: i**e where x = 0, else 0.  Otherwise
+    Tr(rho Q) = i**e sum_i rho[i, i ^ x] (-1)**popcount(z & i), with rho
+    the pure state after gates[:split + 1], or the given vec(rho) of that
+    point (entry i | j << n holds rho_ij), in blocks of at most 2**16
+    entries.
+    """
+    split, xcol, zcol, sign = frame
+    n = circuit.n_qubits
+    prods = [(0, 0, 0)]
+    for t in range(len(circuit.measured)):
+        x = sum(((c >> t) & 1) << q for q, c in enumerate(xcol))
+        z = sum(((c >> t) & 1) << q for q, c in enumerate(zcol))
+        e = (x & z).bit_count() + 2 * ((sign >> t) & 1)
+        prods += [(e0 + e + 2 * (z0 & x).bit_count(), x0 ^ x, z0 ^ z) for e0, x0, z0 in prods]
+    if split < 0 and rho is None:
+        return np.array([0.0 if x else 1.0 - (e & 2) for e, x, _ in prods])
+    if rho is None:
+        amp = _evolve(_zero(n), circuit.gates[:split + 1], n)
+    idx = np.arange(1 << n)
+    signs = 1 - 2 * _xor_index((1,) * n)  # (-1)**popcount(i)
+    out, step = [], max(1, (1 << 16) >> n)
+    for k in range(0, len(prods), step):
+        e, x, z = np.array(prods[k:k + step]).T
+        j = idx ^ x[:, None]
+        pairs = amp * np.conj(amp[j]) if rho is None else rho[idx | j << n]
+        out.append((_PHASES[e & 3] * (pairs * signs[z[:, None] & idx]).sum(axis=1)).real)
+    return np.concatenate(out)
+
+
+def _wht(vec: np.ndarray) -> np.ndarray:
+    """Walsh-Hadamard transform along the last axis:
+    out[..., s] = sum_j vec[..., j] (-1)^popcount(s & j)."""
+    shape, h = vec.shape, 1
+    while h < shape[-1]:
+        a = vec.reshape(-1, 2 * h)
+        lo, hi = a[:, :h], a[:, h:]
+        vec = np.concatenate((lo + hi, lo - hi), axis=1)
+        h *= 2
+    return vec.reshape(shape)
+
+
+def spectrum_marginal(spectrum: np.ndarray) -> np.ndarray:
+    """Read-out vector of a spectrum, its inverse transform, with rounding
+    negatives at true zeros clipped."""
+    return np.maximum(_wht(spectrum) / len(spectrum), 0.0)
+
+
 def ideal_marginal(circuit: Circuit) -> np.ndarray:
     """Noiseless read-out vector over the circuit's measured qubits,
-    indexed as marginal_vector; the state stops at the last H or RZ."""
+    indexed as marginal_vector, from its signed frame."""
     if not circuit.measured:
         raise CircuitError("circuit measures no qubits")
-    n = circuit.n_qubits
-    s, cols, c = monomial_tail(circuit.gates, n)
-    probs = move_to_tail_end(np.abs(_evolve(_zero(n), circuit.gates[:s], n)) ** 2, cols, c)
-    return marginal_vector(probs, n, circuit.measured)
+    return spectrum_marginal(frame_spectrum(circuit, pauli_frame(circuit)))
 
 
 def ideal_distribution(circuit: Circuit) -> OutcomeDistribution:

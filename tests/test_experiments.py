@@ -9,7 +9,7 @@ import pytest
 
 from qec422 import experiments, simulator
 from qec422.analytics import trace_distance
-from qec422.circuits import CircuitError, GateKind
+from qec422.circuits import Circuit, CircuitError, GateKind
 from qec422.code import (
     EncoderVariant,
     LogicalGate,
@@ -95,6 +95,20 @@ class TestBuildPair:
     def test_uncoded_side_has_no_encoder(self):
         unc, _ = build_pair([LogicalGate.Z0])
         assert all(g.kind is GateKind.Z for g in unc.gates)
+
+    def test_blocks_are_not_checked_again(self, monkeypatch):
+        """build_pair trusts the blocks checked at import: only the encoder's
+        Circuit runs __post_init__, and the pair equals checked Circuits.
+        A user-built Circuit with the coded gates on two qubits still raises."""
+        sequence = random_sequence(SequenceSpec(GateSetId.FULL, 100, 2))
+        checks = []
+        check = Circuit.__post_init__
+        monkeypatch.setattr(Circuit, "__post_init__", lambda self: checks.append(self) or check(self))
+        unc, cod = build_pair(sequence)
+        assert len(checks) == 1 and len(cod.gates) > 200
+        assert unc == Circuit(2, unc.gates, [0, 1]) and cod == Circuit(4, cod.gates, [0, 1, 2, 3])
+        with pytest.raises(CircuitError, match="targets qubit 2 on a 2-qubit register"):
+            Circuit(2, cod.gates, [0, 1])
 
 
 class TestRunPair:
@@ -205,22 +219,37 @@ class TestOnePipeline:
 
     @pytest.mark.parametrize("analytic", [False, True])
     def test_each_circuit_simulated_once(self, monkeypatch, analytic):
-        """Two statevector runs at theta = 0, the two ideal circuits that are
-        also the engine's bases.  The rotated coded circuit adds a third,
+        """No statevector run at theta = 0: each ideal circuit is Clifford,
+        and its frame gives both its ideal marginal and the engine's base.
+        The rotated coded circuit runs its encoder's H and the RZ once,
         unless a channel fires ahead of its RZ and the density-matrix
         prefix, which noise runs through its own _evolve name, replaces
         that run."""
         calls = []
         original = simulator._evolve
-        monkeypatch.setattr(simulator, "_evolve", lambda *a: calls.append(a) or original(*a))
+        monkeypatch.setattr(simulator, "_evolve", lambda amp, gates, n: calls.append(len(gates))
+                            or original(amp, gates, n))
         sequence = random_sequence(SequenceSpec(GateSetId.FULL, 12, 4))
-        for params, rotated in ((PARAMS, 2), (dataclasses.replace(PARAMS, p_prep=0.01), 2),
-                                (NoiseParams(p_meas=0.02, xi=0.1), 3)):
-            for theta, want in ((0.0, 2), (0.9, rotated), (math.pi, rotated)):
+        for params, rotated in ((PARAMS, []), (dataclasses.replace(PARAMS, p_prep=0.01), []),
+                                (NoiseParams(p_meas=0.02, xi=0.1), [2])):
+            for theta, want in ((0.0, []), (0.9, rotated), (math.pi, rotated)):
                 calls.clear()
                 run_pair(sequence, dataclasses.replace(params, theta=theta), 1000, 4,
                          analytic_xi=analytic)
-                assert len(calls) == want, (params, theta)
+                assert calls == want, (params, theta)
+
+    def test_decoded_coded_ideal_equals_uncoded_exactly(self):
+        """Criterion 8's suite with no tolerance: every Clifford ideal
+        marginal is exact, so decoding the coded one gives the uncoded one
+        bit for bit, and the worst distance is 0."""
+        worst = 0.0
+        for i in range(200):
+            seq = random_sequence(SequenceSpec(GateSetId.FULL, 1 + i % 8, derive_seed(8, i)))
+            unc, cod = build_pair(seq)
+            decoded = decode_distribution(ideal_distribution(cod))
+            assert np.array_equal(decoded.vec, ideal_distribution(unc).vec), i
+            worst = max(worst, trace_distance(decoded, ideal_distribution(unc)))
+        assert worst == 0.0
 
 
 class TestSweeps:

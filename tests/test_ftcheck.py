@@ -336,13 +336,14 @@ class TestAgainstBruteForce:
 
     def test_one_statevector_per_clifford_check(self, monkeypatch):
         """Every fault in a Clifford circuit is read off the ideal outcome
-        vector, so the whole check runs the ideal circuit once."""
+        vector, which the table's signed frame gives on |0...0>, so the
+        whole check runs no statevector at all."""
         runs = []
         original = simulator._evolve
         monkeypatch.setattr(simulator, "_evolve", lambda *a: runs.append(a) or original(*a))
         report = verify_single_faults(CHECKED, "postselect+ancilla", include_preparation=True)
         assert len(report.classifications) == 5 + 3 + 5 * 15
-        assert len(runs) == 1
+        assert len(runs) == 0
 
 
 class TestPerMaskCost:

@@ -38,9 +38,12 @@ from qec422.simulator import (
     _evolve,
     bitstring_of,
     final_state,
+    frame_spectrum,
     ideal_distribution,
+    ideal_marginal,
     marginal_vector,
     outcome_vector,
+    spectrum_marginal,
 )
 from qec422.analytics import trace_distance
 
@@ -410,8 +413,8 @@ def test_batched_transform_equals_the_butterfly(m):
 
 def _per_site_outcomes(circuit: Circuit, params: NoiseParams, table: FlipMaskTable,
                        base: np.ndarray) -> np.ndarray:
-    """Reference suffix: one bincount, one transform and one power per
-    unique folded site, multiplied into the spectrum in site order."""
+    """Reference suffix on the base spectrum: one bincount, one transform
+    and one power per unique folded site, multiplied in site order."""
     n_bits = len(circuit.measured)
     sites: Counter = Counter()
     for row in filter(None, table.gate_masks):
@@ -420,13 +423,13 @@ def _per_site_outcomes(circuit: Circuit, params: NoiseParams, table: FlipMaskTab
         sites.update((params.p_prep, (0, mask)) for mask in table.prep_masks[1:])
     sites.update((params.p_meas, (0, 1 << t)) for t in range(n_bits))
     firing = [(p, masks, count) for (p, masks), count in sites.items() if p > 0.0]
-    vec, total = base, 1.0
+    vec, total = spectrum_marginal(base), 1.0
     if firing:
         spec = np.ones(1 << n_bits)
         for p, masks, count in firing:
             w = [1.0 - p] + [p / (len(masks) - 1)] * (len(masks) - 1)
             spec *= _wht_1d(np.bincount(masks, w, minlength=len(spec))) ** count
-        vec = np.maximum(_wht_1d(_wht_1d(base) * spec), 0.0)
+        vec = np.maximum(_wht_1d(base * spec), 0.0)
         total = vec.sum()
     return (1.0 - params.xi) * vec / total + params.xi / len(vec)
 
@@ -447,7 +450,7 @@ class TestBatchedSuffix:
 
     def _check(self, c: Circuit, params: NoiseParams) -> FlipMaskTable:
         table = FlipMaskTable(c)
-        base = noise.ideal_marginal(c)
+        base = frame_spectrum(c, table.frame)
         got = noise._clifford_outcomes(c, params, table, base)
         assert np.array_equal(got, _per_site_outcomes(c, params, table, base))
         return table
@@ -584,13 +587,20 @@ class TestFrameSplit:
 
 
 class TestEngineCost:
-    """Deterministic pins on how many statevector runs noisy_counts makes."""
+    """Deterministic pins on how many ideal bases noisy_counts reads."""
 
     @staticmethod
     def _record_sims(monkeypatch) -> list:
+        """Circuits whose ideal spectrum is read; a prefix's vec(rho) is not."""
         calls = []
-        original = noise.ideal_marginal
-        monkeypatch.setattr(noise, "ideal_marginal", lambda c: calls.append(c) or original(c))
+        original = noise.frame_spectrum
+
+        def record(c, frame, rho=None):
+            if rho is None:
+                calls.append(c)
+            return original(c, frame, rho)
+
+        monkeypatch.setattr(noise, "frame_spectrum", record)
         return calls
 
     def test_clifford_circuit_simulates_once(self, monkeypatch):
@@ -631,8 +641,8 @@ class TestEngineCost:
         is the one ideal statevector run."""
         c = parse_circuit("qubits 2\nRZ 0 0.7\nH 0\nCNOT 0 1\nMEASURE 0 1\n")
         prefixes = []
-        original = noise._prefix_marginal
-        monkeypatch.setattr(noise, "_prefix_marginal", lambda *a: prefixes.append(a) or original(*a))
+        original = noise._prefix_state
+        monkeypatch.setattr(noise, "_prefix_state", lambda *a: prefixes.append(a) or original(*a))
         calls = self._record_sims(monkeypatch)
         noisy_counts(c, NoiseParams(eps1=0.2, eps2=0.3, p_meas=0.1, xi=0.1), 100, 1)
         assert (len(prefixes), len(calls)) == (0, 1)
@@ -644,7 +654,7 @@ class TestEngineCost:
         bit for bit, mixed by xi; no transform round trip."""
         for seed in range(10):
             c = _with_rzs(random_clifford(seed, n_qubits=2 + seed % 3, n_extra=seed), seed % 2, seed)
-            ideal = noise.ideal_marginal(c)
+            ideal = ideal_marginal(c)
             assert np.array_equal(noise.noisy_vector(c, NoiseParams(theta=0.3)), ideal)
             mixed = noise.noisy_vector(c, NoiseParams(xi=0.25))
             assert np.array_equal(mixed, 0.75 * ideal + 0.25 / len(ideal))
@@ -707,7 +717,7 @@ class TestSpectrumDraw:
         def refuse(*args):
             raise AssertionError("a Clifford circuit built a density-matrix prefix")
 
-        monkeypatch.setattr(noise, "_prefix_marginal", refuse)
+        monkeypatch.setattr(noise, "_prefix_state", refuse)
         for seed in range(10):
             c = random_clifford(seed, n_qubits=2 + seed % 4, n_extra=seed)
             for shots in (1, 7, 10_000):
@@ -839,16 +849,18 @@ class TestConjugateBy:
     def test_prefix_builds_only_ket_tables(self):
         """One noisy_vector on the coherent workload's circuit (HHSWAP x 6,
         coded, RZ after the encoder's H) builds one kernel table per ket
-        gate placement ahead of the tail on 2n bits, and none for a bra."""
+        gate placement up to the last RZ on 2n bits, the H and the RZ,
+        and none for a bra."""
         circuit = build_pair(random_sequence(SequenceSpec(GateSetId.SINGLE_HHSWAP, 6, 0)))[1]
         circuit = insert_coherent_rotation(circuit, 0.9)
         simulator._table.cache_clear()
         noisy_vector(circuit, NoiseParams(eps1=4e-3, eps2=0.16, p_meas=0.02))
-        assert simulator._table.cache_info().currsize == 8
+        assert simulator._table.cache_info().currsize == 2
 
 
 def _prefix_every_gate(circuit: Circuit, params: NoiseParams, split: int) -> np.ndarray:
-    """Reference prefix: every gate conjugated through the kernel, no tail."""
+    """Reference prefix: every gate conjugated through the kernel, and the
+    marginal read off the diagonal, with no frame."""
     n = circuit.n_qubits
     rho = np.zeros(1 << (2 * n), dtype=complex)
     rho[0] = 1.0
@@ -863,23 +875,43 @@ def _prefix_every_gate(circuit: Circuit, params: NoiseParams, split: int) -> np.
 
 
 class TestPrefixTail:
-    def test_prefix_is_bit_exact(self, random_clifford):
-        """_prefix_marginal stops its gates at the last H or RZ and
-        moves the diagonal of rho through the rest; with preparation flips
-        and gate faults ahead of an RZ it equals the reference bit for bit."""
-        for seed in range(40):
+    """The prefix runs vec(rho) up to the last RZ, and the signed frame
+    reads the spectrum the gates after it would leave."""
+
+    def test_prefix_matches_every_gate_reference(self, random_clifford):
+        """With preparation flips and gate faults ahead of one or two RZs,
+        the base read off the prefix's vec(rho) equals the marginal of a
+        density matrix run through every gate, to 1e-13."""
+        for seed in range(300):
             rng = np.random.default_rng(seed)
-            c = random_clifford(seed, n_qubits=2 + seed % 4, n_extra=seed % 20)
+            c = random_clifford(seed, n_qubits=2 + seed % 4, n_extra=seed % 25)
             gates = [g for g in c.gates if seed % 3 or g.kind is not GateKind.H]
-            split = int(rng.integers(0, len(gates) + 1))
-            gates.insert(split, _g(GateKind.RZ, int(rng.integers(c.n_qubits)), angle=0.9))
+            for _ in range(1 + seed % 2):
+                gates.insert(int(rng.integers(0, len(gates) + 1)),
+                             _g(GateKind.RZ, int(rng.integers(c.n_qubits)), angle=float(rng.uniform(-3, 3))))
             c = c.with_gates(gates)
+            table = FlipMaskTable(c)
             params = NoiseParams(*rng.uniform(0.01, 0.2, 2), p_prep=float(rng.uniform(0.01, 0.2)))
-            assert np.array_equal(noise._prefix_marginal(c, params, FlipMaskTable(c)),
-                                  _prefix_every_gate(c, params, split)), seed
+            got = spectrum_marginal(frame_spectrum(c, table.frame, noise._prefix_state(c, params, table)))
+            np.testing.assert_allclose(got, _prefix_every_gate(c, params, table.frame[0]),
+                                       rtol=0, atol=1e-13, err_msg=str(seed))
+
+    def test_coherent_prefix_conjugates_two_gates(self, monkeypatch):
+        """On the coherent workload's circuit (HHSWAP x 6, coded, RZ after
+        the encoder's H) the prefix runs the H and the RZ, and nothing
+        else runs a gate."""
+        circuit = build_pair(random_sequence(SequenceSpec(GateSetId.SINGLE_HHSWAP, 6, 0)))[1]
+        circuit = insert_coherent_rotation(circuit, 0.9)
+        assert len(circuit.gates) == 29
+        conjugated, runs = [], []
+        conjugate, evolve = noise._conjugate_by, simulator._evolve
+        monkeypatch.setattr(noise, "_conjugate_by", lambda rho, g, n: conjugated.append(g) or conjugate(rho, g, n))
+        monkeypatch.setattr(simulator, "_evolve", lambda *a: runs.append(a) or evolve(*a))
+        noisy_vector(circuit, NoiseParams(eps1=4e-3, eps2=0.16, p_meas=0.02, p_prep=0.01))
+        assert conjugated == circuit.gates[:2] and runs == []
 
     def test_prefix_mixes_exactly_the_unfolded_sites(self, monkeypatch, random_clifford):
-        """The table alone says what the frame folds: _prefix_marginal
+        """The table alone says what the frame folds: _prefix_state
         mixes one channel after exactly the gates whose row is None, and
         one per qubit before the first gate exactly when prep_masks is
         None.  Every channel is on, and the RZ, when there is one, sits
@@ -900,7 +932,7 @@ class TestPrefixTail:
             table = FlipMaskTable(c)
             params = NoiseParams(*rng.uniform(0.01, 0.2, 2), p_prep=float(rng.uniform(0.01, 0.2)))
             events.clear()
-            noise._prefix_marginal(c, params, table)
+            noise._prefix_state(c, params, table)
             mixed, after = [], -1  # (index of the gate a channel follows, its targets)
             for e in events:
                 if e is None:

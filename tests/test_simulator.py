@@ -1,5 +1,7 @@
 """Statevector engine: gate semantics, conventions, distributions, sampling."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -258,65 +260,96 @@ class TestKernelAgainstUnitaries:
                                            rtol=0, atol=1e-12)
 
 
-class TestMonomialTail:
-    """ideal_marginal runs the statevector only up to the last H or RZ and
-    moves the probabilities through the monomial tail after it; its bytes
-    must equal the full statevector's marginal."""
+# A signed frame's test circuits: heavy in S, CZ, SWAP and the Paulis
+_FRAME_KINDS = [GateKind.S, GateKind.CZ, GateKind.SWAP, GateKind.X, GateKind.Y, GateKind.Z] * 2 + [
+    GateKind.H, GateKind.CNOT]
 
-    @staticmethod
-    def _circuits(rng: np.random.Generator):
-        """Per n in 1..6: circuits with no H or RZ (all tail), ending in H
-        (empty tail), with one H or RZ at a random position, and with
-        every kind shuffled; measured qubits a random permuted subset."""
-        for n in range(1, 7):
-            for case in range(16):
-                gates = _random_gates(rng, n, int(rng.integers(0, 30)))
-                if case % 4 < 3:
-                    gates = [g for g in gates if g.kind not in (GateKind.H, GateKind.RZ)]
-                if case % 4 == 1:
-                    gates.append(_g(GateKind.H, int(rng.integers(n))))
-                elif case % 4 == 2:
-                    kind = (GateKind.H, GateKind.RZ)[case % 8 // 4]
-                    gates.insert(int(rng.integers(len(gates) + 1)),
-                                 _g(kind, int(rng.integers(n)), angle=0.7 if kind.takes_angle else None))
-                measured = [int(q) for q in rng.permutation(n)[:int(rng.integers(1, n + 1))]]
-                yield Circuit(n, gates, measured)
 
-    def test_ideal_marginal_is_bit_exact(self):
+def _frame_circuits(rng: np.random.Generator, count: int):
+    """count circuits on 1 to 5 qubits with 0 to 2 RZs at random places;
+    measured qubits a random permuted subset."""
+    for k in range(count):
+        n = 1 + k % 5
+        kinds = [kind for kind in _FRAME_KINDS if kind.arity <= n]
+        gates = [_g(kinds[j], *(int(q) for q in rng.choice(n, kinds[j].arity, replace=False)))
+                 for j in rng.integers(0, len(kinds), int(rng.integers(0, 30)))]
+        for _ in range(k % 3):
+            gates.insert(int(rng.integers(len(gates) + 1)),
+                         _g(GateKind.RZ, int(rng.integers(n)), angle=float(rng.uniform(-3, 3))))
+        measured = [int(q) for q in rng.permutation(n)[:int(rng.integers(1, n + 1))]]
+        yield Circuit(n, gates, measured)
+
+
+def _signed_pauli(xcol: list, zcol: list, sign: int) -> np.ndarray:
+    """Dense (-1)**sign i**popcount(x & z) X^x Z^z of observable 0."""
+    factors = {q: _PAULI["IXZY"[(x & 1) + 2 * (z & 1)]] for q, (x, z) in enumerate(zip(xcol, zcol))}
+    return (-1) ** (sign & 1) * _embed(factors, len(xcol))
+
+
+class TestSignedFrame:
+    """ideal_marginal reads the spectrum off the signed frame at the last
+    RZ: off |0...0> in a Clifford circuit, else off the statevector up to
+    that RZ."""
+
+    def test_matches_the_full_statevector(self):
+        """Spectrum and marginal against the full statevector's marginal and
+        its transform, to 1e-13, on 2,400 random circuits."""
         rng = np.random.default_rng(26)
-        for c in self._circuits(rng):
+        for c in _frame_circuits(rng, 2400):
             want = simulator.marginal_vector(final_state(c).probabilities(), c.n_qubits, c.measured)
-            assert np.array_equal(ideal_marginal(c), want), c
+            spectrum = simulator.frame_spectrum(c, simulator.pauli_frame(c))
+            np.testing.assert_allclose(spectrum, simulator._wht(want), rtol=0, atol=1e-13, err_msg=str(c))
+            np.testing.assert_allclose(ideal_marginal(c), want, rtol=0, atol=1e-13, err_msg=str(c))
 
-    def test_tail_map_matches_the_kernel(self):
-        """The tail sends basis index i to c ^ XOR(cols[q] over bits q of
-        i) with a phase of +-1 or +-i, and starts right after the last H or RZ."""
-        rng = np.random.default_rng(27)
-        for c in self._circuits(rng):
-            n, gates = c.n_qubits, c.gates
-            s, cols, const = simulator.monomial_tail(gates, n)
-            stops = [i for i, g in enumerate(gates) if g.kind in (GateKind.H, GateKind.RZ)]
-            assert s == (stops[-1] + 1 if stops else 0)
-            for i in range(1 << n):
-                out = _evolve(np.eye(1 << n, dtype=complex)[i], gates[s:], n)
-                dest = const
-                for q in range(n):
-                    dest ^= cols[q] * ((i >> q) & 1)
-                assert np.flatnonzero(out).tolist() == [dest]
-                assert out[dest] in (1, -1, 1j, -1j)
+    def test_each_gate_conjugates_like_its_unitary(self):
+        """conjugate_frame sends every signed Pauli on three qubits to
+        G^dagger P G, sign included, for every Clifford gate placement."""
+        n = 3
+        for kind in GateKind:
+            if kind is GateKind.RZ:
+                continue
+            for targets in itertools.permutations(range(n), kind.arity):
+                U = _unitary(_g(kind, *targets), n)
+                for x, z, sign in itertools.product(range(1 << n), range(1 << n), (0, 1)):
+                    xcol, zcol = [(x >> q) & 1 for q in range(n)], [(z >> q) & 1 for q in range(n)]
+                    want = U.conj().T @ _signed_pauli(xcol, zcol, sign) @ U
+                    sign = simulator.conjugate_frame(xcol, zcol, sign, kind, targets)
+                    np.testing.assert_allclose(_signed_pauli(xcol, zcol, sign), want, atol=1e-12,
+                                               err_msg=f"{kind} {targets} {x} {z}")
 
-    def test_statevector_stops_at_the_last_h(self, monkeypatch):
-        """Cost as a count: the gates the statevector kernel runs."""
+    def test_clifford_marginals_are_dyadic(self):
+        """A Clifford circuit's ideal marginal is exactly the true one: each
+        entry the statevector's rounded to a multiple of 2**-m."""
+        rng = np.random.default_rng(28)
+        circuits = [c for c in _frame_circuits(rng, 600) if not any(g.kind is GateKind.RZ for g in c.gates)]
+        for gate_set in (GateSetId.FULL, GateSetId.REDUCED):
+            for L in (1, 5, 20, 100):
+                for seed in range(5):
+                    circuits += build_pair(random_sequence(SequenceSpec(gate_set, L, seed)))
+        for c in circuits:
+            got = ideal_marginal(c)
+            d = len(got)
+            want = simulator.marginal_vector(final_state(c).probabilities(), c.n_qubits, c.measured)
+            assert np.array_equal(got, np.round(want * d) / d) and got.sum() == 1.0, c
+
+    def test_statevector_stops_at_the_last_rz(self, monkeypatch):
+        """Cost as a count: a Clifford ideal_marginal runs no gate, and with
+        an RZ it runs the gates up to that RZ once."""
         seen = []
         original = simulator._evolve
         monkeypatch.setattr(simulator, "_evolve",
                             lambda amp, gates, n: seen.append(len(gates)) or original(amp, gates, n))
         reduced = build_pair(random_sequence(SequenceSpec(GateSetId.REDUCED, 100, 1)))
         full = build_pair(random_sequence(SequenceSpec(GateSetId.FULL, 100, 1)) + [LogicalGate.HHSWAP])
-        for (unc, cod), want in ((reduced, (0, 1)), (full, (len(full[0].gates) - 3, len(full[1].gates)))):
-            seen.clear()
-            ideal_marginal(unc), ideal_marginal(cod)
-            assert tuple(seen) == want
+        for c in (*reduced, *full):
+            ideal_marginal(c)
+        assert seen == []
+        coded = full[1]
+        for at in (0, 5, len(coded.gates) - 1):
+            gates = list(coded.gates)
+            gates.insert(at, _g(GateKind.RZ, 1, angle=0.4))
+            ideal_marginal(coded.with_gates(gates))
+            assert seen.pop() == at + 1 and seen == []
 
 
 class TestKernelValidation:
