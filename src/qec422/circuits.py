@@ -141,8 +141,12 @@ def parse_circuit(text: str) -> Circuit:
     n_qubits: int | None = None
     gates: list[GateInstance] = []
     measured: list[int] | None = None
+    parsed: dict[str, GateInstance] = {}  # gate line -> its gate, parsed once
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
+        if measured is None and raw in parsed:
+            gates.append(parsed[raw])
+            continue
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -191,7 +195,7 @@ def parse_circuit(text: str) -> Circuit:
             except ValueError:
                 raise CircuitParseError(f"bad angle {tokens[-1]!r}", line_no) from None
         try:
-            gates.append(GateInstance(kind, targets, angle))
+            gates.append(parsed.setdefault(raw, GateInstance(kind, targets, angle)))
         except CircuitError as exc:
             raise CircuitParseError(str(exc), line_no) from None
 

@@ -172,18 +172,23 @@ def _selection_bins(n_bits: int, ancilla_bit: int | None) -> np.ndarray:
     return bins
 
 
-def selection_split(vec: np.ndarray,
-                    ancilla_bit: int | None = None) -> tuple[np.ndarray, float, float]:
+def selection_split(vec: np.ndarray, ancilla_bit: int | None = None) -> tuple:
     """Split an outcome vector of counts or probabilities into (retained
     16-entry data vector, parity-rejected mass, ancilla-rejected mass).
 
     The data are the first DATA_QUBITS read-out bits.  Odd data parity
     rejects; otherwise a set read-out bit ancilla_bit rejects, so an
-    outcome failing both counts as a parity rejection.
+    outcome failing both counts as a parity rejection.  A stack of vectors,
+    one per row, is split by one bincount into one part or mass per row.
     """
-    bins = _selection_bins(len(vec).bit_length() - 1, ancilla_bit)
-    split = np.bincount(bins, weights=vec, minlength=_ANCILLA_BIN + 1)
-    return split[:_PARITY_BIN], float(split[_PARITY_BIN]), float(split[_ANCILLA_BIN])
+    n = _ANCILLA_BIN + 1
+    bins = _selection_bins(vec.shape[-1].bit_length() - 1, ancilla_bit)
+    if vec.ndim == 1:
+        split = np.bincount(bins, weights=vec, minlength=n)
+        return split[:_PARITY_BIN], float(split[_PARITY_BIN]), float(split[_ANCILLA_BIN])
+    split = np.bincount((bins + n * np.arange(len(vec))[:, None]).ravel(), weights=vec.ravel(),
+                        minlength=n * len(vec)).reshape(-1, n)
+    return split[:, :_PARITY_BIN], split[:, _PARITY_BIN], split[:, _ANCILLA_BIN]
 
 
 def decode(bitstring: str) -> str | None:

@@ -8,12 +8,12 @@ before the circuit on each qubit) and works out each faulted outcome
 vector exactly.  One backward Pauli-frame sweep (noise.FlipMaskTable)
 gives every fault after the last RZ -- every fault, in a Clifford
 circuit -- as a read-out flip mask: the ideal outcome vector with
-indices XORed by the mask.  Each distinct mask is split and classified
-once, so folded sites on m read-out bits cost O(min(sites, 2^m) * 2^m)
-plus O(1) per site.  Faults ahead of the last RZ are simulated, one
-simulator.ideal_marginal of the faulted circuit each.  Each vector is
-split with code.selection_split (the rule post-selection applies to
-sampled counts) and the result classified:
+indices XORed by the mask.  The distinct masks of all folded rows are
+classified together, one code.selection_split of their stack, and each
+distinct gate row's verdicts are copied to its sites: on m read-out bits
+O(min(sites, 2^m) * 2^m) entries are split once, plus O(1) per site.
+Faults ahead of the last RZ are simulated, one simulator.ideal_marginal
+of the faulted circuit each, and classified by the same rule:
 
 Harmless                  retained distribution and retention both unchanged
 DetectedPostSelection     probability mass moved into odd-parity strings
@@ -29,8 +29,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import groupby
-from operator import attrgetter
+from functools import partial
+from itertools import takewhile
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,8 +53,12 @@ class FaultClassification:
     UNDETECTED_LOGICAL_ERROR = "UndetectedLogicalError"
 
 
-@dataclass(frozen=True)
-class FaultSite:
+# the verdicts in report order, indexed by _classify's codes
+_VERDICTS = (FaultClassification.HARMLESS, FaultClassification.DETECTED_POSTSELECTION,
+             FaultClassification.DETECTED_ANCILLA, FaultClassification.UNDETECTED_LOGICAL_ERROR)
+
+
+class FaultSite(NamedTuple):
     """One Pauli fault location: after gate gate_index, or a preparation
     X flip when gate_index is -1."""
 
@@ -73,22 +78,39 @@ class FaultSite:
         return "eps1/3" if len(self.pauli) == 1 else "eps2/15"
 
 
+# FaultSite((gate_index, targets, pauli)) without the Python-level __new__ of a NamedTuple
+_site = partial(tuple.__new__, FaultSite)
+
+
 def enumerate_single_faults(circuit: Circuit, include_preparation: bool = False) -> list[FaultSite]:
     """All single-fault sites, in circuit order."""
-    sites: list[FaultSite] = []
-    if include_preparation:
-        for q in range(circuit.n_qubits):
-            sites.append(FaultSite(-1, (q,), "X"))
+    sites = [_site((-1, (q,), "X")) for q in range(circuit.n_qubits)] if include_preparation else []
     for i, g in enumerate(circuit.gates):
-        labels = ONE_QUBIT_PAULIS if g.kind.arity == 1 else TWO_QUBIT_PAULIS
-        for pauli in labels:
-            sites.append(FaultSite(i, g.targets, pauli))
+        sites += [_site((i, g.targets, pauli))
+                  for pauli in (ONE_QUBIT_PAULIS if g.kind.arity == 1 else TWO_QUBIT_PAULIS)]
     return sites
 
 
 # ---------------------------------------------------------------------------
 # Classification
 # ---------------------------------------------------------------------------
+
+def _classify(ideal: np.ndarray, vecs: np.ndarray, ancilla_bit: int | None) -> list[str]:
+    """Verdict of each row of vecs, a faulted outcome vector, against ideal,
+    from one selection_split of the stack [ideal, *vecs]: the rule
+    post-selection applies to sampled counts, then the module's four tests."""
+    ret, par, _ = selection_split(np.vstack((ideal, vecs)), ancilla_bit)
+    mass = ret.sum(axis=1)
+    if mass[0] <= _ATOL:
+        raise CircuitError("ideal circuit retains no probability mass")
+    kept = mass[1:] > _ATOL
+    # a changed retained distribution that still reaches the decoder is
+    # exactly what detection is supposed to prevent
+    moved = np.abs(ret[1:] / np.where(kept, mass[1:], 1.0)[:, None] - ret[0] / mass[0]).max(axis=1)
+    code = np.where(kept & (moved > _ATOL), 3, np.where(
+        np.abs(mass[1:] - mass[0]) <= _ATOL, 0, np.where(par[1:] > par[0] + _ATOL, 1, 2)))
+    return [_VERDICTS[c] for c in code.tolist()]
+
 
 def verify_single_faults(circuit: Circuit, detection: str | None = None,
                          circuit_id: str = "circuit",
@@ -101,12 +123,12 @@ def verify_single_faults(circuit: Circuit, detection: str | None = None,
     qubit, to read 0).  None picks it from the read-out: a bit beyond
     the four data bits is the ancilla.
     The flip-mask table is built once, and its frame gives the ideal
-    marginal (with no statevector in a Clifford circuit).  A fault
-    the Pauli frame folds (after the last RZ, or anywhere in a Clifford
-    circuit) permutes the ideal outcomes by its mask, so each distinct
-    mask is split and classified once and later sites with it reuse the
-    verdict.  Only the sites the table leaves unfolded (a None row, ahead
-    of the last RZ) are simulated, each inserted into the gate list.
+    marginal (with no statevector in a Clifford circuit).  A fault the
+    Pauli frame folds (after the last RZ, or anywhere in a Clifford
+    circuit) permutes the ideal outcomes by its mask, so the distinct
+    masks are classified in one split, in blocks of at most 2^16 entries,
+    and each gate's sites take its row's verdicts.  Only the sites a None
+    row leaves unfolded (ahead of the last RZ) are simulated one by one.
     """
     if len(circuit.measured) < DATA_QUBITS:
         raise CircuitError("detection needs at least the four data qubits measured")
@@ -122,41 +144,26 @@ def verify_single_faults(circuit: Circuit, detection: str | None = None,
 
     table = FlipMaskTable(circuit)
     ideal = spectrum_marginal(frame_spectrum(circuit, table.frame))
+    # one row per site group, in site order: row[k] is the mask of the group's k-th site
+    rows = [table.prep_masks] * include_preparation + table.gate_masks
+    folded = set(rows) - {None}
+    masks = np.array(sorted(set().union(*folded)))
+    step = max(1, (1 << 16) >> len(circuit.measured))
     idx = np.arange(len(ideal))
-    ideal_ret, ideal_par, _ = selection_split(ideal, ancilla_bit)
-    ideal_mass = ideal_ret.sum()
-    if ideal_mass <= _ATOL:
-        raise CircuitError("ideal circuit retains no probability mass")
-
-    def classify(vec: np.ndarray) -> str:
-        ret, par, _ = selection_split(vec, ancilla_bit)
-        mass = ret.sum()
-        # a changed retained distribution that still reaches the decoder is
-        # exactly what detection is supposed to prevent
-        if mass > _ATOL and np.max(np.abs(ret / mass - ideal_ret / ideal_mass)) > _ATOL:
-            return FaultClassification.UNDETECTED_LOGICAL_ERROR
-        if abs(mass - ideal_mass) <= _ATOL:
-            return FaultClassification.HARMLESS
-        if par > ideal_par + _ATOL:
-            return FaultClassification.DETECTED_POSTSELECTION
-        return FaultClassification.DETECTED_ANCILLA
+    by_mask = dict(zip(masks.tolist(), [
+        v for k in range(0, len(masks), step)
+        for v in _classify(ideal, ideal[idx ^ masks[k:k + step, None]], ancilla_bit)]))
+    by_row = {row: [by_mask[m] for m in row[1:]] for row in folded}
 
     sites = enumerate_single_faults(circuit, include_preparation)
-    by_mask: dict[int, str] = {}  # folded flip mask -> its verdict
     out = []
-    # sites come grouped by gate in table order: a group's k-th is fault k of its row
-    for i, group in groupby(sites, key=attrgetter("gate_index")):
-        row = table.gate_masks[i] if i >= 0 else table.prep_masks
-        for k, site in enumerate(group, start=1):
-            if row is None:  # unfolded: after gate i, or before the first gate when i is -1
-                fault = [GateInstance(GateKind[c], (q,))
-                         for c, q in zip(site.pauli, site.targets) if c != "I"]
-                out.append(classify(ideal_marginal(circuit.with_gates(
-                    circuit.gates[:i + 1] + fault + circuit.gates[i + 1:]))))
-            else:
-                if row[k] not in by_mask:
-                    by_mask[row[k]] = classify(ideal[idx ^ row[k]])
-                out.append(by_mask[row[k]])
+    # the unfolded sites, after a gate ahead of the last RZ or before the first gate, lead sites
+    for i, targets, pauli in takewhile(lambda s: s.gate_index < table.frame[0], sites):
+        fault = [GateInstance(GateKind[c], (q,)) for c, q in zip(pauli, targets) if c != "I"]
+        out += _classify(ideal, ideal_marginal(circuit.with_gates(
+            circuit.gates[:i + 1] + fault + circuit.gates[i + 1:])), ancilla_bit)
+    for row in filter(None, rows):
+        out += by_row[row]
     return FTReport(circuit_id, detection, list(zip(sites, out)))
 
 
@@ -197,32 +204,24 @@ class FTReport:
                           for unit, k in self.undetected_counts().items() if k) or "0"
 
     def tally(self) -> dict[str, int]:
-        out = {c: 0 for c in (FaultClassification.HARMLESS,
-                              FaultClassification.DETECTED_POSTSELECTION,
-                              FaultClassification.DETECTED_ANCILLA,
-                              FaultClassification.UNDETECTED_LOGICAL_ERROR)}
-        for _, c in self.classifications:
-            out[c] += 1
-        return out
+        verdicts = [c for _, c in self.classifications]
+        return {c: verdicts.count(c) for c in _VERDICTS}
 
     def to_json(self) -> str:
-        return json.dumps({
+        """The header through json.dumps, so circuit_id keeps its escaping, then the sites."""
+        head = json.dumps({
             "circuit_id": self.circuit_id,
             "detection": self.detection,
             "fault_tolerant": self.fault_tolerant,
             "n_sites": len(self.classifications),
             "tally": self.tally(),
             "undetected_fraction": self.undetected_fraction_text(),
-            "sites": [
-                {
-                    "gate_index": s.gate_index,
-                    "targets": list(s.targets),
-                    "pauli": s.pauli,
-                    "classification": c,
-                }
-                for s, c in self.classifications
-            ],
         })
+        # each field is an int list or a plain ASCII word, so no escaping is needed
+        targets = {t: str(list(t)) for t in {s.targets for s, _ in self.classifications}}
+        sites = ", ".join([f'{{"gate_index": {i}, "targets": {targets[t]}, "pauli": "{p}", '
+                           f'"classification": "{c}"}}' for (i, t, p), c in self.classifications])
+        return f'{head[:-1]}, "sites": [{sites}]}}'
 
     def format_table(self) -> str:
         lines = [

@@ -346,7 +346,14 @@ def pauli_frame(circuit: Circuit) -> tuple[int, list[int], list[int], int]:
         kind, t = gates[i].kind, gates[i].targets
         if kind is _RZ:
             return i, xcol, zcol, sign
-        if kind is not _S or xcol[t[0]]:  # S fixes an X-free column, sign included
+        # a Pauli gate only negates the observables it anticommutes with
+        if kind is _X:
+            sign ^= zcol[t[0]]
+        elif kind is _Z:
+            sign ^= xcol[t[0]]
+        elif kind is _Y:
+            sign ^= xcol[t[0]] ^ zcol[t[0]]
+        elif kind is not _S or xcol[t[0]]:  # S fixes an X-free column, sign included
             sign = conjugate_frame(xcol, zcol, sign, kind, t)
     return -1, xcol, zcol, sign
 

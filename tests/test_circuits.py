@@ -14,7 +14,8 @@ from qec422.circuits import (
     parse_circuit,
     serialize_circuit,
 )
-from qec422.noise import NoiseParams
+from qec422.experiments import GateSetId, SequenceSpec, build_pair, random_sequence
+from qec422.noise import NoiseParams, insert_coherent_rotation
 
 
 class TestGateInstance:
@@ -148,6 +149,45 @@ class TestParser:
             parse_circuit(text)
         assert err.value.line_no == line_no
         assert str(err.value) == f"line {line_no}: {message}"
+
+
+class TestRepeatedLines:
+    """A gate line is parsed once; every later copy reuses its gate."""
+
+    def test_repeated_lines_equal_a_parse_that_shares_nothing(self):
+        lines = ["H 1", "CNOT 1 0", "RZ 2 0.25", "H 1", "CZ 0 2  # c", "CNOT 1 0", "RZ 2 0.25",
+                 "  H 1", "CZ 0 2  # c", "RZ 2 0.250", "H 1"]
+        shared = parse_circuit("qubits 3\n" + "\n".join(lines) + "\nMEASURE 0 1 2\n")
+        alone = [parse_circuit(f"qubits 3\n{line}\nMEASURE 0\n").gates[0] for line in lines]
+        assert shared.gates == alone
+        assert len({id(g) for g in shared.gates}) < len(lines)
+
+    @pytest.mark.parametrize("bad, message", [
+        ("CNOT 0 0", "CNOT targets must be distinct: (0, 0)"),
+        ("X 3", "qubit index 3 out of range [0, 2)"),
+        ("RZ 0 nan", "RZ angle must be a finite real number, got nan"),
+    ])
+    def test_a_repeated_bad_line_names_its_first_copy(self, bad, message):
+        text = f"qubits 2\nH 0\n{bad}\nH 0\n{bad}\n{bad}\nMEASURE 0 1\n"
+        with pytest.raises(CircuitParseError) as err:
+            parse_circuit(text)
+        assert str(err.value) == f"line 3: {message}"
+
+    def test_a_repeated_gate_line_after_measure_is_refused(self):
+        with pytest.raises(CircuitParseError) as err:
+            parse_circuit("qubits 2\nX 0\nCNOT 0 1\nMEASURE 0 1\nCNOT 0 1\n")
+        assert str(err.value) == "line 5: MEASURE must be the final line"
+
+    def test_full_set_circuits_with_rz_round_trip(self):
+        rng = np.random.default_rng(31)
+        for seed in range(20):
+            coded = build_pair(random_sequence(SequenceSpec(GateSetId.FULL, 1 + 5 * seed, seed)))[1]
+            for theta in rng.normal(size=2) * 3:
+                coded = insert_coherent_rotation(coded, float(theta))
+            assert sum(g.kind is GateKind.RZ for g in coded.gates) == 2
+            text = serialize_circuit(coded)
+            assert parse_circuit(text) == coded
+            assert serialize_circuit(parse_circuit(text)) == text
 
 
 def _random_circuit(rng: np.random.Generator) -> Circuit:

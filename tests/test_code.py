@@ -276,3 +276,15 @@ class TestSelectionSplit:
         for s, p in ret_p.items():
             np.testing.assert_allclose(retained.probs[s], p / r, rtol=1e-14)
         np.testing.assert_allclose([vec_par, vec_anc], [par_p, anc_p], rtol=1e-14)
+
+    @pytest.mark.parametrize("n_bits, ancilla_bit", [(4, None), (5, None), (5, 4), (7, 6)])
+    def test_a_stack_splits_row_by_row(self, n_bits, ancilla_bit):
+        """Each row of a stacked split is bit for bit the split of that row alone."""
+        vecs = np.random.default_rng(n_bits).random((9, 1 << n_bits))
+        vecs[3] = 0.0
+        ret, par, anc = selection_split(vecs, ancilla_bit)
+        assert ret.shape == (9, 16) and par.shape == anc.shape == (9,)
+        for k, vec in enumerate(vecs):
+            one_ret, one_par, one_anc = selection_split(vec, ancilla_bit)
+            np.testing.assert_array_equal(ret[k], one_ret)
+            assert (par[k], anc[k]) == (one_par, one_anc)

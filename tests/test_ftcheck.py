@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from qec422 import ftcheck, simulator
@@ -12,6 +13,7 @@ from qec422.code import (
     LogicalStateLabel,
     build_encoder,
     coded_gate_circuit,
+    selection_split,
 )
 from qec422.experiments import GateSetId, SequenceSpec, build_pair, random_sequence
 from qec422.ftcheck import (
@@ -22,7 +24,7 @@ from qec422.ftcheck import (
     verify_single_faults,
 )
 from qec422.noise import FlipMaskTable, insert_coherent_rotation
-from qec422.simulator import ideal_distribution
+from qec422.simulator import ideal_distribution, ideal_marginal
 
 HARMLESS = FaultClassification.HARMLESS
 DETECTED_POSTSELECTION = FaultClassification.DETECTED_POSTSELECTION
@@ -347,8 +349,9 @@ class TestAgainstBruteForce:
 
 
 class TestPerMaskCost:
-    """Each distinct folded flip mask is split once; only sites ahead of
-    the last RZ are split one by one."""
+    """On five read-out bits all distinct folded flip masks fit one block,
+    so they take one split in all; only sites ahead of the last RZ are
+    split one by one."""
 
     @pytest.mark.parametrize("circuit, detection", [
         (CHECKED, "postselect+ancilla"),
@@ -365,5 +368,109 @@ class TestPerMaskCost:
         rows = [table.prep_masks, *table.gate_masks]  # site gate_index i reads rows[i + 1]
         masks = {m for row in filter(None, rows) for m in row[1:]}
         ahead = sum(rows[s.gate_index + 1] is None for s, _ in report.classifications)
-        assert len(calls) <= 1 + len(masks) + ahead
+        assert len(calls) == 1 + ahead
         assert len(masks) <= 2 ** len(circuit.measured)
+
+
+def _per_vector_rule(ideal, vec, ancilla_bit):
+    """The classification rule applied to one faulted vector at a time."""
+    ideal_ret, ideal_par, _ = selection_split(ideal, ancilla_bit)
+    ideal_mass = ideal_ret.sum()
+    ret, par, _ = selection_split(vec, ancilla_bit)
+    mass = ret.sum()
+    if mass > 1e-9 and np.max(np.abs(ret / mass - ideal_ret / ideal_mass)) > 1e-9:
+        return UNDETECTED_LOGICAL_ERROR
+    if abs(mass - ideal_mass) <= 1e-9:
+        return HARMLESS
+    return DETECTED_POSTSELECTION if par > ideal_par + 1e-9 else DETECTED_ANCILLA
+
+
+class TestBatchedClassifier:
+    """The batched split and its four row-wise tests against the rule
+    applied one vector at a time."""
+
+    def test_every_mask_of_random_circuits(self, random_clifford):
+        circuits = [random_clifford(seed, n_qubits=5, n_extra=seed % 7, measure_all=True)
+                    for seed in range(12)] + list(_RZ_CIRCUITS.values())
+        seen, zero_mass, compared = set(), 0, 0
+        for circuit in circuits:
+            ideal = ideal_marginal(circuit)
+            idx = np.arange(len(ideal))
+            # every flip mask of the read-out, then a vector with no mass at all
+            vecs = np.vstack((ideal[idx ^ idx[:, None]], np.zeros(len(ideal))))
+            for ancilla_bit in (None, len(circuit.measured) - 1):
+                if ancilla_bit == 3 or selection_split(ideal, ancilla_bit)[0].sum() <= 1e-9:
+                    continue
+                got = ftcheck._classify(ideal, vecs, ancilla_bit)
+                want = [_per_vector_rule(ideal, v, ancilla_bit) for v in vecs]
+                assert got == want
+                seen.update(got)
+                compared += 1
+                zero_mass += sum(selection_split(v, ancilla_bit)[0].sum() == 0 for v in vecs[:-1])
+        assert compared >= 20
+        assert zero_mass > 0
+        assert seen == {HARMLESS, DETECTED_POSTSELECTION, DETECTED_ANCILLA,
+                        UNDETECTED_LOGICAL_ERROR}
+
+    def test_many_blocks_on_twelve_read_out_bits(self, monkeypatch, random_clifford):
+        """On 12 read-out bits a block holds 16 masks, so the masks are
+        split over many blocks of at most 2^16 entries plus the ideal's;
+        each site still gets its own mask's verdict."""
+        sizes = []
+        original = ftcheck.selection_split
+        monkeypatch.setattr(ftcheck, "selection_split",
+                            lambda vec, *a: sizes.append(vec.size) or original(vec, *a))
+        checked = 0
+        for seed in range(6):
+            circuit = random_clifford(seed, n_qubits=12, n_extra=40, measure_all=True)
+            ideal = ideal_marginal(circuit)
+            idx = np.arange(len(ideal))
+            table = FlipMaskTable(circuit)
+            # Clifford, so every row folds: the sites' masks in site order
+            masks = [m for row in [table.prep_masks, *table.gate_masks] for m in row[1:]]
+            assert len(set(masks)) > 16
+            for detection, ancilla_bit in zip(DETECTION_MODES, (None, 11)):
+                if selection_split(ideal, ancilla_bit)[0].sum() <= 1e-9:
+                    continue
+                report = verify_single_faults(circuit, detection, include_preparation=True)
+                want = [_per_vector_rule(ideal, ideal[idx ^ m], ancilla_bit) for m in masks]
+                assert [c for _, c in report.classifications] == want
+                checked += 1
+        assert checked >= 3
+        assert len(sizes) > 2 * checked and max(sizes) == (1 << 16) + (1 << 12)
+
+
+def _dict_json(report) -> str:
+    """The report through json.dumps, one dict per site: the writer's oracle."""
+    return json.dumps({
+        "circuit_id": report.circuit_id,
+        "detection": report.detection,
+        "fault_tolerant": report.fault_tolerant,
+        "n_sites": len(report.classifications),
+        "tally": report.tally(),
+        "undetected_fraction": report.undetected_fraction_text(),
+        "sites": [{"gate_index": s.gate_index, "targets": list(s.targets), "pauli": s.pauli,
+                   "classification": c} for s, c in report.classifications],
+    })
+
+
+class TestJsonWriter:
+    @pytest.mark.parametrize("circuit_id", ['plain.txt', 'a "quoted" \\ dir/ünïcødé ✓.txt'])
+    def test_equals_json_dumps_of_the_dict_layout(self, random_clifford, circuit_id):
+        rng = np.random.default_rng(5)
+        circuits = [random_clifford(seed, n_qubits=5, n_extra=seed, measure_all=True)
+                    for seed in range(8)]
+        circuits += [CHECKED, ENCODER, *_RZ_CIRCUITS.values()]
+        circuits += [insert_coherent_rotation(build_pair(random_sequence(
+            SequenceSpec(GateSetId.FULL, L, L)))[1], float(rng.normal())) for L in (1, 7, 30)]
+        written = 0
+        for circuit in circuits:
+            for prep in (False, True):
+                try:
+                    report = verify_single_faults(circuit, circuit_id=circuit_id,
+                                                  include_preparation=prep)
+                except CircuitError:  # the ideal circuit retains nothing
+                    continue
+                assert report.to_json() == _dict_json(report)
+                written += 1
+        assert written >= 24
