@@ -20,7 +20,7 @@ import numpy as np
 
 from .circuits import CircuitError
 from .noise import totally_mixed
-from .simulator import OutcomeDistribution, string_order
+from .simulator import OutcomeDistribution, ordered_sum
 
 DistributionLike = OutcomeDistribution | Mapping[str, float]
 
@@ -34,8 +34,7 @@ def trace_distance(p: DistributionLike, q: DistributionLike) -> float:
     p, q = _dist(p), _dist(q)
     if p.n_bits != q.n_bits:
         raise CircuitError(f"cannot compare {p.n_bits}-bit and {q.n_bits}-bit distributions")
-    # summed in sorted-bitstring order, so a CSV value does not depend on the vector layout
-    return 0.5 * sum(np.abs(p.vec - q.vec)[string_order(p.n_bits)].tolist())
+    return 0.5 * ordered_sum(np.abs(p.vec - q.vec))
 
 
 def _clamp(x: float) -> float:

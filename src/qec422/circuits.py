@@ -59,6 +59,7 @@ class GateKind(Enum):
     CNOT = "CNOT"
     CZ = "CZ"
     SWAP = "SWAP"
+    __hash__ = object.__hash__  # members are singletons, so identity is equality
 
     def __init__(self, value: str):
         self.arity = 2 if value in ("CNOT", "CZ", "SWAP") else 1

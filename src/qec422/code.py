@@ -34,7 +34,7 @@ from functools import lru_cache
 import numpy as np
 
 from .circuits import Circuit, CircuitError, GateInstance, GateKind
-from .simulator import OutcomeDistribution, ShotCounts, bitstring_of, index_of, string_order
+from .simulator import OutcomeDistribution, ShotCounts, bitstring_of, index_of, ordered_sum
 
 DATA_QUBITS = 4
 
@@ -60,6 +60,7 @@ class LogicalGate(Enum):
     Z1 = "Z1"
     CZZZ = "CZZZ"              # controlled-Z followed by Z on both qubits
     HHSWAP = "HHSWAP"          # Hadamard on both qubits followed by SWAP
+    __hash__ = object.__hash__  # members are singletons, so identity is equality
 
 
 CODEWORD_STRINGS: dict[LogicalStateLabel, tuple[str, ...]] = {
@@ -225,10 +226,9 @@ def post_select(raw: ShotCounts) -> PostSelectionResult:
 
 def retained_distribution(vec: np.ndarray) -> tuple[OutcomeDistribution | None, float]:
     """Post-select a 4-bit vector of counts or probabilities: (retained
-    part renormalized, or None when nothing is retained; retained mass,
-    summed in sorted-bitstring order)."""
+    part renormalized, or None when nothing is retained; retained mass)."""
     retained = selection_split(vec)[0]
-    kept = sum(retained[string_order(DATA_QUBITS)].tolist())
+    kept = ordered_sum(retained)
     if kept <= 0.0:
         return None, 0.0
     return OutcomeDistribution(retained / kept), kept

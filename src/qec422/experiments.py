@@ -23,20 +23,20 @@ from enum import Enum
 
 import numpy as np
 
-from .analytics import trace_distance
 from .circuits import Circuit, CircuitError
 from .code import (
+    DECODE_INDEX,
+    ODD,
     EncoderVariant,
     LogicalGate,
     LogicalStateLabel,
     _gate_blocks,
     build_encoder,
-    decode_distribution,
-    retained_distribution,
+    selection_split,
 )
 from .noise import (FlipMaskTable, NoiseParams, derive_seed, insert_coherent_rotation, noisy_vector,
                     sample_outcomes)
-from .simulator import PRUNE_TOL, OutcomeDistribution, frame_spectrum, spectrum_marginal
+from .simulator import frame_spectrum, ordered_sum, pruned, spectrum_marginal
 
 DEFAULT_SHOTS = 8192
 MAX_SEQUENCE_LENGTH = 1000
@@ -93,7 +93,7 @@ def random_sequence(spec: SequenceSpec) -> list[LogicalGate]:
         return [gates[0]] * spec.length
     rng = np.random.Generator(np.random.Philox(derive_seed(spec.seed, "sequence")))
     picks = rng.integers(0, len(gates), size=spec.length)
-    return [gates[int(i)] for i in picks]
+    return [gates[i] for i in picks.tolist()]
 
 
 def build_pair(sequence: list[LogicalGate]) -> tuple[Circuit, Circuit]:
@@ -137,7 +137,7 @@ class ExperimentRecord:
     timestamp: str
 
     def to_csv_row(self) -> list[str]:
-        return [(repr if f.type == "float" else str)(getattr(self, f.name)) for f in fields(self)]
+        return [write(getattr(self, name)) for name, write in _CSV_WRITERS]
 
     @classmethod
     def from_csv_row(cls, row: dict[str, str]) -> "ExperimentRecord":
@@ -147,6 +147,7 @@ class ExperimentRecord:
 
 
 CSV_COLUMNS = tuple(f.name for f in fields(ExperimentRecord))
+_CSV_WRITERS = tuple((f.name, repr if f.type == "float" else str) for f in fields(ExperimentRecord))
 
 
 def _utc_now() -> str:
@@ -179,66 +180,58 @@ def run_pair(sequence: list[LogicalGate], params: NoiseParams, shots: int,
     """Execute one sequence both ways; returns [uncoded, coded_raw, coded_ps].
 
     params.theta != 0 inserts the coherent rotation after the coded
-    encoder's Hadamard (the uncoded circuit has no encoder and runs
-    clean of it).  Each side's weights are one multinomial draw from its
-    exact noisy vector (total shots) or, with analytic_xi, the pruned
-    vector itself (total 1, so D carries no shot noise); one
-    post-selection serves both, and gamma = round(r * shots).  Each
-    unrotated circuit's one frame sweep gives both its ideal marginal and
-    the engine's base, so no statevector runs for it.  The coded_ps row
-    reports the worst case D = 1 only when post-selection retains
-    nothing, r = 0 exactly (theta = pi).
-    With analytic_xi, gamma is the rounded expected count, so a row with
-    0 < r < 1 / (2 shots) has gamma = 0 yet keeps the exact D.
+    encoder's Hadamard; the uncoded circuit runs clean of it.  Each
+    side's weights are one multinomial draw from its exact noisy vector
+    (total shots) or, with analytic_xi, the pruned vector itself (total
+    1, so D carries no shot noise); one post-selection serves both, and
+    gamma = round(r * shots).  Each unrotated circuit's one frame sweep
+    gives both its ideal marginal and the engine's base, so no
+    statevector runs for it.  D, r and D_decoded are computed on plain
+    vectors, pruned and summed as OutcomeDistribution and trace_distance
+    do.  The coded_ps row reports D = 1 only when nothing is retained
+    (r = 0, theta = pi).  With analytic_xi, gamma is the rounded expected
+    count, so a row with 0 < r < 1 / (2 shots) has gamma = 0 but exact D.
     """
     if shots < 1:
         raise CircuitError(f"shots must be positive, got {shots}")
     L = len(sequence)
     stamp = _utc_now()
+    total = 1.0 if analytic_xi else shots
 
-    def side(circuit: Circuit, tag: str, rotate: bool) -> tuple[OutcomeDistribution, np.ndarray]:
-        """(ideal distribution, weights) of one side."""
+    def side(circuit: Circuit, tag: str, rotate: bool) -> tuple[np.ndarray, np.ndarray, float]:
+        """(ideal vector, weights, D) of one side."""
         table = FlipMaskTable(circuit)
         spectrum = frame_spectrum(circuit, table.frame)
-        ideal = OutcomeDistribution(spectrum_marginal(spectrum))
+        ideal = pruned(spectrum_marginal(spectrum))
         if rotate:
             circuit, table, spectrum = insert_coherent_rotation(circuit, params.theta), None, None
         vec = noisy_vector(circuit, params, table, spectrum)
-        if analytic_xi:
-            return ideal, np.where(vec >= PRUNE_TOL, vec, 0.0)
-        return ideal, sample_outcomes(vec, shots, derive_seed(seed, tag))
+        w = pruned(vec) if analytic_xi else sample_outcomes(vec, shots, derive_seed(seed, tag))
+        return ideal, w, 0.5 * ordered_sum(np.abs(ideal - pruned(w / total)))
 
     unc, cod = build_pair(sequence)
-    ideal_u, w_u = side(unc, "uncoded", False)
-    ideal_c, w_c = side(cod, "coded", params.theta != 0.0)
-    decoded_ideal = decode_distribution(ideal_c)
-    total = 1.0 if analytic_xi else shots
-    kept_dist, kept = retained_distribution(w_c)
+    ideal_u, _, D_u = side(unc, "uncoded", False)
+    ideal_c, w_c, D_raw = side(cod, "coded", params.theta != 0.0)
+    retained = selection_split(w_c)[0]
+    kept = ordered_sum(retained)
     r = kept / total
-    gamma = round(r * shots)
-    D_u = trace_distance(ideal_u, OutcomeDistribution(w_u / total))
-    D_raw = trace_distance(ideal_c, OutcomeDistribution(w_c / total))
-    if kept_dist is not None:
-        D_ps = trace_distance(ideal_c, kept_dist)
-        D_dec = trace_distance(decoded_ideal, decode_distribution(kept_dist))
-    else:
-        D_ps, D_dec = 1.0, 1.0
-
-    def rec(scheme: str, gam: int, rr: float, D: float, D_decoded: float,
-            dim: int) -> ExperimentRecord:
-        return ExperimentRecord(
-            experiment_id=f"{gate_set}-L{L}-s{seed}-{scheme}",
-            gate_set=gate_set, L=L, seed=seed, scheme=scheme, shots=shots,
-            gamma=gam, r=rr, D=D, D_decoded=D_decoded, output_dimension=dim,
-            eps1=params.eps1, eps2=params.eps2, p_meas=params.p_meas,
-            p_prep=params.p_prep, theta=params.theta, timestamp=stamp,
-        )
-
-    return [
-        rec(SCHEME_UNCODED, shots, 1.0, D_u, D_u, ideal_u.support_size),
-        rec(SCHEME_CODED_RAW, shots, 1.0, D_raw, D_dec, ideal_c.support_size),
-        rec(SCHEME_CODED_PS, gamma, r, D_ps, D_dec, ideal_c.support_size),
-    ]
+    D_ps = D_dec = 1.0
+    if kept > 0.0:
+        retained = pruned(retained / kept)
+        D_ps = 0.5 * ordered_sum(np.abs(ideal_c - retained))
+        # decode_distribution's bincount; neither vector has odd-parity support
+        logical = [pruned(np.bincount(DECODE_INDEX, v, ODD + 1)[:ODD]) for v in (ideal_c, retained)]
+        D_dec = 0.5 * ordered_sum(np.abs(logical[0] - logical[1]))
+    dim_u, dim_c = np.count_nonzero(ideal_u), np.count_nonzero(ideal_c)
+    return [ExperimentRecord(
+        experiment_id=f"{gate_set}-L{L}-s{seed}-{scheme}", gate_set=gate_set, L=L, seed=seed,
+        scheme=scheme, shots=shots, gamma=gamma, r=rr, D=D, D_decoded=D_decoded,
+        output_dimension=dim, eps1=params.eps1, eps2=params.eps2, p_meas=params.p_meas,
+        p_prep=params.p_prep, theta=params.theta, timestamp=stamp)
+        for scheme, gamma, rr, D, D_decoded, dim in (
+            (SCHEME_UNCODED, shots, 1.0, D_u, D_u, dim_u),
+            (SCHEME_CODED_RAW, shots, 1.0, D_raw, D_dec, dim_c),
+            (SCHEME_CODED_PS, round(r * shots), r, D_ps, D_dec, dim_c))]
 
 
 def sweep_L(gate_set: GateSetId, lengths: list[int], params: NoiseParams,

@@ -27,11 +27,11 @@ each such site mixing sum_k w_k P_k rho P_k^dagger into it.  Every
 folded flip is independent of the base and XORs onto it, and
 XOR-convolution is a pointwise product in the Walsh-Hadamard domain, so
 the suffix multiplies the base spectrum by each site's: the transform
-of its weights binned by flip mask, which is the channel's eigenvalues
-(Flammia & Wallman, arXiv:1907.12976).  Last, xi mixes toward uniform.
-The randomness is one multinomial from a counter-based Philox stream
-per call, so a (circuit, params, shots, seed) tuple always yields
-identical counts, regardless of how calls are scheduled around it.
+of its weights binned by flip mask, the channel's eigenvalues (Flammia
+& Wallman, arXiv:1907.12976), computed once per (weights, masks).  xi
+then mixes toward uniform.  The randomness is one multinomial from a
+Philox stream per call, so a (circuit, params, shots, seed) tuple always
+yields identical counts, however calls are scheduled around it.
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ ONE_QUBIT_PAULIS = ("X", "Y", "Z")
 TWO_QUBIT_PAULIS = tuple(
     a + b for a in "IXYZ" for b in "IXYZ" if a + b != "II"
 )  # IX, IY, IZ, XI, ..., ZZ in lexicographic order
+_SITES = {1: ("eps1", 4), 2: ("eps2", 16), "prep": ("p_prep", 2), "meas": ("p_meas", 2)}
 
 
 @dataclass(frozen=True)
@@ -77,8 +78,8 @@ def _site_weights(params: NoiseParams, site: int | str) -> tuple[float, ...]:
     engine: eps1 or eps2 after a gate of arity 1 or 2, uniform over the rest
     of ("I",) + ONE_QUBIT_PAULIS or ("II",) + TWO_QUBIT_PAULIS; (1 - p, p)
     for the X flip of a "prep" or "meas" site."""
-    p, k = {1: (params.eps1, 4), 2: (params.eps2, 16),
-            "prep": (params.p_prep, 2), "meas": (params.p_meas, 2)}[site]
+    name, k = _SITES[site]
+    p = getattr(params, name)
     return (1.0 - p,) + (p / (k - 1),) * (k - 1)
 
 
@@ -145,12 +146,15 @@ class FlipMaskTable:
         gates = circuit.gates
         xcol, zcol = read_out_frame(circuit)
         rows = [(0, z, z, 0) for z in zcol]  # flip masks of I, X, Y, Z on each qubit
-        self.gate_masks: list[tuple[int, ...] | None] = [None] * len(gates)
+        pairs: dict[tuple, tuple[int, ...]] = {}  # each two-qubit row, built once
+        masks: list[tuple[int, ...] | None] = [None] * len(gates)
         split, sign = -1, 0  # the last RZ, where the sweep stops
         for i in range(len(gates) - 1, -1, -1):
             kind, t = gates[i].kind, gates[i].targets
-            row = self.gate_masks[i] = rows[t[0]] if len(t) == 1 else tuple(
-                [a ^ b for a in rows[t[0]] for b in rows[t[1]]])
+            row = masks[i] = rows[t[0]] if len(t) == 1 else pairs.get((rows[t[0]], rows[t[1]]))
+            if row is None:  # a two-qubit row first met in this sweep
+                a, b = rows[t[0]], rows[t[1]]
+                row = masks[i] = pairs[a, b] = tuple([x ^ y for x in a for y in b])
             if kind is _RZ:
                 split = i
                 break
@@ -165,7 +169,7 @@ class FlipMaskTable:
                 sign = conjugate_frame(xcol, zcol, sign, kind, t)
                 for q in t:
                     rows[q] = (0, zcol[q], zcol[q] ^ xcol[q], xcol[q])
-        self.frame = (split, xcol, zcol, sign)
+        self.gate_masks, self.frame = masks, (split, xcol, zcol, sign)
         # prep flips are indexed per qubit, not per Pauli
         self.prep_masks = (0, *zcol) if split < 0 else None
         self.unfolded = ("prep", *{g.kind.arity for g in gates[:split]}) if split >= 0 else ()
@@ -189,27 +193,22 @@ def _clifford_outcomes(circuit: Circuit, params: NoiseParams, table: FlipMaskTab
     Either way it is then mixed toward uniform by xi.  Equal sites are
     folded into one row raised to their count, a gate row counted by the
     row alone (its length says eps1 or eps2) and a prep or read-out flip
-    by its weights and mask.  One bincount gives all flip histograms,
-    and one transform their spectra.
+    by its weights and mask; each distinct site's spectrum comes from
+    _site_spectrum, in the order the sites first fire.
     """
     n_bits = len(circuit.measured)
     gate = {len(w): w for w in (_site_weights(params, 1), _site_weights(params, 2)) if any(w[1:])}
-    rows = Counter(table.gate_masks)
-    rows.pop(None, None)
-    firing = [(gate[len(row)], row, count) for row, count in rows.items() if len(row) in gate]
+    firing = [(_site_spectrum(gate[len(row)], row, 1 << n_bits), count)
+              for row, count in Counter(table.gate_masks).items() if row and len(row) in gate]
     prep, meas = _site_weights(params, "prep"), _site_weights(params, "meas")
     flips = Counter((prep, mask) for mask in table.prep_masks[1:]) if table.prep_masks else Counter()
     flips.update((meas, 1 << t) for t in range(n_bits))
-    firing += [(w, (0, mask), count) for (w, mask), count in flips.items() if w[1]]
+    firing += [(_site_spectrum(w, (0, mask), 1 << n_bits), count)
+               for (w, mask), count in flips.items() if w[1]]
     if not firing:
         vec, total = spectrum_marginal(base), 1.0
     else:
-        d = 1 << n_bits
-        # row i bins site i's weights by mask
-        bins = [mask + d * i for i, (_, masks, _) in enumerate(firing) for mask in masks]
-        weights = [x for w, _, _ in firing for x in w]
-        sites = _wht(np.bincount(bins, weights, len(firing) * d).reshape(-1, d))
-        counts = np.array([count for _, _, count in firing])
+        sites, counts = map(np.array, zip(*firing))
         powered = sites ** counts[:, None]
         # a scalar ** 2 is x * x, which an array exponent's pow() can miss by an ulp
         twice = counts == 2
@@ -218,6 +217,14 @@ def _clifford_outcomes(circuit: Circuit, params: NoiseParams, table: FlipMaskTab
         vec = np.maximum(_wht(base * np.prod(powered, axis=0)), 0.0)
         total = vec.sum()
     return (1.0 - params.xi) * vec / total + params.xi / len(vec)
+
+
+@lru_cache(maxsize=256)
+def _site_spectrum(weights: tuple[float, ...], masks: tuple[int, ...], d: int) -> np.ndarray:
+    """Read-only Walsh-Hadamard transform of one site's weights binned by flip mask."""
+    spectrum = _wht(np.bincount(masks, weights, d))
+    spectrum.setflags(write=False)  # cached and shared by every caller
+    return spectrum
 
 
 def _conjugate_by(rho: np.ndarray, gate: GateInstance, n: int) -> np.ndarray:

@@ -115,6 +115,11 @@ class _OutcomeVector:
                 for j, v in zip(keep.tolist(), self.vec[keep].tolist())}
 
 
+def pruned(vec: np.ndarray) -> np.ndarray:
+    """vec with its entries below PRUNE_TOL zeroed, as a new array."""
+    return np.where(vec >= PRUNE_TOL, vec, 0.0)
+
+
 class OutcomeDistribution(_OutcomeVector):
     """Probability vector; probs is its string view.  Entries below
     PRUNE_TOL are zeroed, and the rest must still sum to 1 within
@@ -124,7 +129,7 @@ class OutcomeDistribution(_OutcomeVector):
         super().__init__(data)
         self._refuse((self.vec >= 0.0) & (self.vec <= 1.0 + NORM_TOL),
                      "probabilities must be in [0, 1]")
-        self.vec = np.where(self.vec >= PRUNE_TOL, self.vec, 0.0)
+        self.vec = pruned(self.vec)
         total = self.vec.sum()
         if not total:
             raise CircuitError("empty distribution")
@@ -269,6 +274,11 @@ def string_order(n_bits: int) -> np.ndarray:
     order = np.array(sorted(range(1 << n_bits), key=lambda j: bitstring_of(j, n_bits)))
     order.setflags(write=False)  # cached and shared by every caller
     return order
+
+
+def ordered_sum(vec: np.ndarray) -> float:
+    """Sum of an outcome vector in sorted-bitstring order, as every CSV value is summed."""
+    return sum(vec[string_order(len(vec).bit_length() - 1)].tolist())
 
 
 def outcome_vector(entries: Mapping[str, float], n_bits: int) -> np.ndarray:

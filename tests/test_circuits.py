@@ -1,10 +1,12 @@
 """Circuit types and the text format."""
 
+import pickle
 import re
 
 import numpy as np
 import pytest
 
+from qec422 import simulator
 from qec422.circuits import (
     Circuit,
     CircuitError,
@@ -14,6 +16,7 @@ from qec422.circuits import (
     parse_circuit,
     serialize_circuit,
 )
+from qec422.code import LogicalGate
 from qec422.experiments import GateSetId, SequenceSpec, build_pair, random_sequence
 from qec422.noise import NoiseParams, insert_coherent_rotation
 
@@ -226,3 +229,24 @@ class TestRoundTrip:
         text = serialize_circuit(c)
         assert text.splitlines()[1] == f"RZ 0 {float(angle)!r}"
         assert parse_circuit(text) == c
+
+
+class TestIdentityHashing:
+    """GateKind and LogicalGate hash by identity: each member is a singleton."""
+
+    @pytest.mark.parametrize("enum", [GateKind, LogicalGate])
+    def test_members_are_dict_keys_and_survive_pickle(self, enum):
+        table = {member: member.value for member in enum}
+        for member in enum:
+            clone = pickle.loads(pickle.dumps(member))
+            assert clone is member and table[clone] == member.value
+            assert hash(member) == object.__hash__(member)
+            assert enum(member.value) is enum[member.name] is member
+        assert GateKind("CNOT") is GateKind["CNOT"]
+
+    def test_gate_table_cache_hits_for_a_repeated_placement(self):
+        before = simulator._table.cache_info().hits
+        first = simulator._table(GateKind.CNOT, (0, 2), 3)
+        again = simulator._table(pickle.loads(pickle.dumps(GateKind["CNOT"])), (0, 2), 3)
+        assert again is first
+        assert simulator._table.cache_info().hits >= before + 1

@@ -218,6 +218,18 @@ class TestOnePipeline:
             assert got == _string_pipeline(sequence, params, shots, seed, analytic), (k, params)
 
     @pytest.mark.parametrize("analytic", [False, True])
+    @pytest.mark.parametrize("length", [20, 50, 100])
+    def test_sweep_lengths_equal_the_string_pipeline(self, analytic, length):
+        """The criterion-5 sweep's lengths on the reduced set, with and
+        without preparation flips."""
+        for k, params in enumerate((PARAMS, dataclasses.replace(PARAMS, p_prep=0.01))):
+            seed = derive_seed(length, k)
+            sequence = random_sequence(SequenceSpec(GateSetId.REDUCED, length, seed))
+            recs = run_pair(sequence, params, 8192, seed, "reduced", analytic)
+            got = [(r.scheme, r.gamma, r.r, r.D, r.D_decoded, r.output_dimension) for r in recs]
+            assert got == _string_pipeline(sequence, params, 8192, seed, analytic), (k, params)
+
+    @pytest.mark.parametrize("analytic", [False, True])
     def test_each_circuit_simulated_once(self, monkeypatch, analytic):
         """No statevector run at theta = 0: each ideal circuit is Clifford,
         and its frame gives both its ideal marginal and the engine's base.
@@ -318,6 +330,13 @@ class TestCsv:
         path = tmp_path / "runs.csv"
         write_records_csv(path, recs)
         assert read_records_csv(path) == recs
+
+    def test_row_is_each_field_by_its_annotation(self):
+        """repr for a float field, str otherwise, in field order."""
+        for rec in sweep_L(GateSetId.FULL, [1, 4], dataclasses.replace(PARAMS, theta=0.9),
+                           shots=100, master_seed=6):
+            assert rec.to_csv_row() == [(repr if f.type == "float" else str)(getattr(rec, f.name))
+                                        for f in dataclasses.fields(rec)]
 
     def test_second_write_replaces_the_file(self, tmp_path):
         recs = sweep_L(GateSetId.FULL, [2], PARAMS, shots=128, master_seed=5)

@@ -435,7 +435,7 @@ def _per_site_outcomes(circuit: Circuit, params: NoiseParams, table: FlipMaskTab
 
 
 class TestBatchedSuffix:
-    """_clifford_outcomes transforms every folded site in one batch; it
+    """_clifford_outcomes stacks each folded site's cached spectrum; it
     must give the per-site loop's vector bit for bit."""
 
     @staticmethod
@@ -490,6 +490,31 @@ class TestBatchedSuffix:
                         self._check(c, params)
                         if c.n_qubits == 4:  # the coded side, with its encoder's H
                             self._check(insert_coherent_rotation(c, 0.7), params)
+
+
+class TestSiteSpectrum:
+    @pytest.mark.parametrize("m", [1, 2, 4, 5])
+    def test_equals_the_batched_transform(self, m):
+        """Each cached row is, bit for bit, its row of one flat bincount
+        and one batched transform over all sites, on weights that are not
+        dyadic and masks that collide."""
+        d, rng = 1 << m, np.random.default_rng(m)
+        sites = [(tuple(rng.random(k).tolist()), tuple(rng.integers(0, d, k).tolist()))
+                 for k in rng.choice([2, 4, 16], 40)]
+        bins = [mask + d * i for i, (_, masks) in enumerate(sites) for mask in masks]
+        weights = [x for w, _ in sites for x in w]
+        batched = noise._wht(np.bincount(bins, weights, len(sites) * d).reshape(-1, d))
+        rows = [noise._site_spectrum(w, masks, d) for w, masks in sites]
+        assert np.array_equal(np.array(rows), batched)
+        assert all(not row.flags.writeable for row in rows)
+        with pytest.raises(ValueError):
+            rows[0][0] = 0.0
+
+    def test_cache_is_bounded_and_hit(self):
+        info = noise._site_spectrum.cache_info()
+        assert info.maxsize is not None and info.maxsize > 0
+        w, masks = noise._site_weights(NoiseParams(p_meas=0.3), "meas"), (0, 2)
+        assert noise._site_spectrum(w, masks, 4) is noise._site_spectrum(w, masks, 4)
 
 
 def _merge(branches: dict, amp: np.ndarray, weight: float) -> None:
