@@ -34,9 +34,8 @@ from .code import (
     build_encoder,
     selection_split,
 )
-from .noise import (FlipMaskTable, NoiseParams, derive_seed, insert_coherent_rotation, noisy_vector,
-                    sample_outcomes)
-from .simulator import frame_spectrum, ordered_sum, pruned, spectrum_marginal
+from .noise import NoiseParams, derive_seed, insert_coherent_rotation, noisy_vector, sample_outcomes
+from .simulator import FlipMaskTable, frame_spectrum, ordered_sum, pruned, spectrum_marginal
 
 DEFAULT_SHOTS = 8192
 MAX_SEQUENCE_LENGTH = 1000

@@ -5,15 +5,16 @@ gate fault can change the post-selected outcome distribution without
 being flagged.  The check enumerates every fault site (3 Paulis after
 each one-qubit gate, 15 after each two-qubit gate, optionally an X
 before the circuit on each qubit) and works out each faulted outcome
-vector exactly.  One backward Pauli-frame sweep (noise.FlipMaskTable)
+vector exactly.  One backward Pauli-frame sweep (simulator.FlipMaskTable)
 gives every fault after the last RZ -- every fault, in a Clifford
 circuit -- as a read-out flip mask: the ideal outcome vector with
 indices XORed by the mask.  The distinct masks of all folded rows are
 classified together, one code.selection_split of their stack, and each
 distinct gate row's verdicts are copied to its sites: on m read-out bits
 O(min(sites, 2^m) * 2^m) entries are split once, plus O(1) per site.
-Faults ahead of the last RZ are simulated, one simulator.ideal_marginal
-of the faulted circuit each, and classified by the same rule:
+Faults ahead of the last RZ are simulated, one statevector of the
+faulted gates up to that RZ each, read through the table's frame, and
+classified by the same rule:
 
 Harmless                  retained distribution and retention both unchanged
 DetectedPostSelection     probability mass moved into odd-parity strings
@@ -37,8 +38,8 @@ import numpy as np
 
 from .circuits import Circuit, CircuitError, GateInstance, GateKind
 from .code import DATA_QUBITS, selection_split
-from .noise import ONE_QUBIT_PAULIS, TWO_QUBIT_PAULIS, FlipMaskTable
-from .simulator import frame_spectrum, ideal_marginal, spectrum_marginal
+from .noise import ONE_QUBIT_PAULIS, TWO_QUBIT_PAULIS
+from .simulator import FlipMaskTable, frame_spectrum, spectrum_marginal
 
 DETECTION_MODES = ("postselect", "postselect+ancilla")
 # weight unit (FaultSite.weight_units) -> its term in the report, in report order
@@ -128,7 +129,8 @@ def verify_single_faults(circuit: Circuit, detection: str | None = None,
     circuit) permutes the ideal outcomes by its mask, so the distinct
     masks are classified in one split, in blocks of at most 2^16 entries,
     and each gate's sites take its row's verdicts.  Only the sites a None
-    row leaves unfolded (ahead of the last RZ) are simulated one by one.
+    row leaves unfolded (ahead of the last RZ) are simulated one by one,
+    each read off the table's frame, so a check sweeps the frame once.
     """
     if len(circuit.measured) < DATA_QUBITS:
         raise CircuitError("detection needs at least the four data qubits measured")
@@ -158,10 +160,14 @@ def verify_single_faults(circuit: Circuit, detection: str | None = None,
     sites = enumerate_single_faults(circuit, include_preparation)
     out = []
     # the unfolded sites, after a gate ahead of the last RZ or before the first gate, lead sites
-    for i, targets, pauli in takewhile(lambda s: s.gate_index < table.frame[0], sites):
+    split, *frame = table.frame
+    gates = circuit.gates
+    for i, targets, pauli in takewhile(lambda s: s.gate_index < split, sites):
+        # the gates after the RZ are untouched, so the faulted prefix keeps the table's frame
         fault = [GateInstance(GateKind[c], (q,)) for c, q in zip(pauli, targets) if c != "I"]
-        out += _classify(ideal, ideal_marginal(circuit.with_gates(
-            circuit.gates[:i + 1] + fault + circuit.gates[i + 1:])), ancilla_bit)
+        prefix = circuit.with_gates(gates[:i + 1] + fault + gates[i + 1:split + 1])
+        out += _classify(ideal, spectrum_marginal(frame_spectrum(
+            prefix, (split + len(fault), *frame))), ancilla_bit)
     for row in filter(None, rows):
         out += by_row[row]
     return FTReport(circuit_id, detection, list(zip(sites, out)))

@@ -12,8 +12,9 @@ distribution toward uniform.
 One engine, noisy_vector, computes a circuit's exact noisy read-out
 distribution, a vector in the simulator.marginal_vector layout, and
 sample_outcomes draws all the shots of a run from it at once.  One
-backward sweep of the signed Pauli frame (FlipMaskTable) carries each
-measured Z observable from the end of the circuit back to its last RZ.
+backward sweep of the signed Pauli frame, simulator.FlipMaskTable
+(imported here), carries each measured Z observable from the end of the
+circuit back to its last RZ.
 A fault after any gate from there on is Clifford-propagated to an
 X-type read-out flip mask; the table alone decides which sites it
 folds, a None row being one it does not.  The base is the read-out
@@ -43,8 +44,8 @@ from functools import lru_cache
 import numpy as np
 
 from .circuits import MAX_QUBITS, Circuit, CircuitError, GateInstance, GateKind, finite_real
-from .simulator import (OutcomeDistribution, ShotCounts, _RZ, _S, _X, _Y, _Z, _evolve, _wht,
-                        conjugate_frame, frame_spectrum, read_out_frame, spectrum_marginal)
+from .simulator import (FlipMaskTable, OutcomeDistribution, ShotCounts, _evolve, _wht,
+                        frame_spectrum, spectrum_marginal)
 
 ONE_QUBIT_PAULIS = ("X", "Y", "Z")
 TWO_QUBIT_PAULIS = tuple(
@@ -113,66 +114,6 @@ def derive_seed(master_seed: int, *tags: object) -> int:
             acc = ((acc ^ byte) * 1099511628211) & 0xFFFFFFFFFFFFFFFF
         words.append(acc)
     return int(np.random.SeedSequence(words).generate_state(1, np.uint64)[0])
-
-
-# ---------------------------------------------------------------------------
-# The Pauli frame: one backward sweep
-# ---------------------------------------------------------------------------
-
-class FlipMaskTable:
-    """Read-out flip mask of every fault the Pauli frame folds, the one
-    record of which faults it leaves to the density-matrix prefix, and
-    the signed frame where its sweep stopped.
-
-    Every gate from the last RZ on is Clifford, so a fault after such a
-    gate reaches the read-out as a fixed flip mask over the measured
-    bits: gate_masks[i][k] for fault k after gate i, where k = 0 is no
-    fault, one-qubit faults use k in 1..3 (X, Y, Z) and two-qubit faults
-    k in 1..15 indexing TWO_QUBIT_PAULIS.  prep_masks[q + 1] is the mask
-    of an X flip on qubit q before the circuit.  Rows are tuples of ints.
-    A None row, or prep_masks None, means the frame does not fold that
-    site (it sits ahead of the last RZ), so _prefix_state mixes it;
-    unfolded names those sites' _site_weights kinds.  frame is
-    (split, xcol, zcol, sign) as simulator.pauli_frame gives it.
-
-    One backward (Heisenberg) sweep builds every row: each measured Z is
-    carried back through the gates (simulator.conjugate_frame), and a
-    fault flips bit t exactly when it anticommutes with the t-th carried
-    observable.  So an X on q flips zcol[q], a Z flips xcol[q] and a Y
-    flips both.  The cost is linear in the gate count.
-    """
-
-    def __init__(self, circuit: Circuit):
-        gates = circuit.gates
-        xcol, zcol = read_out_frame(circuit)
-        rows = [(0, z, z, 0) for z in zcol]  # flip masks of I, X, Y, Z on each qubit
-        pairs: dict[tuple, tuple[int, ...]] = {}  # each two-qubit row, built once
-        masks: list[tuple[int, ...] | None] = [None] * len(gates)
-        split, sign = -1, 0  # the last RZ, where the sweep stops
-        for i in range(len(gates) - 1, -1, -1):
-            kind, t = gates[i].kind, gates[i].targets
-            row = masks[i] = rows[t[0]] if len(t) == 1 else pairs.get((rows[t[0]], rows[t[1]]))
-            if row is None:  # a two-qubit row first met in this sweep
-                a, b = rows[t[0]], rows[t[1]]
-                row = masks[i] = pairs[a, b] = tuple([x ^ y for x in a for y in b])
-            if kind is _RZ:
-                split = i
-                break
-            # a Pauli gate negates the observables a fault of its Pauli would flip
-            if kind is _X:
-                sign ^= row[1]
-            elif kind is _Z:
-                sign ^= row[3]
-            elif kind is _Y:
-                sign ^= row[2]
-            elif kind is not _S or xcol[t[0]]:  # S fixes an X-free column, sign included
-                sign = conjugate_frame(xcol, zcol, sign, kind, t)
-                for q in t:
-                    rows[q] = (0, zcol[q], zcol[q] ^ xcol[q], xcol[q])
-        self.gate_masks, self.frame = masks, (split, xcol, zcol, sign)
-        # prep flips are indexed per qubit, not per Pauli
-        self.prep_masks = (0, *zcol) if split < 0 else None
-        self.unfolded = ("prep", *{g.kind.arity for g in gates[:split]}) if split >= 0 else ()
 
 
 # ---------------------------------------------------------------------------

@@ -16,11 +16,13 @@ read-out bits in the marginal_vector layout (entry j is the outcome whose
 k-th bit is bit k of j); .probs and .counts are string views in sorted
 order, for the I/O edge only.
 
-No gate after the last RZ is simulated.  pauli_frame carries each
-measured Z_t back from the read-out through the Clifford gates after
-the last RZ, sign included (Aaronson & Gottesman, quant-ph/0406196), so
-the read-out spectrum, spectrum[s] = <prod_{t in s} Z_t>, is <Q_s> just
-after that RZ, Q_s the product of the carried observables.
+No gate after the last RZ is simulated.  One backward sweep,
+FlipMaskTable, carries each measured Z_t back from the read-out through
+the Clifford gates after the last RZ, sign included (Aaronson &
+Gottesman, quant-ph/0406196), and records on the way the read-out flip
+mask of every fault it passes.  So the read-out spectrum, spectrum[s] =
+<prod_{t in s} Z_t>, is <Q_s> just after that RZ, Q_s the product of
+the carried observables.
 frame_spectrum reads it off |0...0> in a Clifford circuit (each entry 0
 or +-1, so no statevector runs and the marginal is exactly dyadic), off
 the statevector of the gates up to the last RZ, or off a density matrix
@@ -339,38 +341,68 @@ def conjugate_frame(xcol: list[int], zcol: list[int], sign: int, kind: GateKind,
     return sign
 
 
-def read_out_frame(circuit: Circuit) -> tuple[list[int], list[int]]:
-    """(xcol, zcol) of the measured Z's at the read-out: Z_t on measured[t]."""
-    zcol = [0] * circuit.n_qubits
-    for t, q in enumerate(circuit.measured):
-        zcol[q] |= 1 << t
-    return [0] * circuit.n_qubits, zcol
+class FlipMaskTable:
+    """Read-out flip mask of every fault the Pauli frame folds, the one
+    record of which faults it leaves to a simulation of the gates up to
+    the last RZ, and the signed frame where its sweep stopped: the only
+    backward sweep in the package.
 
+    Every gate from the last RZ on is Clifford, so a fault after such a
+    gate reaches the read-out as a fixed flip mask over the measured
+    bits: gate_masks[i][k] for fault k after gate i, where k = 0 is no
+    fault, one-qubit faults use k in 1..3 (X, Y, Z) and two-qubit faults
+    k in 1..15 indexing noise.TWO_QUBIT_PAULIS.  prep_masks[q + 1] is the
+    mask of an X flip on qubit q before the circuit.  Rows are tuples of
+    ints.  A None row, or prep_masks None, means the frame does not fold
+    that site (it sits ahead of the last RZ); unfolded names those sites'
+    kinds, "prep" and gate arities.  frame is (split, xcol, zcol, sign):
+    the measured Z's carried back to just after the last RZ, gate split,
+    or to the start, split = -1.
 
-def pauli_frame(circuit: Circuit) -> tuple[int, list[int], list[int], int]:
-    """(split, xcol, zcol, sign): the measured Z's carried back to just
-    after the last RZ, gate split, or to the start, split = -1."""
-    xcol, zcol = read_out_frame(circuit)
-    sign, gates = 0, circuit.gates
-    for i in range(len(gates) - 1, -1, -1):
-        kind, t = gates[i].kind, gates[i].targets
-        if kind is _RZ:
-            return i, xcol, zcol, sign
-        # a Pauli gate only negates the observables it anticommutes with
-        if kind is _X:
-            sign ^= zcol[t[0]]
-        elif kind is _Z:
-            sign ^= xcol[t[0]]
-        elif kind is _Y:
-            sign ^= xcol[t[0]] ^ zcol[t[0]]
-        elif kind is not _S or xcol[t[0]]:  # S fixes an X-free column, sign included
-            sign = conjugate_frame(xcol, zcol, sign, kind, t)
-    return -1, xcol, zcol, sign
+    Each measured Z is carried back through the gates (conjugate_frame),
+    and a fault flips bit t exactly when it anticommutes with the t-th
+    carried observable.  So an X on q flips zcol[q], a Z flips xcol[q]
+    and a Y flips both.  The cost is linear in the gate count.
+    """
+
+    def __init__(self, circuit: Circuit):
+        gates = circuit.gates
+        xcol, zcol = [0] * circuit.n_qubits, [0] * circuit.n_qubits
+        for t, q in enumerate(circuit.measured):  # Z_t on measured[t] at the read-out
+            zcol[q] |= 1 << t
+        rows = [(0, z, z, 0) for z in zcol]  # flip masks of I, X, Y, Z on each qubit
+        pairs: dict[tuple, tuple[int, ...]] = {}  # each two-qubit row, built once
+        masks: list[tuple[int, ...] | None] = [None] * len(gates)
+        split, sign = -1, 0  # the last RZ, where the sweep stops
+        for i in range(len(gates) - 1, -1, -1):
+            kind, t = gates[i].kind, gates[i].targets
+            row = masks[i] = rows[t[0]] if len(t) == 1 else pairs.get((rows[t[0]], rows[t[1]]))
+            if row is None:  # a two-qubit row first met in this sweep
+                a, b = rows[t[0]], rows[t[1]]
+                row = masks[i] = pairs[a, b] = tuple([x ^ y for x in a for y in b])
+            if kind is _RZ:
+                split = i
+                break
+            # a Pauli gate negates the observables a fault of its Pauli would flip
+            if kind is _X:
+                sign ^= row[1]
+            elif kind is _Z:
+                sign ^= row[3]
+            elif kind is _Y:
+                sign ^= row[2]
+            elif kind is not _S or xcol[t[0]]:  # S fixes an X-free column, sign included
+                sign = conjugate_frame(xcol, zcol, sign, kind, t)
+                for q in t:
+                    rows[q] = (0, zcol[q], zcol[q] ^ xcol[q], xcol[q])
+        self.gate_masks, self.frame = masks, (split, xcol, zcol, sign)
+        # prep flips are indexed per qubit, not per Pauli
+        self.prep_masks = (0, *zcol) if split < 0 else None
+        self.unfolded = ("prep", *{g.kind.arity for g in gates[:split]}) if split >= 0 else ()
 
 
 def frame_spectrum(circuit: Circuit, frame: tuple, rho: np.ndarray | None = None) -> np.ndarray:
     """Read-out spectrum, spectrum[s] = <Q_s>, from frame = (split, xcol,
-    zcol, sign) as pauli_frame gives it.
+    zcol, sign) as FlipMaskTable gives it.
 
     The 2**m products Q_s = i**e X^x Z^z are formed by doubling, the
     phase e kept mod 4 with plain ints.  A Clifford circuit (split -1)
@@ -426,7 +458,7 @@ def ideal_marginal(circuit: Circuit) -> np.ndarray:
     indexed as marginal_vector, from its signed frame."""
     if not circuit.measured:
         raise CircuitError("circuit measures no qubits")
-    return spectrum_marginal(frame_spectrum(circuit, pauli_frame(circuit)))
+    return spectrum_marginal(frame_spectrum(circuit, FlipMaskTable(circuit).frame))
 
 
 def ideal_distribution(circuit: Circuit) -> OutcomeDistribution:

@@ -347,6 +347,21 @@ class TestAgainstBruteForce:
         assert len(report.classifications) == 5 + 3 + 5 * 15
         assert len(runs) == 0
 
+    def test_one_frame_sweep_per_check(self, monkeypatch):
+        """Every preparation flip of rz_first sits ahead of its RZ, and each
+        is read off the table's frame: the check conjugates the frame
+        exactly as often as one FlipMaskTable build does."""
+        circuit = _RZ_CIRCUITS["rz_first"]
+        calls = []
+        original = simulator.conjugate_frame
+        monkeypatch.setattr(simulator, "conjugate_frame", lambda *a: calls.append(a) or original(*a))
+        FlipMaskTable(circuit)
+        one_sweep = len(calls)
+        calls.clear()
+        report = verify_single_faults(circuit, include_preparation=True)
+        assert sum(s.gate_index < 0 for s, _ in report.classifications) == 5
+        assert one_sweep == len(calls) == 10
+
 
 class TestPerMaskCost:
     """On five read-out bits all distinct folded flip masks fit one block,

@@ -297,7 +297,7 @@ class TestSignedFrame:
         rng = np.random.default_rng(26)
         for c in _frame_circuits(rng, 2400):
             want = simulator.marginal_vector(final_state(c).probabilities(), c.n_qubits, c.measured)
-            spectrum = simulator.frame_spectrum(c, simulator.pauli_frame(c))
+            spectrum = simulator.frame_spectrum(c, simulator.FlipMaskTable(c).frame)
             np.testing.assert_allclose(spectrum, simulator._wht(want), rtol=0, atol=1e-13, err_msg=str(c))
             np.testing.assert_allclose(ideal_marginal(c), want, rtol=0, atol=1e-13, err_msg=str(c))
 
