@@ -33,6 +33,7 @@ from .experiments import (
     build_pair,
     random_sequence,
     run_pair,
+    run_pairs,
     sweep_L,
     sweep_theta,
 )
@@ -61,5 +62,5 @@ __all__ = [
     "predict_uncoded", "predict_coded_raw", "predict_coded_ps",
     "FaultSite", "FaultClassification", "FTReport", "verify_single_faults",
     "GateSetId", "SequenceSpec", "ExperimentRecord",
-    "random_sequence", "build_pair", "run_pair", "sweep_L", "sweep_theta",
+    "random_sequence", "build_pair", "run_pair", "run_pairs", "sweep_L", "sweep_theta",
 ]

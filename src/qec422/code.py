@@ -182,14 +182,19 @@ def selection_split(vec: np.ndarray, ancilla_bit: int | None = None) -> tuple:
     outcome failing both counts as a parity rejection.  A stack of vectors,
     one per row, is split by one bincount into one part or mass per row.
     """
-    n = _ANCILLA_BIN + 1
-    bins = _selection_bins(vec.shape[-1].bit_length() - 1, ancilla_bit)
+    split = binned(vec, _selection_bins(vec.shape[-1].bit_length() - 1, ancilla_bit),
+                   _ANCILLA_BIN + 1)
     if vec.ndim == 1:
-        split = np.bincount(bins, weights=vec, minlength=n)
         return split[:_PARITY_BIN], float(split[_PARITY_BIN]), float(split[_ANCILLA_BIN])
-    split = np.bincount((bins + n * np.arange(len(vec))[:, None]).ravel(), weights=vec.ravel(),
-                        minlength=n * len(vec)).reshape(-1, n)
     return split[:, :_PARITY_BIN], split[:, _PARITY_BIN], split[:, _ANCILLA_BIN]
+
+
+def binned(vec: np.ndarray, bins: np.ndarray, n: int) -> np.ndarray:
+    """np.bincount(bins, vec, n) of a vector, or of each row of a stack by one bincount."""
+    if vec.ndim == 1:
+        return np.bincount(bins, vec, n)
+    flat = (bins + np.arange(0, n * len(vec), n)[:, None]).ravel()
+    return np.bincount(flat, vec.ravel(), n * len(vec)).reshape(-1, n)
 
 
 def decode(bitstring: str) -> str | None:

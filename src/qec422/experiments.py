@@ -5,7 +5,11 @@ bare on two qubits, and encoded on four (encoder + transversal blocks).
 Both runs share the sequence and noise parameters but use independent
 derived RNG streams, so any D difference is scheme, not luck of a
 shared stream.  One run yields three records: uncoded, coded without
-post-selection, coded with post-selection.
+post-selection, coded with post-selection.  run_pairs runs a sweep's
+pairs as one batch: only the circuits, tables, bases, site lists and
+draws are per pair, and each block of pairs runs its suffixes, ideal
+marginals, distances and post-selection as stacked numpy calls, one per
+read-out width, each row bit for bit what a one-pair run gives.
 
 Everything is reproducible from (gate_set, L, seed): the sequence, both
 circuits, and both sets of counts follow deterministically, which is
@@ -20,6 +24,7 @@ import csv
 from dataclasses import dataclass, fields, replace
 from datetime import datetime, timezone
 from enum import Enum
+from typing import Iterable
 
 import numpy as np
 
@@ -31,11 +36,13 @@ from .code import (
     LogicalGate,
     LogicalStateLabel,
     _gate_blocks,
+    binned,
     build_encoder,
     selection_split,
 )
-from .noise import NoiseParams, derive_seed, insert_coherent_rotation, noisy_vector, sample_outcomes
-from .simulator import FlipMaskTable, frame_spectrum, ordered_sum, pruned, spectrum_marginal
+from .noise import (NoiseParams, _clifford_outcomes, _suffix_item, derive_seed,
+                    insert_coherent_rotation, sample_outcomes)
+from .simulator import FlipMaskTable, frame_spectrum, ordered_sum, pruned
 
 DEFAULT_SHOTS = 8192
 MAX_SEQUENCE_LENGTH = 1000
@@ -174,9 +181,10 @@ def read_records_csv(path: str) -> list[ExperimentRecord]:
 # Running pairs
 # ---------------------------------------------------------------------------
 
-def run_pair(sequence: list[LogicalGate], params: NoiseParams, shots: int,
-             seed: int, gate_set: str = "custom", analytic_xi: bool = False) -> list[ExperimentRecord]:
-    """Execute one sequence both ways; returns [uncoded, coded_raw, coded_ps].
+def run_pairs(runs: Iterable[tuple[list[LogicalGate], NoiseParams, int]], shots: int,
+              gate_set: str = "custom", analytic_xi: bool = False) -> list[ExperimentRecord]:
+    """Execute each (sequence, params, seed) of runs both ways; returns
+    [uncoded, coded_raw, coded_ps] for each, in order.
 
     params.theta != 0 inserts the coherent rotation after the coded
     encoder's Hadamard; the uncoded circuit runs clean of it.  Each
@@ -190,47 +198,69 @@ def run_pair(sequence: list[LogicalGate], params: NoiseParams, shots: int,
     do.  The coded_ps row reports D = 1 only when nothing is retained
     (r = 0, theta = pi).  With analytic_xi, gamma is the rounded expected
     count, so a row with 0 < r < 1 / (2 shots) has gamma = 0 but exact D.
+    A pair keeps O(2^m) data past its circuits and tables, and a block
+    stacks at most 2^16 entries, or one pair.
     """
     if shots < 1:
         raise CircuitError(f"shots must be positive, got {shots}")
-    L = len(sequence)
-    stamp = _utc_now()
     total = 1.0 if analytic_xi else shots
 
-    def side(circuit: Circuit, tag: str, rotate: bool) -> tuple[np.ndarray, np.ndarray, float]:
-        """(ideal vector, weights, D) of one side."""
-        table = FlipMaskTable(circuit)
-        spectrum = frame_spectrum(circuit, table.frame)
-        ideal = pruned(spectrum_marginal(spectrum))
-        if rotate:
-            circuit, table, spectrum = insert_coherent_rotation(circuit, params.theta), None, None
-        vec = noisy_vector(circuit, params, table, spectrum)
-        w = pruned(vec) if analytic_xi else sample_outcomes(vec, shots, derive_seed(seed, tag))
-        return ideal, w, 0.5 * ordered_sum(np.abs(ideal - pruned(w / total)))
+    def finish(block: list) -> list[ExperimentRecord]:
+        ideal, weights, D, n = [], [], [], len(block)
+        for k, tag in ((1, "uncoded"), (2, "coded")):
+            # an ideal marginal is the suffix of its spectrum with no site and no xi
+            rows = _clifford_outcomes([([], p[k][0], 0.0) for p in block]
+                                      + [p[k][1] for p in block])
+            ideal.append(pruned(rows[:n]))
+            weights.append(pruned(rows[n:]) if analytic_xi else np.array(
+                [sample_outcomes(v, shots, derive_seed(p[0][2], tag))
+                 for v, p in zip(rows[n:], block)]))
+            D.append(ordered_sum(np.abs(ideal[-1] - pruned(weights[-1] / total))))
+        retained = selection_split(weights[1])[0]
+        kept = ordered_sum(retained)
+        # a pair that retains nothing is divided by 1 here and reports D = 1 below
+        retained = pruned(retained / np.array([x if x > 0.0 else 1.0 for x in kept])[:, None])
+        # decode_distribution's bincount of both; neither has odd-parity support
+        logical = pruned(binned(np.concatenate((ideal[1], retained)), DECODE_INDEX, ODD + 1))
+        records = []
+        for ((L, params, seed, stamp), *_), D_u, D_raw, x, D_ps, D_dec, dim_u, dim_c in zip(
+                block, *D, kept, ordered_sum(np.abs(ideal[1] - retained)),
+                ordered_sum(np.abs(logical[:n, :ODD] - logical[n:, :ODD])),
+                *((v != 0.0).sum(axis=1).tolist() for v in ideal)):
+            D_ps, D_dec = (0.5 * D_ps, 0.5 * D_dec) if x > 0.0 else (1.0, 1.0)
+            records += [ExperimentRecord(
+                experiment_id=f"{gate_set}-L{L}-s{seed}-{scheme}", gate_set=gate_set, L=L,
+                seed=seed, scheme=scheme, shots=shots, gamma=gamma, r=r, D=Dv,
+                D_decoded=D_decoded, output_dimension=dim, eps1=params.eps1, eps2=params.eps2,
+                p_meas=params.p_meas, p_prep=params.p_prep, theta=params.theta, timestamp=stamp)
+                for scheme, gamma, r, Dv, D_decoded, dim in (
+                    (SCHEME_UNCODED, shots, 1.0, 0.5 * D_u, 0.5 * D_u, dim_u),
+                    (SCHEME_CODED_RAW, shots, 1.0, 0.5 * D_raw, D_dec, dim_c),
+                    (SCHEME_CODED_PS, round(x / total * shots), x / total, D_ps, D_dec, dim_c))]
+        return records
 
-    unc, cod = build_pair(sequence)
-    ideal_u, _, D_u = side(unc, "uncoded", False)
-    ideal_c, w_c, D_raw = side(cod, "coded", params.theta != 0.0)
-    retained = selection_split(w_c)[0]
-    kept = ordered_sum(retained)
-    r = kept / total
-    D_ps = D_dec = 1.0
-    if kept > 0.0:
-        retained = pruned(retained / kept)
-        D_ps = 0.5 * ordered_sum(np.abs(ideal_c - retained))
-        # decode_distribution's bincount; neither vector has odd-parity support
-        logical = [pruned(np.bincount(DECODE_INDEX, v, ODD + 1)[:ODD]) for v in (ideal_c, retained)]
-        D_dec = 0.5 * ordered_sum(np.abs(logical[0] - logical[1]))
-    dim_u, dim_c = np.count_nonzero(ideal_u), np.count_nonzero(ideal_c)
-    return [ExperimentRecord(
-        experiment_id=f"{gate_set}-L{L}-s{seed}-{scheme}", gate_set=gate_set, L=L, seed=seed,
-        scheme=scheme, shots=shots, gamma=gamma, r=rr, D=D, D_decoded=D_decoded,
-        output_dimension=dim, eps1=params.eps1, eps2=params.eps2, p_meas=params.p_meas,
-        p_prep=params.p_prep, theta=params.theta, timestamp=stamp)
-        for scheme, gamma, rr, D, D_decoded, dim in (
-            (SCHEME_UNCODED, shots, 1.0, D_u, D_u, dim_u),
-            (SCHEME_CODED_RAW, shots, 1.0, D_raw, D_dec, dim_c),
-            (SCHEME_CODED_PS, round(r * shots), r, D_ps, D_dec, dim_c))]
+    out, block, size = [], [], 0
+    for sequence, params, seed in runs:
+        sides = []  # per side, its ideal spectrum and the suffix item of its noisy vector
+        for circuit, rotate in zip(build_pair(sequence), (False, params.theta != 0.0)):
+            table = FlipMaskTable(circuit)
+            spectrum = frame_spectrum(circuit, table.frame)
+            sides.append((spectrum, _suffix_item(insert_coherent_rotation(circuit, params.theta),
+                                                 params) if rotate
+                          else _suffix_item(circuit, params, table, spectrum)))
+        entries = sum((len(item[0]) + 2) * len(spectrum) for spectrum, item in sides)
+        if block and size + entries > 1 << 16:  # verify_single_faults' block rule
+            out += finish(block)
+            block, size = [], 0
+        block.append(((len(sequence), params, seed, _utc_now()), *sides))
+        size += entries
+    return out + finish(block) if block else out
+
+
+def run_pair(sequence: list[LogicalGate], params: NoiseParams, shots: int,
+             seed: int, gate_set: str = "custom", analytic_xi: bool = False) -> list[ExperimentRecord]:
+    """Execute one sequence both ways, the one-pair call of run_pairs."""
+    return run_pairs([(sequence, params, seed)], shots, gate_set, analytic_xi)
 
 
 def sweep_L(gate_set: GateSetId, lengths: list[int], params: NoiseParams,
@@ -242,7 +272,8 @@ def sweep_L(gate_set: GateSetId, lengths: list[int], params: NoiseParams,
     sequence, so the record list (and any CSV written from it) depends
     only on the arguments.  A repeated length would repeat its rows, ids
     and all, so it is refused.  Every slot's spec is built, and its
-    length checked, before the first pair runs.
+    length checked, before the first pair runs; the sequences are drawn
+    as run_pairs reaches them.
     """
     if not lengths:
         raise CircuitError("no sequence lengths to run")
@@ -253,10 +284,8 @@ def sweep_L(gate_set: GateSetId, lengths: list[int], params: NoiseParams,
         raise CircuitError(f"seeds_per_length must be positive, got {seeds_per_length}")
     specs = [SequenceSpec(gate_set, L, derive_seed(master_seed, gate_set.value, L, k))
              for L in lengths for k in range(seeds_per_length)]
-    out: list[ExperimentRecord] = []
-    for spec in specs:
-        out += run_pair(random_sequence(spec), params, shots, spec.seed, gate_set.value, analytic_xi)
-    return out
+    return run_pairs(((random_sequence(spec), params, spec.seed) for spec in specs),
+                     shots, gate_set.value, analytic_xi)
 
 
 def sweep_theta(thetas: list[float], params: NoiseParams,
@@ -269,10 +298,8 @@ def sweep_theta(thetas: list[float], params: NoiseParams,
         raise CircuitError("no angles to sweep")
     runs = [(SequenceSpec(gate_set, length, derive_seed(master_seed, "theta", i)),
              replace(params, theta=theta)) for i, theta in enumerate(thetas)]
-    out: list[ExperimentRecord] = []
-    for spec, run_params in runs:
-        out += run_pair(random_sequence(spec), run_params, shots, spec.seed, gate_set.value)
-    return out
+    return run_pairs(((random_sequence(spec), run_params, spec.seed) for spec, run_params in runs),
+                     shots, gate_set.value)
 
 
 def summarize_records(records: list[ExperimentRecord]) -> list[dict]:

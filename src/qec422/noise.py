@@ -9,9 +9,10 @@ of each measured bit (p_meas).  A coherent miscalibration is modeled as
 an RZ(theta) inserted after the first Hadamard, and xi mixes the final
 distribution toward uniform.
 
-One engine, noisy_vector, computes a circuit's exact noisy read-out
-distribution, a vector in the simulator.marginal_vector layout, and
-sample_outcomes draws all the shots of a run from it at once.  One
+One engine computes exact noisy read-out distributions, vectors in the
+simulator.marginal_vector layout: one stacked pass, _clifford_outcomes,
+for any number of circuits, of which noisy_vector is the one-circuit
+call; sample_outcomes draws all the shots of a run from one at once.  One
 backward sweep of the signed Pauli frame, simulator.FlipMaskTable
 (imported here), carries each measured Z observable from the end of the
 circuit back to its last RZ.
@@ -40,12 +41,12 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
+from itertools import accumulate, chain
 
 import numpy as np
 
 from .circuits import MAX_QUBITS, Circuit, CircuitError, GateInstance, GateKind, finite_real
-from .simulator import (FlipMaskTable, OutcomeDistribution, ShotCounts, _evolve, _wht,
-                        frame_spectrum, spectrum_marginal)
+from .simulator import FlipMaskTable, OutcomeDistribution, ShotCounts, _evolve, _wht, frame_spectrum
 
 ONE_QUBIT_PAULIS = ("X", "Y", "Z")
 TWO_QUBIT_PAULIS = tuple(
@@ -120,44 +121,33 @@ def derive_seed(master_seed: int, *tags: object) -> int:
 # The engine: a base spectrum, the folded suffix, the xi mix
 # ---------------------------------------------------------------------------
 
-def _clifford_outcomes(circuit: Circuit, params: NoiseParams, table: FlipMaskTable,
-                       base: np.ndarray) -> np.ndarray:
-    """Exact read-out distribution from base, the read-out spectrum
-    before every flip the frame folds.
+def _clifford_outcomes(items: list[tuple[list, np.ndarray, float]]) -> np.ndarray:
+    """The engine's suffix: one exact read-out distribution per (sites, base,
+    xi) item of _suffix_item, all of one width, as the rows of one array.
 
-    Each site the frame folds (a gate fault with a row, a prep flip when
-    prep_masks is not None, a read-out flip) XORs in masks[k] with weight
-    w[k] of its _site_weights, independently of what came before.  So the
-    exact distribution is the inverse transform of base times the sites'
-    Walsh-Hadamard spectra, clipped of rounding negatives and
-    renormalized; when no site fires it is spectrum_marginal(base).
-    Either way it is then mixed toward uniform by xi.  Equal sites are
-    folded into one row raised to their count, a gate row counted by the
-    row alone (its length says eps1 or eps2) and a prep or read-out flip
-    by its weights and mask; each distinct site's spectrum comes from
-    _site_spectrum, in the order the sites first fire.
+    Each folded site XORs in its masks independently of what came before,
+    so a row is the inverse transform of its base times its sites' spectra,
+    clipped of rounding negatives and renormalized (a row with no site is
+    divided by 2^m, as spectrum_marginal does: a power-of-two scale is
+    exact), then mixed toward uniform by its xi.  One power (a count of 2
+    as x * x) and one in-order reduceat keep each row its one-item call.
     """
-    n_bits = len(circuit.measured)
-    gate = {len(w): w for w in (_site_weights(params, 1), _site_weights(params, 2)) if any(w[1:])}
-    firing = [(_site_spectrum(gate[len(row)], row, 1 << n_bits), count)
-              for row, count in Counter(table.gate_masks).items() if row and len(row) in gate]
-    prep, meas = _site_weights(params, "prep"), _site_weights(params, "meas")
-    flips = Counter((prep, mask) for mask in table.prep_masks[1:]) if table.prep_masks else Counter()
-    flips.update((meas, 1 << t) for t in range(n_bits))
-    firing += [(_site_spectrum(w, (0, mask), 1 << n_bits), count)
-               for (w, mask), count in flips.items() if w[1]]
-    if not firing:
-        vec, total = spectrum_marginal(base), 1.0
-    else:
-        sites, counts = map(np.array, zip(*firing))
-        powered = sites ** counts[:, None]
-        # a scalar ** 2 is x * x, which an array exponent's pow() can miss by an ulp
-        twice = counts == 2
-        powered[twice] = sites[twice] * sites[twice]
-        # the inverse transform's 1/2^m factor cancels in the renormalization
-        vec = np.maximum(_wht(base * np.prod(powered, axis=0)), 0.0)
-        total = vec.sum()
-    return (1.0 - params.xi) * vec / total + params.xi / len(vec)
+    bases = np.array([base for _, base, _ in items])
+    d = bases.shape[-1]
+    spectra, counts = map(np.array, zip(*chain.from_iterable(
+        s or [(_site_spectrum((1.0,), (0,), d), 1)] for s, _, _ in items)))  # no fault: all ones
+    counts = counts[:, None]
+    powered = spectra ** counts
+    # a scalar ** 2 is x * x, which an array exponent's pow() can miss by an ulp
+    np.multiply(spectra, spectra, out=powered, where=counts == 2)
+    bases *= np.multiply.reduceat(powered, [0, *accumulate(len(s) or 1 for s, _, _ in items[:-1])])
+    vec = np.maximum(_wht(bases), 0.0)
+    total = vec.sum(axis=1, keepdims=True)
+    silent = [i for i, (s, _, _) in enumerate(items) if not s]
+    if silent:
+        total[silent] = d
+    xi = np.array([[x] for _, _, x in items])
+    return (1.0 - xi) * vec / total + xi / d
 
 
 @lru_cache(maxsize=256)
@@ -234,16 +224,16 @@ def _prefix_state(circuit: Circuit, params: NoiseParams, table: FlipMaskTable) -
     return rho
 
 
-def noisy_vector(circuit: Circuit, params: NoiseParams, table: FlipMaskTable | None = None,
-                 spectrum: np.ndarray | None = None) -> np.ndarray:
-    """Exact noisy read-out distribution under every channel, indexed as
-    marginal_vector; params.theta is not applied (run_pair inserts it).
-
-    The density-matrix prefix is built only when some channel the frame
-    leaves unfolded fires; otherwise the base is the ideal spectrum.  A
-    caller that already holds the circuit's table, and the ideal
-    spectrum frame_spectrum(circuit, table.frame), passes them.
-    """
+def _suffix_item(circuit: Circuit, params: NoiseParams, table: FlipMaskTable | None = None,
+                 spectrum: np.ndarray | None = None) -> tuple[list, np.ndarray, float]:
+    """(sites, base, xi), all _clifford_outcomes needs of one circuit.  The
+    base is the read-out spectrum before every folded flip: the ideal one,
+    which a caller holding the table may pass, or the density-matrix
+    prefix's when a channel the frame leaves unfolded fires.  The sites are
+    the folded ones that fire (a gate fault with a row, a prep flip when
+    prep_masks is not None, a read-out flip) as (_site_spectrum, count) in
+    first-firing order, equal ones merged: a gate row by the row alone (its
+    length says eps1 or eps2), a prep or read-out flip by weights and mask."""
     if not circuit.measured:
         raise CircuitError("circuit measures no qubits")
     table = FlipMaskTable(circuit) if table is None else table
@@ -251,7 +241,23 @@ def noisy_vector(circuit: Circuit, params: NoiseParams, table: FlipMaskTable | N
         spectrum = frame_spectrum(circuit, table.frame, _prefix_state(circuit, params, table))
     elif spectrum is None:
         spectrum = frame_spectrum(circuit, table.frame)
-    return _clifford_outcomes(circuit, params, table, spectrum)
+    n_bits = len(circuit.measured)
+    gate = {len(w): w for w in (_site_weights(params, 1), _site_weights(params, 2)) if any(w[1:])}
+    sites = [(_site_spectrum(gate[len(row)], row, 1 << n_bits), count)
+             for row, count in Counter(table.gate_masks).items() if row and len(row) in gate]
+    prep, meas = _site_weights(params, "prep"), _site_weights(params, "meas")
+    flips = Counter([(prep, mask) for mask in (table.prep_masks or (0,))[1:]]
+                    + [(meas, 1 << t) for t in range(n_bits)])
+    sites += [(_site_spectrum(w, (0, mask), 1 << n_bits), count)
+              for (w, mask), count in flips.items() if w[1]]
+    return sites, spectrum, params.xi
+
+
+def noisy_vector(circuit: Circuit, params: NoiseParams) -> np.ndarray:
+    """Exact noisy read-out distribution under every channel, indexed as
+    marginal_vector; params.theta is not applied (experiments.run_pairs
+    inserts it).  The one-item call of the suffix run_pairs stacks."""
+    return _clifford_outcomes([_suffix_item(circuit, params)])[0]
 
 
 def sample_outcomes(vec: np.ndarray, shots: int, seed: int) -> np.ndarray:

@@ -53,6 +53,7 @@ _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _H, _S, _RZ, _X, _Y, _Z, _CNOT, _CZ, _SWAP = (
     GateKind[k] for k in ("H", "S", "RZ", "X", "Y", "Z", "CNOT", "CZ", "SWAP"))
 _PHASES = np.array([1, 1j, -1, -1j])  # i**e for e mod 4
+_SIGNS = np.array([[1.0], [-1.0]])  # a butterfly's two halves
 
 
 @dataclass
@@ -278,9 +279,10 @@ def string_order(n_bits: int) -> np.ndarray:
     return order
 
 
-def ordered_sum(vec: np.ndarray) -> float:
-    """Sum of an outcome vector in sorted-bitstring order, as every CSV value is summed."""
-    return sum(vec[string_order(len(vec).bit_length() - 1)].tolist())
+def ordered_sum(vec: np.ndarray) -> float | list[float]:
+    """Sum of an outcome vector, or of each row of a stack, in sorted-bitstring order."""
+    order = string_order(vec.shape[-1].bit_length() - 1)
+    return sum(vec[order].tolist()) if vec.ndim == 1 else [sum(r) for r in vec[:, order].tolist()]
 
 
 def outcome_vector(entries: Mapping[str, float], n_bits: int) -> np.ndarray:
@@ -440,17 +442,16 @@ def _wht(vec: np.ndarray) -> np.ndarray:
     out[..., s] = sum_j vec[..., j] (-1)^popcount(s & j)."""
     shape, h = vec.shape, 1
     while h < shape[-1]:
-        a = vec.reshape(-1, 2 * h)
-        lo, hi = a[:, :h], a[:, h:]
-        vec = np.concatenate((lo + hi, lo - hi), axis=1)
+        a = vec.reshape(-1, 2, h)
+        vec = a[:, :1] + _SIGNS * a[:, 1:]  # (lo + hi, lo - hi); x + -y is x - y, bit for bit
         h *= 2
     return vec.reshape(shape)
 
 
 def spectrum_marginal(spectrum: np.ndarray) -> np.ndarray:
     """Read-out vector of a spectrum, its inverse transform, with rounding
-    negatives at true zeros clipped."""
-    return np.maximum(_wht(spectrum) / len(spectrum), 0.0)
+    negatives at true zeros clipped; a stack of spectra gives one per row."""
+    return np.maximum(_wht(spectrum) / spectrum.shape[-1], 0.0)
 
 
 def ideal_marginal(circuit: Circuit) -> np.ndarray:

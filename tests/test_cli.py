@@ -316,7 +316,7 @@ class TestRun:
         """An --out in a missing directory used to fail only once the whole
         sweep had been simulated."""
         calls = []
-        monkeypatch.setattr(experiments, "run_pair", lambda *a, **k: calls.append(a) or [])
+        monkeypatch.setattr(experiments, "run_pairs", lambda *a, **k: calls.append(a) or [])
         out = tmp_path / "nodir" / "x.csv"
         assert main([*command, "--out", str(out)]) == 1
         assert capsys.readouterr().err == (f"error: {out}: no directory "

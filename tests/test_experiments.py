@@ -3,13 +3,15 @@
 import dataclasses
 import itertools
 import math
+import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from qec422 import experiments, simulator
+from qec422 import experiments, noise, simulator
 from qec422.analytics import trace_distance
-from qec422.circuits import Circuit, CircuitError, GateKind
+from qec422.circuits import Circuit, CircuitError, GateInstance, GateKind
 from qec422.code import (
     EncoderVariant,
     LogicalGate,
@@ -21,6 +23,7 @@ from qec422.code import (
 )
 from qec422.experiments import (
     CSV_COLUMNS,
+    MAX_SEQUENCE_LENGTH,
     GateSetId,
     SCHEME_CODED_PS,
     SCHEME_CODED_RAW,
@@ -293,7 +296,7 @@ class TestSweeps:
     def test_repeated_length_refused_before_any_run(self, monkeypatch, lengths):
         """A repeated length used to repeat its rows, experiment ids and all."""
         calls = []
-        monkeypatch.setattr(experiments, "run_pair", lambda *a, **k: calls.append(a) or [])
+        monkeypatch.setattr(experiments, "run_pairs", lambda *a, **k: calls.append(a) or [])
         with pytest.raises(CircuitError, match=f"^sequence length {lengths[0]} given twice$"):
             sweep_L(GateSetId.REDUCED, lengths, PARAMS, shots=64)
         assert calls == []
@@ -308,7 +311,7 @@ class TestSweeps:
         """A bad length or angle used to be refused only once every slot
         ahead of it had run."""
         calls = []
-        monkeypatch.setattr(experiments, "run_pair", lambda *a, **k: calls.append(a) or [])
+        monkeypatch.setattr(experiments, "run_pairs", lambda *a, **k: calls.append(a) or [])
         with pytest.raises(CircuitError, match=message):
             sweep()
         assert calls == []
@@ -322,6 +325,156 @@ class TestSweeps:
         for rec in ps:
             want = math.cos(rec.theta / 2) ** 2
             assert abs(rec.r - want) < 0.02
+
+
+def _rows(records):
+    """CSV rows without the timestamp column, as written."""
+    return [rec.to_csv_row()[:-1] for rec in records]
+
+
+def _one_pair_sweep_L(gate_set, lengths, params, shots, seeds_per_length, master_seed, analytic):
+    """sweep_L as the concatenation of one-pair run_pair calls."""
+    out = []
+    for L in lengths:
+        for k in range(seeds_per_length):
+            spec = SequenceSpec(gate_set, L, derive_seed(master_seed, gate_set.value, L, k))
+            out += run_pair(random_sequence(spec), params, shots, spec.seed, gate_set.value, analytic)
+    return out
+
+
+def _one_pair_sweep_theta(thetas, params, gate_set, length, shots, master_seed):
+    """sweep_theta as the concatenation of one-pair run_pair calls."""
+    out = []
+    for i, theta in enumerate(thetas):
+        spec = SequenceSpec(gate_set, length, derive_seed(master_seed, "theta", i))
+        out += run_pair(random_sequence(spec), dataclasses.replace(params, theta=theta), shots,
+                        spec.seed, gate_set.value)
+    return out
+
+
+class TestBatch:
+    """sweep_L and sweep_theta run all their pairs through one batched
+    pipeline; every CSV byte must be the one-pair runs' bytes."""
+
+    @staticmethod
+    def _config(k: int) -> tuple[str, NoiseParams, bool, int]:
+        """(case, params, analytic_xi, shots) of configuration k.  k cycles
+        through the cases a batch could get wrong; the rest is random."""
+        rng = np.random.default_rng([31, k])
+        eps1, eps2, p_meas, p_prep = (float(x) * (rng.random() < 0.75)
+                                      for x in rng.uniform(0.0, (0.05, 0.3, 0.1, 0.1)))
+        xi, theta = float(rng.uniform(0.0, 0.3)) * (rng.random() < 0.5), 0.0
+        if rng.random() < 0.5:
+            theta = float(rng.choice([0.3, 0.9, math.pi, rng.uniform(-4.0, 4.0)]))
+        case = ("rotated exact", "silent", "equal flips", "mixed firing", "random")[k % 5]
+        analytic, shots = bool(rng.random() < 0.5), int(rng.choice([1, 777, 8192]))
+        if case == "rotated exact":  # theta != 0, exact, a single shot, xi > 0
+            theta, analytic, shots, xi = 0.3 + k % 7 / 10, True, 1, 0.05 + xi
+        elif case == "silent":  # no site fires anywhere
+            eps1 = eps2 = p_meas = p_prep = 0.0
+        elif case == "equal flips":  # a prep flip and a read-out flip merge into one count-2 site
+            p_prep = p_meas = 0.01 + p_meas
+            theta = 0.0
+        elif case == "mixed firing":  # only eps2: no site fires on X0, X1, Z0 or Z1 uncoded
+            eps1 = p_meas = p_prep = xi = theta = 0.0
+            eps2 = 0.02 + eps2
+        return case, NoiseParams(eps1=eps1, eps2=eps2, p_meas=p_meas, p_prep=p_prep,
+                                 theta=theta, xi=xi), analytic, shots
+
+    def test_sweeps_equal_one_pair_runs(self):
+        """300 random configurations, one in five a sweep_theta."""
+        cases = Counter()
+        for k in range(300):
+            case, params, analytic, shots = self._config(k)
+            rng = np.random.default_rng([32, k])
+            gate_set = (GateSetId.REDUCED if case == "mixed firing"
+                        else list(GateSetId)[k % 3])
+            seed = int(rng.integers(0, 1000))
+            if k % 4 == 3 and case != "mixed firing":
+                thetas = rng.uniform(-4.0, 4.0, 1 + k % 4).tolist()
+                length = int(rng.integers(1, 25))
+                got = sweep_theta(thetas, params, gate_set, length, shots, seed)
+                want = _one_pair_sweep_theta(thetas, params, gate_set, length, shots, seed)
+                cases["theta sweep"] += 1
+            else:
+                lengths = [1] if case == "mixed firing" else sorted(
+                    set(rng.integers(1, 40, 1 + k % 3).tolist()))
+                spl = 2 + k % 4 if case == "mixed firing" else 1 + k % 3
+                got = sweep_L(gate_set, lengths, params, shots, spl, seed, analytic)
+                want = _one_pair_sweep_L(gate_set, lengths, params, shots, spl, seed, analytic)
+            assert _rows(got) == _rows(want), (k, case, params)
+            cases[case] += 1
+        assert min(cases.values()) >= 20, cases
+
+    def test_firing_and_silent_rows_share_a_batch(self, monkeypatch):
+        """With eps2 only, a reduced-set L = 1 uncoded circuit of one
+        one-qubit gate has no firing site, while CZZZ's CZ and every coded
+        encoder do: 'no site fires' must be decided per row.  With eps1
+        only, every such circuit fires."""
+        calls = []
+        original = noise._clifford_outcomes
+        monkeypatch.setattr(experiments, "_clifford_outcomes",
+                            lambda items: calls.append([bool(s) for s, _, _ in items])
+                            or original(items))
+        for params, silent in ((NoiseParams(eps2=0.1), True), (NoiseParams(eps1=0.1), False)):
+            calls.clear()
+            got = sweep_L(GateSetId.REDUCED, [1], params, 4096, 30, 5)
+            assert _rows(got) == _rows(_one_pair_sweep_L(GateSetId.REDUCED, [1], params, 4096,
+                                                         30, 5, False))
+            uncoded_noisy = calls[0][30:]
+            assert (not all(uncoded_noisy) and any(uncoded_noisy)) is silent, params
+            assert not any(calls[0][:30]) and all(calls[1][30:])
+
+    def test_equal_prep_and_read_out_flips_merge(self):
+        """p_prep == p_meas: a prep flip whose mask is a read-out flip's is
+        one site of count 2, in the batch as in one call."""
+        params = NoiseParams(eps1=0.01, eps2=0.05, p_meas=0.02, p_prep=0.02, xi=0.01)
+        sites = noise._suffix_item(Circuit(2, [], [0, 1]), params)[0]
+        assert [count for _, count in sites] == [2, 2]
+        for analytic in (False, True):
+            got = sweep_L(GateSetId.REDUCED, [1, 3, 20], params, 8192, 4, 2, analytic)
+            want = _one_pair_sweep_L(GateSetId.REDUCED, [1, 3, 20], params, 8192, 4, 2, analytic)
+            assert _rows(got) == _rows(want)
+
+    def test_blocks_equal_one_pair_runs(self, monkeypatch):
+        """A sweep whose stacks pass 2^16 entries runs in several blocks."""
+        calls = []
+        original = noise._clifford_outcomes
+        monkeypatch.setattr(experiments, "_clifford_outcomes",
+                            lambda items: calls.append(len(items)) or original(items))
+        params = NoiseParams(eps1=4e-3, eps2=0.16, p_meas=0.02, p_prep=0.01)
+        got = sweep_L(GateSetId.FULL, [50, 100], params, 1000, 150, 3)
+        assert len(calls) >= 6 and sum(calls) == 4 * 300
+        assert _rows(got) == _rows(_one_pair_sweep_L(GateSetId.FULL, [50, 100], params, 1000,
+                                                     150, 3, False))
+
+    def test_noisy_vector_is_its_batched_row(self, random_clifford):
+        """noisy_vector is the one-item call: each result equals its row of
+        one suffix over every circuit of the same width, bit for bit."""
+        by_width: dict = {}
+        for seed in range(60):
+            c = random_clifford(seed, n_qubits=2 + seed % 3, n_extra=seed % 25, measure_all=True)
+            if seed % 4 == 1:
+                c = insert_coherent_rotation(c.with_gates([GateInstance(GateKind.H, (0,))]
+                                                          + c.gates), 0.4 + seed / 50)
+            params = self._config(seed)[1]
+            by_width.setdefault(len(c.measured), []).append((c, params))
+        for pairs in by_width.values():
+            rows = noise._clifford_outcomes([noise._suffix_item(c, p) for c, p in pairs])
+            for (c, p), row in zip(pairs, rows):
+                assert np.array_equal(noise.noisy_vector(c, p), row)
+
+    def test_memory_stays_bounded(self):
+        """Each pair keeps O(2^m) data, never its circuits or tables, and
+        the stacks are cut at 2^16 entries: ten times the pairs of the
+        longest sequences stays within a few MB of the same peak."""
+        peaks = []
+        for seeds in (20, 20, 200):
+            tracemalloc.start()
+            sweep_L(GateSetId.FULL, [MAX_SEQUENCE_LENGTH], PARAMS, 64, seeds)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        assert peaks[2] - peaks[1] < 4e6, peaks
 
 
 class TestCsv:

@@ -1,5 +1,6 @@
 """Fault model and trajectory sampler."""
 
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -451,7 +452,8 @@ class TestBatchedSuffix:
     def _check(self, c: Circuit, params: NoiseParams) -> FlipMaskTable:
         table = FlipMaskTable(c)
         base = frame_spectrum(c, table.frame)
-        got = noise._clifford_outcomes(c, params, table, base)
+        sites = noise._suffix_item(c, params, table, base)[0]
+        got = noise._clifford_outcomes([(sites, base, params.xi)])[0]
         assert np.array_equal(got, _per_site_outcomes(c, params, table, base))
         return table
 
@@ -480,6 +482,17 @@ class TestBatchedSuffix:
             table = self._check(c.with_gates([g for gs in twice for g in gs]), self._params(seed))
             doubled += 2 in Counter(table.gate_masks).values()
         assert doubled > 100
+
+    def test_equal_prep_and_read_out_weights(self, random_clifford):
+        """p_prep == p_meas: a prep flip and a read-out flip of one mask are
+        one site of count 2, as the reference's (p, masks) key merges them."""
+        merged = 0
+        for seed in range(60):
+            c = random_clifford(seed, n_qubits=2 + seed % 4, n_extra=seed % 20, measure_all=True)
+            p = self._params(seed)
+            table = self._check(c, dataclasses.replace(p, p_prep=p.p_meas))
+            merged += bool(set(table.prep_masks[1:]) & {1 << t for t in range(len(c.measured))})
+        assert merged > 20
 
     @pytest.mark.parametrize("gate_set", [GateSetId.FULL, GateSetId.REDUCED])
     def test_coded_circuits(self, gate_set):

@@ -480,6 +480,48 @@ class TestDistributions:
             ideal_distribution(Circuit(2, [], []))
 
 
+class TestStackedRules:
+    """A stack of vectors, one per row, through the rules every CSV value
+    goes through: each row must come out bit for bit as the 1-D call."""
+
+    @staticmethod
+    def _stack(rng: np.random.Generator, rows: int, m: int) -> np.ndarray:
+        """Signed spectra-like rows with exact zeros, ulp-scale entries and
+        repeats, where a changed order or scale shows in the last bit."""
+        stack = rng.uniform(-1.0, 1.0, (rows, 1 << m)) * 10.0 ** rng.integers(-17, 1, (rows, 1 << m))
+        stack[:, 0] = 1.0
+        stack[rng.random(stack.shape) < 0.2] = 0.0
+        if rows > 1:
+            stack[-1] = stack[0]
+        return stack
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("rows", [1, 2, 3, 16, 37])
+    def test_spectrum_marginal_rows_equal_the_1d_call(self, m, rows):
+        """The transform runs along the last axis, so the normalization must
+        be its length: dividing by the row count wrote D = 1.5."""
+        stack = self._stack(np.random.default_rng([m, rows]), rows, m)
+        got = simulator.spectrum_marginal(stack)
+        assert got.shape == stack.shape
+        for row, want in zip(got, map(simulator.spectrum_marginal, stack)):
+            assert np.array_equal(row, want)
+            assert np.array_equal(np.signbit(row), np.signbit(want))
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("rows", [1, 2, 3, 16, 37])
+    def test_ordered_sum_rows_equal_the_1d_rule(self, m, rows):
+        """Per-row sums in sorted-bitstring order, as Python floats."""
+        stack = np.abs(self._stack(np.random.default_rng([m, rows, 1]), rows, m))
+        got = simulator.ordered_sum(stack)
+        assert isinstance(got, list) and len(got) == rows
+        order = sorted(range(1 << m), key=lambda j: simulator.bitstring_of(j, m))
+        for total, row in zip(got, stack):
+            want = 0
+            for j in order:
+                want += float(row[j])
+            assert type(total) is float and total == want == simulator.ordered_sum(row)
+
+
 class TestSampling:
     def test_empirical_distribution(self):
         sc = ShotCounts({"00": 75, "11": 25})
