@@ -6,8 +6,8 @@ Both runs share the sequence and noise parameters but use independent
 derived RNG streams, so any D difference is scheme, not luck of a
 shared stream.  One run yields three records: uncoded, coded without
 post-selection, coded with post-selection.  run_pairs runs a sweep's
-pairs as one batch: only the circuits, tables, bases, site lists and
-draws are per pair, and each block of pairs runs its suffixes, ideal
+pairs as one batch: only the circuits, tables, bases, exponent vectors
+and draws are per pair, and each block of pairs runs its suffixes, ideal
 marginals, distances and post-selection as stacked numpy calls, one per
 read-out width, each row bit for bit what a one-pair run gives.
 
@@ -42,10 +42,12 @@ from .code import (
 )
 from .noise import (NoiseParams, _clifford_outcomes, _suffix_item, derive_seed,
                     insert_coherent_rotation, sample_outcomes)
-from .simulator import FlipMaskTable, frame_spectrum, ordered_sum, pruned
+from .simulator import FlipMaskTable, frame_spectrum, ordered_sum, pruned, spectrum_marginal
 
 DEFAULT_SHOTS = 8192
 MAX_SEQUENCE_LENGTH = 1000
+# at most 2^16 stacked entries a block: six rows (ideal, base, exponents) of 4 and of 16
+_BLOCK_PAIRS = (1 << 16) // (6 * (4 + 16))
 
 SCHEME_UNCODED = "uncoded"
 SCHEME_CODED_RAW = "coded_raw"
@@ -199,7 +201,7 @@ def run_pairs(runs: Iterable[tuple[list[LogicalGate], NoiseParams, int]], shots:
     (r = 0, theta = pi).  With analytic_xi, gamma is the rounded expected
     count, so a row with 0 < r < 1 / (2 shots) has gamma = 0 but exact D.
     A pair keeps O(2^m) data past its circuits and tables, and a block
-    stacks at most 2^16 entries, or one pair.
+    holds at most _BLOCK_PAIRS pairs.
     """
     if shots < 1:
         raise CircuitError(f"shots must be positive, got {shots}")
@@ -208,13 +210,11 @@ def run_pairs(runs: Iterable[tuple[list[LogicalGate], NoiseParams, int]], shots:
     def finish(block: list) -> list[ExperimentRecord]:
         ideal, weights, D, n = [], [], [], len(block)
         for k, tag in ((1, "uncoded"), (2, "coded")):
-            # an ideal marginal is the suffix of its spectrum with no site and no xi
-            rows = _clifford_outcomes([([], p[k][0], 0.0) for p in block]
-                                      + [p[k][1] for p in block])
-            ideal.append(pruned(rows[:n]))
-            weights.append(pruned(rows[n:]) if analytic_xi else np.array(
+            ideal.append(pruned(spectrum_marginal(np.array([p[k][0] for p in block]))))
+            rows = _clifford_outcomes([p[k][1] for p in block])
+            weights.append(pruned(rows) if analytic_xi else np.array(
                 [sample_outcomes(v, shots, derive_seed(p[0][2], tag))
-                 for v, p in zip(rows[n:], block)]))
+                 for v, p in zip(rows, block)]))
             D.append(ordered_sum(np.abs(ideal[-1] - pruned(weights[-1] / total))))
         retained = selection_split(weights[1])[0]
         kept = ordered_sum(retained)
@@ -239,7 +239,7 @@ def run_pairs(runs: Iterable[tuple[list[LogicalGate], NoiseParams, int]], shots:
                     (SCHEME_CODED_PS, round(x / total * shots), x / total, D_ps, D_dec, dim_c))]
         return records
 
-    out, block, size = [], [], 0
+    out, block = [], []
     for sequence, params, seed in runs:
         sides = []  # per side, its ideal spectrum and the suffix item of its noisy vector
         for circuit, rotate in zip(build_pair(sequence), (False, params.theta != 0.0)):
@@ -248,12 +248,10 @@ def run_pairs(runs: Iterable[tuple[list[LogicalGate], NoiseParams, int]], shots:
             sides.append((spectrum, _suffix_item(insert_coherent_rotation(circuit, params.theta),
                                                  params) if rotate
                           else _suffix_item(circuit, params, table, spectrum)))
-        entries = sum((len(item[0]) + 2) * len(spectrum) for spectrum, item in sides)
-        if block and size + entries > 1 << 16:  # verify_single_faults' block rule
-            out += finish(block)
-            block, size = [], 0
         block.append(((len(sequence), params, seed, _utc_now()), *sides))
-        size += entries
+        if len(block) == _BLOCK_PAIRS:
+            out += finish(block)
+            block = []
     return out + finish(block) if block else out
 
 

@@ -13,27 +13,28 @@ One engine computes exact noisy read-out distributions, vectors in the
 simulator.marginal_vector layout: one stacked pass, _clifford_outcomes,
 for any number of circuits, of which noisy_vector is the one-circuit
 call; sample_outcomes draws all the shots of a run from one at once.  One
-backward sweep of the signed Pauli frame, simulator.FlipMaskTable
-(imported here), carries each measured Z observable from the end of the
-circuit back to its last RZ.
-A fault after any gate from there on is Clifford-propagated to an
-X-type read-out flip mask; the table alone decides which sites it
-folds, a None row being one it does not.  The base is the read-out
-spectrum before the folded flips, which simulator.frame_spectrum reads
-from the frame where the sweep stopped: on |0...0> in a Clifford
-circuit, else on the ideal statevector up to the last RZ, or, when an
-unfolded channel fires (a preparation flip, or a fault after a gate
-ahead of the last RZ), on the exact density matrix at that point, each
-gate run as U (U rho)^dagger through the one statevector kernel and
-each such site mixing sum_k w_k P_k rho P_k^dagger into it.  Every
-folded flip is independent of the base and XORs onto it, and
-XOR-convolution is a pointwise product in the Walsh-Hadamard domain, so
-the suffix multiplies the base spectrum by each site's: the transform
-of its weights binned by flip mask, the channel's eigenvalues (Flammia
-& Wallman, arXiv:1907.12976), computed once per (weights, masks).  xi
-then mixes toward uniform.  The randomness is one multinomial from a
-Philox stream per call, so a (circuit, params, shots, seed) tuple always
-yields identical counts, however calls are scheduled around it.
+backward sweep of the signed Pauli frame, simulator.FlipMaskTable,
+carries each measured Z observable from the end of the circuit back to
+its last RZ, and Clifford-propagates a fault after any gate from there
+on to an X-type read-out flip mask; a None row is a site it does not
+fold.  The base is the read-out spectrum before the folded flips, which
+simulator.frame_spectrum reads from the frame where the sweep stopped:
+on |0...0> in a Clifford circuit, else on the ideal statevector up to
+the last RZ, or, when an unfolded channel fires (a preparation flip, or
+a fault ahead of the last RZ), on the exact density matrix at that
+point, each gate run as U (U rho)^dagger through the one statevector
+kernel and each such site mixing sum_k w_k P_k rho P_k^dagger into it.
+Every folded flip XORs onto the base independently of it, which is a
+pointwise product in the Walsh-Hadamard domain with the site's channel
+eigenvalues (Flammia & Wallman, arXiv:1907.12976).  The channel is
+uniform over k - 1 Paulis whose masks form the image of a linear map, so
+at spectral index s it is 1 - rate * k / (k - 1) where a mask overlaps s
+in an odd number of bits, else 1: the spectrum is the base times one
+factor per kind of _SITES raised to an integer vector over s, and
+simulator.spectrum_marginal transforms it back before xi mixes toward
+uniform.  The randomness is one multinomial from a Philox stream per
+call, so a (circuit, params, shots, seed) tuple always yields identical
+counts, however calls are scheduled around it.
 """
 
 from __future__ import annotations
@@ -41,18 +42,19 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
-from itertools import accumulate, chain
 
 import numpy as np
 
 from .circuits import MAX_QUBITS, Circuit, CircuitError, GateInstance, GateKind, finite_real
-from .simulator import FlipMaskTable, OutcomeDistribution, ShotCounts, _evolve, _wht, frame_spectrum
+from .simulator import (FlipMaskTable, OutcomeDistribution, ShotCounts, _evolve, _xor_index,
+                        frame_spectrum, spectrum_marginal)
 
 ONE_QUBIT_PAULIS = ("X", "Y", "Z")
 TWO_QUBIT_PAULIS = tuple(
     a + b for a in "IXYZ" for b in "IXYZ" if a + b != "II"
 )  # IX, IY, IZ, XI, ..., ZZ in lexicographic order
 _SITES = {1: ("eps1", 4), 2: ("eps2", 16), "prep": ("p_prep", 2), "meas": ("p_meas", 2)}
+_KIND = {4: 0, 16: 1}  # a folded gate row's kind, by its length, in _SITES order
 
 
 @dataclass(frozen=True)
@@ -76,8 +78,8 @@ class NoiseParams:
 
 
 def _site_weights(params: NoiseParams, site: int | str) -> tuple[float, ...]:
-    """Pauli weights of a fault site, identity first, for both halves of the
-    engine: eps1 or eps2 after a gate of arity 1 or 2, uniform over the rest
+    """Pauli weights of a fault site, identity first, as the prefix mixes
+    them in: eps1 or eps2 after a gate of arity 1 or 2, uniform over the rest
     of ("I",) + ONE_QUBIT_PAULIS or ("II",) + TWO_QUBIT_PAULIS; (1 - p, p)
     for the X flip of a "prep" or "meas" site."""
     name, k = _SITES[site]
@@ -121,41 +123,25 @@ def derive_seed(master_seed: int, *tags: object) -> int:
 # The engine: a base spectrum, the folded suffix, the xi mix
 # ---------------------------------------------------------------------------
 
-def _clifford_outcomes(items: list[tuple[list, np.ndarray, float]]) -> np.ndarray:
-    """The engine's suffix: one exact read-out distribution per (sites, base,
-    xi) item of _suffix_item, all of one width, as the rows of one array.
-
-    Each folded site XORs in its masks independently of what came before,
-    so a row is the inverse transform of its base times its sites' spectra,
-    clipped of rounding negatives and renormalized (a row with no site is
-    divided by 2^m, as spectrum_marginal does: a power-of-two scale is
-    exact), then mixed toward uniform by its xi.  One power (a count of 2
-    as x * x) and one in-order reduceat keep each row its one-item call.
-    """
-    bases = np.array([base for _, base, _ in items])
-    d = bases.shape[-1]
-    spectra, counts = map(np.array, zip(*chain.from_iterable(
-        s or [(_site_spectrum((1.0,), (0,), d), 1)] for s, _, _ in items)))  # no fault: all ones
-    counts = counts[:, None]
-    powered = spectra ** counts
-    # a scalar ** 2 is x * x, which an array exponent's pow() can miss by an ulp
-    np.multiply(spectra, spectra, out=powered, where=counts == 2)
-    bases *= np.multiply.reduceat(powered, [0, *accumulate(len(s) or 1 for s, _, _ in items[:-1])])
-    vec = np.maximum(_wht(bases), 0.0)
-    total = vec.sum(axis=1, keepdims=True)
-    silent = [i for i, (s, _, _) in enumerate(items) if not s]
-    if silent:
-        total[silent] = d
-    xi = np.array([[x] for _, _, x in items])
-    return (1.0 - xi) * vec / total + xi / d
+def _clifford_outcomes(items: list[tuple]) -> np.ndarray:
+    """The engine's suffix: one exact read-out distribution per (base,
+    exponents, factors, xi) item of _suffix_item, all of one width, as the
+    rows of one array: base * prod(factors ** exponents) back through
+    spectrum_marginal, then mixed toward uniform by xi."""
+    bases, exponents, factors, xi = map(np.array, zip(*items))
+    vec = spectrum_marginal(bases * (factors[:, :, None] ** exponents).prod(axis=1))
+    return (1.0 - xi[:, None]) * vec + xi[:, None] / vec.shape[-1]
 
 
 @lru_cache(maxsize=256)
-def _site_spectrum(weights: tuple[float, ...], masks: tuple[int, ...], d: int) -> np.ndarray:
-    """Read-only Walsh-Hadamard transform of one site's weights binned by flip mask."""
-    spectrum = _wht(np.bincount(masks, weights, d))
-    spectrum.setflags(write=False)  # cached and shared by every caller
-    return spectrum
+def _anticommuting(row: tuple[int, ...], m: int) -> np.ndarray:
+    """Read-only 0/1 vector over the 2**m spectral indices s: 1 where some
+    flip mask of row overlaps s in an odd number of bits, the s at which
+    the site's channel has eigenvalue 1 - rate * k / (k - 1), not 1."""
+    parity = _xor_index((1,) * m) & 1  # popcount(i) mod 2
+    odd = parity[np.array(row)[:, None] & np.arange(1 << m)].any(axis=0).astype(np.int64)
+    odd.setflags(write=False)  # cached and shared by every caller
+    return odd
 
 
 def _conjugate_by(rho: np.ndarray, gate: GateInstance, n: int) -> np.ndarray:
@@ -225,32 +211,33 @@ def _prefix_state(circuit: Circuit, params: NoiseParams, table: FlipMaskTable) -
 
 
 def _suffix_item(circuit: Circuit, params: NoiseParams, table: FlipMaskTable | None = None,
-                 spectrum: np.ndarray | None = None) -> tuple[list, np.ndarray, float]:
-    """(sites, base, xi), all _clifford_outcomes needs of one circuit.  The
-    base is the read-out spectrum before every folded flip: the ideal one,
-    which a caller holding the table may pass, or the density-matrix
-    prefix's when a channel the frame leaves unfolded fires.  The sites are
-    the folded ones that fire (a gate fault with a row, a prep flip when
-    prep_masks is not None, a read-out flip) as (_site_spectrum, count) in
-    first-firing order, equal ones merged: a gate row by the row alone (its
-    length says eps1 or eps2), a prep or read-out flip by weights and mask."""
+                 spectrum: np.ndarray | None = None
+                 ) -> tuple[np.ndarray, np.ndarray, list[float], float]:
+    """(base, exponents, factors, xi), all _clifford_outcomes needs of one
+    circuit.  The base is the read-out spectrum before every folded flip:
+    the ideal one, which a caller holding the table may pass, or the
+    density-matrix prefix's when a channel the frame leaves unfolded fires.
+    Row i of the (4, 2**m) exponents counts, at each s, the folded sites of
+    the i-th kind of _SITES (eps1 and eps2 gates, prep and read-out flips)
+    whose channel anticommutes with Q_s; factors[i] is that kind's
+    eigenvalue there, 1 - rate * k / (k - 1) over its k Paulis."""
     if not circuit.measured:
         raise CircuitError("circuit measures no qubits")
     table = FlipMaskTable(circuit) if table is None else table
-    if any(any(_site_weights(params, site)[1:]) for site in table.unfolded):
+    if any(getattr(params, _SITES[site][0]) for site in table.unfolded):
         spectrum = frame_spectrum(circuit, table.frame, _prefix_state(circuit, params, table))
     elif spectrum is None:
         spectrum = frame_spectrum(circuit, table.frame)
-    n_bits = len(circuit.measured)
-    gate = {len(w): w for w in (_site_weights(params, 1), _site_weights(params, 2)) if any(w[1:])}
-    sites = [(_site_spectrum(gate[len(row)], row, 1 << n_bits), count)
-             for row, count in Counter(table.gate_masks).items() if row and len(row) in gate]
-    prep, meas = _site_weights(params, "prep"), _site_weights(params, "meas")
-    flips = Counter([(prep, mask) for mask in (table.prep_masks or (0,))[1:]]
-                    + [(meas, 1 << t) for t in range(n_bits)])
-    sites += [(_site_spectrum(w, (0, mask), 1 << n_bits), count)
-              for (w, mask), count in flips.items() if w[1]]
-    return sites, spectrum, params.xi
+    m = len(circuit.measured)
+    gates = Counter(table.gate_masks)
+    gates.pop(None, None)  # the sites the frame leaves to the prefix
+    flips = [(0, mask) for mask in (table.prep_masks or (0,))[1:]]
+    kinds = [_KIND[len(row)] for row in gates] + [2] * len(flips) + [3] * m
+    counts = (np.arange(4)[:, None] == kinds) * [*gates.values(), *[1] * (len(flips) + m)]
+    exponents = counts @ np.array([_anticommuting(row, m) for row in
+                                   [*gates, *flips, *((0, 1 << t) for t in range(m))]])
+    factors = [1.0 - getattr(params, name) * k / (k - 1) for name, k in _SITES.values()]
+    return spectrum, exponents, factors, params.xi
 
 
 def noisy_vector(circuit: Circuit, params: NoiseParams) -> np.ndarray:

@@ -26,7 +26,9 @@ the carried observables.
 frame_spectrum reads it off |0...0> in a Clifford circuit (each entry 0
 or +-1, so no statevector runs and the marginal is exactly dyadic), off
 the statevector of the gates up to the last RZ, or off a density matrix
-run that far; spectrum_marginal is the inverse Walsh-Hadamard transform.
+run that far.  spectrum_marginal is the one way back to a read-out
+vector, for ideal and noisy spectra alike: the inverse Walsh-Hadamard
+transform, clipped of rounding negatives and divided by its own sum.
 Every gate that is run goes through one kernel, _evolve: a gather plus a
 scale from index tables cached per (kind, targets, n), angle excluded,
 so at most one entry per gate placement on at most MAX_QUBITS qubits.
@@ -449,9 +451,12 @@ def _wht(vec: np.ndarray) -> np.ndarray:
 
 
 def spectrum_marginal(spectrum: np.ndarray) -> np.ndarray:
-    """Read-out vector of a spectrum, its inverse transform, with rounding
-    negatives at true zeros clipped; a stack of spectra gives one per row."""
-    return np.maximum(_wht(spectrum) / spectrum.shape[-1], 0.0)
+    """Read-out vector of a spectrum, ideal or noisy, or of each row of a
+    stack: its inverse transform with rounding negatives at true zeros
+    clipped, divided by its own sum (exactly 2**m on a Clifford ideal's
+    dyadic spectrum, so that scale is exact)."""
+    vec = np.maximum(_wht(spectrum), 0.0)
+    return vec / vec.sum(axis=-1, keepdims=True)
 
 
 def ideal_marginal(circuit: Circuit) -> np.ndarray:

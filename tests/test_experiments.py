@@ -413,24 +413,23 @@ class TestBatch:
         only, every such circuit fires."""
         calls = []
         original = noise._clifford_outcomes
-        monkeypatch.setattr(experiments, "_clifford_outcomes",
-                            lambda items: calls.append([bool(s) for s, _, _ in items])
-                            or original(items))
+        monkeypatch.setattr(experiments, "_clifford_outcomes", lambda items: calls.append(
+            [bool((np.array(f) != 1.0) @ e.any(axis=1)) for _, e, f, _ in items]) or original(items))
         for params, silent in ((NoiseParams(eps2=0.1), True), (NoiseParams(eps1=0.1), False)):
             calls.clear()
             got = sweep_L(GateSetId.REDUCED, [1], params, 4096, 30, 5)
             assert _rows(got) == _rows(_one_pair_sweep_L(GateSetId.REDUCED, [1], params, 4096,
                                                          30, 5, False))
-            uncoded_noisy = calls[0][30:]
-            assert (not all(uncoded_noisy) and any(uncoded_noisy)) is silent, params
-            assert not any(calls[0][:30]) and all(calls[1][30:])
+            assert (not all(calls[0]) and any(calls[0])) is silent, params
+            assert all(calls[1])
 
     def test_equal_prep_and_read_out_flips_merge(self):
-        """p_prep == p_meas: a prep flip whose mask is a read-out flip's is
-        one site of count 2, in the batch as in one call."""
+        """p_prep == p_meas: a prep flip whose mask is a read-out flip's
+        has the same exponent and factor, in the batch as in one call."""
         params = NoiseParams(eps1=0.01, eps2=0.05, p_meas=0.02, p_prep=0.02, xi=0.01)
-        sites = noise._suffix_item(Circuit(2, [], [0, 1]), params)[0]
-        assert [count for _, count in sites] == [2, 2]
+        _, exponents, factors, _ = noise._suffix_item(Circuit(2, [], [0, 1]), params)
+        assert exponents.tolist() == [[0, 0, 0, 0], [0, 0, 0, 0], [0, 1, 1, 2], [0, 1, 1, 2]]
+        assert factors[2] == factors[3] == 0.96
         for analytic in (False, True):
             got = sweep_L(GateSetId.REDUCED, [1, 3, 20], params, 8192, 4, 2, analytic)
             want = _one_pair_sweep_L(GateSetId.REDUCED, [1, 3, 20], params, 8192, 4, 2, analytic)
@@ -443,10 +442,10 @@ class TestBatch:
         monkeypatch.setattr(experiments, "_clifford_outcomes",
                             lambda items: calls.append(len(items)) or original(items))
         params = NoiseParams(eps1=4e-3, eps2=0.16, p_meas=0.02, p_prep=0.01)
-        got = sweep_L(GateSetId.FULL, [50, 100], params, 1000, 150, 3)
-        assert len(calls) >= 6 and sum(calls) == 4 * 300
-        assert _rows(got) == _rows(_one_pair_sweep_L(GateSetId.FULL, [50, 100], params, 1000,
-                                                     150, 3, False))
+        got = sweep_L(GateSetId.FULL, [5, 50], params, 1000, 600, 3)
+        assert len(calls) >= 6 and sum(calls) == 2 * 1200
+        assert _rows(got) == _rows(_one_pair_sweep_L(GateSetId.FULL, [5, 50], params, 1000,
+                                                     600, 3, False))
 
     def test_noisy_vector_is_its_batched_row(self, random_clifford):
         """noisy_vector is the one-item call: each result equals its row of

@@ -489,8 +489,8 @@ class TestStackedRules:
         """Signed spectra-like rows with exact zeros, ulp-scale entries and
         repeats, where a changed order or scale shows in the last bit."""
         stack = rng.uniform(-1.0, 1.0, (rows, 1 << m)) * 10.0 ** rng.integers(-17, 1, (rows, 1 << m))
-        stack[:, 0] = 1.0
         stack[rng.random(stack.shape) < 0.2] = 0.0
+        stack[:, 0] = 1.0  # a spectrum's total mass
         if rows > 1:
             stack[-1] = stack[0]
         return stack
@@ -499,7 +499,7 @@ class TestStackedRules:
     @pytest.mark.parametrize("rows", [1, 2, 3, 16, 37])
     def test_spectrum_marginal_rows_equal_the_1d_call(self, m, rows):
         """The transform runs along the last axis, so the normalization must
-        be its length: dividing by the row count wrote D = 1.5."""
+        be per row: dividing by the row count wrote D = 1.5."""
         stack = self._stack(np.random.default_rng([m, rows]), rows, m)
         got = simulator.spectrum_marginal(stack)
         assert got.shape == stack.shape
