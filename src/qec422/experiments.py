@@ -243,11 +243,11 @@ def run_pairs(runs: Iterable[tuple[list[LogicalGate], NoiseParams, int]], shots:
     for sequence, params, seed in runs:
         sides = []  # per side, its ideal spectrum and the suffix item of its noisy vector
         for circuit, rotate in zip(build_pair(sequence), (False, params.theta != 0.0)):
-            table = FlipMaskTable(circuit)
-            spectrum = frame_spectrum(circuit, table.frame)
-            sides.append((spectrum, _suffix_item(insert_coherent_rotation(circuit, params.theta),
-                                                 params) if rotate
-                          else _suffix_item(circuit, params, table, spectrum)))
+            item = _suffix_item(insert_coherent_rotation(circuit, params.theta) if rotate
+                                else circuit, params)
+            # an unrotated circuit is Clifford, so its base is its ideal spectrum
+            sides.append((frame_spectrum(circuit, FlipMaskTable(circuit).frame) if rotate
+                          else item[0], item))
         block.append(((len(sequence), params, seed, _utc_now()), *sides))
         if len(block) == _BLOCK_PAIRS:
             out += finish(block)

@@ -1,13 +1,14 @@
 """Noise model and the exact noisy-outcome sampler.
 
-The fault model is the standard circuit-level one, with one Pauli
-channel per fault site whose weights, identity first, _site_weights
-gives: after every gate eps1 spread uniformly over X/Y/Z, or eps2 over
-the 15 non-identity pairs (first letter on ``targets[0]``), and
-(1 - p, p) for an X flip of each qubit before the circuit (p_prep) or
-of each measured bit (p_meas).  A coherent miscalibration is modeled as
-an RZ(theta) inserted after the first Hadamard, and xi mixes the final
-distribution toward uniform.
+The fault model is the standard circuit-level one, one Pauli channel per
+fault site, each uniform over its k - 1 non-identity Paulis as _SITES
+gives them: after every gate eps1 over X/Y/Z (k = 4) or eps2 over the 15
+non-identity pairs (k = 16), and an X flip of each qubit before the
+circuit (p_prep) or of each measured bit (p_meas), k = 2.  Such a channel
+scales every component that anticommutes with its Paulis by one factor,
+1 - rate * k / (k - 1), which _factors gives, and leaves the rest.  A
+coherent miscalibration is modeled as an RZ(theta) inserted after the
+first Hadamard, and xi mixes the final distribution toward uniform.
 
 One engine computes exact noisy read-out distributions, vectors in the
 simulator.marginal_vector layout: one stacked pass, _clifford_outcomes,
@@ -23,14 +24,14 @@ on |0...0> in a Clifford circuit, else on the ideal statevector up to
 the last RZ, or, when an unfolded channel fires (a preparation flip, or
 a fault ahead of the last RZ), on the exact density matrix at that
 point, each gate run as U (U rho)^dagger through the one statevector
-kernel and each such site mixing sum_k w_k P_k rho P_k^dagger into it.
-Every folded flip XORs onto the base independently of it, which is a
-pointwise product in the Walsh-Hadamard domain with the site's channel
-eigenvalues (Flammia & Wallman, arXiv:1907.12976).  The channel is
-uniform over k - 1 Paulis whose masks form the image of a linear map, so
-at spectral index s it is 1 - rate * k / (k - 1) where a mask overlaps s
-in an odd number of bits, else 1: the spectrum is the base times one
-factor per kind of _SITES raised to an integer vector over s, and
+kernel and each such site scaling rho's anticommuting part by its
+factor.  Every folded flip XORs onto the base independently of it, which
+is a pointwise product in the Walsh-Hadamard domain with the site's
+channel eigenvalues (Flammia & Wallman, arXiv:1907.12976).  The channel's
+masks form the image of a linear map, so at spectral index s its
+eigenvalue is the factor where a mask overlaps s in an odd number of
+bits, else 1: the spectrum is the base times one factor per kind of
+_SITES raised to an integer vector over s, and
 simulator.spectrum_marginal transforms it back before xi mixes toward
 uniform.  The randomness is one multinomial from a Philox stream per
 call, so a (circuit, params, shots, seed) tuple always yields identical
@@ -55,6 +56,7 @@ TWO_QUBIT_PAULIS = tuple(
 )  # IX, IY, IZ, XI, ..., ZZ in lexicographic order
 _SITES = {1: ("eps1", 4), 2: ("eps2", 16), "prep": ("p_prep", 2), "meas": ("p_meas", 2)}
 _KIND = {4: 0, 16: 1}  # a folded gate row's kind, by its length, in _SITES order
+_EQUAL_BITS = np.eye(2)[None, :, None, :, None]  # 1 where a qubit's bra and ket bits agree
 
 
 @dataclass(frozen=True)
@@ -77,14 +79,11 @@ class NoiseParams:
             object.__setattr__(self, f.name, v)
 
 
-def _site_weights(params: NoiseParams, site: int | str) -> tuple[float, ...]:
-    """Pauli weights of a fault site, identity first, as the prefix mixes
-    them in: eps1 or eps2 after a gate of arity 1 or 2, uniform over the rest
-    of ("I",) + ONE_QUBIT_PAULIS or ("II",) + TWO_QUBIT_PAULIS; (1 - p, p)
-    for the X flip of a "prep" or "meas" site."""
-    name, k = _SITES[site]
-    p = getattr(params, name)
-    return (1.0 - p,) + (p / (k - 1),) * (k - 1)
+def _factors(params: NoiseParams) -> list[float]:
+    """Each kind of _SITES's channel eigenvalue on a Pauli it anticommutes
+    with, 1 - rate * k / (k - 1) over its k Paulis, in _SITES order; both
+    the prefix and the suffix scale by it."""
+    return [1.0 - getattr(params, name) * k / (k - 1) for name, k in _SITES.values()]
 
 
 def totally_mixed(d: int) -> OutcomeDistribution:
@@ -153,34 +152,26 @@ def _conjugate_by(rho: np.ndarray, gate: GateInstance, n: int) -> np.ndarray:
     return _evolve(np.conjugate(half.reshape(d, d).T, order="C").ravel(), (gate,), 2 * n)
 
 
-@lru_cache(maxsize=None)
-def _pauli_tables(targets: tuple[int, ...], n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only (gather, sign) with (P_k rho P_k^dagger)[i] = sign[k, i] *
-    rho[gather[k, i]] on vec(rho) of n qubits, P_k the k-th of ("I",) +
-    ONE_QUBIT_PAULIS or ("II",) + TWO_QUBIT_PAULIS on targets.  P = X^x Z^z
-    up to a phase: x flips ket and bra, z signs by popcount(z & (ket ^ bra))."""
-    labels = ("I",) + ONE_QUBIT_PAULIS if len(targets) == 1 else ("II",) + TWO_QUBIT_PAULIS
-    idx = np.arange(1 << (2 * n))
-    gather, sign = np.tile(idx, (len(labels), 1)), np.ones((len(labels), len(idx)))
-    for k, label in enumerate(labels):
-        for c, q in zip(label, targets):
-            if c in "XY":
-                gather[k] ^= (1 << q) | (1 << (q + n))
-            if c in "YZ":
-                sign[k] *= 1 - 2 * (((idx ^ (idx >> n)) >> q) & 1)
-    gather.setflags(write=False)  # cached and shared by every caller
-    sign.setflags(write=False)
-    return gather, sign
-
-
-def _pauli_channel(rho: np.ndarray, weights: tuple[float, ...], targets: tuple[int, ...],
-                   n: int) -> np.ndarray:
-    """sum_k weights[k] P_k rho P_k^dagger on vec(rho) of n qubits, P_k as in
-    _pauli_tables, so (1 - p, p) on one target is an X flip."""
-    if not any(weights[1:]):
+def _pauli_channel(rho: np.ndarray, factor: float, targets: tuple[int, ...], n: int,
+                   paulis: str = "XZ") -> np.ndarray:
+    """factor * rho + (1 - factor) * (rho averaged over the Paulis that
+    paulis generates on each target) on vec(rho) of n qubits: averaging
+    over X adds the entry with the qubit's ket and bra bits both flipped
+    and halves, over Z zeroes the entries where they differ.  So every
+    component anticommuting with one of those Paulis is scaled by factor,
+    the suffix's rule: "XZ" at a gate factor of _factors is a gate site,
+    "X" at the prep factor a preparation flip."""
+    if factor == 1.0:
         return rho
-    gather, sign = _pauli_tables(targets, n)
-    return np.asarray(weights) @ (sign[:len(weights)] * rho[gather[:len(weights)]])
+    mixed = rho
+    for q in targets:
+        # axes 1 and 3 are the bra and the ket bit of q
+        mixed = mixed.reshape(1 << (n - 1 - q), 2, 1 << (n - 1), 2, 1 << q)
+        if "X" in paulis:
+            mixed = 0.5 * (mixed + mixed[:, ::-1, :, ::-1])
+        if "Z" in paulis:
+            mixed = mixed * _EQUAL_BITS
+    return factor * rho + (1.0 - factor) * mixed.ravel()
 
 
 def _prefix_state(circuit: Circuit, params: NoiseParams, table: FlipMaskTable) -> np.ndarray:
@@ -190,8 +181,9 @@ def _prefix_state(circuit: Circuit, params: NoiseParams, table: FlipMaskTable) -
 
     vec(rho) is a state on 2n qubits (entry i | j << n holds rho_ij) that
     _conjugate_by runs through each gate as U (U rho)^dagger, and _pauli_channel
-    mixes in each site's channel.  Memory is 16 * 4^n bytes; the register cap,
-    MAX_QUBITS // 2, keeps the ket gate tables on 2n bits within MAX_QUBITS.
+    mixes in each site's channel at its factor from _factors.  Memory is
+    16 * 4^n bytes; the register cap, MAX_QUBITS // 2, keeps the ket gate
+    tables on 2n bits within MAX_QUBITS.
     """
     n = circuit.n_qubits
     if n > MAX_QUBITS // 2:
@@ -199,35 +191,33 @@ def _prefix_state(circuit: Circuit, params: NoiseParams, table: FlipMaskTable) -
                            f"(its density matrix), got {n}")
     rho = np.zeros(1 << (2 * n), dtype=complex)
     rho[0] = 1.0
-    weights = {site: _site_weights(params, site) for site in ("prep", 1, 2)}
+    factors = dict(zip(_SITES, _factors(params)))
     if table.prep_masks is None:
         for q in range(n):
-            rho = _pauli_channel(rho, weights["prep"], (q,), n)
+            rho = _pauli_channel(rho, factors["prep"], (q,), n, "X")
     for g, row in zip(circuit.gates[:table.frame[0] + 1], table.gate_masks):
         rho = _conjugate_by(rho, g, n)
         if row is None:
-            rho = _pauli_channel(rho, weights[g.kind.arity], g.targets, n)
+            rho = _pauli_channel(rho, factors[g.kind.arity], g.targets, n)
     return rho
 
 
-def _suffix_item(circuit: Circuit, params: NoiseParams, table: FlipMaskTable | None = None,
-                 spectrum: np.ndarray | None = None
+def _suffix_item(circuit: Circuit, params: NoiseParams
                  ) -> tuple[np.ndarray, np.ndarray, list[float], float]:
     """(base, exponents, factors, xi), all _clifford_outcomes needs of one
     circuit.  The base is the read-out spectrum before every folded flip:
-    the ideal one, which a caller holding the table may pass, or the
-    density-matrix prefix's when a channel the frame leaves unfolded fires.
+    the ideal one, always so in a Clifford circuit, or the density-matrix
+    prefix's when a channel the frame leaves unfolded fires.
     Row i of the (4, 2**m) exponents counts, at each s, the folded sites of
     the i-th kind of _SITES (eps1 and eps2 gates, prep and read-out flips)
     whose channel anticommutes with Q_s; factors[i] is that kind's
-    eigenvalue there, 1 - rate * k / (k - 1) over its k Paulis."""
+    eigenvalue there, from _factors."""
     if not circuit.measured:
         raise CircuitError("circuit measures no qubits")
-    table = FlipMaskTable(circuit) if table is None else table
-    if any(getattr(params, _SITES[site][0]) for site in table.unfolded):
-        spectrum = frame_spectrum(circuit, table.frame, _prefix_state(circuit, params, table))
-    elif spectrum is None:
-        spectrum = frame_spectrum(circuit, table.frame)
+    table = FlipMaskTable(circuit)
+    fires = any(getattr(params, _SITES[site][0]) for site in table.unfolded)
+    spectrum = frame_spectrum(circuit, table.frame,
+                              _prefix_state(circuit, params, table) if fires else None)
     m = len(circuit.measured)
     gates = Counter(table.gate_masks)
     gates.pop(None, None)  # the sites the frame leaves to the prefix
@@ -236,8 +226,7 @@ def _suffix_item(circuit: Circuit, params: NoiseParams, table: FlipMaskTable | N
     counts = (np.arange(4)[:, None] == kinds) * [*gates.values(), *[1] * (len(flips) + m)]
     exponents = counts @ np.array([_anticommuting(row, m) for row in
                                    [*gates, *flips, *((0, 1 << t) for t in range(m))]])
-    factors = [1.0 - getattr(params, name) * k / (k - 1) for name, k in _SITES.values()]
-    return spectrum, exponents, factors, params.xi
+    return spectrum, exponents, _factors(params), params.xi
 
 
 def noisy_vector(circuit: Circuit, params: NoiseParams) -> np.ndarray:

@@ -479,8 +479,7 @@ class TestBatchedSuffix:
 
     def _check(self, c: Circuit, params: NoiseParams) -> FlipMaskTable:
         table = FlipMaskTable(c)
-        base = frame_spectrum(c, table.frame)
-        item = noise._suffix_item(c, params, table, base)  # a prefix's base when one fires
+        item = noise._suffix_item(c, params)  # the base is a prefix's when one fires
         np.testing.assert_allclose(noise._clifford_outcomes([item])[0],
                                    _per_site_outcomes(c, params, table, item[0]), rtol=0, atol=1e-13)
         return table
@@ -823,19 +822,26 @@ _PAULI_MATRICES = {"I": np.eye(2), "X": np.array([[0, 1], [1, 0]]),
 
 
 def _pauli_on(label: str, targets: tuple[int, ...], n: int) -> np.ndarray:
-    """Matrix of a Pauli label over targets on n qubits, qubit q at index bit q."""
-    factors = dict(zip(targets, label))
-    out = np.eye(1)
-    for q in reversed(range(n)):
-        out = np.kron(out, _PAULI_MATRICES[factors.get(q, "I")])
+    """Matrix of a Pauli label over targets on n qubits, qubit q at index
+    bit q: the Kronecker product by its definition, the identity on every
+    qubit off the targets times each target's 2 x 2 factor at its bits of
+    the row and the column."""
+    i, j = np.arange(1 << n)[:, None], np.arange(1 << n)[None, :]
+    off = sum(1 << q for q in range(n) if q not in targets)
+    out = ((i ^ j) & off == 0).astype(complex)
+    for c, q in zip(label, targets):
+        out *= _PAULI_MATRICES[c][i >> q & 1, j >> q & 1]
     return out
 
 
 class TestPrefixChannels:
-    """The density-matrix prefix's one channel, sum_k w_k P_k rho P_k^dagger,
-    against the explicit Kraus sum on random Hermitian rho."""
+    """The density-matrix prefix's one channel, factor * rho + (1 - factor)
+    * rho averaged over the site's Paulis, against the explicit Kraus sum
+    on random Hermitian rho, at rates whose factors reach -1/3, -1/15 and
+    -1."""
 
     N = 4
+    RATES = (0.3, 0.01, 1.0)
 
     def _rho(self, seed: int) -> np.ndarray:
         rng = np.random.default_rng(seed)
@@ -849,41 +855,49 @@ class TestPrefixChannels:
 
     @pytest.mark.parametrize("targets", [(0,), (3,), (0, 1), (2, 0), (1, 3)])
     def test_depolarizing_channel(self, targets):
-        """The weight rule's uniform gate channel: (1 - p) rho plus p spread
-        over the 4^k - 1 non-identity Paulis."""
+        """A gate site: (1 - p) rho plus p spread over the 4^k - 1
+        non-identity Paulis, at the factor 1 - p * 4^k / (4^k - 1) that
+        _factors gives eps1 or eps2."""
         labels = ONE_QUBIT_PAULIS if len(targets) == 1 else TWO_QUBIT_PAULIS
         paulis = [_pauli_on(label, targets, self.N) for label in labels]
-        for seed, p in enumerate((0.3, 0.01, 1.0)):
+        for seed, p in enumerate(self.RATES):
             rho = self._rho(seed)
             want = (1 - p) * rho + p / len(labels) * sum(P @ rho @ P.conj().T for P in paulis)
-            weights = noise._site_weights(NoiseParams(eps1=p, eps2=p), len(targets))
-            got = noise._pauli_channel(self._vec(rho), weights, targets, self.N)
+            factor = noise._factors(NoiseParams(eps1=p, eps2=p))[len(targets) - 1]
+            assert factor == pytest.approx(1 - p * (len(labels) + 1) / len(labels), abs=1e-15)
+            got = noise._pauli_channel(self._vec(rho), factor, targets, self.N)
             np.testing.assert_allclose(got, self._vec(want), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("q", range(4))
     def test_preparation_flip(self, q):
+        """A preparation flip: (1 - p) rho + p X rho X, at the factor 1 - 2p
+        averaged over X alone."""
         X = _pauli_on("X", (q,), self.N)
-        for seed, p in enumerate((0.3, 0.01, 1.0)):
+        for seed, p in enumerate(self.RATES):
             rho = self._rho(10 + seed)
             want = (1 - p) * rho + p * X @ rho @ X
-            weights = noise._site_weights(NoiseParams(p_prep=p), "prep")
-            assert weights == (1 - p, p)
-            got = noise._pauli_channel(self._vec(rho), weights, (q,), self.N)
+            factor = noise._factors(NoiseParams(p_prep=p))[2]
+            assert factor == pytest.approx(1 - 2 * p, abs=1e-15)
+            got = noise._pauli_channel(self._vec(rho), factor, (q,), self.N, "X")
             np.testing.assert_allclose(got, self._vec(want), rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("targets", [(0,), (3,), (0, 1), (2, 0), (1, 3)])
-    def test_biased_channel(self, targets):
-        """Random biased weights over the first 2, 4 or 16 Paulis, so every
-        Pauli's gather and sign is checked on its own."""
-        labels = ("I",) + ONE_QUBIT_PAULIS if len(targets) == 1 else ("II",) + TWO_QUBIT_PAULIS
+    @pytest.mark.parametrize("targets", [(1,), (3, 0)])
+    def test_dephasing(self, targets):
+        """Averaged over Z alone: (1 - p) rho plus p spread over the 2^k - 1
+        non-identity Z products on the targets, at the factor
+        1 - p * 2^k / (2^k - 1)."""
+        labels = ("Z",) if len(targets) == 1 else ("IZ", "ZI", "ZZ")
         paulis = [_pauli_on(label, targets, self.N) for label in labels]
-        rng = np.random.default_rng(sum(targets) + 7 * len(targets))
-        for length in (2, 4, 16)[:len(targets) + 1]:
-            for seed in range(3):
-                rho, weights = self._rho(20 + seed), rng.dirichlet(np.full(length, 0.5))
-                want = sum(w * P @ rho @ P.conj().T for w, P in zip(weights, paulis))
-                got = noise._pauli_channel(self._vec(rho), tuple(weights), targets, self.N)
-                np.testing.assert_allclose(got, self._vec(want), rtol=0, atol=1e-12)
+        for seed, p in enumerate(self.RATES):
+            rho = self._rho(30 + seed)
+            want = (1 - p) * rho + p / len(labels) * sum(P @ rho @ P for P in paulis)
+            factor = 1 - p * (len(labels) + 1) / len(labels)
+            got = noise._pauli_channel(self._vec(rho), factor, targets, self.N, "Z")
+            np.testing.assert_allclose(got, self._vec(want), rtol=0, atol=1e-12)
+
+    def test_factor_one_returns_rho(self):
+        vec = self._vec(self._rho(40))
+        assert noise._pauli_channel(vec, 1.0, (0, 2), self.N) is vec
 
 
 # each gate kind as a sum of (coefficient, Pauli label on its targets), RZ aside
@@ -935,19 +949,28 @@ class TestConjugateBy:
 
 
 def _prefix_every_gate(circuit: Circuit, params: NoiseParams, split: int) -> np.ndarray:
-    """Reference prefix: every gate conjugated through the kernel, and the
-    marginal read off the diagonal, with no frame."""
+    """Reference prefix on the dense 2^n x 2^n rho: every gate as U rho
+    U^dagger with U from _dense, each preparation flip and each fault
+    after a gate ahead of split as its explicit Kraus sum, and the marginal
+    read off the diagonal, with no frame and no engine function."""
     n = circuit.n_qubits
-    rho = np.zeros(1 << (2 * n), dtype=complex)
-    rho[0] = 1.0
+
+    def kraus(rho, p, labels, targets):
+        paulis = [_pauli_on(label, targets, n) for label in labels]
+        return (1 - p) * rho + p / len(labels) * sum(P @ rho @ P.conj().T for P in paulis)
+
+    labels = {1: ONE_QUBIT_PAULIS, 2: TWO_QUBIT_PAULIS}
+    rho = np.zeros((1 << n,) * 2, dtype=complex)
+    rho[0, 0] = 1.0
     for q in range(n):
-        rho = noise._pauli_channel(rho, noise._site_weights(params, "prep"), (q,), n)
+        rho = kraus(rho, params.p_prep, ["X"], (q,))
     for i, g in enumerate(circuit.gates):
-        rho = noise._conjugate_by(rho, g, n)
+        U = _dense(g, n)
+        rho = U @ rho @ U.conj().T
         if i < split:
-            rho = noise._pauli_channel(rho, noise._site_weights(params, g.kind.arity), g.targets, n)
-    diag = np.arange(1 << n) * ((1 << n) + 1)
-    return np.maximum(marginal_vector(rho[diag].real, n, circuit.measured), 0.0)
+            p = params.eps1 if g.kind.arity == 1 else params.eps2
+            rho = kraus(rho, p, labels[g.kind.arity], g.targets)
+    return np.maximum(marginal_vector(rho.diagonal().real, n, circuit.measured), 0.0)
 
 
 class TestPrefixTail:
@@ -957,10 +980,13 @@ class TestPrefixTail:
     def test_prefix_matches_every_gate_reference(self, random_clifford):
         """With preparation flips and gate faults ahead of one or two RZs,
         the base read off the prefix's vec(rho) equals the marginal of a
-        density matrix run through every gate, to 1e-13."""
+        dense density matrix run through every gate, to 1e-13, up to the
+        prefix's cap of 6 qubits, where two-qubit sites sit ahead of an RZ."""
+        wide = 0  # 6-qubit circuits with a two-qubit site in the prefix
         for seed in range(300):
             rng = np.random.default_rng(seed)
-            c = random_clifford(seed, n_qubits=2 + seed % 4, n_extra=seed % 25)
+            n = 6 if seed % 10 == 9 else 2 + seed % 4
+            c = random_clifford(seed, n_qubits=n, n_extra=seed % 25)
             gates = [g for g in c.gates if seed % 3 or g.kind is not GateKind.H]
             for _ in range(1 + seed % 2):
                 gates.insert(int(rng.integers(0, len(gates) + 1)),
@@ -971,6 +997,9 @@ class TestPrefixTail:
             got = spectrum_marginal(frame_spectrum(c, table.frame, noise._prefix_state(c, params, table)))
             np.testing.assert_allclose(got, _prefix_every_gate(c, params, table.frame[0]),
                                        rtol=0, atol=1e-13, err_msg=str(seed))
+            wide += c.n_qubits == 6 and any(row is None and g.kind.arity == 2
+                                            for g, row in zip(c.gates, table.gate_masks))
+        assert wide > 20
 
     def test_coherent_prefix_conjugates_two_gates(self, monkeypatch):
         """On the coherent workload's circuit (HHSWAP x 6, coded, RZ after
