@@ -42,12 +42,13 @@ from .code import (
 )
 from .noise import (NoiseParams, _clifford_outcomes, _suffix_item, derive_seed,
                     insert_coherent_rotation, sample_outcomes)
-from .simulator import FlipMaskTable, frame_spectrum, ordered_sum, pruned, spectrum_marginal
+from .simulator import (FlipMaskTable, block_rows, frame_spectrum, ordered_sum, pruned,
+                        spectrum_marginal)
 
 DEFAULT_SHOTS = 8192
 MAX_SEQUENCE_LENGTH = 1000
-# at most 2^16 stacked entries a block: six rows (ideal, base, exponents) of 4 and of 16
-_BLOCK_PAIRS = (1 << 16) // (6 * (4 + 16))
+# a pair stacks six rows (ideal, base, exponents) of 4 and of 16 entries
+_BLOCK_PAIRS = block_rows(6 * (4 + 16))
 
 SCHEME_UNCODED = "uncoded"
 SCHEME_CODED_RAW = "coded_raw"

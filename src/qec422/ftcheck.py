@@ -39,7 +39,7 @@ import numpy as np
 from .circuits import Circuit, CircuitError, GateInstance, GateKind
 from .code import DATA_QUBITS, selection_split
 from .noise import ONE_QUBIT_PAULIS, TWO_QUBIT_PAULIS
-from .simulator import FlipMaskTable, frame_spectrum, spectrum_marginal
+from .simulator import FlipMaskTable, block_rows, frame_spectrum, spectrum_marginal
 
 DETECTION_MODES = ("postselect", "postselect+ancilla")
 # weight unit (FaultSite.weight_units) -> its term in the report, in report order
@@ -127,10 +127,10 @@ def verify_single_faults(circuit: Circuit, detection: str | None = None,
     marginal (with no statevector in a Clifford circuit).  A fault the
     Pauli frame folds (after the last RZ, or anywhere in a Clifford
     circuit) permutes the ideal outcomes by its mask, so the distinct
-    masks are classified in one split, in blocks of at most 2^16 entries,
-    and each gate's sites take its row's verdicts.  Only the sites a None
-    row leaves unfolded (ahead of the last RZ) are simulated one by one,
-    each read off the table's frame, so a check sweeps the frame once.
+    masks are classified in one split, in blocks of block_rows, and each
+    gate's sites take its row's verdicts.  Only the sites a None row
+    leaves unfolded (ahead of the last RZ) are simulated one by one, each
+    read off the table's frame, so a check sweeps the frame once.
     """
     if len(circuit.measured) < DATA_QUBITS:
         raise CircuitError("detection needs at least the four data qubits measured")
@@ -150,8 +150,7 @@ def verify_single_faults(circuit: Circuit, detection: str | None = None,
     rows = [table.prep_masks] * include_preparation + table.gate_masks
     folded = set(rows) - {None}
     masks = np.array(sorted(set().union(*folded)))
-    step = max(1, (1 << 16) >> len(circuit.measured))
-    idx = np.arange(len(ideal))
+    step, idx = block_rows(len(ideal)), np.arange(len(ideal))
     by_mask = dict(zip(masks.tolist(), [
         v for k in range(0, len(masks), step)
         for v in _classify(ideal, ideal[idx ^ masks[k:k + step, None]], ancilla_bit)]))

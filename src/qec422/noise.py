@@ -16,15 +16,15 @@ for any number of circuits, of which noisy_vector is the one-circuit
 call; sample_outcomes draws all the shots of a run from one at once.  One
 backward sweep of the signed Pauli frame, simulator.FlipMaskTable,
 carries each measured Z observable from the end of the circuit back to
-its last RZ, and Clifford-propagates a fault after any gate from there
-on to an X-type read-out flip mask; a None row is a site it does not
-fold.  The base is the read-out spectrum before the folded flips, which
+its last RZ, the split, and Clifford-propagates a fault after any gate
+from there on to an X-type read-out flip mask.  The split alone names
+the sites it does not fold: every preparation flip and every gate ahead
+of it.  The base is the read-out spectrum before the folded flips, which
 simulator.frame_spectrum reads from the frame where the sweep stopped:
 on |0...0> in a Clifford circuit, else on the ideal statevector up to
-the last RZ, or, when an unfolded channel fires (a preparation flip, or
-a fault ahead of the last RZ), on the exact density matrix at that
-point, each gate run as U (U rho)^dagger through the one statevector
-kernel and each such site scaling rho's anticommuting part by its
+the last RZ, or, when an unfolded channel fires, on the exact density
+matrix at that point, each gate run as U (U rho)^dagger through the one
+statevector kernel and each such site averaging rho over X and Z at its
 factor.  Every folded flip XORs onto the base independently of it, which
 is a pointwise product in the Walsh-Hadamard domain with the site's
 channel eigenvalues (Flammia & Wallman, arXiv:1907.12976).  The channel's
@@ -48,7 +48,7 @@ import numpy as np
 
 from .circuits import MAX_QUBITS, Circuit, CircuitError, GateInstance, GateKind, finite_real
 from .simulator import (FlipMaskTable, OutcomeDistribution, ShotCounts, _evolve, _xor_index,
-                        frame_spectrum, spectrum_marginal)
+                        _zero, frame_spectrum, spectrum_marginal)
 
 ONE_QUBIT_PAULIS = ("X", "Y", "Z")
 TWO_QUBIT_PAULIS = tuple(
@@ -152,32 +152,29 @@ def _conjugate_by(rho: np.ndarray, gate: GateInstance, n: int) -> np.ndarray:
     return _evolve(np.conjugate(half.reshape(d, d).T, order="C").ravel(), (gate,), 2 * n)
 
 
-def _pauli_channel(rho: np.ndarray, factor: float, targets: tuple[int, ...], n: int,
-                   paulis: str = "XZ") -> np.ndarray:
-    """factor * rho + (1 - factor) * (rho averaged over the Paulis that
-    paulis generates on each target) on vec(rho) of n qubits: averaging
-    over X adds the entry with the qubit's ket and bra bits both flipped
-    and halves, over Z zeroes the entries where they differ.  So every
-    component anticommuting with one of those Paulis is scaled by factor,
-    the suffix's rule: "XZ" at a gate factor of _factors is a gate site,
-    "X" at the prep factor a preparation flip."""
+def _pauli_channel(rho: np.ndarray, factor: float, targets: tuple[int, ...], n: int) -> np.ndarray:
+    """factor * rho + (1 - factor) * (rho averaged over X and Z on each
+    target) on vec(rho) of n qubits: averaging over X adds the entry with
+    the qubit's ket and bra bits both flipped and halves, over Z zeroes
+    the entries where they differ.  So every component anticommuting with
+    a Pauli on the targets is scaled by factor, the suffix's rule: at a
+    gate factor of _factors a gate site, at the prep factor a preparation
+    flip, since that acts on the diagonal rho of |0...0>, where the Z
+    average changes no bit."""
     if factor == 1.0:
         return rho
     mixed = rho
     for q in targets:
         # axes 1 and 3 are the bra and the ket bit of q
         mixed = mixed.reshape(1 << (n - 1 - q), 2, 1 << (n - 1), 2, 1 << q)
-        if "X" in paulis:
-            mixed = 0.5 * (mixed + mixed[:, ::-1, :, ::-1])
-        if "Z" in paulis:
-            mixed = mixed * _EQUAL_BITS
+        mixed = 0.5 * (mixed + mixed[:, ::-1, :, ::-1]) * _EQUAL_BITS
     return factor * rho + (1.0 - factor) * mixed.ravel()
 
 
-def _prefix_state(circuit: Circuit, params: NoiseParams, table: FlipMaskTable) -> np.ndarray:
-    """vec(rho) just after the last RZ, with every site table does not fold
-    (each None row, and the preparation flips when prep_masks is None)
-    mixed in.
+def _prefix_state(circuit: Circuit, params: NoiseParams, split: int) -> np.ndarray:
+    """vec(rho) just after the RZ at gate split, the last, with every site
+    ahead of it mixed in: a preparation flip on each qubit, then each gate
+    followed by its site's channel, then the RZ.
 
     vec(rho) is a state on 2n qubits (entry i | j << n holds rho_ij) that
     _conjugate_by runs through each gate as U (U rho)^dagger, and _pauli_channel
@@ -189,17 +186,13 @@ def _prefix_state(circuit: Circuit, params: NoiseParams, table: FlipMaskTable) -
     if n > MAX_QUBITS // 2:
         raise CircuitError(f"noise ahead of an RZ is limited to {MAX_QUBITS // 2} qubits "
                            f"(its density matrix), got {n}")
-    rho = np.zeros(1 << (2 * n), dtype=complex)
-    rho[0] = 1.0
+    rho = _zero(2 * n)
     factors = dict(zip(_SITES, _factors(params)))
-    if table.prep_masks is None:
-        for q in range(n):
-            rho = _pauli_channel(rho, factors["prep"], (q,), n, "X")
-    for g, row in zip(circuit.gates[:table.frame[0] + 1], table.gate_masks):
-        rho = _conjugate_by(rho, g, n)
-        if row is None:
-            rho = _pauli_channel(rho, factors[g.kind.arity], g.targets, n)
-    return rho
+    for q in range(n):
+        rho = _pauli_channel(rho, factors["prep"], (q,), n)
+    for g in circuit.gates[:split]:
+        rho = _pauli_channel(_conjugate_by(rho, g, n), factors[g.kind.arity], g.targets, n)
+    return _conjugate_by(rho, circuit.gates[split], n)
 
 
 def _suffix_item(circuit: Circuit, params: NoiseParams
@@ -207,7 +200,8 @@ def _suffix_item(circuit: Circuit, params: NoiseParams
     """(base, exponents, factors, xi), all _clifford_outcomes needs of one
     circuit.  The base is the read-out spectrum before every folded flip:
     the ideal one, always so in a Clifford circuit, or the density-matrix
-    prefix's when a channel the frame leaves unfolded fires.
+    prefix's when a channel the frame leaves unfolded fires (p_prep, or
+    the rate of a gate ahead of the last RZ).
     Row i of the (4, 2**m) exponents counts, at each s, the folded sites of
     the i-th kind of _SITES (eps1 and eps2 gates, prep and read-out flips)
     whose channel anticommutes with Q_s; factors[i] is that kind's
@@ -215,9 +209,11 @@ def _suffix_item(circuit: Circuit, params: NoiseParams
     if not circuit.measured:
         raise CircuitError("circuit measures no qubits")
     table = FlipMaskTable(circuit)
-    fires = any(getattr(params, _SITES[site][0]) for site in table.unfolded)
+    split = table.frame[0]
+    fires = split >= 0 and (params.p_prep > 0.0 or any(
+        getattr(params, _SITES[g.kind.arity][0]) for g in circuit.gates[:split]))
     spectrum = frame_spectrum(circuit, table.frame,
-                              _prefix_state(circuit, params, table) if fires else None)
+                              _prefix_state(circuit, params, split) if fires else None)
     m = len(circuit.measured)
     gates = Counter(table.gate_masks)
     gates.pop(None, None)  # the sites the frame leaves to the prefix

@@ -242,6 +242,12 @@ def _xor_index(cols: tuple[int, ...]) -> np.ndarray:
     return out
 
 
+def block_rows(width: int) -> int:
+    """Rows of width entries that a stacked step may hold: at most 2**16
+    entries, and at least one row."""
+    return max(1, (1 << 16) // width)
+
+
 def _zero(n: int) -> np.ndarray:
     """Amplitudes of |0...0> on n qubits."""
     amp = np.zeros(1 << n, dtype=complex)
@@ -312,9 +318,10 @@ def outcome_vector(entries: Mapping[str, float], n_bits: int) -> np.ndarray:
 
 def conjugate_frame(xcol: list[int], zcol: list[int], sign: int, kind: GateKind,
                     t: tuple[int, ...]) -> int:
-    """Carry every observable P back through one Clifford gate G, to
-    G^dagger P G, in place; returns the new sign column.  S is carried as
-    S-dagger; the others are their own inverses up to phase."""
+    """Carry every observable P back through one gate G of H, S, CNOT, CZ
+    and SWAP, to G^dagger P G, in place; returns the new sign column.  S
+    is carried as S-dagger; FlipMaskTable reads a Pauli gate's sign change
+    off the gate's own row."""
     a = t[0]
     if kind is _H:
         sign ^= xcol[a] & zcol[a]
@@ -322,12 +329,6 @@ def conjugate_frame(xcol: list[int], zcol: list[int], sign: int, kind: GateKind,
     elif kind is _S:
         sign ^= xcol[a] & ~zcol[a]
         zcol[a] ^= xcol[a]
-    elif kind is _X:
-        sign ^= zcol[a]
-    elif kind is _Y:
-        sign ^= xcol[a] ^ zcol[a]
-    elif kind is _Z:
-        sign ^= xcol[a]
     elif kind is _CNOT:  # t = (control, target)
         b = t[1]
         sign ^= xcol[a] & zcol[b] & ~(xcol[b] ^ zcol[a])
@@ -357,11 +358,11 @@ class FlipMaskTable:
     fault, one-qubit faults use k in 1..3 (X, Y, Z) and two-qubit faults
     k in 1..15 indexing noise.TWO_QUBIT_PAULIS.  prep_masks[q + 1] is the
     mask of an X flip on qubit q before the circuit.  Rows are tuples of
-    ints.  A None row, or prep_masks None, means the frame does not fold
-    that site (it sits ahead of the last RZ); unfolded names those sites'
-    kinds, "prep" and gate arities.  frame is (split, xcol, zcol, sign):
-    the measured Z's carried back to just after the last RZ, gate split,
-    or to the start, split = -1.
+    ints.  A None row, or prep_masks None, marks a site the frame does not
+    fold, one ahead of the last RZ: every gate before the split and every
+    preparation flip when there is one.  frame is (split, xcol, zcol,
+    sign): the measured Z's carried back to just after the last RZ, gate
+    split, or to the start, split = -1.
 
     Each measured Z is carried back through the gates (conjugate_frame),
     and a fault flips bit t exactly when it anticommutes with the t-th
@@ -401,7 +402,6 @@ class FlipMaskTable:
         self.gate_masks, self.frame = masks, (split, xcol, zcol, sign)
         # prep flips are indexed per qubit, not per Pauli
         self.prep_masks = (0, *zcol) if split < 0 else None
-        self.unfolded = ("prep", *{g.kind.arity for g in gates[:split]}) if split >= 0 else ()
 
 
 def frame_spectrum(circuit: Circuit, frame: tuple, rho: np.ndarray | None = None) -> np.ndarray:
@@ -413,8 +413,7 @@ def frame_spectrum(circuit: Circuit, frame: tuple, rho: np.ndarray | None = None
     reads them on |0...0>: i**e where x = 0, else 0.  Otherwise
     Tr(rho Q) = i**e sum_i rho[i, i ^ x] (-1)**popcount(z & i), with rho
     the pure state after gates[:split + 1], or the given vec(rho) of that
-    point (entry i | j << n holds rho_ij), in blocks of at most 2**16
-    entries.
+    point (entry i | j << n holds rho_ij), in blocks of block_rows.
     """
     split, xcol, zcol, sign = frame
     n = circuit.n_qubits
@@ -430,7 +429,7 @@ def frame_spectrum(circuit: Circuit, frame: tuple, rho: np.ndarray | None = None
         amp = _evolve(_zero(n), circuit.gates[:split + 1], n)
     idx = np.arange(1 << n)
     signs = 1 - 2 * _xor_index((1,) * n)  # (-1)**popcount(i)
-    out, step = [], max(1, (1 << 16) >> n)
+    out, step = [], block_rows(1 << n)
     for k in range(0, len(prods), step):
         e, x, z = np.array(prods[k:k + step]).T
         j = idx ^ x[:, None]

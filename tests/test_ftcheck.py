@@ -24,7 +24,7 @@ from qec422.ftcheck import (
     verify_single_faults,
 )
 from qec422.noise import FlipMaskTable, insert_coherent_rotation
-from qec422.simulator import ideal_distribution, ideal_marginal
+from qec422.simulator import OutcomeDistribution, final_state, ideal_marginal, marginal_vector
 
 HARMLESS = FaultClassification.HARMLESS
 DETECTED_POSTSELECTION = FaultClassification.DETECTED_POSTSELECTION
@@ -264,10 +264,16 @@ def _reference_verdict(ideal: dict, faulted: dict, ancilla: bool) -> str:
     return DETECTED_POSTSELECTION if odd > ideal_odd + 1e-9 else DETECTED_ANCILLA
 
 
+def _run(circuit: Circuit) -> dict:
+    """Outcome probabilities of the whole circuit's statevector, with no frame."""
+    probs = final_state(circuit).probabilities()
+    return OutcomeDistribution(marginal_vector(probs, circuit.n_qubits, circuit.measured)).probs
+
+
 def _brute_force(circuit: Circuit, detection: str, include_preparation: bool) -> list[str] | None:
-    """One statevector per site: the fault written into the circuit as
-    gates.  None when the ideal circuit retains nothing."""
-    ideal = ideal_distribution(circuit).probs
+    """One statevector of the whole circuit per site: the fault written
+    into the circuit as gates.  None when the ideal circuit retains nothing."""
+    ideal = _run(circuit)
     ancilla = detection == "postselect+ancilla"
     if _reference_split(ideal, ancilla)[1] <= 1e-9:
         return None
@@ -276,7 +282,7 @@ def _brute_force(circuit: Circuit, detection: str, include_preparation: bool) ->
         paulis = [GateInstance(GateKind[ch], (q,)) for ch, q in zip(s.pauli, s.targets) if ch != "I"]
         gates = list(circuit.gates)
         gates[s.gate_index + 1:s.gate_index + 1] = paulis
-        faulted = ideal_distribution(circuit.with_gates(gates)).probs
+        faulted = _run(circuit.with_gates(gates))
         out.append(_reference_verdict(ideal, faulted, ancilla))
     return out
 

@@ -836,9 +836,9 @@ def _pauli_on(label: str, targets: tuple[int, ...], n: int) -> np.ndarray:
 
 class TestPrefixChannels:
     """The density-matrix prefix's one channel, factor * rho + (1 - factor)
-    * rho averaged over the site's Paulis, against the explicit Kraus sum
-    on random Hermitian rho, at rates whose factors reach -1/3, -1/15 and
-    -1."""
+    * rho averaged over X and Z on the site's qubits, against the explicit
+    Kraus sum on random Hermitian rho (diagonal for a preparation flip), at
+    rates whose factors reach -1/3, -1/15 and -1."""
 
     N = 4
     RATES = (0.3, 0.01, 1.0)
@@ -870,29 +870,16 @@ class TestPrefixChannels:
 
     @pytest.mark.parametrize("q", range(4))
     def test_preparation_flip(self, q):
-        """A preparation flip: (1 - p) rho + p X rho X, at the factor 1 - 2p
-        averaged over X alone."""
+        """A preparation flip: (1 - p) rho + p X rho X, at the factor 1 - 2p,
+        on a random diagonal rho, the only kind a flip of |0...0> meets;
+        there the channel's Z average changes nothing."""
         X = _pauli_on("X", (q,), self.N)
         for seed, p in enumerate(self.RATES):
-            rho = self._rho(10 + seed)
+            rho = np.diag(np.random.default_rng(10 + seed).normal(size=1 << self.N)).astype(complex)
             want = (1 - p) * rho + p * X @ rho @ X
             factor = noise._factors(NoiseParams(p_prep=p))[2]
             assert factor == pytest.approx(1 - 2 * p, abs=1e-15)
-            got = noise._pauli_channel(self._vec(rho), factor, (q,), self.N, "X")
-            np.testing.assert_allclose(got, self._vec(want), rtol=0, atol=1e-12)
-
-    @pytest.mark.parametrize("targets", [(1,), (3, 0)])
-    def test_dephasing(self, targets):
-        """Averaged over Z alone: (1 - p) rho plus p spread over the 2^k - 1
-        non-identity Z products on the targets, at the factor
-        1 - p * 2^k / (2^k - 1)."""
-        labels = ("Z",) if len(targets) == 1 else ("IZ", "ZI", "ZZ")
-        paulis = [_pauli_on(label, targets, self.N) for label in labels]
-        for seed, p in enumerate(self.RATES):
-            rho = self._rho(30 + seed)
-            want = (1 - p) * rho + p / len(labels) * sum(P @ rho @ P for P in paulis)
-            factor = 1 - p * (len(labels) + 1) / len(labels)
-            got = noise._pauli_channel(self._vec(rho), factor, targets, self.N, "Z")
+            got = noise._pauli_channel(self._vec(rho), factor, (q,), self.N)
             np.testing.assert_allclose(got, self._vec(want), rtol=0, atol=1e-12)
 
     def test_factor_one_returns_rho(self):
@@ -994,7 +981,7 @@ class TestPrefixTail:
             c = c.with_gates(gates)
             table = FlipMaskTable(c)
             params = NoiseParams(*rng.uniform(0.01, 0.2, 2), p_prep=float(rng.uniform(0.01, 0.2)))
-            got = spectrum_marginal(frame_spectrum(c, table.frame, noise._prefix_state(c, params, table)))
+            got = spectrum_marginal(frame_spectrum(c, table.frame, noise._prefix_state(c, params, table.frame[0])))
             np.testing.assert_allclose(got, _prefix_every_gate(c, params, table.frame[0]),
                                        rtol=0, atol=1e-13, err_msg=str(seed))
             wide += c.n_qubits == 6 and any(row is None and g.kind.arity == 2
@@ -1016,40 +1003,41 @@ class TestPrefixTail:
         assert conjugated == circuit.gates[:2] and runs == []
 
     def test_prefix_mixes_exactly_the_unfolded_sites(self, monkeypatch, random_clifford):
-        """The table alone says what the frame folds: _prefix_state
-        mixes one channel after exactly the gates whose row is None, and
-        one per qubit before the first gate exactly when prep_masks is
-        None.  Every channel is on, and the RZ, when there is one, sits
-        anywhere."""
+        """The split alone says what the frame leaves unfolded: the table
+        has a None row for exactly the gates ahead of its last RZ and no
+        prep_masks, and _prefix_state mixes one channel per qubit before
+        the first gate, then one after each gate ahead of the split, and
+        runs the RZ last.  Every channel is on, and the RZ sits anywhere."""
         events = []
         conjugate, channel = noise._conjugate_by, noise._pauli_channel
         monkeypatch.setattr(noise, "_conjugate_by", lambda *a: events.append(None) or conjugate(*a))
         monkeypatch.setattr(noise, "_pauli_channel", lambda *a: events.append(a[2]) or channel(*a))
-        seen = Counter()
+        gated = 0
         for seed in range(60):
             rng = np.random.default_rng(seed)
             c = random_clifford(seed, n_qubits=2 + seed % 4, n_extra=seed % 20)
-            if seed % 4:
-                gates = list(c.gates)
-                gates.insert(int(rng.integers(0, len(gates) + 1)),
-                             _g(GateKind.RZ, int(rng.integers(c.n_qubits)), angle=0.9))
-                c = c.with_gates(gates)
+            gates = list(c.gates)
+            gates.insert(int(rng.integers(0, len(gates) + 1)),
+                         _g(GateKind.RZ, int(rng.integers(c.n_qubits)), angle=0.9))
+            c = c.with_gates(gates)
             table = FlipMaskTable(c)
+            split = table.frame[0]
+            assert c.gates[split].kind is GateKind.RZ and table.prep_masks is None, seed
+            assert [row is None for row in table.gate_masks] == [i < split for i in range(len(c.gates))]
             params = NoiseParams(*rng.uniform(0.01, 0.2, 2), p_prep=float(rng.uniform(0.01, 0.2)))
             events.clear()
-            noise._prefix_state(c, params, table)
+            noise._prefix_state(c, params, split)
             mixed, after = [], -1  # (index of the gate a channel follows, its targets)
             for e in events:
                 if e is None:
                     after += 1
                 else:
                     mixed.append((after, e))
-            want = [(-1, (q,)) for q in range(c.n_qubits)] if table.prep_masks is None else []
-            want += [(i, g.targets) for i, (g, row) in enumerate(zip(c.gates, table.gate_masks))
-                     if row is None]
-            assert mixed == want, seed
-            seen.update(prep=table.prep_masks is None, gates=len(want) > c.n_qubits)
-        assert seen["prep"] == 45 and seen["gates"] > 30
+            assert after == split, seed
+            assert mixed == [(-1, (q,)) for q in range(c.n_qubits)] + [
+                (i, g.targets) for i, g in enumerate(c.gates[:split])], seed
+            gated += split > 0
+        assert gated > 30
 
 
 class TestSuffixAgainstPrefix:

@@ -303,11 +303,10 @@ class TestSignedFrame:
 
     def test_each_gate_conjugates_like_its_unitary(self):
         """conjugate_frame sends every signed Pauli on three qubits to
-        G^dagger P G, sign included, for every Clifford gate placement."""
+        G^dagger P G, sign included, for every placement of each gate the
+        sweep passes it: H, S, CNOT, CZ and SWAP."""
         n = 3
-        for kind in GateKind:
-            if kind is GateKind.RZ:
-                continue
+        for kind in (GateKind.H, GateKind.S, GateKind.CNOT, GateKind.CZ, GateKind.SWAP):
             for targets in itertools.permutations(range(n), kind.arity):
                 U = _unitary(_g(kind, *targets), n)
                 for x, z, sign in itertools.product(range(1 << n), range(1 << n), (0, 1)):
@@ -316,6 +315,28 @@ class TestSignedFrame:
                     sign = simulator.conjugate_frame(xcol, zcol, sign, kind, targets)
                     np.testing.assert_allclose(_signed_pauli(xcol, zcol, sign), want, atol=1e-12,
                                                err_msg=f"{kind} {targets} {x} {z}")
+
+    def test_pauli_gates_sign_the_frame_like_their_unitaries(self):
+        """FlipMaskTable negates the carried observables that a Pauli gate
+        anticommutes with, read off the gate's own row: every measured Z_t
+        comes back as U^dagger Z_t U of the whole circuit, sign included,
+        with H and S around the Pauli so that the observable it meets has
+        an X part, a Y part or none."""
+        n, around = 3, [(), (GateKind.H,), (GateKind.S,), (GateKind.H, GateKind.S),
+                        (GateKind.S, GateKind.H)]
+        for kind, q, before, after in itertools.product(
+                (GateKind.X, GateKind.Y, GateKind.Z), range(n), around, around):
+            gates = [_g(k, q) for k in before] + [_g(kind, q)] + [_g(k, q) for k in after]
+            gates.append(_g(GateKind.CNOT, q, (q + 1) % n))
+            U = np.eye(1 << n)
+            for g in gates:
+                U = _unitary(g, n) @ U
+            split, xcol, zcol, sign = simulator.FlipMaskTable(Circuit(n, gates, [2, 0, 1])).frame
+            assert split == -1
+            for t, m in enumerate((2, 0, 1)):
+                want = U.conj().T @ _embed({m: _Z}, n) @ U
+                got = _signed_pauli([c >> t for c in xcol], [c >> t for c in zcol], sign >> t)
+                np.testing.assert_allclose(got, want, atol=1e-12, err_msg=f"{gates} {t}")
 
     def test_clifford_marginals_are_dyadic(self):
         """A Clifford circuit's ideal marginal is exactly the true one: each
