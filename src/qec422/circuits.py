@@ -127,7 +127,8 @@ class Circuit:
     @classmethod
     def _trusted(cls, n_qubits: int, gates: list[GateInstance], measured: list[int]) -> "Circuit":
         """A Circuit of parts already checked against n_qubits, skipping
-        __post_init__ (build_pair joins blocks checked at import)."""
+        __post_init__ (build_pair joins blocks checked at import;
+        parse_circuit checks each line as it reads it)."""
         circuit = cls.__new__(cls)
         circuit.n_qubits, circuit.gates, circuit.measured = n_qubits, gates, measured
         return circuit
@@ -204,7 +205,7 @@ def parse_circuit(text: str) -> Circuit:
         raise CircuitParseError("empty circuit: missing 'qubits N' header", 1)
     if measured is None:
         raise CircuitParseError("missing MEASURE line", 1 + text.count("\n"))
-    return Circuit(n_qubits, gates, measured)
+    return Circuit._trusted(n_qubits, gates, measured)
 
 
 def _parse_int(token: str, line_no: int) -> int:

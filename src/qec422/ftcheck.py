@@ -10,11 +10,11 @@ gives every fault after the last RZ -- every fault, in a Clifford
 circuit -- as a read-out flip mask: the ideal outcome vector with
 indices XORed by the mask.  The distinct masks of all folded rows are
 classified together, one code.selection_split of their stack, and each
-distinct gate row's verdicts are copied to its sites: on m read-out bits
-O(min(sites, 2^m) * 2^m) entries are split once, plus O(1) per site.
+distinct gate row gets one verdict list, which its gates share: on m read-out
+bits O(min(sites, 2^m) * 2^m) entries are split once, plus O(1) per gate.
 Faults ahead of the last RZ are simulated, one statevector of the
 faulted gates up to that RZ each, read through the table's frame, and
-classified by the same rule:
+classified together by the same rule:
 
 Harmless                  retained distribution and retention both unchanged
 DetectedPostSelection     probability mass moved into odd-parity strings
@@ -31,7 +31,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import partial
-from itertools import takewhile
+from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
@@ -57,6 +57,7 @@ class FaultClassification:
 # the verdicts in report order, indexed by _classify's codes
 _VERDICTS = (FaultClassification.HARMLESS, FaultClassification.DETECTED_POSTSELECTION,
              FaultClassification.DETECTED_ANCILLA, FaultClassification.UNDETECTED_LOGICAL_ERROR)
+_UNDETECTED = FaultClassification.UNDETECTED_LOGICAL_ERROR
 
 
 class FaultSite(NamedTuple):
@@ -81,15 +82,7 @@ class FaultSite(NamedTuple):
 
 # FaultSite((gate_index, targets, pauli)) without the Python-level __new__ of a NamedTuple
 _site = partial(tuple.__new__, FaultSite)
-
-
-def enumerate_single_faults(circuit: Circuit, include_preparation: bool = False) -> list[FaultSite]:
-    """All single-fault sites, in circuit order."""
-    sites = [_site((-1, (q,), "X")) for q in range(circuit.n_qubits)] if include_preparation else []
-    for i, g in enumerate(circuit.gates):
-        sites += [_site((i, g.targets, pauli))
-                  for pauli in (ONE_QUBIT_PAULIS if g.kind.arity == 1 else TWO_QUBIT_PAULIS)]
-    return sites
+_PAULIS = {1: ONE_QUBIT_PAULIS, 2: TWO_QUBIT_PAULIS}
 
 
 # ---------------------------------------------------------------------------
@@ -127,10 +120,11 @@ def verify_single_faults(circuit: Circuit, detection: str | None = None,
     marginal (with no statevector in a Clifford circuit).  A fault the
     Pauli frame folds (after the last RZ, or anywhere in a Clifford
     circuit) permutes the ideal outcomes by its mask, so the distinct
-    masks are classified in one split, in blocks of block_rows, and each
-    gate's sites take its row's verdicts.  Only the sites a None row
+    masks are classified in one split, in blocks of block_rows, and
+    each gate takes its row's one verdict list.  Only the sites a None row
     leaves unfolded (ahead of the last RZ) are simulated one by one, each
-    read off the table's frame, so a check sweeps the frame once.
+    read off the table's frame, so a check sweeps the frame once, and
+    their vectors are classified as one stack, in blocks of block_rows.
     """
     if len(circuit.measured) < DATA_QUBITS:
         raise CircuitError("detection needs at least the four data qubits measured")
@@ -146,9 +140,13 @@ def verify_single_faults(circuit: Circuit, detection: str | None = None,
 
     table = FlipMaskTable(circuit)
     ideal = spectrum_marginal(frame_spectrum(circuit, table.frame))
-    # one row per site group, in site order: row[k] is the mask of the group's k-th site
-    rows = [table.prep_masks] * include_preparation + table.gate_masks
-    folded = set(rows) - {None}
+    gates, prep = circuit.gates, table.prep_masks
+    # one group per prep flip, then per gate, with its sites' masks: row[k + 1] for paulis[k]
+    groups = [(-1, (q,), ("X",), None if prep is None else (0, prep[q + 1]))
+              for q in range(circuit.n_qubits * include_preparation)]
+    groups += [(i, g.targets, _PAULIS[g.kind.arity], row)
+               for i, (g, row) in enumerate(zip(gates, table.gate_masks))]
+    folded = {row for *_, row in groups} - {None}
     masks = np.array(sorted(set().union(*folded)))
     step, idx = block_rows(len(ideal)), np.arange(len(ideal))
     by_mask = dict(zip(masks.tolist(), [
@@ -156,20 +154,23 @@ def verify_single_faults(circuit: Circuit, detection: str | None = None,
         for v in _classify(ideal, ideal[idx ^ masks[k:k + step, None]], ancilla_bit)]))
     by_row = {row: [by_mask[m] for m in row[1:]] for row in folded}
 
-    sites = enumerate_single_faults(circuit, include_preparation)
-    out = []
-    # the unfolded sites, after a gate ahead of the last RZ or before the first gate, lead sites
+    # the unfolded groups, a prep flip or a gate ahead of the last RZ, lead
     split, *frame = table.frame
-    gates = circuit.gates
-    for i, targets, pauli in takewhile(lambda s: s.gate_index < split, sites):
+
+    def faulted(i, targets, pauli):
         # the gates after the RZ are untouched, so the faulted prefix keeps the table's frame
         fault = [GateInstance(GateKind[c], (q,)) for c, q in zip(pauli, targets) if c != "I"]
         prefix = circuit.with_gates(gates[:i + 1] + fault + gates[i + 1:split + 1])
-        out += _classify(ideal, spectrum_marginal(frame_spectrum(
-            prefix, (split + len(fault), *frame))), ancilla_bit)
-    for row in filter(None, rows):
-        out += by_row[row]
-    return FTReport(circuit_id, detection, list(zip(sites, out)))
+        return spectrum_marginal(frame_spectrum(prefix, (split + len(fault), *frame)))
+
+    vecs = (faulted(i, t, p) for i, t, paulis, row in groups if row is None for p in paulis)
+    out = []
+    while block := list(islice(vecs, step)):
+        out += _classify(ideal, np.array(block), ancilla_bit)
+    unfolded = iter(out)
+    return FTReport(circuit_id, detection, [
+        (i, t, p, list(islice(unfolded, len(p))) if row is None else by_row[row])
+        for i, t, p, row in groups])
 
 
 # ---------------------------------------------------------------------------
@@ -178,26 +179,46 @@ def verify_single_faults(circuit: Circuit, detection: str | None = None,
 
 @dataclass
 class FTReport:
-    """Classification of every enumerated site plus the aggregate verdict."""
+    """Every site's verdict as one group per gate (or preparation flip), in
+    site order: (gate_index, targets, paulis, verdicts), verdicts[k] that of
+    paulis[k].  Gates of one flip-mask row share its verdict list."""
 
     circuit_id: str
     detection: str
-    classifications: list[tuple[FaultSite, str]]
+    groups: list[tuple[int, tuple[int, ...], tuple[str, ...], list[str]]]
+
+    @property
+    def classifications(self) -> list[tuple[FaultSite, str]]:
+        return [(_site((i, t, p)), c) for i, t, paulis, verdicts in self.groups
+                for p, c in zip(paulis, verdicts)]
 
     @property
     def fault_tolerant(self) -> bool:
-        return not self.undetected_sites()
+        return not self.tally()[_UNDETECTED]
 
     def undetected_sites(self) -> list[FaultSite]:
-        return [s for s, c in self.classifications
-                if c == FaultClassification.UNDETECTED_LOGICAL_ERROR]
+        return [s for s, c in self.classifications if c == _UNDETECTED]
+
+    def _totals(self) -> tuple[dict[str, int], dict[str, int], str]:
+        """(tally, undetected_counts, undetected_fraction_text), each distinct
+        verdict list counted once per group holding it."""
+        shared = {}
+        for group in self.groups:
+            shared.setdefault(id(group[3]), [group, 0])[1] += 1
+        tally, undetected = dict.fromkeys(_VERDICTS, 0), dict.fromkeys(_WEIGHT_TERMS, 0)
+        for (i, t, paulis, verdicts), n in shared.values():
+            for c in _VERDICTS:
+                tally[c] += n * verdicts.count(c)
+            undetected[_site((i, t, paulis[0])).weight_units] += n * verdicts.count(_UNDETECTED)
+        text = " + ".join(_WEIGHT_TERMS[unit].format(k) for unit, k in undetected.items() if k)
+        return tally, undetected, text or "0"
+
+    def tally(self) -> dict[str, int]:
+        return self._totals()[0]
 
     def undetected_counts(self) -> dict[str, int]:
         """Undetected site tallies keyed by their weight units, in _WEIGHT_TERMS order."""
-        out = dict.fromkeys(_WEIGHT_TERMS, 0)
-        for s in self.undetected_sites():
-            out[s.weight_units] += 1
-        return out
+        return self._totals()[1]
 
     def undetected_fraction(self, eps1: float, eps2: float, p_prep: float = 0.0) -> float:
         """First-order undetected-error weight at the given fault rates."""
@@ -205,28 +226,31 @@ class FTReport:
         return n["eps1/3"] * eps1 / 3.0 + n["eps2/15"] * eps2 / 15.0 + n["p_prep"] * p_prep
 
     def undetected_fraction_text(self) -> str:
-        return " + ".join(_WEIGHT_TERMS[unit].format(k)
-                          for unit, k in self.undetected_counts().items() if k) or "0"
-
-    def tally(self) -> dict[str, int]:
-        verdicts = [c for _, c in self.classifications]
-        return {c: verdicts.count(c) for c in _VERDICTS}
+        return self._totals()[2]
 
     def to_json(self) -> str:
-        """The header through json.dumps, so circuit_id keeps its escaping, then the sites."""
-        head = json.dumps({
+        """The header through json.dumps, so circuit_id keeps its escaping, then each
+        distinct (targets, verdicts) run of site objects, written once per call."""
+        tally, _, text = self._totals()
+        header = json.dumps({
             "circuit_id": self.circuit_id,
             "detection": self.detection,
-            "fault_tolerant": self.fault_tolerant,
-            "n_sites": len(self.classifications),
-            "tally": self.tally(),
-            "undetected_fraction": self.undetected_fraction_text(),
+            "fault_tolerant": not tally[_UNDETECTED],
+            "n_sites": sum(tally.values()),
+            "tally": tally,
+            "undetected_fraction": text,
         })
-        # each field is an int list or a plain ASCII word, so no escaping is needed
-        targets = {t: str(list(t)) for t in {s.targets for s, _ in self.classifications}}
-        sites = ", ".join([f'{{"gate_index": {i}, "targets": {targets[t]}, "pauli": "{p}", '
-                           f'"classification": "{c}"}}' for (i, t, p), c in self.classifications])
-        return f'{head[:-1]}, "sites": [{sites}]}}'
+        # each field is an int list or a plain ASCII word, so no escaping is needed, and none
+        # holds the "@" that stands for the gate index; the verdicts fix the group's Paulis
+        runs, sites = {}, []
+        for i, t, paulis, verdicts in self.groups:
+            run = runs.get((t, id(verdicts)))
+            if run is None:
+                head = f'{{"gate_index": @, "targets": {list(t)}, "pauli": "'
+                run = runs[t, id(verdicts)] = ", ".join([f'{head}{p}", "classification": "{c}"}}'
+                                                         for p, c in zip(paulis, verdicts)])
+            sites.append(run.replace("@", str(i)))
+        return f'{header[:-1]}, "sites": [{", ".join(sites)}]}}'
 
     def format_table(self) -> str:
         lines = [
@@ -239,7 +263,7 @@ class FTReport:
             lines.append(f"{k:>6} {gate:>6} {tgt:>9} {s.pauli:>5}  {c}")
         t = self.tally()
         lines.append(
-            f"total {len(self.classifications)} sites: "
+            f"total {sum(t.values())} sites: "
             + ", ".join(f"{v} {k}" for k, v in t.items())
         )
         lines.append(f"undetected weight: {self.undetected_fraction_text()}")

@@ -1,6 +1,7 @@
 """Exhaustive single-fault verification of the encoder family."""
 
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -20,11 +21,16 @@ from qec422.ftcheck import (
     DETECTION_MODES,
     FaultClassification,
     FaultSite,
-    enumerate_single_faults,
     verify_single_faults,
 )
-from qec422.noise import FlipMaskTable, insert_coherent_rotation
-from qec422.simulator import OutcomeDistribution, final_state, ideal_marginal, marginal_vector
+from qec422.noise import ONE_QUBIT_PAULIS, TWO_QUBIT_PAULIS, FlipMaskTable, insert_coherent_rotation
+from qec422.simulator import (
+    OutcomeDistribution,
+    block_rows,
+    final_state,
+    ideal_marginal,
+    marginal_vector,
+)
 
 HARMLESS = FaultClassification.HARMLESS
 DETECTED_POSTSELECTION = FaultClassification.DETECTED_POSTSELECTION
@@ -40,27 +46,49 @@ def _verdicts(circuit: Circuit, detection: str) -> dict:
     return dict(verify_single_faults(circuit, detection, include_preparation=True).classifications)
 
 
+def _sites(circuit: Circuit, include_preparation: bool) -> list[FaultSite]:
+    """Every single-fault site in circuit order: an X on each qubit before
+    the circuit, then each Pauli after each gate."""
+    sites = [FaultSite(-1, (q,), "X") for q in range(circuit.n_qubits)] if include_preparation else []
+    for i, g in enumerate(circuit.gates):
+        sites += [FaultSite(i, g.targets, p)
+                  for p in (ONE_QUBIT_PAULIS if g.kind.arity == 1 else TWO_QUBIT_PAULIS)]
+    return sites
+
+
+def _report_sites(circuit: Circuit, include_preparation: bool = False) -> list[FaultSite]:
+    report = verify_single_faults(circuit, include_preparation=include_preparation)
+    return [s for s, _ in report.classifications]
+
+
 class TestEnumeration:
     def test_site_count_is_three_per_single_fifteen_per_pair(self):
-        sites = enumerate_single_faults(ENCODER)
+        sites = _report_sites(ENCODER)
         # 1 Hadamard, 3 CNOTs
         assert len(sites) == 1 * 3 + 3 * 15
 
     def test_checked_encoder_site_count(self):
-        sites = enumerate_single_faults(CHECKED)
+        sites = _report_sites(CHECKED)
         assert len(sites) == 1 * 3 + 5 * 15
 
     def test_preparation_sites_prepended(self):
-        sites = enumerate_single_faults(ENCODER, include_preparation=True)
+        sites = _report_sites(ENCODER, include_preparation=True)
         assert len(sites) == 4 + 48
         for s in sites[:4]:
             assert s.is_preparation and s.pauli == "X"
         assert sites[0].weight_units == "p_prep"
 
     def test_weight_units(self):
-        sites = enumerate_single_faults(ENCODER)
+        sites = _report_sites(ENCODER)
         assert sites[0].weight_units == "eps1/3"
         assert sites[-1].weight_units == "eps2/15"
+
+    @pytest.mark.parametrize("prep", [False, True])
+    def test_site_order(self, prep):
+        """Prep flips by qubit, then each gate's Paulis in the order of
+        noise's Pauli tables, gate by gate, RZ circuits included."""
+        for circuit in (ENCODER, CHECKED, *_RZ_CIRCUITS.values()):
+            assert _report_sites(circuit, prep) == _sites(circuit, prep)
 
 
 class TestEncoderClassification:
@@ -278,7 +306,7 @@ def _brute_force(circuit: Circuit, detection: str, include_preparation: bool) ->
     if _reference_split(ideal, ancilla)[1] <= 1e-9:
         return None
     out = []
-    for s in enumerate_single_faults(circuit, include_preparation):
+    for s in _sites(circuit, include_preparation):
         paulis = [GateInstance(GateKind[ch], (q,)) for ch, q in zip(s.pauli, s.targets) if ch != "I"]
         gates = list(circuit.gates)
         gates[s.gate_index + 1:s.gate_index + 1] = paulis
@@ -339,8 +367,29 @@ class TestAgainstBruteForce:
                         UNDETECTED_LOGICAL_ERROR}
 
     def test_full_set_length_30_coded_circuit(self):
-        assert len(enumerate_single_faults(_L30)) == 282
+        assert _report_sites(_L30) == _sites(_L30, False)
+        assert len(_sites(_L30, False)) == 282
         self._check(_L30, set())
+
+    def test_many_blocks_of_both_stacks(self, monkeypatch):
+        """With three rows to a block, the folded masks and the sites ahead
+        of the last RZ are each split over many blocks, and every site
+        still gets its brute-force verdict."""
+        calls = []
+        original = ftcheck.selection_split
+        monkeypatch.setattr(ftcheck, "selection_split",
+                            lambda *a, **kw: calls.append(1) or original(*a, **kw))
+        monkeypatch.setattr(ftcheck, "block_rows", lambda width: 3)
+        for circuit in _RZ_CIRCUITS.values():
+            table = FlipMaskTable(circuit)
+            rows = [table.prep_masks, *table.gate_masks]  # site gate_index i reads rows[i + 1]
+            masks = {m for row in filter(None, rows) for m in row}
+            calls.clear()
+            report = verify_single_faults(circuit, "postselect", include_preparation=True)
+            assert [c for _, c in report.classifications] == _brute_force(circuit, "postselect", True)
+            ahead = sum(rows[s.gate_index + 1] is None for s, _ in report.classifications)
+            assert ahead > 3
+            assert len(calls) == -(-len(masks) // 3) + -(-ahead // 3)
 
     def test_one_statevector_per_clifford_check(self, monkeypatch):
         """Every fault in a Clifford circuit is read off the ideal outcome
@@ -371,8 +420,8 @@ class TestAgainstBruteForce:
 
 class TestPerMaskCost:
     """On five read-out bits all distinct folded flip masks fit one block,
-    so they take one split in all; only sites ahead of the last RZ are
-    split one by one."""
+    so they take one split in all; the sites ahead of the last RZ are
+    stacked and split in blocks of block_rows too."""
 
     @pytest.mark.parametrize("circuit, detection", [
         (CHECKED, "postselect+ancilla"),
@@ -389,7 +438,7 @@ class TestPerMaskCost:
         rows = [table.prep_masks, *table.gate_masks]  # site gate_index i reads rows[i + 1]
         masks = {m for row in filter(None, rows) for m in row[1:]}
         ahead = sum(rows[s.gate_index + 1] is None for s, _ in report.classifications)
-        assert len(calls) == 1 + ahead
+        assert len(calls) == 1 + -(-ahead // block_rows(2 ** len(circuit.measured)))
         assert len(masks) <= 2 ** len(circuit.measured)
 
 
@@ -495,3 +544,101 @@ class TestJsonWriter:
                 assert report.to_json() == _dict_json(report)
                 written += 1
         assert written >= 24
+
+
+def _coded_circuits(n: int):
+    """Seeded random coded circuits from build_pair, as they come, with the
+    rotation after the encoder's H, or with an RZ at a random position;
+    each also behind the ancilla-checked encoder, whose last read-out bit
+    is the ancilla."""
+    rng = np.random.default_rng(29)
+    for k in range(n):
+        coded = build_pair(random_sequence(SequenceSpec(GateSetId.FULL, int(rng.integers(1, 12)), k)))[1]
+        blocks = coded.gates[len(ENCODER.gates):]
+        q, pos, angle = int(rng.integers(4)), int(rng.integers(len(blocks) + 1)), float(rng.normal())
+        for encoder in (ENCODER, CHECKED):
+            gates = encoder.gates + blocks
+            if k % 3 == 1:
+                yield insert_coherent_rotation(encoder.with_gates(gates), angle)
+            elif k % 3 == 2:
+                at = len(encoder.gates) + pos
+                yield encoder.with_gates(gates[:at] + [_rz(q, angle)] + gates[at:])
+            else:
+                yield encoder.with_gates(gates)
+
+
+# weight unit -> its term in the undetected weight, in print order
+_TERMS = {"eps1/3": "{}/3 * eps1", "eps2/15": "{}/15 * eps2", "p_prep": "{} * p_prep"}
+_ORDER = (HARMLESS, DETECTED_POSTSELECTION, DETECTED_ANCILLA, UNDETECTED_LOGICAL_ERROR)
+
+
+def _per_site_totals(report) -> tuple[dict, str]:
+    """(tally, undetected weight text), counted site by site."""
+    sites = report.classifications
+    tally = Counter(c for _, c in sites)
+    undetected = Counter(s.weight_units for s, c in sites if c == UNDETECTED_LOGICAL_ERROR)
+    text = " + ".join(_TERMS[u].format(undetected[u]) for u in _TERMS if undetected[u]) or "0"
+    return {c: tally[c] for c in _ORDER}, text
+
+
+def _per_site_table(report) -> str:
+    tally, text = _per_site_totals(report)
+    sites = report.classifications
+    lines = [f"circuit: {report.circuit_id}   detection: {report.detection}",
+             "  site   gate   targets pauli  classification"]
+    lines += [f"{k:>6} {'prep' if s.gate_index < 0 else s.gate_index:>6} "
+              f"{','.join(map(str, s.targets)):>9} {s.pauli:>5}  {c}" for k, (s, c) in enumerate(sites)]
+    lines.append(f"total {len(sites)} sites: " + ", ".join(f"{n} {c}" for c, n in tally.items()))
+    lines.append(f"undetected weight: {text}")
+    lines.append(f"fault tolerant: {'no' if tally[UNDETECTED_LOGICAL_ERROR] else 'yes'}")
+    return "\n".join(lines)
+
+
+class TestGroupedReport:
+    """The report keeps one verdict list per gate, shared by the gates of
+    one flip-mask row; every total and rendering equals its count or
+    rendering site by site."""
+
+    def test_against_per_site_references(self):
+        checked, seen = 0, set()
+        for circuit in _coded_circuits(12):
+            modes = DETECTION_MODES if len(circuit.measured) > 4 else ("postselect",)
+            for detection in modes:
+                for prep in (False, True):
+                    report = verify_single_faults(circuit, detection, "coded.txt", prep)
+                    sites = report.classifications
+                    tally, text = _per_site_totals(report)
+                    assert report.tally() == tally
+                    assert report.undetected_fraction_text() == text
+                    assert report.fault_tolerant == (text == "0")
+                    assert json.loads(report.to_json()) == {
+                        "circuit_id": "coded.txt", "detection": detection,
+                        "fault_tolerant": text == "0", "n_sites": len(sites),
+                        "tally": tally, "undetected_fraction": text,
+                        "sites": [{"gate_index": s.gate_index, "targets": list(s.targets),
+                                   "pauli": s.pauli, "classification": c} for s, c in sites]}
+                    assert report.format_table() == _per_site_table(report)
+                    seen.update(c for c, n in tally.items() if n)
+                    checked += 1
+        assert checked == 12 * 2 + 12 * 4
+        assert seen == set(_ORDER)
+
+    def test_a_shared_undetected_list_counts_for_each_gate(self):
+        """A Pauli gate leaves the frame as it is, so two X's on q0 share a
+        row, and each carries the X and Y faults that flip q0 and q1."""
+        circ = parse_circuit("qubits 4\nX 0\nX 0\nCNOT 0 1\nMEASURE 0 1 2 3\n")
+        report = verify_single_faults(circ, "postselect")
+        assert report.groups[0][3] is report.groups[1][3]
+        assert report.undetected_counts() == {"eps1/3": 4, "eps2/15": 4, "p_prep": 0}
+        assert report.undetected_fraction_text() == "4/3 * eps1 + 4/15 * eps2"
+        assert report.tally() == _per_site_totals(report)[0]
+        assert sum(report.tally().values()) == 3 + 3 + 15
+
+    def test_gates_sharing_a_row_share_its_verdicts(self):
+        report = verify_single_faults(_L30)
+        rows = FlipMaskTable(_L30).gate_masks
+        assert len(report.groups) == len(rows) == 82
+        by_row = {}
+        for (*_, verdicts), row in zip(report.groups, rows):
+            assert by_row.setdefault(row, verdicts) is verdicts
+        assert len({id(v) for *_, v in report.groups}) == len(by_row) < 82
