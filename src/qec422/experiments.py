@@ -244,11 +244,13 @@ def run_pairs(runs: Iterable[tuple[list[LogicalGate], NoiseParams, int]], shots:
     for sequence, params, seed in runs:
         sides = []  # per side, its ideal spectrum and the suffix item of its noisy vector
         for circuit, rotate in zip(build_pair(sequence), (False, params.theta != 0.0)):
-            item = _suffix_item(insert_coherent_rotation(circuit, params.theta) if rotate
-                                else circuit, params)
-            # an unrotated circuit is Clifford, so its base is its ideal spectrum
-            sides.append((frame_spectrum(circuit, FlipMaskTable(circuit).frame) if rotate
-                          else item[0], item))
+            if rotate:
+                circuit = insert_coherent_rotation(circuit, params.theta)
+            table = FlipMaskTable(circuit)
+            item = _suffix_item(circuit, params, table)
+            # the start frame's read-out bits are the unrotated circuit's frame, and an
+            # unrotated circuit is Clifford, so its base is its ideal spectrum
+            sides.append((frame_spectrum(circuit, table.start) if rotate else item[0], item))
         block.append(((len(sequence), params, seed, _utc_now()), *sides))
         if len(block) == _BLOCK_PAIRS:
             out += finish(block)

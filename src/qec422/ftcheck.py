@@ -6,15 +6,15 @@ being flagged.  The check enumerates every fault site (3 Paulis after
 each one-qubit gate, 15 after each two-qubit gate, optionally an X
 before the circuit on each qubit) and works out each faulted outcome
 vector exactly.  One backward Pauli-frame sweep (simulator.FlipMaskTable)
-gives every fault after the last RZ -- every fault, in a Clifford
-circuit -- as a read-out flip mask: the ideal outcome vector with
-indices XORed by the mask.  The distinct masks of all folded rows are
-classified together, one code.selection_split of their stack, and each
-distinct gate row gets one verdict list, which its gates share: on m read-out
-bits O(min(sites, 2^m) * 2^m) entries are split once, plus O(1) per gate.
-Faults ahead of the last RZ are simulated, one statevector of the
-faulted gates up to that RZ each, read through the table's frame, and
-classified together by the same rule:
+gives every fault as a mask: its read-out flip, and the RZs whose angle
+it reverses on the way, its sign pattern.  Its faulted outcome vector is
+the ideal one of the circuit with those RZs reversed, one statevector per
+distinct pattern (none in a Clifford circuit, where the only pattern is
+0 and its vector is the ideal), with indices XORed by the flip.  The
+distinct masks of all rows are classified together, one
+code.selection_split of their stack, and each distinct gate row gets one
+verdict list, which its gates share: on m read-out bits O(distinct masks
+* 2^m) entries are split once, plus O(1) per gate.  The rule:
 
 Harmless                  retained distribution and retention both unchanged
 DetectedPostSelection     probability mass moved into odd-parity strings
@@ -31,7 +31,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import partial
-from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
@@ -117,14 +116,12 @@ def verify_single_faults(circuit: Circuit, detection: str | None = None,
     qubit, to read 0).  None picks it from the read-out: a bit beyond
     the four data bits is the ancilla.
     The flip-mask table is built once, and its frame gives the ideal
-    marginal (with no statevector in a Clifford circuit).  A fault the
-    Pauli frame folds (after the last RZ, or anywhere in a Clifford
-    circuit) permutes the ideal outcomes by its mask, so the distinct
-    masks are classified in one split, in blocks of block_rows, and
-    each gate takes its row's one verdict list.  Only the sites a None row
-    leaves unfolded (ahead of the last RZ) are simulated one by one, each
-    read off the table's frame, so a check sweeps the frame once, and
-    their vectors are classified as one stack, in blocks of block_rows.
+    marginal (with no statevector in a Clifford circuit).  Each distinct
+    sign pattern of the masks, the bits from m up, is read once off that
+    frame, with its RZs reversed, and a mask's faulted vector is its
+    pattern's read with indices XORed by its low m bits.  The distinct
+    masks are classified in one split, in blocks of block_rows, and each
+    gate takes its row's one verdict list.
     """
     if len(circuit.measured) < DATA_QUBITS:
         raise CircuitError("detection needs at least the four data qubits measured")
@@ -140,37 +137,37 @@ def verify_single_faults(circuit: Circuit, detection: str | None = None,
 
     table = FlipMaskTable(circuit)
     ideal = spectrum_marginal(frame_spectrum(circuit, table.frame))
-    gates, prep = circuit.gates, table.prep_masks
+    m = len(circuit.measured)
     # one group per prep flip, then per gate, with its sites' masks: row[k + 1] for paulis[k]
-    groups = [(-1, (q,), ("X",), None if prep is None else (0, prep[q + 1]))
+    groups = [(-1, (q,), ("X",), (0, table.start[2][q]))
               for q in range(circuit.n_qubits * include_preparation)]
     groups += [(i, g.targets, _PAULIS[g.kind.arity], row)
-               for i, (g, row) in enumerate(zip(gates, table.gate_masks))]
-    folded = {row for *_, row in groups} - {None}
-    masks = np.array(sorted(set().union(*folded)))
-    step, idx = block_rows(len(ideal)), np.arange(len(ideal))
-    by_mask = dict(zip(masks.tolist(), [
-        v for k in range(0, len(masks), step)
-        for v in _classify(ideal, ideal[idx ^ masks[k:k + step, None]], ancilla_bit)]))
-    by_row = {row: [by_mask[m] for m in row[1:]] for row in folded}
+               for i, (g, row) in enumerate(zip(circuit.gates, table.gate_masks))]
+    rows = {row for *_, row in groups}
+    masks = sorted(set().union(*rows))
+    step, idx, low = block_rows(len(ideal)), np.arange(len(ideal)), (1 << m) - 1
+    reads, verdicts = {0: ideal}, []
+    for k in range(0, len(masks), step):
+        block = masks[k:k + step]
+        # sorted masks keep each sign pattern's together, so a block keeps only its own reads
+        reads = {r: reads[r] if r in reads else _read(circuit, table, r)
+                 for r in {x >> m for x in block}}
+        vecs = np.array([reads[x >> m][idx ^ (x & low)] for x in block])
+        verdicts += _classify(ideal, vecs, ancilla_bit)
+    by_mask = dict(zip(masks, verdicts))
+    by_row = {row: [by_mask[x] for x in row[1:]] for row in rows}
+    return FTReport(circuit_id, detection, [(i, t, p, by_row[row]) for i, t, p, row in groups])
 
-    # the unfolded groups, a prep flip or a gate ahead of the last RZ, lead
-    split, *frame = table.frame
 
-    def faulted(i, targets, pauli):
-        # the gates after the RZ are untouched, so the faulted prefix keeps the table's frame
-        fault = [GateInstance(GateKind[c], (q,)) for c, q in zip(pauli, targets) if c != "I"]
-        prefix = circuit.with_gates(gates[:i + 1] + fault + gates[i + 1:split + 1])
-        return spectrum_marginal(frame_spectrum(prefix, (split + len(fault), *frame)))
-
-    vecs = (faulted(i, t, p) for i, t, paulis, row in groups if row is None for p in paulis)
-    out = []
-    while block := list(islice(vecs, step)):
-        out += _classify(ideal, np.array(block), ancilla_bit)
-    unfolded = iter(out)
-    return FTReport(circuit_id, detection, [
-        (i, t, p, list(islice(unfolded, len(p))) if row is None else by_row[row])
-        for i, t, p, row in groups])
+def _read(circuit: Circuit, table: FlipMaskTable, pattern: int) -> np.ndarray:
+    """Ideal read-out vector of the circuit with the angle of RZ j, gate
+    table.rz[j], reversed for each set bit j of pattern, read off the
+    table's frame: the gates after the last RZ are Clifford and untouched."""
+    gates = list(circuit.gates)
+    for j, i in enumerate(table.rz):
+        if pattern >> j & 1:
+            gates[i] = GateInstance(GateKind.RZ, gates[i].targets, -gates[i].angle)
+    return spectrum_marginal(frame_spectrum(circuit.with_gates(gates), table.frame))
 
 
 # ---------------------------------------------------------------------------

@@ -13,29 +13,29 @@ first Hadamard, and xi mixes the final distribution toward uniform.
 One engine computes exact noisy read-out distributions, vectors in the
 simulator.marginal_vector layout: one stacked pass, _clifford_outcomes,
 for any number of circuits, of which noisy_vector is the one-circuit
-call; sample_outcomes draws all the shots of a run from one at once.  One
-backward sweep of the signed Pauli frame, simulator.FlipMaskTable,
-carries each measured Z observable from the end of the circuit back to
-its last RZ, the split, and Clifford-propagates a fault after any gate
-from there on to an X-type read-out flip mask.  The split alone names
-the sites it does not fold: every preparation flip and every gate ahead
-of it.  The base is the read-out spectrum before the folded flips, which
-simulator.frame_spectrum reads from the frame where the sweep stopped:
-on |0...0> in a Clifford circuit, else on the ideal statevector up to
-the last RZ, or, when an unfolded channel fires, on the exact density
-matrix at that point, each gate run as U (U rho)^dagger through the one
-statevector kernel and each such site averaging rho over X and Z at its
-factor.  Every folded flip XORs onto the base independently of it, which
-is a pointwise product in the Walsh-Hadamard domain with the site's
-channel eigenvalues (Flammia & Wallman, arXiv:1907.12976).  The channel's
-masks form the image of a linear map, so at spectral index s its
-eigenvalue is the factor where a mask overlaps s in an odd number of
-bits, else 1: the spectrum is the base times one factor per kind of
-_SITES raised to an integer vector over s, and
-simulator.spectrum_marginal transforms it back before xi mixes toward
-uniform.  The randomness is one multinomial from a Philox stream per
-call, so a (circuit, params, shots, seed) tuple always yields identical
-counts, however calls are scheduled around it.
+call; sample_outcomes draws all the shots of a run from one at once.
+One backward sweep of the signed Pauli frame, simulator.FlipMaskTable,
+carries each measured Z observable from the end of the circuit to the
+start and keeps its frame at the last RZ, the split.  A fault after any
+gate from there on is an X-type read-out flip mask, which the suffix
+folds; the split alone names the sites left unfolded, every preparation
+flip and every gate ahead of it.  The base is the read-out spectrum
+before the folded flips, which simulator.frame_spectrum reads from the
+frame at the split: on |0...0> in a Clifford circuit, else on the ideal
+statevector up to the last RZ, or, when an unfolded channel fires, on
+the exact density matrix at that point, each gate run as
+U (U rho)^dagger through the one statevector kernel and each such site
+averaging rho over X and Z at its factor.  Every folded flip XORs onto
+the base independently of it, which is a pointwise product in the
+Walsh-Hadamard domain with the site's channel eigenvalues (Flammia &
+Wallman, arXiv:1907.12976).  The channel's masks form the image of a
+linear map, so at spectral index s its eigenvalue is the factor where a
+mask overlaps s in an odd number of bits, else 1: the spectrum is the
+base times one factor per kind of _SITES raised to an integer vector
+over s, and simulator.spectrum_marginal transforms it back before xi
+mixes toward uniform.  The randomness is one multinomial from a Philox
+stream per call, so a (circuit, params, shots, seed) tuple always yields
+identical counts, however calls are scheduled around it.
 """
 
 from __future__ import annotations
@@ -195,29 +195,29 @@ def _prefix_state(circuit: Circuit, params: NoiseParams, split: int) -> np.ndarr
     return _conjugate_by(rho, circuit.gates[split], n)
 
 
-def _suffix_item(circuit: Circuit, params: NoiseParams
+def _suffix_item(circuit: Circuit, params: NoiseParams, table: FlipMaskTable
                  ) -> tuple[np.ndarray, np.ndarray, list[float], float]:
     """(base, exponents, factors, xi), all _clifford_outcomes needs of one
-    circuit.  The base is the read-out spectrum before every folded flip:
-    the ideal one, always so in a Clifford circuit, or the density-matrix
-    prefix's when a channel the frame leaves unfolded fires (p_prep, or
-    the rate of a gate ahead of the last RZ).
+    circuit, from its FlipMaskTable.  The base is the read-out spectrum
+    before every folded flip: the ideal one, always so in a Clifford
+    circuit, or the density-matrix prefix's when a channel the frame
+    leaves unfolded fires (p_prep, or the rate of a gate ahead of the
+    last RZ).
     Row i of the (4, 2**m) exponents counts, at each s, the folded sites of
     the i-th kind of _SITES (eps1 and eps2 gates, prep and read-out flips)
     whose channel anticommutes with Q_s; factors[i] is that kind's
-    eigenvalue there, from _factors."""
+    eigenvalue there, from _factors.  The folded sites are the gates from
+    the split on, and the prep flips when there is no RZ."""
     if not circuit.measured:
         raise CircuitError("circuit measures no qubits")
-    table = FlipMaskTable(circuit)
     split = table.frame[0]
     fires = split >= 0 and (params.p_prep > 0.0 or any(
         getattr(params, _SITES[g.kind.arity][0]) for g in circuit.gates[:split]))
     spectrum = frame_spectrum(circuit, table.frame,
                               _prefix_state(circuit, params, split) if fires else None)
     m = len(circuit.measured)
-    gates = Counter(table.gate_masks)
-    gates.pop(None, None)  # the sites the frame leaves to the prefix
-    flips = [(0, mask) for mask in (table.prep_masks or (0,))[1:]]
+    gates = Counter(table.gate_masks[max(split, 0):])
+    flips = [(0, mask) for mask in table.start[2]] if split < 0 else []
     kinds = [_KIND[len(row)] for row in gates] + [2] * len(flips) + [3] * m
     counts = (np.arange(4)[:, None] == kinds) * [*gates.values(), *[1] * (len(flips) + m)]
     exponents = counts @ np.array([_anticommuting(row, m) for row in
@@ -229,7 +229,7 @@ def noisy_vector(circuit: Circuit, params: NoiseParams) -> np.ndarray:
     """Exact noisy read-out distribution under every channel, indexed as
     marginal_vector; params.theta is not applied (experiments.run_pairs
     inserts it).  The one-item call of the suffix run_pairs stacks."""
-    return _clifford_outcomes([_suffix_item(circuit, params)])[0]
+    return _clifford_outcomes([_suffix_item(circuit, params, FlipMaskTable(circuit))])[0]
 
 
 def sample_outcomes(vec: np.ndarray, shots: int, seed: int) -> np.ndarray:

@@ -427,7 +427,8 @@ class TestBatch:
         """p_prep == p_meas: a prep flip whose mask is a read-out flip's
         has the same exponent and factor, in the batch as in one call."""
         params = NoiseParams(eps1=0.01, eps2=0.05, p_meas=0.02, p_prep=0.02, xi=0.01)
-        _, exponents, factors, _ = noise._suffix_item(Circuit(2, [], [0, 1]), params)
+        c = Circuit(2, [], [0, 1])
+        _, exponents, factors, _ = noise._suffix_item(c, params, simulator.FlipMaskTable(c))
         assert exponents.tolist() == [[0, 0, 0, 0], [0, 0, 0, 0], [0, 1, 1, 2], [0, 1, 1, 2]]
         assert factors[2] == factors[3] == 0.96
         for analytic in (False, True):
@@ -459,7 +460,8 @@ class TestBatch:
             params = self._config(seed)[1]
             by_width.setdefault(len(c.measured), []).append((c, params))
         for pairs in by_width.values():
-            rows = noise._clifford_outcomes([noise._suffix_item(c, p) for c, p in pairs])
+            rows = noise._clifford_outcomes([noise._suffix_item(c, p, simulator.FlipMaskTable(c))
+                                             for c, p in pairs])
             for (c, p), row in zip(pairs, rows):
                 assert np.array_equal(noise.noisy_vector(c, p), row)
 

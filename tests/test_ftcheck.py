@@ -371,25 +371,51 @@ class TestAgainstBruteForce:
         assert len(_sites(_L30, False)) == 282
         self._check(_L30, set())
 
-    def test_many_blocks_of_both_stacks(self, monkeypatch):
-        """With three rows to a block, the folded masks and the sites ahead
-        of the last RZ are each split over many blocks, and every site
-        still gets its brute-force verdict."""
-        calls = []
-        original = ftcheck.selection_split
+    def test_multi_rz_circuits(self, random_clifford):
+        """One to four RZs at 0, +-pi/2, pi or a random angle, two of them
+        on one qubit in some circuits, with and without prep sites and in
+        both detection modes: in random circuits on 4 to 6 qubits, and in
+        the ancilla-checked encoder and an HHSWAP block."""
+        seen, two_on_one = set(), 0
+        for seed in range(16):
+            rng = np.random.default_rng(seed)
+            n = 4 + seed % 3 if seed % 2 else CHECKED.n_qubits
+            circuit = (random_clifford(seed, n_qubits=n, n_extra=seed % 8, measure_all=True)
+                       if seed % 2 else CHECKED.with_gates(CHECKED.gates + _HHSWAP))
+            gates = list(circuit.gates)
+            for j in range(1 + seed % 4):
+                angle = (0.0, np.pi / 2, -np.pi / 2, np.pi, float(rng.uniform(-3, 3)))[(seed + j) % 5]
+                gates.insert(int(rng.integers(len(gates) + 1)), _rz(int(rng.integers(n)), angle))
+            circuit = circuit.with_gates(gates)
+            self._check(circuit, seen)
+            rz = [g.targets for g in gates if g.kind is GateKind.RZ]
+            two_on_one += len(set(rz)) < len(rz)
+        assert two_on_one >= 3
+        assert seen == {HARMLESS, DETECTED_POSTSELECTION, DETECTED_ANCILLA,
+                        UNDETECTED_LOGICAL_ERROR}
+
+    def test_many_blocks_of_sign_patterns(self, monkeypatch):
+        """With three rows to a block, the distinct masks, of every RZ sign
+        pattern, are split over many blocks, one split each, and every site
+        still gets its brute-force verdict.  Each sign pattern's read runs
+        one statevector, the ideal's included, however many blocks its
+        masks span."""
+        calls, runs = [], []
+        original, evolve = ftcheck.selection_split, simulator._evolve
         monkeypatch.setattr(ftcheck, "selection_split",
                             lambda *a, **kw: calls.append(1) or original(*a, **kw))
+        monkeypatch.setattr(simulator, "_evolve", lambda *a: runs.append(1) or evolve(*a))
         monkeypatch.setattr(ftcheck, "block_rows", lambda width: 3)
         for circuit in _RZ_CIRCUITS.values():
-            table = FlipMaskTable(circuit)
-            rows = [table.prep_masks, *table.gate_masks]  # site gate_index i reads rows[i + 1]
-            masks = {m for row in filter(None, rows) for m in row}
+            masks, patterns = _distinct_masks(circuit)
+            want = _brute_force(circuit, "postselect", True)
             calls.clear()
+            runs.clear()
             report = verify_single_faults(circuit, "postselect", include_preparation=True)
-            assert [c for _, c in report.classifications] == _brute_force(circuit, "postselect", True)
-            ahead = sum(rows[s.gate_index + 1] is None for s, _ in report.classifications)
-            assert ahead > 3
-            assert len(calls) == -(-len(masks) // 3) + -(-ahead // 3)
+            assert [c for _, c in report.classifications] == want
+            assert len(patterns) > 1
+            assert len(runs) == len(patterns)  # the ideal, then one per nonzero pattern
+            assert len(calls) == -(-len(masks) // 3)
 
     def test_one_statevector_per_clifford_check(self, monkeypatch):
         """Every fault in a Clifford circuit is read off the ideal outcome
@@ -404,8 +430,8 @@ class TestAgainstBruteForce:
 
     def test_one_frame_sweep_per_check(self, monkeypatch):
         """Every preparation flip of rz_first sits ahead of its RZ, and each
-        is read off the table's frame: the check conjugates the frame
-        exactly as often as one FlipMaskTable build does."""
+        takes its mask from the table's start frame: the check conjugates
+        the frame exactly as often as one FlipMaskTable build does."""
         circuit = _RZ_CIRCUITS["rz_first"]
         calls = []
         original = simulator.conjugate_frame
@@ -418,10 +444,19 @@ class TestAgainstBruteForce:
         assert one_sweep == len(calls) == 10
 
 
+def _distinct_masks(circuit: Circuit) -> tuple[set[int], set[int]]:
+    """Every distinct mask of the circuit's sites, prep flips and the
+    no-fault 0 included, and their RZ sign patterns, the bits from m up."""
+    table = FlipMaskTable(circuit)
+    masks = {0, *table.start[2]}.union(*table.gate_masks)
+    return masks, {x >> len(circuit.measured) for x in masks}
+
+
 class TestPerMaskCost:
-    """On five read-out bits all distinct folded flip masks fit one block,
-    so they take one split in all; the sites ahead of the last RZ are
-    stacked and split in blocks of block_rows too."""
+    """On five read-out bits all distinct masks fit one block, whatever
+    their RZ sign patterns, so they take one split in all.  With an RZ,
+    the ideal and each nonzero sign pattern run one statevector; a
+    Clifford check runs none."""
 
     @pytest.mark.parametrize("circuit, detection", [
         (CHECKED, "postselect+ancilla"),
@@ -429,17 +464,17 @@ class TestPerMaskCost:
         (_RZ_CIRCUITS["two_rz"], "postselect+ancilla"),
     ], ids=["checked", "full_L100", "two_rz"])
     def test_splits_per_distinct_mask(self, monkeypatch, circuit, detection):
-        calls = []
-        original = ftcheck.selection_split
+        calls, runs = [], []
+        original, evolve = ftcheck.selection_split, simulator._evolve
         monkeypatch.setattr(ftcheck, "selection_split",
                             lambda *a, **kw: calls.append(1) or original(*a, **kw))
-        report = verify_single_faults(circuit, detection, include_preparation=True)
-        table = FlipMaskTable(circuit)
-        rows = [table.prep_masks, *table.gate_masks]  # site gate_index i reads rows[i + 1]
-        masks = {m for row in filter(None, rows) for m in row[1:]}
-        ahead = sum(rows[s.gate_index + 1] is None for s, _ in report.classifications)
-        assert len(calls) == 1 + -(-ahead // block_rows(2 ** len(circuit.measured)))
-        assert len(masks) <= 2 ** len(circuit.measured)
+        monkeypatch.setattr(simulator, "_evolve", lambda *a: runs.append(1) or evolve(*a))
+        verify_single_faults(circuit, detection, include_preparation=True)
+        masks, patterns = _distinct_masks(circuit)
+        n_rz = sum(g.kind is GateKind.RZ for g in circuit.gates)
+        assert len(calls) == 1 == -(-len(masks) // block_rows(2 ** len(circuit.measured)))
+        assert len(runs) == (len(patterns) if n_rz else 0)
+        assert len(patterns) <= 2 ** n_rz and (len(patterns) > 1) == (n_rz > 0)
 
 
 def _per_vector_rule(ideal, vec, ancilla_bit):
@@ -497,7 +532,7 @@ class TestBatchedClassifier:
             idx = np.arange(len(ideal))
             table = FlipMaskTable(circuit)
             # Clifford, so every row folds: the sites' masks in site order
-            masks = [m for row in [table.prep_masks, *table.gate_masks] for m in row[1:]]
+            masks = [*table.start[2], *(m for row in table.gate_masks for m in row[1:])]
             assert len(set(masks)) > 16
             for detection, ancilla_bit in zip(DETECTION_MODES, (None, 11)):
                 if selection_split(ideal, ancilla_bit)[0].sum() <= 1e-9:
@@ -508,6 +543,37 @@ class TestBatchedClassifier:
                 checked += 1
         assert checked >= 3
         assert len(sizes) > 2 * checked and max(sizes) == (1 << 16) + (1 << 12)
+
+
+    def test_rz_circuit_on_twelve_read_out_bits(self, random_clifford):
+        """Twelve qubits, all measured, with three RZs, two of them on one
+        qubit: 16 masks to a block, several sign patterns, and every site's
+        verdict, prep flips included, is the rule applied to the statevector
+        of the circuit with the fault written in."""
+        circuit = random_clifford(7, n_qubits=12, n_extra=16, measure_all=True)
+        gates = list(circuit.gates)
+        for at, q, angle in ((3, 5, 0.7), (12, 5, np.pi), (20, 11, -1.2)):
+            gates.insert(at, _rz(q, angle))
+        circuit = circuit.with_gates(gates)
+        masks, patterns = _distinct_masks(circuit)
+        assert len(masks) > 16 and len(patterns) > 2
+        n = circuit.n_qubits
+
+        def vector(gates):
+            probs = final_state(circuit.with_gates(gates)).probabilities()
+            return marginal_vector(probs, n, circuit.measured)
+
+        ideal, faulted = vector(gates), []
+        for s in _sites(circuit, True):
+            paulis = [GateInstance(GateKind[ch], (q,)) for ch, q in zip(s.pauli, s.targets) if ch != "I"]
+            faulted.append(vector(gates[:s.gate_index + 1] + paulis + gates[s.gate_index + 1:]))
+        seen = set()
+        for detection, ancilla_bit in zip(DETECTION_MODES, (None, 11)):
+            report = verify_single_faults(circuit, detection, include_preparation=True)
+            want = [_per_vector_rule(ideal, v, ancilla_bit) for v in faulted]
+            assert [c for _, c in report.classifications] == want, detection
+            seen.update(want)
+        assert len(seen) >= 3
 
 
 def _dict_json(report) -> str:

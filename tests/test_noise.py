@@ -313,7 +313,8 @@ class TestSeedDerivation:
 
 
 def _forward_push(x: list[int], z: list[int], gate: GateInstance) -> None:
-    """Conjugate a Pauli, as per-qubit X and Z bits, forward past one gate."""
+    """Conjugate a Pauli, as per-qubit X and Z bits, forward past one gate;
+    a Pauli gate or an RZ leaves the bits as they are."""
     kind, t = gate.kind, gate.targets
     if kind is GateKind.H:
         x[t[0]], z[t[0]] = z[t[0]], x[t[0]]
@@ -328,56 +329,63 @@ def _forward_push(x: list[int], z: list[int], gate: GateInstance) -> None:
     elif kind is GateKind.SWAP:
         for bits in (x, z):
             bits[t[0]], bits[t[1]] = bits[t[1]], bits[t[0]]
-    elif kind is GateKind.RZ:
-        raise AssertionError("a folded fault was pushed past RZ")
 
 
 def _forward_mask(circuit: Circuit, paulis, start: int) -> int:
-    """Read-out flip mask of the (letter, qubit) Paulis inserted before gate start."""
+    """Flip mask of the (letter, qubit) Paulis inserted before gate start:
+    the read-out flip in the bits below m, and bit m + j where the pushed
+    Pauli has an X part on the qubit of the j-th RZ from the end, an RZ it
+    reverses.  Every RZ is pushed past as the identity."""
     x = [0] * circuit.n_qubits
     z = [0] * circuit.n_qubits
     for letter, q in paulis:
         x[q] = int(letter in "XY")
         z[q] = int(letter in "YZ")
-    for g in circuit.gates[start:]:
+    m = len(circuit.measured)
+    rz = [i for i, g in enumerate(circuit.gates) if g.kind is GateKind.RZ][::-1]
+    mask = 0
+    for i, g in enumerate(circuit.gates[start:], start):
+        if g.kind is GateKind.RZ:
+            mask |= x[g.targets[0]] << (m + rz.index(i))
         _forward_push(x, z, g)
-    return sum(x[q] << t for t, q in enumerate(circuit.measured))
+    return mask | sum(x[q] << t for t, q in enumerate(circuit.measured))
 
 
 class TestFlipMaskTable:
     def test_backward_masks_equal_forward_push(self, random_clifford):
         """Every row of the backward sweep equals pushing the fault forward
-        to the end, prep row included; with an RZ inserted, rows after it
-        still do and the rest are left to the statevector.  The coded
-        L = 100 circuits run long stretches of Pauli gates, which leave
-        the frame where it is, between its moves."""
+        to the end, RZ bits included, and so does the start frame's zcol,
+        the prep flips' masks, with 0 to 3 RZs inserted.  The frame at the
+        last RZ is the start frame of the Clifford gates after it, and the
+        start frame's read-out bits are the frame of the circuit with its
+        RZs removed.  The coded L = 100 circuits run long stretches of
+        Pauli gates, which leave the frame where it is, between its moves."""
         cases = [(seed, random_clifford(seed, n_qubits=2 + seed % 4, n_extra=seed % 25))
                  for seed in range(60)]
         cases += [(gate_set, build_pair(random_sequence(SequenceSpec(gate_set, 100, seed)))[1])
                   for seed, gate_set in enumerate([GateSetId.FULL] * 2 + [GateSetId.REDUCED] * 2)]
+        two_on_one = 0
         for k, (tag, c) in enumerate(cases):
-            rng = np.random.default_rng(k)
-            split = -1
-            if k % 2:
-                split = int(rng.integers(0, len(c.gates) + 1))
-                gates = list(c.gates)
-                gates.insert(split, GateInstance(GateKind.RZ, (int(rng.integers(c.n_qubits)),), 0.4))
-                c = c.with_gates(gates)
+            c = _with_rzs(c, k % 4, k)
             table = FlipMaskTable(c)
-            assert [row is None for row in table.gate_masks] == [i < split for i in range(len(c.gates))], tag
+            rz = [i for i, g in enumerate(c.gates) if g.kind is GateKind.RZ]
+            assert table.rz == rz[::-1], tag
             for i, g in enumerate(c.gates):
-                if i < split:
-                    assert table.gate_masks[i] is None, (tag, i)
-                    continue
                 labels = ONE_QUBIT_PAULIS if g.kind.arity == 1 else TWO_QUBIT_PAULIS
                 want = [0] + [_forward_mask(c, zip(label, g.targets), i + 1) for label in labels]
                 assert list(table.gate_masks[i]) == want, (tag, i)
-            if split < 0:
-                want = [0] + [_forward_mask(c, [("X", q)], 0) for q in range(c.n_qubits)]
-                assert list(table.prep_masks) == want, tag
-            else:
-                assert table.prep_masks is None, tag
-
+            split, *frame = table.frame
+            start = table.start
+            assert start[0] == -1
+            assert start[2] == [_forward_mask(c, [("X", q)], 0) for q in range(c.n_qubits)], tag
+            assert split == (rz[-1] if rz else -1), tag
+            assert frame == list(FlipMaskTable(c.with_gates(c.gates[split + 1:])).start[1:]), tag
+            low = (1 << len(c.measured)) - 1
+            bare = FlipMaskTable(c.with_gates([g for g in c.gates if g.kind is not GateKind.RZ])).start
+            assert [[v & low for v in col] for col in start[1:3]] == list(bare[1:3]), tag
+            assert start[3] & low == bare[3], tag
+            two_on_one += len({c.gates[i].targets for i in rz}) < len(rz)
+        assert two_on_one > 3
 
     def test_rows_through_gates_that_leave_the_frame(self):
         """Circuits built back from the read-out, so that most gates leave
@@ -411,7 +419,7 @@ class TestFlipMaskTable:
                 labels = ONE_QUBIT_PAULIS if g.kind.arity == 1 else TWO_QUBIT_PAULIS
                 want = [0] + [_forward_mask(c, zip(label, g.targets), i + 1) for label in labels]
                 assert list(table.gate_masks[i]) == want, (seed, i)
-            assert list(table.prep_masks) == [0] + [_forward_mask(c, [("X", q)], 0) for q in range(n)]
+            assert table.start[2] == [_forward_mask(c, [("X", q)], 0) for q in range(n)]
         assert min(fixed[k] for k in (GateKind.S, GateKind.CNOT, GateKind.CZ, GateKind.SWAP)) > 100
 
 
@@ -445,10 +453,11 @@ def _per_site_outcomes(circuit: Circuit, params: NoiseParams, table: FlipMaskTab
     and one power per unique folded site, multiplied in site order."""
     n_bits = len(circuit.measured)
     sites: Counter = Counter()
-    for row in filter(None, table.gate_masks):
+    split = table.frame[0]
+    for row in table.gate_masks[max(split, 0):]:  # the gates ahead of the split are the prefix's
         sites[(params.eps1 if len(row) == 4 else params.eps2, tuple(row))] += 1
-    if table.prep_masks is not None:
-        sites.update((params.p_prep, (0, mask)) for mask in table.prep_masks[1:])
+    if split < 0:
+        sites.update((params.p_prep, (0, mask)) for mask in table.start[2])
     sites.update((params.p_meas, (0, 1 << t)) for t in range(n_bits))
     firing = [(p, masks, count) for (p, masks), count in sites.items() if p > 0.0]
     vec, total = spectrum_marginal(base), 1.0
@@ -479,7 +488,7 @@ class TestBatchedSuffix:
 
     def _check(self, c: Circuit, params: NoiseParams) -> FlipMaskTable:
         table = FlipMaskTable(c)
-        item = noise._suffix_item(c, params)  # the base is a prefix's when one fires
+        item = noise._suffix_item(c, params, table)  # the base is a prefix's when one fires
         np.testing.assert_allclose(noise._clifford_outcomes([item])[0],
                                    _per_site_outcomes(c, params, table, item[0]), rtol=0, atol=1e-13)
         return table
@@ -493,7 +502,7 @@ class TestBatchedSuffix:
                                 measure_all=seed % 3 == 0)
             c = _with_rzs(c, int(seed % 4 == 1), seed)
             table = self._check(c, self._params(seed))
-            assert (table.prep_masks is None) == any(g.kind is GateKind.RZ for g in c.gates), seed
+            assert (table.frame[0] >= 0) == any(g.kind is GateKind.RZ for g in c.gates), seed
             widths.add(len(c.measured))
         assert widths == {1, 2, 3, 4, 5, 6}
 
@@ -517,7 +526,7 @@ class TestBatchedSuffix:
             c = random_clifford(seed, n_qubits=2 + seed % 4, n_extra=seed % 20, measure_all=True)
             p = self._params(seed)
             table = self._check(c, dataclasses.replace(p, p_prep=p.p_meas))
-            merged += bool(set(table.prep_masks[1:]) & {1 << t for t in range(len(c.measured))})
+            merged += bool(set(table.start[2]) & {1 << t for t in range(len(c.measured))})
         assert merged > 20
 
     @pytest.mark.parametrize("gate_set", [GateSetId.FULL, GateSetId.REDUCED])
@@ -744,7 +753,7 @@ class TestSpectrumDraw:
         for seed in range(40):
             c = _with_rzs(random_clifford(seed, n_qubits=2 + seed % 3, n_extra=seed % 6), 1 + seed % 2, seed)
             params = self._params(seed)
-            assert FlipMaskTable(c).prep_masks is None
+            assert FlipMaskTable(c).frame[0] >= 0
             p = _drawn_vector(monkeypatch, c, params)
             exact = outcome_vector(_exact_mixture(c, params), len(c.measured))
             assert np.max(np.abs(p - _read_out_and_xi(exact, params))) < 1e-12, seed
@@ -984,8 +993,7 @@ class TestPrefixTail:
             got = spectrum_marginal(frame_spectrum(c, table.frame, noise._prefix_state(c, params, table.frame[0])))
             np.testing.assert_allclose(got, _prefix_every_gate(c, params, table.frame[0]),
                                        rtol=0, atol=1e-13, err_msg=str(seed))
-            wide += c.n_qubits == 6 and any(row is None and g.kind.arity == 2
-                                            for g, row in zip(c.gates, table.gate_masks))
+            wide += c.n_qubits == 6 and any(g.kind.arity == 2 for g in c.gates[:table.frame[0]])
         assert wide > 20
 
     def test_coherent_prefix_conjugates_two_gates(self, monkeypatch):
@@ -1003,11 +1011,11 @@ class TestPrefixTail:
         assert conjugated == circuit.gates[:2] and runs == []
 
     def test_prefix_mixes_exactly_the_unfolded_sites(self, monkeypatch, random_clifford):
-        """The split alone says what the frame leaves unfolded: the table
-        has a None row for exactly the gates ahead of its last RZ and no
-        prep_masks, and _prefix_state mixes one channel per qubit before
-        the first gate, then one after each gate ahead of the split, and
-        runs the RZ last.  Every channel is on, and the RZ sits anywhere."""
+        """The split alone says what the frame leaves unfolded: the rows
+        from the last RZ on reverse no RZ, so they are read-out flips, and
+        _prefix_state mixes one channel per qubit before the first gate,
+        then one after each gate ahead of the split, and runs the RZ last.
+        Every channel is on, and the RZ sits anywhere."""
         events = []
         conjugate, channel = noise._conjugate_by, noise._pauli_channel
         monkeypatch.setattr(noise, "_conjugate_by", lambda *a: events.append(None) or conjugate(*a))
@@ -1022,8 +1030,8 @@ class TestPrefixTail:
             c = c.with_gates(gates)
             table = FlipMaskTable(c)
             split = table.frame[0]
-            assert c.gates[split].kind is GateKind.RZ and table.prep_masks is None, seed
-            assert [row is None for row in table.gate_masks] == [i < split for i in range(len(c.gates))]
+            assert c.gates[split].kind is GateKind.RZ and table.rz == [split], seed
+            assert max(max(row) for row in table.gate_masks[split:]) < 1 << len(c.measured), seed
             params = NoiseParams(*rng.uniform(0.01, 0.2, 2), p_prep=float(rng.uniform(0.01, 0.2)))
             events.clear()
             noise._prefix_state(c, params, split)
@@ -1055,8 +1063,7 @@ class TestSuffixAgainstPrefix:
             for c in build_pair(random_sequence(SequenceSpec(gate_set, length, seed))):
                 suffix = c.with_gates([*c.gates, _g(GateKind.Z, 0)])
                 prefix = c.with_gates([*c.gates, _g(GateKind.RZ, 0, angle=0.0)])
-                rows = FlipMaskTable(prefix).gate_masks
-                assert rows[:-1] == [None] * len(c.gates) and rows[-1] is not None
+                assert FlipMaskTable(prefix).frame[0] == len(c.gates)  # every earlier site is the prefix's
                 np.testing.assert_allclose(noisy_vector(prefix, params), noisy_vector(suffix, params),
                                            rtol=0, atol=1e-14)
 
