@@ -6,10 +6,14 @@ Both runs share the sequence and noise parameters but use independent
 derived RNG streams, so any D difference is scheme, not luck of a
 shared stream.  One run yields three records: uncoded, coded without
 post-selection, coded with post-selection.  run_pairs runs a sweep's
-pairs as one batch: only the circuits, tables, bases, exponent vectors
-and draws are per pair, and each block of pairs runs its suffixes, ideal
-marginals, distances and post-selection as stacked numpy calls, one per
-read-out width, each row bit for bit what a one-pair run gives.
+pairs as one batch.  A pair builds no circuit: each side's blocks are
+walked back from the read-out through a cached table of (signed frame,
+block) steps, each swept once by FlipMaskTable, and the tail (encoder,
+prep and read-out flips), its base and its ideal marginal are cached per
+frame; only a rotated side sweeps its own small tail.  Each block of
+pairs turns its visit counts into exponents by one matrix product and
+runs its suffixes, distances and post-selection as stacked numpy calls,
+one per read-out width, each row bit for bit what a one-pair run gives.
 
 Everything is reproducible from (gate_set, L, seed): the sequence, both
 circuits, and both sets of counts follow deterministically, which is
@@ -21,6 +25,7 @@ columns, and their annotations say how each is written and read.
 from __future__ import annotations
 
 import csv
+from collections import Counter
 from dataclasses import dataclass, fields, replace
 from datetime import datetime, timezone
 from enum import Enum
@@ -40,10 +45,9 @@ from .code import (
     build_encoder,
     selection_split,
 )
-from .noise import (NoiseParams, _clifford_outcomes, _suffix_item, derive_seed,
-                    insert_coherent_rotation, sample_outcomes)
-from .simulator import (FlipMaskTable, block_rows, frame_spectrum, ordered_sum, pruned,
-                        spectrum_marginal)
+from .noise import (NoiseParams, _clifford_outcomes, _exponents, _factors, _suffix_item,
+                    derive_seed, insert_coherent_rotation, sample_outcomes)
+from .simulator import FlipMaskTable, block_rows, ordered_sum, pruned, spectrum_marginal
 
 DEFAULT_SHOTS = 8192
 MAX_SEQUENCE_LENGTH = 1000
@@ -184,6 +188,59 @@ def read_records_csv(path: str) -> list[ExperimentRecord]:
 # Running pairs
 # ---------------------------------------------------------------------------
 
+class _BlockSteps:
+    """One side's block-step table, filled as run_pairs meets its entries.
+    frames[f] is the signed frame (xcol, zcol, sign) of id f, 0 the
+    read-out Z's; steps[f][gate] is (the id of the frame one FlipMaskTable
+    sweep carries back through gate's block from f, the row of increments
+    holding that block's exponents), so entries are at most frames x
+    gates; tails[f] is (ideal marginal, base, exponents) of the tail, the
+    encoder or no gate, swept from f."""
+
+    def __init__(self, tail: Circuit, block: int):
+        n = tail.n_qubits  # qubit q is read out as bit q; block indexes _gate_blocks' pair
+        self.tail, self.block, self.tails, self.steps = tail, block, {}, [{}]
+        self.frames = [((0,) * n, tuple(1 << q for q in range(n)), 0)]
+        self.increments = np.zeros((0, 4 << n), dtype=np.int64)
+
+    def walk(self, sequence: list[LogicalGate]) -> tuple[int, list[int]]:
+        """(id of the frame at the tail's end, visits per entry), walked back from the read-out."""
+        f, steps, visits = 0, self.steps, [0] * len(self.increments)
+        for gate in reversed(sequence):
+            try:
+                f, e = steps[f][gate]
+            except KeyError:  # an entry first met: its block is swept once, here
+                f, e = self._step(f, gate)
+                visits.append(0)
+            visits[e] += 1
+        return f, visits
+
+    def _step(self, f: int, gate: LogicalGate) -> tuple[int, int]:
+        block = Circuit._trusted(self.tail.n_qubits, list(_gate_blocks(gate)[self.block]),
+                                 self.tail.measured)
+        table = FlipMaskTable(block, self.frames[f])
+        start = (tuple(table.start[1]), tuple(table.start[2]), table.start[3])
+        if start not in self.frames:
+            self.frames.append(start)
+            self.steps.append({})
+        row = _exponents(Counter(table.gate_masks), len(block.measured)).ravel()
+        self.increments = np.vstack((self.increments, row))
+        step = self.steps[f][gate] = (self.frames.index(start), len(self.increments) - 1)
+        return step
+
+    def tail_of(self, f: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        if f not in self.tails:
+            table = FlipMaskTable(self.tail, self.frames[f])
+            base, exponents, _, _ = _suffix_item(self.tail, NoiseParams(), table)
+            self.tails[f] = (pruned(spectrum_marginal(base)), base, exponents)
+        return self.tails[f]
+
+
+# uncoded, coded: build_pair's circuits are these tails followed by the blocks
+_SIDES = (_BlockSteps(Circuit(2, [], [0, 1]), 1),
+          _BlockSteps(build_encoder(LogicalStateLabel.L00, EncoderVariant.NON_FAULT_TOLERANT), 0))
+
+
 def run_pairs(runs: Iterable[tuple[list[LogicalGate], NoiseParams, int]], shots: int,
               gate_set: str = "custom", analytic_xi: bool = False) -> list[ExperimentRecord]:
     """Execute each (sequence, params, seed) of runs both ways; returns
@@ -194,15 +251,16 @@ def run_pairs(runs: Iterable[tuple[list[LogicalGate], NoiseParams, int]], shots:
     side's weights are one multinomial draw from its exact noisy vector
     (total shots) or, with analytic_xi, the pruned vector itself (total
     1, so D carries no shot noise); one post-selection serves both, and
-    gamma = round(r * shots).  Each unrotated circuit's one frame sweep
-    gives both its ideal marginal and the engine's base, so no
-    statevector runs for it.  D, r and D_decoded are computed on plain
-    vectors, pruned and summed as OutcomeDistribution and trace_distance
-    do.  The coded_ps row reports D = 1 only when nothing is retained
-    (r = 0, theta = pi).  With analytic_xi, gamma is the rounded expected
-    count, so a row with 0 < r < 1 / (2 shots) has gamma = 0 but exact D.
-    A pair keeps O(2^m) data past its circuits and tables, and a block
-    holds at most _BLOCK_PAIRS pairs.
+    gamma = round(r * shots).  No circuit is built for a Clifford side:
+    its blocks are walked in the side's _BlockSteps, and its tail's
+    cached base is both the ideal spectrum and the engine's base.  A
+    rotated side sweeps its tail with the RZ from the walk's frame.  D,
+    r and D_decoded are computed on plain vectors, pruned and summed as
+    OutcomeDistribution and trace_distance do.  The coded_ps row reports
+    D = 1 only when nothing is retained (r = 0, theta = pi).  With
+    analytic_xi, gamma is the rounded expected count, so a row with
+    0 < r < 1 / (2 shots) has gamma = 0 but exact D.  A pair keeps
+    O(2^m + entries) data, and a block holds at most _BLOCK_PAIRS pairs.
     """
     if shots < 1:
         raise CircuitError(f"shots must be positive, got {shots}")
@@ -210,9 +268,13 @@ def run_pairs(runs: Iterable[tuple[list[LogicalGate], NoiseParams, int]], shots:
 
     def finish(block: list) -> list[ExperimentRecord]:
         ideal, weights, D, n = [], [], [], len(block)
-        for k, tag in ((1, "uncoded"), (2, "coded")):
-            ideal.append(pruned(spectrum_marginal(np.array([p[k][0] for p in block]))))
-            rows = _clifford_outcomes([p[k][1] for p in block])
+        for k, tag, side in ((1, "uncoded", _SIDES[0]), (2, "coded", _SIDES[1])):
+            width = len(side.increments)  # entries first met after a pair's walk: 0 visits
+            visits = [p[k][2] + [0] * (width - len(p[k][2])) for p in block]
+            walked = (np.array(visits, dtype=np.int64) @ side.increments).reshape(n, 4, -1)
+            ideal.append(np.array([p[k][0] for p in block]))
+            rows = _clifford_outcomes([(b, e + w, f, x) for (b, e, f, x), w in zip(
+                (p[k][1] for p in block), walked)])
             weights.append(pruned(rows) if analytic_xi else np.array(
                 [sample_outcomes(v, shots, derive_seed(p[0][2], tag))
                  for v, p in zip(rows, block)]))
@@ -242,15 +304,18 @@ def run_pairs(runs: Iterable[tuple[list[LogicalGate], NoiseParams, int]], shots:
 
     out, block = [], []
     for sequence, params, seed in runs:
-        sides = []  # per side, its ideal spectrum and the suffix item of its noisy vector
-        for circuit, rotate in zip(build_pair(sequence), (False, params.theta != 0.0)):
+        sides = []  # per side, its ideal marginal, its tail's suffix item and its block visits
+        for side, rotate in zip(_SIDES, (False, params.theta != 0.0)):
+            f, visits = side.walk(sequence)
+            # an RZ leaves the read-out bits of the frame it is swept through as they are,
+            # so the unrotated tail's cached base is the ideal spectrum either way
+            ideal, base, exponents = side.tail_of(f)
             if rotate:
-                circuit = insert_coherent_rotation(circuit, params.theta)
-            table = FlipMaskTable(circuit)
-            item = _suffix_item(circuit, params, table)
-            # the start frame's read-out bits are the unrotated circuit's frame, and an
-            # unrotated circuit is Clifford, so its base is its ideal spectrum
-            sides.append((frame_spectrum(circuit, table.start) if rotate else item[0], item))
+                tail = insert_coherent_rotation(side.tail, params.theta)
+                item = _suffix_item(tail, params, FlipMaskTable(tail, side.frames[f]))
+            else:
+                item = (base, exponents, _factors(params), params.xi)
+            sides.append((ideal, item, visits))
         block.append(((len(sequence), params, seed, _utc_now()), *sides))
         if len(block) == _BLOCK_PAIRS:
             out += finish(block)

@@ -119,9 +119,9 @@ def verify_single_faults(circuit: Circuit, detection: str | None = None,
     marginal (with no statevector in a Clifford circuit).  Each distinct
     sign pattern of the masks, the bits from m up, is read once off that
     frame, with its RZs reversed, and a mask's faulted vector is its
-    pattern's read with indices XORed by its low m bits.  The distinct
-    masks are classified in one split, in blocks of block_rows, and each
-    gate takes its row's one verdict list.
+    pattern's read with indices XORed by its low m bits, one gather per
+    pattern.  The distinct masks are classified in one split, in blocks of
+    block_rows, and each gate takes its row's one verdict list.
     """
     if len(circuit.measured) < DATA_QUBITS:
         raise CircuitError("detection needs at least the four data qubits measured")
@@ -148,11 +148,12 @@ def verify_single_faults(circuit: Circuit, detection: str | None = None,
     step, idx, low = block_rows(len(ideal)), np.arange(len(ideal)), (1 << m) - 1
     reads, verdicts = {0: ideal}, []
     for k in range(0, len(masks), step):
-        block = masks[k:k + step]
-        # sorted masks keep each sign pattern's together, so a block keeps only its own reads
-        reads = {r: reads[r] if r in reads else _read(circuit, table, r)
-                 for r in {x >> m for x in block}}
-        vecs = np.array([reads[x >> m][idx ^ (x & low)] for x in block])
+        # sorted masks keep each sign pattern's together: a block keeps its own reads and order
+        flips: dict[int, list[int]] = {}
+        for x in masks[k:k + step]:
+            flips.setdefault(x >> m, []).append(x & low)
+        reads = {r: reads[r] if r in reads else _read(circuit, table, r) for r in flips}
+        vecs = np.concatenate([reads[r][np.array(f)[:, None] ^ idx] for r, f in flips.items()])
         verdicts += _classify(ideal, vecs, ancilla_bit)
     by_mask = dict(zip(masks, verdicts))
     by_row = {row: [by_mask[x] for x in row[1:]] for row in rows}

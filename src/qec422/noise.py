@@ -106,15 +106,18 @@ def insert_coherent_rotation(circuit: Circuit, theta: float) -> Circuit:
     raise CircuitError("no Hadamard to attach the rotation to")
 
 
+@lru_cache(maxsize=1024)
+def _tag_word(tag: str) -> int:
+    """64-bit FNV-1a hash of a tag's UTF-8 bytes, stable across platforms and runs."""
+    acc = 1469598103934665603
+    for byte in tag.encode():
+        acc = ((acc ^ byte) * 1099511628211) & 0xFFFFFFFFFFFFFFFF
+    return acc
+
+
 def derive_seed(master_seed: int, *tags: object) -> int:
     """Stable 64-bit child seed from a master seed and a tag tuple."""
-    words = [master_seed & 0xFFFFFFFFFFFFFFFF]
-    for tag in tags:
-        data = str(tag).encode()
-        acc = 1469598103934665603  # FNV-1a, stable across platforms and runs
-        for byte in data:
-            acc = ((acc ^ byte) * 1099511628211) & 0xFFFFFFFFFFFFFFFF
-        words.append(acc)
+    words = [master_seed & 0xFFFFFFFFFFFFFFFF, *(_tag_word(str(tag)) for tag in tags)]
     return int(np.random.SeedSequence(words).generate_state(1, np.uint64)[0])
 
 
@@ -216,13 +219,19 @@ def _suffix_item(circuit: Circuit, params: NoiseParams, table: FlipMaskTable
     spectrum = frame_spectrum(circuit, table.frame,
                               _prefix_state(circuit, params, split) if fires else None)
     m = len(circuit.measured)
-    gates = Counter(table.gate_masks[max(split, 0):])
-    flips = [(0, mask) for mask in table.start[2]] if split < 0 else []
-    kinds = [_KIND[len(row)] for row in gates] + [2] * len(flips) + [3] * m
-    counts = (np.arange(4)[:, None] == kinds) * [*gates.values(), *[1] * (len(flips) + m)]
-    exponents = counts @ np.array([_anticommuting(row, m) for row in
-                                   [*gates, *flips, *((0, 1 << t) for t in range(m))]])
+    flips = [(2, mask) for mask in table.start[2]] if split < 0 else []
+    exponents = _exponents(Counter(table.gate_masks[max(split, 0):]), m,
+                           flips + [(3, 1 << t) for t in range(m)])
     return spectrum, exponents, _factors(params), params.xi
+
+
+def _exponents(gates: Counter, m: int, flips: list[tuple[int, int]] = ()) -> np.ndarray:
+    """(4, 2**m) exponents, as _suffix_item's, of the gate rows that gates
+    counts and the flip sites (kind of _SITES, mask) that flips lists."""
+    kinds = [_KIND[len(row)] for row in gates] + [kind for kind, _ in flips]
+    counts = (np.arange(4)[:, None] == kinds) * [*gates.values(), *[1] * len(flips)]
+    return counts @ np.array([_anticommuting(row, m)
+                              for row in [*gates, *((0, mask) for _, mask in flips)]])
 
 
 def noisy_vector(circuit: Circuit, params: NoiseParams) -> np.ndarray:

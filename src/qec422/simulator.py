@@ -365,18 +365,21 @@ class FlipMaskTable:
     zcol, sign), carried back to just after the last RZ, gate split, or
     to the start, split = -1.  start is the frame at the start: zcol[q]
     is the mask of an X flip on qubit q before the circuit, and its bits
-    below m are the frame of the circuit with its RZs removed.
+    below m are the frame of the circuit with its RZs removed.  The sweep
+    starts from the read-out Z's or from a given frame (xcol, zcol, sign).
     """
 
-    def __init__(self, circuit: Circuit):
+    def __init__(self, circuit: Circuit, frame: tuple | None = None):
         gates, m = circuit.gates, len(circuit.measured)
-        xcol, zcol = [0] * circuit.n_qubits, [0] * circuit.n_qubits
-        for t, q in enumerate(circuit.measured):  # Z_t on measured[t] at the read-out
-            zcol[q] |= 1 << t
-        rows = [(0, z, z, 0) for z in zcol]  # flip masks of I, X, Y, Z on each qubit
+        if frame is None:
+            frame = [0] * circuit.n_qubits, [0] * circuit.n_qubits, 0
+            for t, q in enumerate(circuit.measured):  # Z_t on measured[t] at the read-out
+                frame[1][q] |= 1 << t
+        xcol, zcol, sign = list(frame[0]), list(frame[1]), frame[2]
+        rows = [(0, z, z ^ x, x) for x, z in zip(xcol, zcol)]  # flip masks of I, X, Y, Z
         pairs: dict[tuple, tuple[int, ...]] = {}  # each two-qubit row, built once
         masks: list[tuple[int, ...]] = [()] * len(gates)
-        self.rz, self.frame, sign = [], None, 0
+        self.rz, self.frame = [], None
         for i in range(len(gates) - 1, -1, -1):
             kind, t = gates[i].kind, gates[i].targets
             row = masks[i] = rows[t[0]] if len(t) == 1 else pairs.get((rows[t[0]], rows[t[1]]))

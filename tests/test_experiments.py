@@ -478,6 +478,98 @@ class TestBatch:
         assert peaks[2] - peaks[1] < 4e6, peaks
 
 
+
+def _fresh_tables(monkeypatch) -> tuple:
+    """Empty block-step tables in place of the module's, for this test only."""
+    sides = tuple(experiments._BlockSteps(s.tail, s.block) for s in experiments._SIDES)
+    monkeypatch.setattr(experiments, "_SIDES", sides)
+    return sides
+
+
+class TestBlockSteps:
+    """run_pairs walks each sequence's blocks in a cached (frame, block)
+    table; every frame, base and exponent must be the one sweep of the
+    whole circuit gives, exactly."""
+
+    @staticmethod
+    def _swept(sequence, params):
+        """Per side, (circuit, FlipMaskTable, suffix item) the per-circuit
+        way: build_pair, the rotation on the coded side when theta != 0,
+        one sweep of each whole circuit."""
+        out = []
+        for circuit, rotate in zip(build_pair(sequence), (False, params.theta != 0.0)):
+            if rotate:
+                circuit = insert_coherent_rotation(circuit, params.theta)
+            table = simulator.FlipMaskTable(circuit)
+            out.append((circuit, table, noise._suffix_item(circuit, params, table)))
+        return out
+
+    def test_walk_equals_the_whole_circuit_sweep(self, monkeypatch):
+        """Random sequences of all three gate sets at L = 1, 1000 and in
+        between, theta = 0 and not, p_prep = 0 and not (so the coded
+        prefix fires), in more pairs than one block holds."""
+        rng = np.random.default_rng(31)
+        runs = []
+        for k in range(experiments._BLOCK_PAIRS + 25):
+            gate_set = list(GateSetId)[k % 3]
+            L = 1 if k % 7 == 0 else MAX_SEQUENCE_LENGTH if k % 53 == 1 else int(rng.integers(2, 40))
+            params = NoiseParams(eps1=0.004, eps2=0.05, p_meas=0.02, p_prep=0.01 * (k % 2),
+                                 theta=(0.0, 0.9, -2.3)[k % 5 % 3], xi=0.01 * (k % 4 == 3))
+            runs.append((random_sequence(SequenceSpec(gate_set, L, k)), params, k))
+        items = {2: [], 4: []}
+        original = noise._clifford_outcomes
+        monkeypatch.setattr(experiments, "_clifford_outcomes", lambda block: items[
+            len(block[0][0]).bit_length() - 1].extend(block) or original(block))
+        sides = _fresh_tables(monkeypatch)
+        records = experiments.run_pairs(runs, 256, analytic_xi=True)
+        assert len(records) == 3 * len(runs)
+        assert len(items[2]) == len(items[4]) == len(runs)
+        for i, (sequence, params, _) in enumerate(runs):
+            for side, got, (circuit, table, want) in zip(sides, (items[2][i], items[4][i]),
+                                                       self._swept(sequence, params)):
+                assert np.array_equal(got[0], want[0]), (i, side.block)
+                assert got[1].dtype == want[1].dtype and np.array_equal(got[1], want[1])
+                assert (got[2], got[3]) == (want[2], want[3])
+                f, _ = side.walk(sequence)
+                blocks = circuit.gates[len(circuit.gates) - sum(
+                    len(experiments._gate_blocks(g)[side.block]) for g in sequence):]
+                bare = simulator.FlipMaskTable(circuit.with_gates(blocks)).start
+                assert side.frames[f] == (tuple(bare[1]), tuple(bare[2]), bare[3])
+                ideal = simulator.pruned(simulator.spectrum_marginal(
+                    simulator.frame_spectrum(circuit, table.start)))
+                assert np.array_equal(side.tail_of(f)[0], ideal)
+
+    def test_a_cold_table_gives_the_warm_tables_records(self, monkeypatch):
+        """The table's entry order depends on what ran before; the records
+        must not.  A warm-up on other sequences numbers the entries
+        differently from a cold run."""
+        params = NoiseParams(eps1=4e-3, eps2=0.16, p_meas=0.02, p_prep=0.01, xi=0.01)
+        for gate_set, theta, analytic in ((GateSetId.FULL, 0.0, False),
+                                          (GateSetId.FULL, 0.9, True),
+                                          (GateSetId.REDUCED, 0.0, True)):
+            run = dataclasses.replace(params, theta=theta)
+            warm = _fresh_tables(monkeypatch)
+            sweep_L(GateSetId.FULL, [3, 40], params, 64, 5, 99)
+            got_warm = sweep_L(gate_set, [1, 7, 60], run, 4096, 3, 5, analytic)
+            cold = _fresh_tables(monkeypatch)
+            got_cold = sweep_L(gate_set, [1, 7, 60], run, 4096, 3, 5, analytic)
+            assert _rows(got_cold) == _rows(got_warm)
+            assert [s.frames for s in cold] != [s.frames for s in warm]
+
+    def test_table_is_bounded_by_frames_times_gates(self, monkeypatch):
+        """A full-set L = 1000 sweep reaches 12 uncoded and 24 coded frames,
+        at most 216 entries, and more pairs add none."""
+        sides = _fresh_tables(monkeypatch)
+        sizes = []
+        for seeds in (2, 20):
+            sweep_L(GateSetId.FULL, [MAX_SEQUENCE_LENGTH], PARAMS, 64, seeds)
+            sizes.append([(len(s.frames), len(s.increments)) for s in sides])
+            assert all(len(s.tails) <= len(s.frames) for s in sides)
+        assert sizes[0] == sizes[1]
+        assert sum(n for _, n in sizes[1]) <= 216
+        assert all(n <= 6 * frames for frames, n in sizes[1])
+
+
 class TestCsv:
     def test_round_trip(self, tmp_path):
         recs = sweep_L(GateSetId.FULL, [1, 3], PARAMS, shots=256, master_seed=2)
