@@ -16,26 +16,27 @@ for any number of circuits, of which noisy_vector is the one-circuit
 call; sample_outcomes draws all the shots of a run from one at once.
 One backward sweep of the signed Pauli frame, simulator.FlipMaskTable,
 carries each measured Z observable from the end of the circuit to the
-start and keeps its frame at the last RZ, the split.  A fault after any
-gate from there on is an X-type read-out flip mask, which the suffix
-folds; the split alone names the sites left unfolded, every preparation
-flip and every gate ahead of it.  The base is the read-out spectrum
-before the folded flips, which simulator.frame_spectrum reads from the
-frame at the split: on |0...0> in a Clifford circuit, else on the ideal
-statevector up to the last RZ, or, when an unfolded channel fires, on
-the exact density matrix at that point, each gate run as
-U (U rho)^dagger through the one statevector kernel and each such site
-averaging rho over X and Z at its factor.  Every folded flip XORs onto
-the base independently of it, which is a pointwise product in the
+start, and each RZ's Z from just after it, so every fault site has one
+flip mask over the m read-out bits and the k RZs.  A fault after any
+gate from the last RZ, the split, on reverses no RZ: it is an X-type
+read-out flip, which the suffix folds.  Every folded flip XORs onto the
+base independently of it, which is a pointwise product in the
 Walsh-Hadamard domain with the site's channel eigenvalues (Flammia &
 Wallman, arXiv:1907.12976).  The channel's masks form the image of a
 linear map, so at spectral index s its eigenvalue is the factor where a
 mask overlaps s in an odd number of bits, else 1: the spectrum is the
 base times one factor per kind of _SITES raised to an integer vector
 over s, and simulator.spectrum_marginal transforms it back before xi
-mixes toward uniform.  The randomness is one multinomial from a Philox
-stream per call, so a (circuit, params, shots, seed) tuple always yields
-identical counts, however calls are scheduled around it.
+mixes toward uniform.  The base is the read-out spectrum before the
+folded flips.  In a Clifford circuit it is the frame's read on
+|0...0>.  Past an RZ, simulator.frame_spectrum reads the start frame's
+2**(m + k) products on |0...0>, the sites ahead of the split scale it
+by the same closed form over m + k bits, and each RZ, earliest first,
+is pulled down a column, RZ(a)^dagger P RZ(a) = cos a P - i sin a P Z
+where P anticommutes with Z, so no statevector and no density matrix
+runs; m + k is capped at 16.  The randomness is one multinomial from a
+Philox stream per call, so a (circuit, params, shots, seed) tuple always
+yields identical counts, however calls are scheduled around it.
 """
 
 from __future__ import annotations
@@ -46,9 +47,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .circuits import MAX_QUBITS, Circuit, CircuitError, GateInstance, GateKind, finite_real
-from .simulator import (FlipMaskTable, OutcomeDistribution, ShotCounts, _evolve, _xor_index,
-                        _zero, frame_spectrum, spectrum_marginal)
+from .circuits import Circuit, CircuitError, GateInstance, GateKind, finite_real
+from .simulator import (MAX_ENTRIES, FlipMaskTable, OutcomeDistribution, ShotCounts, _xor_index,
+                        block_rows, frame_spectrum, spectrum_marginal)
 
 ONE_QUBIT_PAULIS = ("X", "Y", "Z")
 TWO_QUBIT_PAULIS = tuple(
@@ -56,7 +57,6 @@ TWO_QUBIT_PAULIS = tuple(
 )  # IX, IY, IZ, XI, ..., ZZ in lexicographic order
 _SITES = {1: ("eps1", 4), 2: ("eps2", 16), "prep": ("p_prep", 2), "meas": ("p_meas", 2)}
 _KIND = {4: 0, 16: 1}  # a folded gate row's kind, by its length, in _SITES order
-_EQUAL_BITS = np.eye(2)[None, :, None, :, None]  # 1 where a qubit's bra and ket bits agree
 
 
 @dataclass(frozen=True)
@@ -81,8 +81,8 @@ class NoiseParams:
 
 def _factors(params: NoiseParams) -> list[float]:
     """Each kind of _SITES's channel eigenvalue on a Pauli it anticommutes
-    with, 1 - rate * k / (k - 1) over its k Paulis, in _SITES order; both
-    the prefix and the suffix scale by it."""
+    with, 1 - rate * k / (k - 1) over its k Paulis, in _SITES order; the
+    sites ahead of the last RZ and the folded suffix both scale by it."""
     return [1.0 - getattr(params, name) * k / (k - 1) for name, k in _SITES.values()]
 
 
@@ -139,73 +139,22 @@ def _clifford_outcomes(items: list[tuple]) -> np.ndarray:
 def _anticommuting(row: tuple[int, ...], m: int) -> np.ndarray:
     """Read-only 0/1 vector over the 2**m spectral indices s: 1 where some
     flip mask of row overlaps s in an odd number of bits, the s at which
-    the site's channel has eigenvalue 1 - rate * k / (k - 1), not 1."""
+    the site's channel has eigenvalue 1 - rate * k / (k - 1), not 1.  One
+    byte per entry, so the cache holds at most 256 * MAX_ENTRIES bytes."""
     parity = _xor_index((1,) * m) & 1  # popcount(i) mod 2
-    odd = parity[np.array(row)[:, None] & np.arange(1 << m)].any(axis=0).astype(np.int64)
+    odd = parity[np.array(row)[:, None] & np.arange(1 << m)].any(axis=0).astype(np.int8)
     odd.setflags(write=False)  # cached and shared by every caller
     return odd
-
-
-def _conjugate_by(rho: np.ndarray, gate: GateInstance, n: int) -> np.ndarray:
-    """U rho U^dagger on vec(rho) of n qubits, rho Hermitian, through the one
-    kernel: U on the ket bits, the adjoint, U on the ket bits again, since
-    (U rho)^dagger = rho U^dagger."""
-    d = 1 << n
-    half = _evolve(rho, (gate,), 2 * n)
-    return _evolve(np.conjugate(half.reshape(d, d).T, order="C").ravel(), (gate,), 2 * n)
-
-
-def _pauli_channel(rho: np.ndarray, factor: float, targets: tuple[int, ...], n: int) -> np.ndarray:
-    """factor * rho + (1 - factor) * (rho averaged over X and Z on each
-    target) on vec(rho) of n qubits: averaging over X adds the entry with
-    the qubit's ket and bra bits both flipped and halves, over Z zeroes
-    the entries where they differ.  So every component anticommuting with
-    a Pauli on the targets is scaled by factor, the suffix's rule: at a
-    gate factor of _factors a gate site, at the prep factor a preparation
-    flip, since that acts on the diagonal rho of |0...0>, where the Z
-    average changes no bit."""
-    if factor == 1.0:
-        return rho
-    mixed = rho
-    for q in targets:
-        # axes 1 and 3 are the bra and the ket bit of q
-        mixed = mixed.reshape(1 << (n - 1 - q), 2, 1 << (n - 1), 2, 1 << q)
-        mixed = 0.5 * (mixed + mixed[:, ::-1, :, ::-1]) * _EQUAL_BITS
-    return factor * rho + (1.0 - factor) * mixed.ravel()
-
-
-def _prefix_state(circuit: Circuit, params: NoiseParams, split: int) -> np.ndarray:
-    """vec(rho) just after the RZ at gate split, the last, with every site
-    ahead of it mixed in: a preparation flip on each qubit, then each gate
-    followed by its site's channel, then the RZ.
-
-    vec(rho) is a state on 2n qubits (entry i | j << n holds rho_ij) that
-    _conjugate_by runs through each gate as U (U rho)^dagger, and _pauli_channel
-    mixes in each site's channel at its factor from _factors.  Memory is
-    16 * 4^n bytes; the register cap, MAX_QUBITS // 2, keeps the ket gate
-    tables on 2n bits within MAX_QUBITS.
-    """
-    n = circuit.n_qubits
-    if n > MAX_QUBITS // 2:
-        raise CircuitError(f"noise ahead of an RZ is limited to {MAX_QUBITS // 2} qubits "
-                           f"(its density matrix), got {n}")
-    rho = _zero(2 * n)
-    factors = dict(zip(_SITES, _factors(params)))
-    for q in range(n):
-        rho = _pauli_channel(rho, factors["prep"], (q,), n)
-    for g in circuit.gates[:split]:
-        rho = _pauli_channel(_conjugate_by(rho, g, n), factors[g.kind.arity], g.targets, n)
-    return _conjugate_by(rho, circuit.gates[split], n)
 
 
 def _suffix_item(circuit: Circuit, params: NoiseParams, table: FlipMaskTable
                  ) -> tuple[np.ndarray, np.ndarray, list[float], float]:
     """(base, exponents, factors, xi), all _clifford_outcomes needs of one
     circuit, from its FlipMaskTable.  The base is the read-out spectrum
-    before every folded flip: the ideal one, always so in a Clifford
-    circuit, or the density-matrix prefix's when a channel the frame
-    leaves unfolded fires (p_prep, or the rate of a gate ahead of the
-    last RZ).
+    before every folded flip: in a Clifford circuit the ideal one, else
+    the start frame's spectrum over its m + k columns, scaled by the sites
+    ahead of the last RZ, each prep flip among them, with the RZs pulled
+    down into its first 2**m entries.
     Row i of the (4, 2**m) exponents counts, at each s, the folded sites of
     the i-th kind of _SITES (eps1 and eps2 gates, prep and read-out flips)
     whose channel anticommutes with Q_s; factors[i] is that kind's
@@ -213,25 +162,38 @@ def _suffix_item(circuit: Circuit, params: NoiseParams, table: FlipMaskTable
     the split on, and the prep flips when there is no RZ."""
     if not circuit.measured:
         raise CircuitError("circuit measures no qubits")
-    split = table.frame[0]
-    fires = split >= 0 and (params.p_prep > 0.0 or any(
-        getattr(params, _SITES[g.kind.arity][0]) for g in circuit.gates[:split]))
-    spectrum = frame_spectrum(circuit, table.frame,
-                              _prefix_state(circuit, params, split) if fires else None)
-    m = len(circuit.measured)
-    flips = [(2, mask) for mask in table.start[2]] if split < 0 else []
+    split, m, k = table.frame[0], len(circuit.measured), len(table.rz)
+    if 1 << (m + k) > MAX_ENTRIES:
+        raise CircuitError(f"a spectrum over m + k = {m + k} read-out bits and RZs "
+                           f"exceeds {MAX_ENTRIES.bit_length() - 1}")
+    factors = _factors(params)
+    flips = [(2, mask) for mask in table.start[2]]
+    if split < 0:
+        spectrum = frame_spectrum(circuit, table.start)
+    else:
+        ahead = _exponents(Counter(table.gate_masks[:split]), m + k, flips)
+        spectrum = frame_spectrum(circuit, table.start, m + k) * (
+            np.array(factors)[:, None] ** ahead).prod(axis=0)
+        for j in reversed(range(k)):  # earliest first: RZ(a)^dagger P RZ(a) = cos a P - i sin a P Z_q
+            angle, half = circuit.gates[table.rz[j]].angle, 1 << (m + j)
+            odd = _anticommuting((0, table.gate_masks[table.rz[j]][3]), m + j)
+            low = spectrum[:half]
+            spectrum = np.where(odd, np.cos(angle) * low - 1j * np.sin(angle) * spectrum[half:], low)
+        spectrum, flips = spectrum.real, []
     exponents = _exponents(Counter(table.gate_masks[max(split, 0):]), m,
                            flips + [(3, 1 << t) for t in range(m)])
-    return spectrum, exponents, _factors(params), params.xi
+    return spectrum, exponents, factors, params.xi
 
 
 def _exponents(gates: Counter, m: int, flips: list[tuple[int, int]] = ()) -> np.ndarray:
     """(4, 2**m) exponents, as _suffix_item's, of the gate rows that gates
-    counts and the flip sites (kind of _SITES, mask) that flips lists."""
+    counts and the flip sites (kind of _SITES, mask) that flips lists,
+    summed over stacks of block_rows(2**m) rows."""
     kinds = [_KIND[len(row)] for row in gates] + [kind for kind, _ in flips]
     counts = (np.arange(4)[:, None] == kinds) * [*gates.values(), *[1] * len(flips)]
-    return counts @ np.array([_anticommuting(row, m)
-                              for row in [*gates, *((0, mask) for _, mask in flips)]])
+    rows, step = [*gates, *((0, mask) for _, mask in flips)], block_rows(1 << m)
+    return sum(counts[:, k:k + step] @ np.array([_anticommuting(row, m) for row in rows[k:k + step]])
+               for k in range(0, len(rows), step))
 
 
 def noisy_vector(circuit: Circuit, params: NoiseParams) -> np.ndarray:

@@ -19,15 +19,18 @@ order, for the I/O edge only.
 No gate after the last RZ is simulated.  One backward sweep,
 FlipMaskTable, carries each measured Z_t from the read-out to the start,
 sign included (Aaronson & Gottesman, quant-ph/0406196), and records the
-flip mask of every fault it passes and the frame just after the last RZ.
-So the read-out spectrum, spectrum[s] = <prod_{t in s} Z_t>, is <Q_s>
-just after that RZ, Q_s the product of the carried observables.
-frame_spectrum reads it off |0...0> in a Clifford circuit (each entry 0
-or +-1, so no statevector runs and the marginal is exactly dyadic), off
-the statevector of the gates up to the last RZ, or off a density matrix
-run that far.  spectrum_marginal is the one way back to a read-out
-vector, for ideal and noisy spectra alike: the inverse Walsh-Hadamard
-transform, clipped of rounding negatives and divided by its own sum.
+flip mask of every fault it passes, the frame just after the last RZ and
+the frame at the start, where each RZ's Z adds a column.  So the
+read-out spectrum, spectrum[s] = <prod_{t in s} Z_t>, is <Q_s> just
+after that RZ, Q_s the product of the carried observables.
+frame_spectrum reads it off |0...0> from the start frame, each entry 0
+or +-1 in a Clifford circuit (so no statevector runs and the marginal
+is exactly dyadic) and i**e over the RZ columns too, for noise.  Only
+ideal_marginal and ftcheck read the statevector of the gates up to the
+last RZ, since their cost is exponential in n, not in the RZ count.
+spectrum_marginal is the one way back to a read-out vector, for ideal
+and noisy spectra alike: the inverse Walsh-Hadamard transform, clipped
+of rounding negatives and divided by its own sum.
 Every gate that is run goes through one kernel, _evolve: a gather plus a
 scale from index tables cached per (kind, targets, n), angle excluded,
 so at most one entry per gate placement on at most MAX_QUBITS qubits.
@@ -48,6 +51,7 @@ from .circuits import MAX_QUBITS, Circuit, CircuitError, GateKind
 
 NORM_TOL = 1e-10
 PRUNE_TOL = 1e-12
+MAX_ENTRIES = 1 << 16  # the largest array a stacked step or a spectrum may hold
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 # per-gate loops compare against these: an inline GateKind.H costs more than the test
@@ -242,9 +246,9 @@ def _xor_index(cols: tuple[int, ...]) -> np.ndarray:
 
 
 def block_rows(width: int) -> int:
-    """Rows of width entries that a stacked step may hold: at most 2**16
-    entries, and at least one row."""
-    return max(1, (1 << 16) // width)
+    """Rows of width entries that a stacked step may hold: at most
+    MAX_ENTRIES entries, and at least one row."""
+    return max(1, MAX_ENTRIES // width)
 
 
 def _zero(n: int) -> np.ndarray:
@@ -406,37 +410,37 @@ class FlipMaskTable:
         self.frame = self.frame or self.start
 
 
-def frame_spectrum(circuit: Circuit, frame: tuple, rho: np.ndarray | None = None) -> np.ndarray:
-    """Read-out spectrum, spectrum[s] = <Q_s>, from frame = (split, xcol,
-    zcol, sign) as FlipMaskTable gives it, of which only the m read-out
-    bits are read.
+def frame_spectrum(circuit: Circuit, frame: tuple, columns: int | None = None) -> np.ndarray:
+    """Spectrum[s] = <Q_s> from frame = (split, xcol, zcol, sign) as
+    FlipMaskTable gives it, over its first columns bits, by default the m
+    read-out bits.
 
-    The 2**m products Q_s = i**e X^x Z^z are formed by doubling, the
-    phase e kept mod 4 with plain ints.  A Clifford circuit (split -1)
-    reads them on |0...0>: i**e where x = 0, else 0.  Otherwise
-    Tr(rho Q) = i**e sum_i rho[i, i ^ x] (-1)**popcount(z & i), with rho
-    the pure state after gates[:split + 1], or the given vec(rho) of that
-    point (entry i | j << n holds rho_ij), in blocks of block_rows.
+    The products Q_s = i**e X^x Z^z are formed by doubling, the phase e
+    kept mod 4 with plain ints.  A frame at the start (split -1) reads
+    them on |0...0>: i**e where x = 0, else 0, real on the read-out bits,
+    whose products are Hermitian, and complex past them, where a product
+    with an RZ column can be anti-Hermitian.  Otherwise the m read-out
+    bits are read as Tr(rho Q) = i**e sum_i rho[i, i ^ x] (-1)**popcount(z & i),
+    rho the pure state after gates[:split + 1], in blocks of block_rows.
     """
     split, xcol, zcol, sign = frame
     n = circuit.n_qubits
     prods = [(0, 0, 0)]
-    for t in range(len(circuit.measured)):
+    for t in range(len(circuit.measured) if columns is None else columns):
         x = sum(((c >> t) & 1) << q for q, c in enumerate(xcol))
         z = sum(((c >> t) & 1) << q for q, c in enumerate(zcol))
         e = (x & z).bit_count() + 2 * ((sign >> t) & 1)
         prods += [(e0 + e + 2 * (z0 & x).bit_count(), x0 ^ x, z0 ^ z) for e0, x0, z0 in prods]
-    if split < 0 and rho is None:
-        return np.array([0.0 if x else 1.0 - (e & 2) for e, x, _ in prods])
-    if rho is None:
-        amp = _evolve(_zero(n), circuit.gates[:split + 1], n)
+    if split < 0:
+        spectrum = np.array([0.0 if x else _PHASES[e & 3] for e, x, _ in prods])
+        return spectrum if columns else spectrum.real.copy()
+    amp = _evolve(_zero(n), circuit.gates[:split + 1], n)
     idx = np.arange(1 << n)
     signs = 1 - 2 * _xor_index((1,) * n)  # (-1)**popcount(i)
     out, step = [], block_rows(1 << n)
     for k in range(0, len(prods), step):
         e, x, z = np.array(prods[k:k + step]).T
-        j = idx ^ x[:, None]
-        pairs = amp * np.conj(amp[j]) if rho is None else rho[idx | j << n]
+        pairs = amp * np.conj(amp[idx ^ x[:, None]])
         out.append((_PHASES[e & 3] * (pairs * signs[z[:, None] & idx]).sum(axis=1)).real)
     return np.concatenate(out)
 

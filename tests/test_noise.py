@@ -41,7 +41,6 @@ from qec422.simulator import (
     _evolve,
     bitstring_of,
     final_state,
-    frame_spectrum,
     ideal_distribution,
     ideal_marginal,
     marginal_vector,
@@ -204,8 +203,9 @@ class TestNoisyCounts:
 
     def test_clifford_and_statevector_paths_agree(self):
         """Appending RZ(0) puts every fault and preparation flip ahead of
-        the last RZ, so the density-matrix prefix mixes them all in where
-        the Clifford path folds them into the frame; same fault physics."""
+        the last RZ, so they fold into the start frame's spectrum over the
+        RZ's column too, where the Clifford path folds them into the
+        read-out bits alone; same fault physics."""
         params = NoiseParams(eps1=0.01, eps2=0.04, p_prep=0.01)
         rz = Circuit(4, ENCODER.gates + [_g(GateKind.RZ, 3, angle=0.0)], [0, 1, 2, 3])
         fast = noisy_counts(ENCODER, params, 150_000, 8).to_distribution()
@@ -454,7 +454,7 @@ def _per_site_outcomes(circuit: Circuit, params: NoiseParams, table: FlipMaskTab
     n_bits = len(circuit.measured)
     sites: Counter = Counter()
     split = table.frame[0]
-    for row in table.gate_masks[max(split, 0):]:  # the gates ahead of the split are the prefix's
+    for row in table.gate_masks[max(split, 0):]:  # the gates ahead of the split are in the base
         sites[(params.eps1 if len(row) == 4 else params.eps2, tuple(row))] += 1
     if split < 0:
         sites.update((params.p_prep, (0, mask)) for mask in table.start[2])
@@ -488,7 +488,7 @@ class TestBatchedSuffix:
 
     def _check(self, c: Circuit, params: NoiseParams) -> FlipMaskTable:
         table = FlipMaskTable(c)
-        item = noise._suffix_item(c, params, table)  # the base is a prefix's when one fires
+        item = noise._suffix_item(c, params, table)  # the base holds the sites ahead of an RZ
         np.testing.assert_allclose(noise._clifford_outcomes([item])[0],
                                    _per_site_outcomes(c, params, table, item[0]), rtol=0, atol=1e-13)
         return table
@@ -656,35 +656,39 @@ class TestFrameSplit:
 
 
 class TestEngineCost:
-    """Deterministic pins on how many ideal bases noisy_counts reads."""
+    """Deterministic pins on how many spectra noisy_counts reads and how
+    many statevectors it runs."""
 
     @staticmethod
-    def _record_sims(monkeypatch) -> list:
-        """Circuits whose ideal spectrum is read; a prefix's vec(rho) is not."""
-        calls = []
-        original = noise.frame_spectrum
+    def _record_sims(monkeypatch) -> tuple[list, list]:
+        """(circuit, columns) of every spectrum read, and the gate count of
+        every statevector run."""
+        reads, runs = [], []
+        read, evolve = noise.frame_spectrum, simulator._evolve
 
-        def record(c, frame, rho=None):
-            if rho is None:
-                calls.append(c)
-            return original(c, frame, rho)
+        def record(c, frame, columns=None):
+            reads.append((c, columns))
+            return read(c, frame, columns)
 
         monkeypatch.setattr(noise, "frame_spectrum", record)
-        return calls
+        monkeypatch.setattr(simulator, "_evolve",
+                            lambda amp, gates, n: runs.append(len(gates)) or evolve(amp, gates, n))
+        return reads, runs
 
     def test_clifford_circuit_simulates_once(self, monkeypatch):
-        calls = self._record_sims(monkeypatch)
+        reads, runs = self._record_sims(monkeypatch)
         noisy_counts(ENCODER, NoiseParams(eps1=0.05, eps2=0.1, p_meas=0.02, p_prep=0.05), 20_000, 3)
-        assert calls == [ENCODER]
+        assert (reads, runs) == ([(ENCODER, None)], [])
 
     def test_rz_path_simulates_no_configuration(self, monkeypatch):
-        """RZ after the encoder's first gate: the density-matrix prefix
-        replaces every statevector run, and the only random call of the
-        whole noisy_counts call is one multinomial."""
+        """RZ after the encoder's first gate: one read of the start frame
+        over the 4 read-out bits and the RZ's column, no statevector run,
+        and the only random call of the whole noisy_counts call is one
+        multinomial."""
         base = Circuit(4, ENCODER.gates + coded_gate_circuit(LogicalGate.HHSWAP) * 6, [0, 1, 2, 3])
         circ = insert_coherent_rotation(base, 1.1)
         assert circ.gates[1].kind is GateKind.RZ
-        calls = self._record_sims(monkeypatch)
+        reads, runs = self._record_sims(monkeypatch)
         generators = []
         real = np.random.Generator
 
@@ -701,22 +705,21 @@ class TestEngineCost:
         monkeypatch.setattr(np.random, "Generator", Counting)
         params = NoiseParams(eps1=4e-3, eps2=0.16, p_meas=0.02, p_prep=0.01, theta=1.1)
         assert noisy_counts(circ, params, 8192, 4).total == 8192
-        assert calls == []
+        assert (reads, runs) == ([(circ, 5)], [])
         assert [g.names for g in generators] == [["multinomial"]]
 
-    def test_prefix_only_when_a_channel_fires_ahead_of_the_rz(self, monkeypatch):
-        """With the RZ as gate 0 no gate fault sits ahead of it, so only
-        preparation flips need the density matrix; without them the base
-        is the one ideal statevector run."""
+    def test_sites_ahead_of_the_rz_fold_into_the_start_read(self, monkeypatch):
+        """With the RZ as gate 0 only preparation flips sit ahead of it.
+        With or without them the base is one read of the start frame over
+        the 2 read-out bits and the RZ's column, and no statevector runs;
+        the flips change the vector."""
         c = parse_circuit("qubits 2\nRZ 0 0.7\nH 0\nCNOT 0 1\nMEASURE 0 1\n")
-        prefixes = []
-        original = noise._prefix_state
-        monkeypatch.setattr(noise, "_prefix_state", lambda *a: prefixes.append(a) or original(*a))
-        calls = self._record_sims(monkeypatch)
-        noisy_counts(c, NoiseParams(eps1=0.2, eps2=0.3, p_meas=0.1, xi=0.1), 100, 1)
-        assert (len(prefixes), len(calls)) == (0, 1)
-        noisy_counts(c, NoiseParams(eps1=0.2, p_prep=0.1), 100, 1)
-        assert (len(prefixes), len(calls)) == (1, 1)
+        reads, runs = self._record_sims(monkeypatch)
+        quiet = noisy_vector(c, NoiseParams(eps1=0.2, eps2=0.3, p_meas=0.1, xi=0.1))
+        assert (reads, runs) == ([(c, 3)], [])
+        flipped = noisy_vector(c, NoiseParams(eps1=0.2, eps2=0.3, p_meas=0.1, xi=0.1, p_prep=0.1))
+        assert (reads, runs) == ([(c, 3)] * 2, [])
+        assert np.abs(quiet - flipped).max() > 1e-3
 
     def test_no_firing_site_leaves_the_base_untouched(self, random_clifford):
         """Without a folded flip the vector is the ideal marginal itself,
@@ -785,30 +788,41 @@ class TestSpectrumDraw:
                                        rtol=0, atol=1e-12, err_msg=str(seed))
 
     def test_rz_path_refuses_wide_registers(self):
-        """The density matrix of 7 qubits would need a 14-qubit vector, so
-        a 7-qubit circuit with an RZ is refused once a channel fires ahead
-        of it; read-out flips and xi alone need no density matrix."""
+        """The base holds 2**(m + k) entries for m read-out bits and k RZs,
+        so m + k > 16 is refused before any of them is built; a 7-qubit
+        circuit with an RZ runs with every channel on."""
         gates = [_g(GateKind.H, q) for q in range(7)]
         clifford = Circuit(7, gates, list(range(7)))
         assert noisy_counts(clifford, self._params(0), 500, 1).total == 500
         rz = insert_coherent_rotation(clifford, 0.4)
-        assert noisy_counts(rz, NoiseParams(p_meas=0.1, xi=0.2), 500, 1).total == 500
-        for params in (NoiseParams(eps1=0.01), NoiseParams(p_prep=0.01), self._params(0)):
-            with pytest.raises(CircuitError, match="limited to 6 qubits.*got 7"):
-                noisy_counts(rz, params, 500, 1)
+        for params in (NoiseParams(p_meas=0.1, xi=0.2), NoiseParams(eps1=0.01),
+                       NoiseParams(p_prep=0.01), self._params(0)):
+            assert noisy_counts(rz, params, 500, 1).total == 500
+        four = Circuit(4, [_g(GateKind.H, q) for q in range(4)] + [_g(GateKind.CNOT, 0, 1)], [0, 1, 2, 3])
+        twelve = _with_rzs(four, 12, 0)
+        assert noisy_counts(twelve, self._params(1), 500, 1).total == 500
+        thirteen = _with_rzs(four, 13, 0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CircuitError, match=r"m \+ k = 17 .* exceeds 16"):
+                noisy_counts(thirteen, self._params(1), 500, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
     def test_clifford_call_samples_no_faults(self, monkeypatch, random_clifford):
         def refuse(*args):
-            raise AssertionError("a Clifford circuit built a density-matrix prefix")
+            raise AssertionError("a Clifford circuit ran a statevector")
 
-        monkeypatch.setattr(noise, "_prefix_state", refuse)
+        monkeypatch.setattr(simulator, "_evolve", refuse)
         for seed in range(10):
             c = random_clifford(seed, n_qubits=2 + seed % 4, n_extra=seed)
             for shots in (1, 7, 10_000):
                 assert noisy_counts(c, self._params(seed), shots, seed).total == shots
 
     def test_prefix_without_a_suffix_stays_a_distribution(self):
-        """A fault ahead of the RZ and none after it: the prefix is the whole
+        """A fault ahead of the RZ and none after it: the base is the whole
         vector, and its rounding on q0's true zero must not reach the
         multinomial as a negative probability."""
         gates = [_g(GateKind.CNOT, 1, 2), _g(GateKind.H, 0)]
@@ -843,59 +857,6 @@ def _pauli_on(label: str, targets: tuple[int, ...], n: int) -> np.ndarray:
     return out
 
 
-class TestPrefixChannels:
-    """The density-matrix prefix's one channel, factor * rho + (1 - factor)
-    * rho averaged over X and Z on the site's qubits, against the explicit
-    Kraus sum on random Hermitian rho (diagonal for a preparation flip), at
-    rates whose factors reach -1/3, -1/15 and -1."""
-
-    N = 4
-    RATES = (0.3, 0.01, 1.0)
-
-    def _rho(self, seed: int) -> np.ndarray:
-        rng = np.random.default_rng(seed)
-        a = rng.normal(size=(1 << self.N,) * 2) + 1j * rng.normal(size=(1 << self.N,) * 2)
-        return a + a.conj().T
-
-    @staticmethod
-    def _vec(rho: np.ndarray) -> np.ndarray:
-        """vec(rho): entry i | j << n holds rho_ij."""
-        return rho.T.reshape(-1)
-
-    @pytest.mark.parametrize("targets", [(0,), (3,), (0, 1), (2, 0), (1, 3)])
-    def test_depolarizing_channel(self, targets):
-        """A gate site: (1 - p) rho plus p spread over the 4^k - 1
-        non-identity Paulis, at the factor 1 - p * 4^k / (4^k - 1) that
-        _factors gives eps1 or eps2."""
-        labels = ONE_QUBIT_PAULIS if len(targets) == 1 else TWO_QUBIT_PAULIS
-        paulis = [_pauli_on(label, targets, self.N) for label in labels]
-        for seed, p in enumerate(self.RATES):
-            rho = self._rho(seed)
-            want = (1 - p) * rho + p / len(labels) * sum(P @ rho @ P.conj().T for P in paulis)
-            factor = noise._factors(NoiseParams(eps1=p, eps2=p))[len(targets) - 1]
-            assert factor == pytest.approx(1 - p * (len(labels) + 1) / len(labels), abs=1e-15)
-            got = noise._pauli_channel(self._vec(rho), factor, targets, self.N)
-            np.testing.assert_allclose(got, self._vec(want), rtol=0, atol=1e-12)
-
-    @pytest.mark.parametrize("q", range(4))
-    def test_preparation_flip(self, q):
-        """A preparation flip: (1 - p) rho + p X rho X, at the factor 1 - 2p,
-        on a random diagonal rho, the only kind a flip of |0...0> meets;
-        there the channel's Z average changes nothing."""
-        X = _pauli_on("X", (q,), self.N)
-        for seed, p in enumerate(self.RATES):
-            rho = np.diag(np.random.default_rng(10 + seed).normal(size=1 << self.N)).astype(complex)
-            want = (1 - p) * rho + p * X @ rho @ X
-            factor = noise._factors(NoiseParams(p_prep=p))[2]
-            assert factor == pytest.approx(1 - 2 * p, abs=1e-15)
-            got = noise._pauli_channel(self._vec(rho), factor, (q,), self.N)
-            np.testing.assert_allclose(got, self._vec(want), rtol=0, atol=1e-12)
-
-    def test_factor_one_returns_rho(self):
-        vec = self._vec(self._rho(40))
-        assert noise._pauli_channel(vec, 1.0, (0, 2), self.N) is vec
-
-
 # each gate kind as a sum of (coefficient, Pauli label on its targets), RZ aside
 _AS_PAULIS = {
     GateKind.X: [(1, "X")], GateKind.Y: [(1, "Y")], GateKind.Z: [(1, "Z")],
@@ -914,144 +875,79 @@ def _dense(gate: GateInstance, n: int) -> np.ndarray:
     return sum(c * _pauli_on(label, gate.targets, n) for c, label in terms)
 
 
-class TestConjugateBy:
-    @pytest.mark.parametrize("kind, n", [(k, n) for n in (1, 2, 3) for k in GateKind
-                                         if k.arity <= n])
-    def test_matches_dense_conjugation(self, kind, n):
-        """U rho U^dagger by U on the ket bits, the adjoint and U again
-        equals the dense product for every gate kind, S, Y and RZ among
-        them, on random Hermitian rho."""
-        rng = np.random.default_rng([n, list(GateKind).index(kind)])
-        for _ in range(5):
-            targets = tuple(int(q) for q in rng.choice(n, kind.arity, replace=False))
-            g = _g(kind, *targets, angle=float(rng.uniform(-2 * np.pi, 2 * np.pi))
-                   if kind.takes_angle else None)
-            a = rng.normal(size=(1 << n,) * 2) + 1j * rng.normal(size=(1 << n,) * 2)
-            rho, U = a + a.conj().T, _dense(g, n)
-            got = noise._conjugate_by(TestPrefixChannels._vec(rho), g, n)
-            want = TestPrefixChannels._vec(U @ rho @ U.conj().T)
-            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
-
-    def test_prefix_builds_only_ket_tables(self):
-        """One noisy_vector on the coherent workload's circuit (HHSWAP x 6,
-        coded, RZ after the encoder's H) builds one kernel table per ket
-        gate placement up to the last RZ on 2n bits, the H and the RZ,
-        and none for a bra."""
-        circuit = build_pair(random_sequence(SequenceSpec(GateSetId.SINGLE_HHSWAP, 6, 0)))[1]
-        circuit = insert_coherent_rotation(circuit, 0.9)
-        simulator._table.cache_clear()
-        noisy_vector(circuit, NoiseParams(eps1=4e-3, eps2=0.16, p_meas=0.02))
-        assert simulator._table.cache_info().currsize == 2
-
-
-def _prefix_every_gate(circuit: Circuit, params: NoiseParams, split: int) -> np.ndarray:
-    """Reference prefix on the dense 2^n x 2^n rho: every gate as U rho
-    U^dagger with U from _dense, each preparation flip and each fault
-    after a gate ahead of split as its explicit Kraus sum, and the marginal
-    read off the diagonal, with no frame and no engine function."""
+def _every_gate_reference(circuit: Circuit, params: NoiseParams) -> np.ndarray:
+    """Reference on the dense 2^n x 2^n rho: every gate as U rho U^dagger
+    with U from _dense, each preparation flip and the fault after each
+    gate as its explicit Kraus sum, and the marginal read off the
+    diagonal, with no frame and no engine function."""
     n = circuit.n_qubits
 
+    def conjugated(rho, U):
+        """U rho U^dagger, by matrix products for an H, else for U whose row i
+        holds one entry, v_i at column c_i: entry (i, j) is v_i rho[c_i, c_j] conj(v_j)."""
+        if np.count_nonzero(U) > len(U):
+            return U @ rho @ U.conj().T
+        c = np.abs(U).argmax(axis=1)
+        v = U[np.arange(len(c)), c]
+        return np.outer(v, v.conj()) * rho[np.ix_(c, c)]
+
     def kraus(rho, p, labels, targets):
-        paulis = [_pauli_on(label, targets, n) for label in labels]
-        return (1 - p) * rho + p / len(labels) * sum(P @ rho @ P.conj().T for P in paulis)
+        return (1 - p) * rho + p / len(labels) * sum(conjugated(rho, _pauli_on(label, targets, n))
+                                                      for label in labels)
 
     labels = {1: ONE_QUBIT_PAULIS, 2: TWO_QUBIT_PAULIS}
     rho = np.zeros((1 << n,) * 2, dtype=complex)
     rho[0, 0] = 1.0
     for q in range(n):
         rho = kraus(rho, params.p_prep, ["X"], (q,))
-    for i, g in enumerate(circuit.gates):
-        U = _dense(g, n)
-        rho = U @ rho @ U.conj().T
-        if i < split:
-            p = params.eps1 if g.kind.arity == 1 else params.eps2
-            rho = kraus(rho, p, labels[g.kind.arity], g.targets)
+    for g in circuit.gates:
+        p = params.eps1 if g.kind.arity == 1 else params.eps2
+        rho = kraus(conjugated(rho, _dense(g, n)), p, labels[g.kind.arity], g.targets)
     return np.maximum(marginal_vector(rho.diagonal().real, n, circuit.measured), 0.0)
 
 
 class TestPrefixTail:
-    """The prefix runs vec(rho) up to the last RZ, and the signed frame
-    reads the spectrum the gates after it would leave."""
+    """The engine against two independent references: the dense Kraus
+    run of every gate, and the statevector of the noiseless circuit."""
 
     def test_prefix_matches_every_gate_reference(self, random_clifford):
-        """With preparation flips and gate faults ahead of one or two RZs,
-        the base read off the prefix's vec(rho) equals the marginal of a
-        dense density matrix run through every gate, to 1e-13, up to the
-        prefix's cap of 6 qubits, where two-qubit sites sit ahead of an RZ."""
-        wide = 0  # 6-qubit circuits with a two-qubit site in the prefix
+        """With preparation flips and a gate fault after every gate, one
+        or two RZs anywhere, noisy_vector equals the marginal of a dense
+        density matrix run through every gate, to 1e-13, up to 7 qubits,
+        where two-qubit sites sit ahead of an RZ."""
+        wide = 0  # 7-qubit circuits with a two-qubit site ahead of an RZ
         for seed in range(300):
             rng = np.random.default_rng(seed)
-            n = 6 if seed % 10 == 9 else 2 + seed % 4
+            n = 7 if seed % 10 == 9 else 2 + seed % 4
             c = random_clifford(seed, n_qubits=n, n_extra=seed % 25)
             gates = [g for g in c.gates if seed % 3 or g.kind is not GateKind.H]
             for _ in range(1 + seed % 2):
                 gates.insert(int(rng.integers(0, len(gates) + 1)),
                              _g(GateKind.RZ, int(rng.integers(c.n_qubits)), angle=float(rng.uniform(-3, 3))))
             c = c.with_gates(gates)
-            table = FlipMaskTable(c)
             params = NoiseParams(*rng.uniform(0.01, 0.2, 2), p_prep=float(rng.uniform(0.01, 0.2)))
-            got = spectrum_marginal(frame_spectrum(c, table.frame, noise._prefix_state(c, params, table.frame[0])))
-            np.testing.assert_allclose(got, _prefix_every_gate(c, params, table.frame[0]),
+            np.testing.assert_allclose(noisy_vector(c, params), _every_gate_reference(c, params),
                                        rtol=0, atol=1e-13, err_msg=str(seed))
-            wide += c.n_qubits == 6 and any(g.kind.arity == 2 for g in c.gates[:table.frame[0]])
+            split = FlipMaskTable(c).frame[0]
+            wide += c.n_qubits == 7 and any(g.kind.arity == 2 for g in c.gates[:split])
         assert wide > 20
 
-    def test_coherent_prefix_conjugates_two_gates(self, monkeypatch):
-        """On the coherent workload's circuit (HHSWAP x 6, coded, RZ after
-        the encoder's H) the prefix runs the H and the RZ, and nothing
-        else runs a gate."""
-        circuit = build_pair(random_sequence(SequenceSpec(GateSetId.SINGLE_HHSWAP, 6, 0)))[1]
-        circuit = insert_coherent_rotation(circuit, 0.9)
-        assert len(circuit.gates) == 29
-        conjugated, runs = [], []
-        conjugate, evolve = noise._conjugate_by, simulator._evolve
-        monkeypatch.setattr(noise, "_conjugate_by", lambda rho, g, n: conjugated.append(g) or conjugate(rho, g, n))
-        monkeypatch.setattr(simulator, "_evolve", lambda *a: runs.append(a) or evolve(*a))
-        noisy_vector(circuit, NoiseParams(eps1=4e-3, eps2=0.16, p_meas=0.02, p_prep=0.01))
-        assert conjugated == circuit.gates[:2] and runs == []
-
-    def test_prefix_mixes_exactly_the_unfolded_sites(self, monkeypatch, random_clifford):
-        """The split alone says what the frame leaves unfolded: the rows
-        from the last RZ on reverse no RZ, so they are read-out flips, and
-        _prefix_state mixes one channel per qubit before the first gate,
-        then one after each gate ahead of the split, and runs the RZ last.
-        Every channel is on, and the RZ sits anywhere."""
-        events = []
-        conjugate, channel = noise._conjugate_by, noise._pauli_channel
-        monkeypatch.setattr(noise, "_conjugate_by", lambda *a: events.append(None) or conjugate(*a))
-        monkeypatch.setattr(noise, "_pauli_channel", lambda *a: events.append(a[2]) or channel(*a))
-        gated = 0
-        for seed in range(60):
-            rng = np.random.default_rng(seed)
-            c = random_clifford(seed, n_qubits=2 + seed % 4, n_extra=seed % 20)
-            gates = list(c.gates)
-            gates.insert(int(rng.integers(0, len(gates) + 1)),
-                         _g(GateKind.RZ, int(rng.integers(c.n_qubits)), angle=0.9))
-            c = c.with_gates(gates)
-            table = FlipMaskTable(c)
-            split = table.frame[0]
-            assert c.gates[split].kind is GateKind.RZ and table.rz == [split], seed
-            assert max(max(row) for row in table.gate_masks[split:]) < 1 << len(c.measured), seed
-            params = NoiseParams(*rng.uniform(0.01, 0.2, 2), p_prep=float(rng.uniform(0.01, 0.2)))
-            events.clear()
-            noise._prefix_state(c, params, split)
-            mixed, after = [], -1  # (index of the gate a channel follows, its targets)
-            for e in events:
-                if e is None:
-                    after += 1
-                else:
-                    mixed.append((after, e))
-            assert after == split, seed
-            assert mixed == [(-1, (q,)) for q in range(c.n_qubits)] + [
-                (i, g.targets) for i, g in enumerate(c.gates[:split])], seed
-            gated += split > 0
-        assert gated > 30
+    def test_pull_down_matches_the_statevector(self, random_clifford):
+        """Without noise the RZs pulled down into the start frame's
+        spectrum give the ideal marginal that ideal_marginal reads off
+        the statevector, to 1e-13, with up to 5 RZs."""
+        for seed in range(200):
+            c = random_clifford(seed, n_qubits=2 + seed % 5, n_extra=seed % 30)
+            c = _with_rzs(c, 1 + seed % 5, seed)
+            np.testing.assert_allclose(noisy_vector(c, NoiseParams()), ideal_marginal(c),
+                                       rtol=0, atol=1e-13, err_msg=str(seed))
 
 
 class TestSuffixAgainstPrefix:
-    """Appending Z 0 leaves every site to the closed-form suffix; appending
-    RZ(0) on qubit 0 routes every earlier site through the density-matrix
-    prefix.  The two circuits are the same state, so the vectors agree."""
+    """Appending Z 0 leaves every site to the suffix; appending RZ(0) on
+    qubit 0 folds every earlier site, prep flips included, into the start
+    frame's spectrum ahead of the RZ.  The two circuits are the same
+    state, so the vectors agree."""
 
     @pytest.mark.parametrize("gate_set", [GateSetId.FULL, GateSetId.REDUCED])
     @pytest.mark.parametrize("length", [1, 5, 20, 50])
@@ -1063,7 +959,7 @@ class TestSuffixAgainstPrefix:
             for c in build_pair(random_sequence(SequenceSpec(gate_set, length, seed))):
                 suffix = c.with_gates([*c.gates, _g(GateKind.Z, 0)])
                 prefix = c.with_gates([*c.gates, _g(GateKind.RZ, 0, angle=0.0)])
-                assert FlipMaskTable(prefix).frame[0] == len(c.gates)  # every earlier site is the prefix's
+                assert FlipMaskTable(prefix).frame[0] == len(c.gates)  # every earlier site is folded ahead
                 np.testing.assert_allclose(noisy_vector(prefix, params), noisy_vector(suffix, params),
                                            rtol=0, atol=1e-14)
 
@@ -1072,8 +968,8 @@ class TestBoundedMemory:
     def test_longest_sequence_million_shots(self):
         """No per-shot array on either path: 10^6 shots through the
         2,656-gate coded circuit of a FULL-set L = 1000 sequence, as it is
-        and with an RZ before its last gate, which puts 2,655 gates'
-        faults into the density-matrix prefix."""
+        and with an RZ before its last gate, which folds 2,655 gates'
+        faults into the start frame's spectrum ahead of the RZ."""
         coded = build_pair(random_sequence(SequenceSpec(GateSetId.FULL, MAX_SEQUENCE_LENGTH, 3)))[1]
         assert len(coded.gates) == 2656
         gates = list(coded.gates)
