@@ -211,8 +211,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         "params": asdict(opts["params"]),
     }
     with open(out + ".meta.json", "w") as fh:
-        json.dump(meta, fh, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(meta, indent=2) + "\n")  # one write, not the streaming encoder's many
 
     print(f"wrote {len(records)} records to {out}")
     print(f"{'L':>6} {'scheme':>10} {'n':>4} {'mean D':>10} {'mean r':>8}")

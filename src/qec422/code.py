@@ -34,7 +34,7 @@ from functools import lru_cache
 import numpy as np
 
 from .circuits import Circuit, CircuitError, GateInstance, GateKind
-from .simulator import OutcomeDistribution, ShotCounts, bitstring_of, index_of, ordered_sum
+from .simulator import OutcomeDistribution, ShotCounts, bitstring_of, index_of, ordered_sum, pruned
 
 DATA_QUBITS = 4
 
@@ -226,7 +226,8 @@ def _data_vector(outcomes: ShotCounts | OutcomeDistribution) -> np.ndarray:
 
 def post_select(raw: ShotCounts) -> PostSelectionResult:
     """Discard odd-parity strings from 4-bit counts."""
-    return PostSelectionResult(ShotCounts(selection_split(_data_vector(raw))[0]))
+    retained = selection_split(_data_vector(raw))[0]  # integer sums, as float64
+    return PostSelectionResult(ShotCounts._trusted(retained.astype(np.int64)))
 
 
 def retained_distribution(vec: np.ndarray) -> tuple[OutcomeDistribution | None, float]:
@@ -236,7 +237,7 @@ def retained_distribution(vec: np.ndarray) -> tuple[OutcomeDistribution | None, 
     kept = ordered_sum(retained)
     if kept <= 0.0:
         return None, 0.0
-    return OutcomeDistribution(retained / kept), kept
+    return OutcomeDistribution._trusted(pruned(retained / kept)), kept
 
 
 def post_select_distribution(dist: OutcomeDistribution) -> tuple[OutcomeDistribution | None, float]:
@@ -250,4 +251,4 @@ def decode_distribution(dist: OutcomeDistribution) -> OutcomeDistribution:
     logical = np.bincount(DECODE_INDEX, weights=_data_vector(dist), minlength=ODD + 1)
     if logical[ODD]:
         raise CircuitError("cannot decode odd-parity strings; post-select first")
-    return OutcomeDistribution(logical[:ODD])
+    return OutcomeDistribution._trusted(pruned(logical[:ODD]))

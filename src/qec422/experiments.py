@@ -45,7 +45,7 @@ from .code import (
     build_encoder,
     selection_split,
 )
-from .noise import (NoiseParams, _clifford_outcomes, _exponents, _factors, _suffix_item,
+from .noise import (NoiseParams, _clifford_outcomes, _draw, _exponents, _factors, _suffix_item,
                     derive_seed, insert_coherent_rotation, sample_outcomes)
 from .simulator import FlipMaskTable, block_rows, ordered_sum, pruned, spectrum_marginal
 
@@ -104,8 +104,7 @@ def random_sequence(spec: SequenceSpec) -> list[LogicalGate]:
     gates = spec.gate_set.gates
     if len(gates) == 1:
         return [gates[0]] * spec.length
-    rng = np.random.Generator(np.random.Philox(derive_seed(spec.seed, "sequence")))
-    picks = rng.integers(0, len(gates), size=spec.length)
+    picks = _draw(derive_seed(spec.seed, "sequence"), "integers", 0, len(gates), spec.length)
     return [gates[i] for i in picks.tolist()]
 
 

@@ -34,13 +34,22 @@ folded flips.  In a Clifford circuit it is the frame's read on
 by the same closed form over m + k bits, and each RZ, earliest first,
 is pulled down a column, RZ(a)^dagger P RZ(a) = cos a P - i sin a P Z
 where P anticommutes with Z, so no statevector and no density matrix
-runs; m + k is capped at 16.  The randomness is one multinomial from a
-Philox stream per call, so a (circuit, params, shots, seed) tuple always
-yields identical counts, however calls are scheduled around it.
+runs; m + k is capped at 16.
+
+The randomness is one multinomial per call from the process's one Philox
+stream, re-keyed under a lock to the state a fresh Philox(seed) starts
+in: Philox is counter-based (Salmon et al., SC'11), so its key and a zero
+counter fix every number it gives.  The key is numpy's SeedSequence hash
+of the seed, computed by _seed_state with Python ints, which derive_seed
+uses too, so a (circuit, params, shots, seed) tuple always yields the
+counts np.random.Generator(np.random.Philox(seed)) would draw, however
+calls are scheduled around it.
 """
 
 from __future__ import annotations
 
+import operator
+import threading
 from collections import Counter
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
@@ -106,19 +115,118 @@ def insert_coherent_rotation(circuit: Circuit, theta: float) -> Circuit:
     raise CircuitError("no Hadamard to attach the rotation to")
 
 
+# numpy's SeedSequence constants: a pool of four 32-bit words, each hashmix
+# step multiplying its hash constant by MULT_A (or, for the output, MULT_B)
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _hash_constants(count: int) -> list[tuple[int, int]]:
+    """(constant xored in, constant multiplied by) of the first count
+    hashmix steps of the pool: INIT_A, then times MULT_A per step."""
+    out, h = [], _INIT_A
+    for _ in range(count):
+        out.append((h, h := h * _MULT_A & _MASK32))
+    return out
+
+
+# the pool's four fill steps, then its twelve cross-mix steps as (src, dst, x, y)
+_STEPS = _hash_constants(16)
+_FILL = _STEPS[:4]
+_CROSS = [(src, dst, *step) for (src, dst), step in zip(
+    ((src, dst) for src in range(4) for dst in range(4) if src != dst), _STEPS[4:])]
+
+
+def _words(n: int) -> list[int]:
+    """A non-negative int as little-endian 32-bit words, zero as [0], as
+    numpy splits seed entropy."""
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
+
+
+def _seed_state(words: list[int], n: int) -> list[int]:
+    """np.random.SeedSequence(words).generate_state(n, np.uint32) as a list
+    of ints: the four-word pool is filled by hashmix and cross-mixed,
+    every word past the fourth is mixed into each pool word, and the
+    output hashes the pool words in turn."""
+    pool = []
+    for word, (x, y) in zip((*words[:4], 0, 0, 0, 0), _FILL):
+        v = (word ^ x) * y & _MASK32
+        pool.append(v ^ v >> 16)
+    for src, dst, x, y in _CROSS:
+        v = (pool[src] ^ x) * y & _MASK32
+        r = (_MIX_MULT_L * pool[dst] - _MIX_MULT_R * (v ^ v >> 16)) & _MASK32
+        pool[dst] = r ^ r >> 16
+    h = _STEPS[-1][1]
+    for word in words[4:]:
+        for dst in range(4):
+            v = (word ^ h) * (h := h * _MULT_A & _MASK32) & _MASK32
+            r = (_MIX_MULT_L * pool[dst] - _MIX_MULT_R * (v ^ v >> 16)) & _MASK32
+            pool[dst] = r ^ r >> 16
+    out, h = [], _INIT_B
+    for i in range(n):
+        v = (pool[i & 3] ^ h) * (h := h * _MULT_B & _MASK32) & _MASK32
+        out.append(v ^ v >> 16)
+    return out
+
+
 @lru_cache(maxsize=1024)
-def _tag_word(tag: str) -> int:
-    """64-bit FNV-1a hash of a tag's UTF-8 bytes, stable across platforms and runs."""
+def _tag_words(tag: str) -> tuple[int, ...]:
+    """32-bit words of the 64-bit FNV-1a hash of a tag's UTF-8 bytes,
+    stable across platforms and runs."""
     acc = 1469598103934665603
     for byte in tag.encode():
         acc = ((acc ^ byte) * 1099511628211) & 0xFFFFFFFFFFFFFFFF
-    return acc
+    return tuple(_words(acc))
 
 
 def derive_seed(master_seed: int, *tags: object) -> int:
     """Stable 64-bit child seed from a master seed and a tag tuple."""
-    words = [master_seed & 0xFFFFFFFFFFFFFFFF, *(_tag_word(str(tag)) for tag in tags)]
-    return int(np.random.SeedSequence(words).generate_state(1, np.uint64)[0])
+    words = _words(operator.index(master_seed) & 0xFFFFFFFFFFFFFFFF)
+    for tag in tags:
+        words += _tag_words(str(tag))
+    lo, hi = _seed_state(words, 2)
+    return lo | hi << 32
+
+
+_LOCK = threading.Lock()  # held from each re-key to the end of its draw
+_STREAM: list = []  # the process's one (Philox, Generator), built on its first draw
+_EMPTY = (0, 0, 0, 0)
+
+
+def _keyed(seed: int) -> np.random.Generator:
+    """The process's one Generator, set to the state np.random.Philox(seed)
+    starts in: key words 0-3 of the seed's SeedSequence state, counter 0,
+    nothing buffered.  seed=None draws 128 bits of OS entropy, as
+    SeedSequence(None) does.  The caller holds _LOCK until its draw ends."""
+    if seed is None:
+        from secrets import randbits
+        seed = randbits(128)
+    elif not isinstance(seed, (int, np.integer)):
+        raise TypeError(f"seed must be a non-negative int, got {seed!r}")
+    elif seed < 0:
+        raise ValueError(f"seed must be a non-negative int, got {seed}")
+    w0, w1, w2, w3 = _seed_state(_words(int(seed)), 4)
+    if not _STREAM:
+        bitgen = np.random.Philox(0)
+        _STREAM.extend((bitgen, np.random.Generator(bitgen)))
+    bitgen, rng = _STREAM
+    bitgen.state = {"bit_generator": "Philox", "state": {"counter": _EMPTY, "key": (
+        w0 | w1 << 32, w2 | w3 << 32)}, "buffer": _EMPTY, "buffer_pos": 4, "has_uint32": 0,
+        "uinteger": 0}
+    return rng
+
+
+def _draw(seed: int, method: str, *args):
+    """One call of a Generator method on the stream a fresh
+    np.random.Generator(np.random.Philox(seed)) gives, as that would draw
+    it.  Generator methods take the bit generator's own lock, so the
+    re-key and the draw share _LOCK instead."""
+    with _LOCK:
+        return getattr(_keyed(seed), method)(*args)
 
 
 # ---------------------------------------------------------------------------
@@ -139,10 +247,14 @@ def _clifford_outcomes(items: list[tuple]) -> np.ndarray:
 def _anticommuting(row: tuple[int, ...], m: int) -> np.ndarray:
     """Read-only 0/1 vector over the 2**m spectral indices s: 1 where some
     flip mask of row overlaps s in an odd number of bits, the s at which
-    the site's channel has eigenvalue 1 - rate * k / (k - 1), not 1.  One
-    byte per entry, so the cache holds at most 256 * MAX_ENTRIES bytes."""
+    the site's channel has eigenvalue 1 - rate * k / (k - 1), not 1.  A
+    row is the image of a linear map, row[i ^ j] = row[i] ^ row[j], and
+    parity is linear, so some mask overlaps s oddly exactly when one of
+    the generators row[1], row[2], row[4], ... does.  One byte per entry,
+    so the cache holds at most 256 * MAX_ENTRIES bytes."""
     parity = _xor_index((1,) * m) & 1  # popcount(i) mod 2
-    odd = parity[np.array(row)[:, None] & np.arange(1 << m)].any(axis=0).astype(np.int8)
+    generators = [row[1 << b] for b in range(len(row).bit_length() - 1)]
+    odd = parity[np.array(generators)[:, None] & np.arange(1 << m)].any(axis=0).astype(np.int8)
     odd.setflags(write=False)  # cached and shared by every caller
     return odd
 
@@ -205,13 +317,14 @@ def noisy_vector(circuit: Circuit, params: NoiseParams) -> np.ndarray:
 
 def sample_outcomes(vec: np.ndarray, shots: int, seed: int) -> np.ndarray:
     """Counts of shots drawn from the outcome vector vec with one
-    multinomial of a Philox stream; deterministic in (vec, shots, seed)."""
+    multinomial of the Philox stream of seed; deterministic in (vec,
+    shots, seed)."""
     if not 1 <= shots < 1 << 63:
         raise CircuitError(f"shots must be in [1, 2**63 - 1], got {shots}")
-    return np.random.Generator(np.random.Philox(seed)).multinomial(shots, vec)
+    return _draw(seed, "multinomial", shots, vec)
 
 
 def noisy_counts(circuit: Circuit, params: NoiseParams, shots: int, seed: int) -> ShotCounts:
     """Shots drawn from the exact noisy process (prep flips, per-gate Pauli
     faults, read-out flips, xi) by sample_outcomes of noisy_vector."""
-    return ShotCounts(sample_outcomes(noisy_vector(circuit, params), shots, seed))
+    return ShotCounts._trusted(sample_outcomes(noisy_vector(circuit, params), shots, seed))

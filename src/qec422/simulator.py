@@ -103,6 +103,15 @@ class _OutcomeVector:
             raise CircuitError(f"an outcome vector needs 2**n entries, 1 <= n <= {MAX_QUBITS}, "
                                f"got shape {self.vec.shape}")
 
+    @classmethod
+    def _trusted(cls, vec: np.ndarray):
+        """An instance holding vec as it is, with no check: for vectors the
+        package made itself, already of the class's form (the public
+        constructor checks whatever a caller passes)."""
+        out = cls.__new__(cls)
+        out.vec = vec
+        return out
+
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self._strings()!r})"
 
@@ -171,7 +180,7 @@ class ShotCounts(_OutcomeVector):
         r = self.total
         if r == 0:
             raise CircuitError("no shots to normalize")
-        return OutcomeDistribution(self.vec / r)
+        return OutcomeDistribution._trusted(pruned(self.vec / r))
 
 
 # ---------------------------------------------------------------------------
@@ -475,4 +484,4 @@ def ideal_marginal(circuit: Circuit) -> np.ndarray:
 
 def ideal_distribution(circuit: Circuit) -> OutcomeDistribution:
     """Noiseless outcome distribution over the circuit's measured qubits."""
-    return OutcomeDistribution(ideal_marginal(circuit))
+    return OutcomeDistribution._trusted(pruned(ideal_marginal(circuit)))

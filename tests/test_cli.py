@@ -1,6 +1,7 @@
 """Command-line behavior, driven through main(argv)."""
 
 import argparse
+import io
 import json
 import os
 import subprocess
@@ -192,6 +193,16 @@ class TestRun:
         printed = capsys.readouterr().out
         assert "wrote 12 records" in printed
         assert "mean D" in printed
+
+    def test_sidecar_bytes_are_the_streaming_writers(self, tmp_path, capsys):
+        """The one-write sidecar holds the bytes json.dump(meta, fh, indent=2)
+        and a newline write would: the same dict re-encoded that way matches."""
+        self._run(tmp_path, "m.csv")
+        text = (tmp_path / "m.csv.meta.json").read_bytes()
+        streamed = io.StringIO()
+        json.dump(json.loads(text), streamed, indent=2)
+        streamed.write("\n")
+        assert text == streamed.getvalue().encode()
 
     def test_flag_overrides_config(self, tmp_path, capsys):
         out = self._run(tmp_path, "b.csv", extra=("--shots", "128"))
@@ -603,6 +614,18 @@ class TestOneParserPerProcess:
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_import_loads_no_numpy_random(self):
+        """Importing the CLI loads no numpy.random: the noise stream is built
+        on the first draw, so verify-ft, predict and bounds never load it."""
+        src = str(Path(qec422.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = "import sys, qec422.cli; print('numpy.random' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize("command", ["run", "sweep-theta", "predict"])

@@ -5,6 +5,8 @@ import hashlib
 import itertools
 import math
 import random
+import sys
+import threading
 import tracemalloc
 from collections import Counter
 
@@ -23,7 +25,8 @@ from qec422.code import (
     post_select,
     selection_split,
 )
-from qec422.experiments import MAX_SEQUENCE_LENGTH, GateSetId, SequenceSpec, build_pair, random_sequence
+from qec422.experiments import (MAX_SEQUENCE_LENGTH, GateSetId, SequenceSpec, build_pair, random_sequence,
+                                run_pairs)
 from qec422.noise import (
     ONE_QUBIT_PAULIS,
     TWO_QUBIT_PAULIS,
@@ -312,6 +315,115 @@ class TestSeedDerivation:
         assert a.counts != b.counts
 
 
+class TestStream:
+    """noise's seeding kernel and its one re-keyed Philox stream, against
+    numpy's SeedSequence and a fresh Generator(Philox(seed)) as oracles."""
+
+    SEEDS = (0, 1, 2**32, 2**64 - 1, 2**64 + 5)
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 8])
+    def test_seed_state_is_seed_sequences(self, n):
+        rng = random.Random(n)
+        for count in range(10):
+            for _ in range(5):
+                words = [rng.choice((0, 2**32 - 1, rng.randrange(2**32))) for _ in range(count)]
+                want = np.random.SeedSequence(words).generate_state(n, np.uint32).tolist()
+                assert noise._seed_state(words, n) == want, words
+
+    def test_words_split_as_numpy_does(self):
+        """Zero is one word; wider ints are little-endian 32-bit words."""
+        assert noise._words(0) == [0]
+        assert noise._words(2**32) == [0, 1]
+        assert noise._words(2**64 + 5) == [5, 0, 1]
+        for seed in self.SEEDS:
+            want = np.random.SeedSequence(seed).generate_state(4, np.uint32).tolist()
+            assert noise._seed_state(noise._words(seed), 4) == want
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_draws_are_a_fresh_philoxs(self, seed):
+        """integers and multinomial, each after draws of other seeds that
+        leave the stream mid-buffer, equal a fresh Generator(Philox(seed))'s;
+        so do float32 draws, which read a buffered half word first."""
+        p = np.random.default_rng(seed % 97).dirichlet(np.ones(16))
+        for k, size in ((2, 1), (5, 7), (6, 1000), (2**40, 3)):
+            noise._draw(seed + 1, "random", 3, np.float32)  # leaves a half word, buffer half used
+            want = np.random.Generator(np.random.Philox(seed)).integers(0, k, size)
+            assert np.array_equal(noise._draw(seed, "integers", 0, k, size), want)
+            noise._draw(seed + 1, "random", 3, np.float32)
+            want = np.random.Generator(np.random.Philox(seed)).random(size, np.float32)
+            assert np.array_equal(noise._draw(seed, "random", size, np.float32), want)
+        for shots in (1, 8192, 250_000):
+            noise._draw(seed + 1, "random", 3, np.float32)  # leaves a half word, buffer half used
+            want = np.random.Generator(np.random.Philox(seed)).multinomial(shots, p)
+            assert np.array_equal(noise.sample_outcomes(p, shots, seed), want)
+
+    @pytest.mark.parametrize("seed", [True, np.int64(5), np.uint64(2**64 - 1), 2**64 + 5, 2**200 + 3])
+    def test_seeds_philox_accepts(self, seed):
+        want = np.random.Generator(np.random.Philox(seed)).integers(0, 2**62, 4)
+        assert np.array_equal(noise._draw(seed, "integers", 0, 2**62, 4), want)
+
+    @pytest.mark.parametrize("seed, error", [(-1, ValueError), (-(2**70), ValueError),
+                                             (1.5, TypeError), ("7", TypeError),
+                                             (np.float64(2.0), TypeError), (np.True_, TypeError)])
+    def test_seeds_philox_refuses(self, seed, error):
+        with pytest.raises(error):
+            np.random.Philox(seed)
+        with pytest.raises(error):
+            noise.sample_outcomes(np.full(4, 0.25), 10, seed)
+
+    def test_none_draws_os_entropy(self):
+        """seed=None draws fresh entropy per call, as Philox(None) does."""
+        draws = {tuple(noise._draw(None, "integers", 0, 2**62, 4).tolist()) for _ in range(3)}
+        assert len(draws) == 3
+
+    def test_threads_draw_as_serial_calls(self):
+        """Draws interleaved on three threads, more than this suite's cores,
+        equal the same draws made one after another: each re-key and its
+        draw hold the lock together.  A short switch interval makes the
+        threads swap often."""
+        p = np.full(16, 1 / 16)
+        jobs = [[(1000 * t + j, j % 2) for j in range(300)] for t in range(3)]
+
+        def draw(seed, kind):
+            return (noise.sample_outcomes(p, 5000, seed) if kind
+                    else noise._draw(seed, "integers", 0, 1000, 50)).tolist()
+
+        serial = [[draw(*job) for job in thread] for thread in jobs]
+        got, start = [[] for _ in jobs], threading.Barrier(len(jobs))
+
+        def run(t):
+            start.wait(timeout=60)
+            got[t].extend(draw(*job) for job in jobs[t])
+
+        threads = [threading.Thread(target=run, args=(t,)) for t in range(len(jobs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert got == serial
+
+    def test_no_generator_is_built_per_draw(self, monkeypatch):
+        """After the first draw the stream is reused: no Philox, Generator
+        or SeedSequence is built by noisy_counts, run_pairs or
+        random_sequence."""
+        noise._draw(0, "random")
+        built = []
+        for name in ("Philox", "Generator", "SeedSequence"):
+            real = getattr(np.random, name)
+            monkeypatch.setattr(np.random, name, lambda *a, real=real, name=name: built.append(name) or real(*a))
+        noisy_counts(Circuit(2, [GateInstance(GateKind.H, (0,))], [0, 1]), NoiseParams(eps1=0.1), 100, 3)
+        random_sequence(SequenceSpec(GateSetId.FULL, 20, 4))
+        run_pairs([([LogicalGate.X0, LogicalGate.CZZZ], NoiseParams(eps2=0.1), 5)], 64)
+        assert derive_seed(7, "a", 3) == derive_seed(7, "a", 3)
+        assert built == []
+
+
 def _forward_push(x: list[int], z: list[int], gate: GateInstance) -> None:
     """Conjugate a Pauli, as per-qubit X and Z bits, forward past one gate;
     a Pauli gate or an RZ leaves the bits as they are."""
@@ -540,16 +652,42 @@ class TestBatchedSuffix:
                             self._check(insert_coherent_rotation(c, 0.7), params)
 
 
+def _all_masks_odd(row: tuple[int, ...], m: int) -> np.ndarray:
+    """_anticommuting by its definition: one parity gather per mask."""
+    parity = np.array([bin(i).count("1") % 2 for i in range(1 << m)])
+    return parity[np.array(row)[:, None] & np.arange(1 << m)].any(axis=0).astype(np.int8)
+
+
 class TestAnticommuting:
     @pytest.mark.parametrize("m", [1, 2, 4, 5])
     def test_odd_overlap_of_some_mask(self, m):
         """1 at s exactly when some mask of the row overlaps s in an odd
-        number of bits, on random rows that are not closed under XOR."""
+        number of bits, on random rows closed under XOR (the image of a
+        random linear map, as every row the package builds is), generators
+        zero or repeated included."""
         rng = np.random.default_rng(m)
         for k in rng.choice([2, 4, 16], 40):
-            row = (0, *rng.integers(0, 1 << m, k - 1).tolist())
+            row = [0]
+            for g in rng.integers(0, 1 << m, int(k).bit_length() - 1).tolist():
+                row += [mask ^ g for mask in row]
+            row = tuple(row)
             want = [float(any(bin(mask & s).count("1") % 2 for mask in row)) for s in range(1 << m)]
             assert noise._anticommuting(row, m).tolist() == want
+
+    def test_every_table_row_is_linear_and_matches_all_masks(self, random_clifford):
+        """Every gate row, start-frame flip row and RZ row that the engine
+        reads off random circuits' tables, RZ columns included, satisfies
+        row[i ^ j] = row[i] ^ row[j], and the generator gather gives the
+        all-masks vector."""
+        for seed in range(12):
+            c = _with_rzs(random_clifford(seed, n_qubits=2 + seed % 3, n_extra=10 + seed), seed % 3, seed)
+            table = FlipMaskTable(c)
+            width = len(c.measured) + len(table.rz)
+            rows = {*table.gate_masks, *((0, mask) for mask in table.start[2]),
+                    *((0, table.gate_masks[i][3]) for i in table.rz)}
+            for row in rows:
+                assert all(row[i ^ j] == row[i] ^ row[j] for i in range(len(row)) for j in range(len(row)))
+                assert np.array_equal(noise._anticommuting(row, width), _all_masks_odd(row, width)), row
 
     def test_read_only_and_cached(self):
         info = noise._anticommuting.cache_info()
@@ -603,23 +741,21 @@ def _read_out_and_xi(vec: np.ndarray, params: NoiseParams) -> np.ndarray:
     return (1.0 - params.xi) * vec + params.xi / len(vec)
 
 
-_GENERATOR = np.random.Generator
-
-
 def _drawn_vector(monkeypatch, circuit: Circuit, params: NoiseParams, shots: int = 1000) -> np.ndarray:
-    """The one vector a noisy_counts call hands to its one multinomial."""
-    draws = []
+    """The one vector a noisy_counts call hands to its one multinomial,
+    recorded on the keyed stream that noise._keyed hands out."""
+    draws, keyed = [], noise._keyed
 
     class Recording:
-        def __init__(self, bit_generator):
-            self._rng = _GENERATOR(bit_generator)
+        def __init__(self, seed):
+            self._rng = keyed(seed)
 
         def multinomial(self, n, p):
             draws.append(np.array(p))
             return self._rng.multinomial(n, p)
 
     with monkeypatch.context() as m:
-        m.setattr(np.random, "Generator", Recording)
+        m.setattr(noise, "_keyed", Recording)
         counts = noisy_counts(circuit, params, shots, 0)
     [p] = draws
     assert counts.total == shots
@@ -690,19 +826,19 @@ class TestEngineCost:
         assert circ.gates[1].kind is GateKind.RZ
         reads, runs = self._record_sims(monkeypatch)
         generators = []
-        real = np.random.Generator
+        keyed = noise._keyed
 
         class Counting:
-            def __init__(self, bit_generator):
+            def __init__(self, seed):
                 self.names = []
-                self._gen = real(bit_generator)
+                self._gen = keyed(seed)
                 generators.append(self)
 
             def __getattr__(self, name):
                 self.names.append(name)
                 return getattr(self._gen, name)
 
-        monkeypatch.setattr(np.random, "Generator", Counting)
+        monkeypatch.setattr(noise, "_keyed", Counting)
         params = NoiseParams(eps1=4e-3, eps2=0.16, p_meas=0.02, p_prep=0.01, theta=1.1)
         assert noisy_counts(circ, params, 8192, 4).total == 8192
         assert (reads, runs) == ([(circ, 5)], [])
